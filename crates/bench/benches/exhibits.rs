@@ -4,30 +4,41 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memsim::scan::scan_cost;
-use memsim::{Disk, MachineSpec};
-use minidb::{ExecMode, FileSink, NullSink, Session, TerminalSink};
+use memsim::MachineSpec;
+use minidb::{Catalog, ExecMode, FileSink, NullSink, Session, TerminalSink};
 use perfeval_bench::catalog_at;
 use workload::queries;
 
-/// E2: the same Q6 executed cold (flush before every iteration) vs hot.
+/// E2: the same Q6 executed cold (flush before every iteration) vs hot,
+/// over a persisted-and-reopened catalog so the cold arm pays real
+/// `pread`s (the measured protocol of E26), not a modeled wait.
 fn bench_e2_hot_cold(c: &mut Criterion) {
-    let catalog = catalog_at(0.002);
+    let dir = std::env::temp_dir().join(format!("exhibits_e2_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    catalog_at(0.002).persist(&dir).expect("persist catalog");
     let sql = queries::q6();
     let mut group = c.benchmark_group("e2_hot_cold");
     group.sample_size(10);
-    let mut hot = Session::new(catalog.clone()).with_disk(Disk::raid_2008(), 100_000);
+    let mut hot = Session::new(Catalog::open(&dir).expect("reopen catalog"));
     hot.query(&sql).run().unwrap();
     group.bench_function("hot", |b| {
-        b.iter(|| hot.query(&sql).run().unwrap().sim_server_real_ms())
+        b.iter(|| {
+            let r = hot.query(&sql).run().unwrap();
+            assert_eq!(r.store_physical_reads, 0, "hot arm stays in the pool");
+            r.server_real_ms()
+        })
     });
-    let mut cold = Session::new(catalog).with_disk(Disk::raid_2008(), 100_000);
+    let mut cold = Session::new(Catalog::open(&dir).expect("reopen catalog"));
     group.bench_function("cold", |b| {
         b.iter(|| {
             cold.flush_caches();
-            cold.query(&sql).run().unwrap().sim_server_real_ms()
+            let r = cold.query(&sql).run().unwrap();
+            assert!(r.store_physical_reads > 0, "cold arm reads segments");
+            r.server_real_ms()
         })
     });
     group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// E3: DBG vs OPT on three representative query shapes.

@@ -39,7 +39,8 @@
 
 pub mod trajectory;
 
-use minidb::{Catalog, ExecMode, Session};
+use memsim::BufferPool;
+use minidb::{Catalog, ExecMode, Plan, Session};
 use perfeval_harness::Properties;
 use workload::dbgen::{generate, GenConfig};
 
@@ -90,6 +91,48 @@ pub fn measure_user_ms(session: &mut Session, sql: &str, reps: usize) -> f64 {
             })
             .collect(),
     )
+}
+
+/// Era what-if I/O (E2): charges `pool` one sequential read of every table
+/// the optimized plan of `sql` scans — 8 KiB pages, tables in execution
+/// order — and returns the simulated wait that added, in milliseconds.
+///
+/// The engine never sees the modeled pool: call this once beside each run
+/// of `sql` and add the result to the measured `server_real_ms()` to get
+/// the era-disk "real" time. A warm pool returns `0.0`.
+pub fn era_scan_io_ms(session: &Session, sql: &str, pool: &mut BufferPool) -> f64 {
+    fn scans<'p>(plan: &'p Plan, out: &mut Vec<&'p str>) {
+        match plan {
+            Plan::Scan { table, .. } => out.push(table),
+            Plan::Join { left, right, .. } => {
+                scans(left, out);
+                scans(right, out);
+            }
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Distinct { input }
+            | Plan::TopN { input, .. } => scans(input, out),
+        }
+    }
+    let plan = session.plan(sql).expect("plannable query");
+    let mut tables = Vec::new();
+    scans(&plan, &mut tables);
+    let before = pool.sim_wait_ns();
+    for table in tables {
+        let catalog = session.catalog();
+        let file = catalog.file_id(table).expect("scanned table exists");
+        let pages = catalog
+            .table(table)
+            .expect("scanned table")
+            .page_count(8192);
+        for page in 0..pages {
+            pool.read((file, page));
+        }
+    }
+    (pool.sim_wait_ns() - before) / 1e6
 }
 
 /// Builds a session in the given mode over a shared catalog.
@@ -154,6 +197,26 @@ mod tests {
             a.table("lineitem").unwrap().row_count(),
             b.table("lineitem").unwrap().row_count()
         );
+    }
+
+    /// Pins E2's table: the cold simulated wait is the value the in-engine
+    /// pool charged before it moved out here, and a warm pool is free.
+    #[test]
+    fn era_scan_io_reproduces_e2_cold_and_hot() {
+        let session = Session::new(bench_catalog());
+        let mut pool = BufferPool::new(memsim::Disk::laptop_5400rpm(), 100_000);
+        let sql = workload::queries::q1();
+        let cold = era_scan_io_ms(&session, &sql, &mut pool);
+        assert_eq!(cold, 154.53472222222248, "E2 cold sim_io, ms");
+        assert!(pool.physical_reads() > 0, "cold scan reads pages");
+        assert_eq!(era_scan_io_ms(&session, &sql, &mut pool), 0.0, "hot");
+        pool.flush();
+        assert_eq!(era_scan_io_ms(&session, &sql, &mut pool), cold, "re-cold");
+        // A join charges both of its inputs.
+        let join = "SELECT COUNT(*) FROM orders JOIN customer ON o_custkey = c_custkey";
+        pool.flush();
+        assert!(era_scan_io_ms(&session, join, &mut pool) > 0.0);
+        assert_eq!(era_scan_io_ms(&session, join, &mut pool), 0.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Columns are the engine's unit of storage and (in optimized mode) of
 //! execution: each is a dense, type-specialized vector, with strings
-//! dictionary-encoded — the layout whose cache behaviour `memsim`'s
-//! memory-wall experiment motivates.
+//! dictionary-encoded — the layout whose cache behaviour the memory-wall
+//! experiment (E4) motivates.
 
 use crate::error::DbError;
 use crate::types::{DataType, Value};

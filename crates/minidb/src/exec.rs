@@ -26,7 +26,6 @@ use crate::expr::{AggFunc, BinOp, Expr};
 use crate::kernels::{self, Cmp, Engine, Sel};
 use crate::plan::Plan;
 use crate::types::{DataType, Value};
-use memsim::BufferPool;
 use perfeval_trace::Tracer;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -166,11 +165,15 @@ fn profile_post_to_pre(post: &mut Vec<ProfileEntry>) -> Vec<ProfileEntry> {
 pub struct Executor<'a> {
     pub(crate) catalog: &'a Catalog,
     mode: ExecMode,
-    pub(crate) pool: Option<&'a mut BufferPool>,
+    /// The kernel tier the batch operators dispatch, fixed by `mode` at
+    /// construction (`Scalar` for OPT, `Simd` for SIMD). The debug engine
+    /// never reaches kernels.
+    pub(crate) engine: Engine,
     pub(crate) tracer: Option<&'a Tracer>,
     pub(crate) profile: Vec<ProfileEntry>,
-    /// Morsel parallelism for the optimized engine: worker threads and
-    /// morsel granularity. `threads <= 1` is the serial engine.
+    /// Morsel parallelism for the batch engine: worker threads and
+    /// morsel granularity. `threads <= 1` runs every operator as one range
+    /// on the calling thread.
     pub(crate) parallel: ParallelConfig,
     /// Note attached to the next profile entry the executor emits (set by
     /// operators that make a recorded choice, e.g. join build side).
@@ -183,7 +186,7 @@ pub struct Executor<'a> {
 /// Morsel-parallelism knobs for the optimized engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads; `<= 1` runs serially.
+    /// Worker threads; `<= 1` runs every operator on the calling thread.
     pub threads: usize,
     /// Rows per morsel (fixed-size row ranges over the input).
     pub morsel_rows: usize,
@@ -337,8 +340,8 @@ impl AggState {
 
     /// Typed update straight off a column — bitwise the same accumulation
     /// as `update(&col.get(i))` (same f64 additions in the same order)
-    /// without boxing a [`Value`] per row. Used by both the serial and the
-    /// morsel-parallel aggregation paths, which keeps them bit-identical.
+    /// without boxing a [`Value`] per row. Used by both the single-pass and
+    /// the two-phase aggregate, which keeps them bit-identical.
     pub(crate) fn update_from_col(&mut self, col: &Column, i: usize) {
         match (self, col) {
             (AggState::Sum { acc, .. }, Column::Int(v)) => *acc += v[i] as f64,
@@ -492,7 +495,10 @@ impl<'a> Executor<'a> {
         Executor {
             catalog,
             mode,
-            pool: None,
+            engine: match mode {
+                ExecMode::Simd => Engine::Simd,
+                _ => Engine::Scalar,
+            },
             tracer: None,
             profile: Vec::new(),
             parallel: ParallelConfig::default(),
@@ -539,12 +545,6 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Attaches a buffer pool: scans will charge page reads through it.
-    pub fn with_pool(mut self, pool: &'a mut BufferPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Attaches a tracer: every operator records a span (nested like the
     /// plan tree), with row counts and buffer-pool hit/miss deltas as
     /// attributes.
@@ -586,39 +586,11 @@ impl<'a> Executor<'a> {
         &self.profile
     }
 
-    /// The kernel tier the batch engine dispatches (`Scalar` for OPT,
-    /// `Simd` for the SIMD mode). The debug engine never reaches kernels.
-    pub(crate) fn engine(&self) -> Engine {
-        match self.mode {
-            ExecMode::Simd => Engine::Simd,
-            _ => Engine::Scalar,
-        }
-    }
-
-    pub(crate) fn charge_scan(&mut self, table: &str) -> Result<(), DbError> {
-        if let Some(pool) = self.pool.as_deref_mut() {
-            let file = self.catalog.file_id(table)?;
-            let t = self.catalog.table(table)?;
-            let pages = t.page_count(8192);
-            for p in 0..pages {
-                pool.read((file, p));
-            }
-        }
-        Ok(())
-    }
-
-    /// Current `(logical_reads, physical_reads)` for scan span attrs.
-    ///
-    /// Prefers the *real* storage pool of a disk-backed catalog; falls
-    /// back to the modeled `memsim` pool. Never mixes the two.
-    pub(crate) fn io_counters(&self) -> Option<(u64, u64)> {
-        if let Some(store) = self.catalog.storage() {
-            let c = store.counters();
-            return Some((c.logical_reads, c.physical_reads));
-        }
-        self.pool
-            .as_deref()
-            .map(|p| (p.logical_reads(), p.physical_reads()))
+    /// Current `(logical_reads, physical_reads)` of a disk-backed catalog's
+    /// buffer pool, for scan span attrs (`None` for an in-memory catalog).
+    fn io_counters(&self) -> Option<(u64, u64)> {
+        let c = self.catalog.storage()?.counters();
+        Some((c.logical_reads, c.physical_reads))
     }
 
     // ----------------------------------------------------------------
@@ -643,7 +615,6 @@ impl<'a> Executor<'a> {
         let mut child_ms = 0.0;
         match plan {
             Plan::Scan { table, projection } => {
-                self.charge_scan(table)?;
                 let t = self.catalog.table(table)?;
                 let schema = plan.schema(self.catalog)?;
                 let n = t.row_count();
@@ -926,14 +897,6 @@ impl<'a> Executor<'a> {
 
     pub(crate) fn run_batch(&mut self, plan: &Plan, depth: usize) -> Result<Batch, DbError> {
         self.check_cancel()?;
-        // Morsel-driven parallel operators take over eligible subtrees
-        // (scan→filter→project pipelines, aggregates, join probes) when
-        // parallelism is enabled and the input is big enough to split.
-        if self.parallel.threads > 1 {
-            if let Some(batch) = crate::parallel::try_parallel(self, plan, depth)? {
-                return Ok(batch);
-            }
-        }
         let start = Instant::now();
         let label = plan_label(plan);
         let pool_before = match plan {
@@ -942,9 +905,11 @@ impl<'a> Executor<'a> {
         };
         let mut span = self.tracer.map(|t| t.span(&label));
         let mut child_ms = 0.0;
+        // Operators that sweep morsels (`crate::parallel`) report their own
+        // time, summed over workers; the rest get wall time minus children.
+        let mut own_ms = None;
         let batch = match plan {
             Plan::Scan { table, projection } => {
-                self.charge_scan(table)?;
                 let t = self.catalog.table(table)?;
                 // Zero-copy: the batch shares the table's columns by Arc
                 // (disk-backed tables fetch through the buffer pool —
@@ -965,28 +930,10 @@ impl<'a> Executor<'a> {
                 };
                 Batch { names, cols }
             }
-            Plan::Filter { input, predicate } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let schema = input_batch.schema();
-                let bound = predicate.bind(&schema)?;
-                let selection = vectorized_filter(&input_batch, &bound, self.engine())?;
-                input_batch.take(&selection)
-            }
-            Plan::Project { input, exprs } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let schema = input_batch.schema();
-                let mut names = Vec::with_capacity(exprs.len());
-                let mut cols = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    let bound = e.bind(&schema)?;
-                    cols.push(vectorized_eval(&input_batch, &bound, &schema)?);
-                    names.push(name.clone());
-                }
-                Batch { names, cols }
+            Plan::Filter { .. } | Plan::Project { .. } => {
+                let (batch, ms) = crate::parallel::pipeline(self, plan, depth, &mut span)?;
+                own_ms = Some(ms);
+                batch
             }
             Plan::Join {
                 left,
@@ -994,72 +941,30 @@ impl<'a> Executor<'a> {
                 left_key,
                 right_key,
             } => {
-                let c0 = Instant::now();
-                let lb = self.run_batch(left, depth + 1)?;
-                let rb = self.run_batch(right, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let ls = lb.schema();
-                let rs = rb.schema();
-                let (lk, rk) = bind_join_keys(left_key, right_key, &ls, &rs)?;
-                let lkey_col = vectorized_eval(&lb, &lk, &ls)?;
-                let rkey_col = vectorized_eval(&rb, &rk, &rs)?;
-                let (lsel, rsel, side) = hash_join_selections(&lkey_col, &rkey_col, self.engine());
-                if let Some(g) = span.as_mut() {
-                    g.attr("build_side", side.label());
-                }
-                self.pending_note = Some(format!("build={}", side.label()));
-                let lout = lb.take(&lsel);
-                let rout = rb.take(&rsel);
-                let mut names = lout.names;
-                names.extend(rout.names);
-                let mut cols = lout.cols;
-                cols.extend(rout.cols);
-                Batch { names, cols }
+                let (batch, ms) = crate::parallel::join(
+                    self, left, right, left_key, right_key, depth, &mut span,
+                )?;
+                own_ms = Some(ms);
+                batch
             }
             Plan::Aggregate {
                 input,
                 group_by,
                 aggregates,
             } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                vectorized_aggregate(
-                    self.catalog,
-                    plan,
-                    &input_batch,
-                    group_by,
-                    aggregates,
-                    self.engine(),
-                )?
+                let (batch, ms) = crate::parallel::aggregate(
+                    self, plan, input, group_by, aggregates, depth, &mut span,
+                )?;
+                own_ms = Some(ms);
+                batch
             }
             Plan::Sort { input, keys } => {
                 let c0 = Instant::now();
                 let input_batch = self.run_batch(input, depth + 1)?;
                 child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let schema = input_batch.schema();
-                let bound: Vec<(Expr, bool)> = keys
-                    .iter()
-                    .map(|(e, d)| Ok((e.bind(&schema)?, *d)))
-                    .collect::<Result<_, DbError>>()?;
-                let key_cols: Vec<(Arc<Column>, bool)> = bound
-                    .iter()
-                    .map(|(e, d)| Ok((vectorized_eval(&input_batch, e, &schema)?, *d)))
-                    .collect::<Result<_, DbError>>()?;
+                let cmp_rows = key_comparator(&input_batch, keys)?;
                 let mut perm: Vec<usize> = (0..input_batch.row_count()).collect();
-                perm.sort_by(|&a, &b| {
-                    for (col, desc) in &key_cols {
-                        let ord = col
-                            .get(a)
-                            .sql_cmp(&col.get(b))
-                            .unwrap_or(std::cmp::Ordering::Equal);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
+                perm.sort_by(|&a, &b| cmp_rows(a, b));
                 input_batch.take(&perm)
             }
             Plan::Limit { input, n } => {
@@ -1091,29 +996,8 @@ impl<'a> Executor<'a> {
                 let c0 = Instant::now();
                 let input_batch = self.run_batch(input, depth + 1)?;
                 child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let schema = input_batch.schema();
-                let bound: Vec<(Expr, bool)> = keys
-                    .iter()
-                    .map(|(e, d)| Ok((e.bind(&schema)?, *d)))
-                    .collect::<Result<_, DbError>>()?;
-                let key_cols: Vec<(Arc<Column>, bool)> = bound
-                    .iter()
-                    .map(|(e, d)| Ok((vectorized_eval(&input_batch, e, &schema)?, *d)))
-                    .collect::<Result<_, DbError>>()?;
+                let cmp_rows = key_comparator(&input_batch, keys)?;
                 let mut best: Vec<usize> = Vec::with_capacity(n + 1);
-                let cmp_rows = |a: usize, b: usize| {
-                    for (col, desc) in &key_cols {
-                        let ord = col
-                            .get(a)
-                            .sql_cmp(&col.get(b))
-                            .unwrap_or(std::cmp::Ordering::Equal);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                };
                 for i in 0..input_batch.row_count() {
                     bounded_insert(&mut best, i, *n, |&a, &b| cmp_rows(a, b));
                 }
@@ -1135,12 +1019,38 @@ impl<'a> Executor<'a> {
         self.profile.push(ProfileEntry {
             op: label,
             depth,
-            exclusive_ms: (total_ms - child_ms).max(0.0),
+            exclusive_ms: own_ms.unwrap_or((total_ms - child_ms).max(0.0)),
             rows_out,
             note: self.pending_note.take(),
         });
         Ok(batch)
     }
+}
+
+/// Evaluates ORDER BY `keys` over `batch` and returns the row-index
+/// comparator the `Sort` and `TopN` operators share.
+fn key_comparator(
+    batch: &Batch,
+    keys: &[(Expr, bool)],
+) -> Result<impl Fn(usize, usize) -> std::cmp::Ordering, DbError> {
+    let schema = batch.schema();
+    let key_cols: Vec<(Arc<Column>, bool)> = keys
+        .iter()
+        .map(|(e, d)| Ok((vectorized_eval(batch, &e.bind(&schema)?, &schema)?, *d)))
+        .collect::<Result<_, DbError>>()?;
+    Ok(move |a: usize, b: usize| {
+        for (col, desc) in &key_cols {
+            let ord = col
+                .get(a)
+                .sql_cmp(&col.get(b))
+                .unwrap_or(std::cmp::Ordering::Equal);
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    })
 }
 
 /// Binds join keys: each name must resolve in exactly one input; the pair is
@@ -1621,56 +1531,22 @@ pub(crate) fn canonicalize_join_pairs(
     }
 }
 
-/// Builds the matching (left, right) row-index pairs of a hash equi-join,
-/// building on the smaller input and reporting which side that was.
-fn hash_join_selections(
-    lkey: &Column,
-    rkey: &Column,
-    engine: Engine,
-) -> (Vec<usize>, Vec<usize>, BuildSide) {
-    let side = choose_build_side(lkey, rkey);
-    let (lsel, rsel) = match side {
-        BuildSide::Left => JoinBuild::new(lkey, rkey, engine).probe_range(rkey, 0..rkey.len()),
-        BuildSide::Right => {
-            let (bsel, psel) = JoinBuild::new(rkey, lkey, engine).probe_range(lkey, 0..lkey.len());
-            (psel, bsel)
-        }
-    };
-    let (lsel, rsel) = canonicalize_join_pairs(side, lsel, rsel);
-    (lsel, rsel, side)
-}
-
-/// Hash aggregation over a columnar batch.
+/// Single-pass hash aggregation over `n` rows of evaluated columns:
+/// `group_cols` are the grouping keys, `agg_cols[i]` the argument of the
+/// aggregate `agg_meta[i]` describes.
 pub(crate) fn vectorized_aggregate(
     catalog: &Catalog,
     plan: &Plan,
-    input: &Batch,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggFunc, Expr, String)],
+    group_cols: &[Arc<Column>],
+    agg_cols: &[Arc<Column>],
+    agg_meta: &[(AggFunc, DataType)],
+    n: usize,
     engine: Engine,
 ) -> Result<Batch, DbError> {
-    let schema = input.schema();
-    let group_cols: Vec<Arc<Column>> = group_by
-        .iter()
-        .map(|(e, _)| {
-            let b = e.bind(&schema)?;
-            vectorized_eval(input, &b, &schema)
-        })
-        .collect::<Result<_, _>>()?;
-    let agg_inputs: Vec<(AggFunc, Arc<Column>, DataType)> = aggregates
-        .iter()
-        .map(|(f, e, _)| {
-            let b = e.bind(&schema)?;
-            let dt = e.data_type(&schema)?;
-            Ok((*f, vectorized_eval(input, &b, &schema)?, dt))
-        })
-        .collect::<Result<_, DbError>>()?;
-
-    let n = input.row_count();
     let new_states = || -> Vec<AggState> {
-        agg_inputs
+        agg_meta
             .iter()
-            .map(|(f, _, dt)| AggState::new(*f, *dt))
+            .map(|(f, dt)| AggState::new(*f, *dt))
             .collect()
     };
 
@@ -1685,7 +1561,7 @@ pub(crate) fn vectorized_aggregate(
             let mut per_group: Vec<Vec<AggState>> =
                 (0..first_rows.len()).map(|_| new_states()).collect();
             for (i, &g) in gids.iter().enumerate() {
-                for ((_, col, _), state) in agg_inputs.iter().zip(&mut per_group[g as usize]) {
+                for (col, state) in agg_cols.iter().zip(&mut per_group[g as usize]) {
                     state.update_from_col(col, i);
                 }
             }
@@ -1704,7 +1580,7 @@ pub(crate) fn vectorized_aggregate(
 
     let mut groups: HashMap<Vec<Key>, (usize, Vec<AggState>)> = HashMap::new();
     let mut group_order: Vec<Vec<Value>> = Vec::new();
-    if group_by.is_empty() {
+    if group_cols.is_empty() {
         // Global aggregate: one group, no per-row key hashing.
         let mut states = new_states();
         if engine == Engine::Simd {
@@ -1712,7 +1588,7 @@ pub(crate) fn vectorized_aggregate(
             // exactness; serial replay (identical to the scalar loop)
             // otherwise. States are independent, so folding one state over
             // the whole column before the next is the same accumulation.
-            for ((_, col, _), state) in agg_inputs.iter().zip(&mut states) {
+            for (col, state) in agg_cols.iter().zip(&mut states) {
                 if !state.update_bulk(col) {
                     for i in 0..n {
                         state.update_from_col(col, i);
@@ -1721,7 +1597,7 @@ pub(crate) fn vectorized_aggregate(
             }
         } else {
             for i in 0..n {
-                for ((_, col, _), state) in agg_inputs.iter().zip(&mut states) {
+                for (col, state) in agg_cols.iter().zip(&mut states) {
                     state.update_from_col(col, i);
                 }
             }
@@ -1731,7 +1607,7 @@ pub(crate) fn vectorized_aggregate(
     } else {
         'rows: for i in 0..n {
             let mut key = Vec::with_capacity(group_cols.len());
-            for c in &group_cols {
+            for c in group_cols {
                 match value_key(&c.get(i)) {
                     Some(k) => key.push(k),
                     None => continue 'rows, // NULL group keys drop the row
@@ -1742,7 +1618,7 @@ pub(crate) fn vectorized_aggregate(
                 group_order.push(group_cols.iter().map(|c| c.get(i)).collect());
                 (next_id, new_states())
             });
-            for ((_, col, _), state) in agg_inputs.iter().zip(&mut entry.1) {
+            for (col, state) in agg_cols.iter().zip(&mut entry.1) {
                 state.update_from_col(col, i);
             }
         }
@@ -1760,7 +1636,7 @@ pub(crate) fn vectorized_aggregate(
 }
 
 /// Sorts assembled aggregate rows deterministically and materializes the
-/// output batch — shared by the serial and morsel-parallel aggregates so
+/// output batch — shared by the single-pass and two-phase aggregates so
 /// their final steps are literally the same code.
 pub(crate) fn finish_aggregate_batch(
     catalog: &Catalog,
@@ -1989,26 +1865,6 @@ mod tests {
         let text = render_profile(trace);
         assert!(text.contains("HashAggregate"));
         assert!(text.contains("rows"));
-    }
-
-    #[test]
-    fn buffer_pool_is_charged_once_per_scan() {
-        let c = catalog();
-        let mut pool = BufferPool::new(memsim::Disk::laptop_5400rpm(), 100);
-        let stmt = parse("SELECT qty FROM sales").unwrap();
-        let plan = to_plan(&stmt, |t| Ok(c.table(t)?.column_names().to_vec())).unwrap();
-        {
-            let mut ex = Executor::new(&c, ExecMode::Optimized).with_pool(&mut pool);
-            ex.run(&plan).unwrap();
-        }
-        assert!(pool.physical_reads() > 0, "cold scan reads pages");
-        let cold_wait = pool.sim_wait_ns();
-        assert!(cold_wait > 0.0);
-        {
-            let mut ex = Executor::new(&c, ExecMode::Optimized).with_pool(&mut pool);
-            ex.run(&plan).unwrap();
-        }
-        assert_eq!(pool.sim_wait_ns(), cold_wait, "hot scan is free");
     }
 
     #[test]

@@ -24,12 +24,17 @@
 //!   terminal (with realistic rendering cost), or nowhere — the
 //!   server-side vs. client-side, file vs. terminal distinction of the
 //!   "Be aware what you measure!" table.
-//! * **Buffer pool** (via `memsim`): table scans charge simulated disk I/O
-//!   through an LRU buffer pool, giving cold runs their real ≫ user gap.
-//! * **Persistence** ([`storage`], via `perfeval-store`): tables persist
-//!   to checksummed, compressed column segments and reopen disk-backed
-//!   behind a *real* buffer pool — so hot vs. cold is measured with real
-//!   hit/miss counters and `posix_fadvise` page-cache drops, not modeled.
+//! * **Persistence and the buffer pool** ([`storage`], via
+//!   `perfeval-store`): tables persist to checksummed, compressed column
+//!   segments and reopen disk-backed behind the engine's one buffer pool —
+//!   a real one, so hot vs. cold is measured with real hit/miss counters
+//!   and `posix_fadvise` page-cache drops. Nothing inside the engine is
+//!   modeled; era-hardware what-ifs (E2) charge a simulated disk from the
+//!   plan's scanned tables outside it.
+//! * **One execution pipeline**: every batch operator has exactly one
+//!   implementation, which runs as one range on the calling thread or as
+//!   a morsel sweep across workers depending only on the thread count and
+//!   the input's row count — bit-identical either way.
 //! * **EXPLAIN / PROFILE / TRACE**: plan printing and per-operator time
 //!   accounting, the "CSI: find out what happens" tools.
 //!

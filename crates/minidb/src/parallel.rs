@@ -1,41 +1,47 @@
-//! Morsel-driven parallel operators for the optimized engine.
+//! The batch engine's sweeping operators: pipelines, aggregation, joins.
 //!
-//! When an [`Executor`](crate::exec::Executor) is configured with
-//! `with_parallelism(n > 1)`, eligible plan shapes are taken over here and
-//! split into fixed-size row-range *morsels* that worker threads pull from
-//! a shared atomic cursor ([`perfeval_pool::parallel_map_traced`]):
+//! These are the only implementations of `Filter`/`Project`, `Aggregate`
+//! and `Join` the batch engine has — [`Executor::run_batch`] dispatches
+//! straight here. Each one runs its work through [`sweep`], which makes a
+//! single decision from two things it observes, the executor's thread
+//! count and the input's row count:
 //!
-//! * **scan→filter→project pipelines** run whole per morsel, with the
-//!   selection vector kept worker-local, and the per-column outputs are
-//!   stitched back together in morsel-index order;
-//! * **hash aggregation** groups each morsel locally, merges the group
-//!   directories serially in morsel order (preserving the serial engine's
+//! * `threads > 1` and the input spans at least two morsels: fixed-size
+//!   row-range *morsels* are pulled by worker threads from a shared atomic
+//!   cursor ([`perfeval_pool::parallel_map_traced`]);
+//! * otherwise: the whole input is one range `0..rows`, run on the calling
+//!   thread — no spawn, no morsel spans, no stitching.
+//!
+//! The operators:
+//!
+//! * **pipelines** — a `Filter`/`Project` chain over any source batch (a
+//!   scan, a join, an aggregate) runs whole per range, with the selection
+//!   vector kept range-local and lazy; per-morsel outputs are stitched
+//!   back together in morsel-index order;
+//! * **hash aggregation** — the chain beneath the aggregate is fused into
+//!   the same sweep. One range folds single-pass
+//!   ([`vectorized_aggregate`]); a morsel sweep groups each morsel
+//!   locally, merges the group directories in morsel order (preserving
 //!   first-seen group order), then finishes each group by replaying its
 //!   rows in ascending original order — so float accumulators see exactly
-//!   the serial addition sequence;
-//! * **hash joins** build the table serially on the smaller input and
-//!   probe in parallel over morsels of the other, concatenating the
-//!   matched pairs in morsel order and canonicalizing so the output is
-//!   independent of the build side.
+//!   the single-pass addition sequence;
+//! * **hash joins** — build on the smaller input on the calling thread,
+//!   probe the other in a sweep, concatenate matched pairs in morsel order
+//!   and canonicalize so the output is independent of the build side.
 //!
 //! Every merge point is ordered by morsel index, never by completion
-//! order, which makes the result **bit-identical to the serial engine**
-//! for any thread count and morsel size — the property the correctness
-//! suite asserts and exhibit E19 leans on ("same question, same answer,
-//! different wall-clock").
-//!
-//! Operators that cannot split (`Sort`, `TopN`, `Limit`, `Distinct`) stay
-//! serial; their inputs still recurse through [`try_parallel`]. Inputs
-//! smaller than two morsels are declined (`Ok(None)`) *before* any I/O is
-//! charged, so falling back to the serial path never double-counts
-//! buffer-pool reads.
+//! order, which makes the result **bit-identical** for any thread count
+//! and morsel size — the property the correctness suite asserts and
+//! exhibit E19 leans on ("same question, same answer, different
+//! wall-clock"). `Sort`, `TopN`, `Limit` and `Distinct` do not sweep;
+//! their inputs still do.
 
 use crate::column::Column;
 use crate::error::DbError;
 use crate::exec::{
     bind_join_keys, canonicalize_join_pairs, choose_build_side, finish_aggregate_batch, plan_label,
     value_key, vectorized_aggregate, vectorized_eval, vectorized_filter, vectorized_filter_range,
-    AggState, Batch, Executor, JoinBuild, Key, ProfileEntry,
+    AggState, Batch, BuildSide, Executor, JoinBuild, Key, ProfileEntry,
 };
 use crate::expr::{AggFunc, Expr};
 use crate::kernels::{Engine, Sel};
@@ -48,62 +54,105 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Entry point from [`Executor::run_batch`]: runs `plan` morsel-parallel if
-/// its shape is eligible and the input is big enough to split, otherwise
-/// returns `Ok(None)` and the serial engine proceeds untouched.
-pub(crate) fn try_parallel(
-    ex: &mut Executor<'_>,
-    plan: &Plan,
-    depth: usize,
-) -> Result<Option<Batch>, DbError> {
-    match plan {
-        Plan::Filter { .. } | Plan::Project { .. } => try_pipeline(ex, plan, depth),
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => try_aggregate(ex, plan, input, group_by, aggregates, depth),
-        Plan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => try_join(ex, left, right, left_key, right_key, depth).map(Some),
-        _ => Ok(None),
+// --------------------------------------------------------------------
+// The sweep: one range on the calling thread, or morsels on workers.
+// --------------------------------------------------------------------
+
+/// How many ranges a `rows`-row input is swept in: its morsel count when
+/// workers are configured, else 1.
+fn morsel_count(ex: &Executor<'_>, rows: usize) -> usize {
+    if ex.parallel.threads > 1 {
+        rows.div_ceil(ex.parallel.morsel_rows).max(1)
+    } else {
+        1
     }
 }
 
-// --------------------------------------------------------------------
-// Pipeline chains: scan → filter* → project* run whole per morsel.
-// --------------------------------------------------------------------
-
-/// A `Filter`/`Project` chain bottoming out in a `Scan`.
-struct Chain<'p> {
-    /// Chain nodes, root first (execution order is the reverse).
-    stages: Vec<&'p Plan>,
-    table: &'p str,
-    projection: &'p Option<Vec<usize>>,
-}
-
-fn decompose(plan: &Plan) -> Option<Chain<'_>> {
-    let mut stages = Vec::new();
-    let mut cur = plan;
-    loop {
-        match cur {
-            Plan::Filter { input, .. } | Plan::Project { input, .. } => {
-                stages.push(cur);
-                cur = input;
-            }
-            Plan::Scan { table, projection } => {
-                return Some(Chain {
-                    stages,
-                    table,
-                    projection,
-                })
-            }
-            _ => return None,
+/// Runs `work` over `0..rows` and returns its outputs in range order.
+/// `work` yields its output plus the rows it produced (recorded on the
+/// morsel span). One output means the input ran as one range on the
+/// calling thread; more means a morsel sweep across workers, which polls
+/// for cancellation at every morsel boundary.
+fn sweep<T: Send>(
+    ex: &Executor<'_>,
+    rows: usize,
+    work: impl Fn(Range<usize>) -> Result<(T, usize), DbError> + Sync,
+) -> Result<Vec<T>, DbError> {
+    let morsels = morsel_count(ex, rows);
+    if morsels < 2 {
+        return Ok(vec![work(0..rows)?.0]);
+    }
+    let tracer = ex.tracer;
+    let cancel = ex.cancel.clone();
+    let morsel_rows = ex.parallel.morsel_rows;
+    let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
+    let (results, _workers) = parallel_map_traced(morsels, ex.parallel.threads, tracer, |m| {
+        if let Some(c) = &cancel {
+            c.check()?;
         }
+        let range = m * morsel_rows..((m + 1) * morsel_rows).min(rows);
+        let mut span = morsel_span(tracer, m, sweep_start_ns, range.len());
+        let (out, rows_out) = work(range)?;
+        if let Some(g) = span.as_mut() {
+            g.attr("rows_out", rows_out);
+        }
+        Ok(out)
+    });
+    results.into_iter().collect()
+}
+
+/// The morsel span: anchored where the worker's lane became free, with the
+/// dispatch gap recorded as a `queue-wait` child and `queued_ms` attribute
+/// (be aware what you measure: queueing is not operator time).
+fn morsel_span(
+    tracer: Option<&Tracer>,
+    m: usize,
+    sweep_start_ns: u64,
+    rows_in: usize,
+) -> Option<SpanGuard<'_>> {
+    let t = tracer?;
+    let anchor_ns = t.lane_resume_ns().max(sweep_start_ns);
+    let pickup_ns = t.now_ns();
+    let mut g = t.span_at(&format!("morsel {m}"), anchor_ns);
+    g.attr("rows_in", rows_in).attr(
+        "queued_ms",
+        pickup_ns.saturating_sub(anchor_ns) as f64 / 1e6,
+    );
+    drop(t.span_at("queue-wait", anchor_ns));
+    Some(g)
+}
+
+/// Records how an operator's input was swept — span attributes plus the
+/// profile note — when it was split into morsels; one range leaves no mark.
+fn record_sweep(ex: &mut Executor<'_>, span: &mut Option<SpanGuard<'_>>, what: &str, n: usize) {
+    if n < 2 {
+        return;
     }
+    let threads = ex.parallel.threads;
+    if let Some(g) = span.as_mut() {
+        g.attr("morsels", n).attr("threads", threads);
+    }
+    let sweep = format!("{what}: {n} morsels x {threads} threads");
+    ex.pending_note = Some(match ex.pending_note.take() {
+        Some(note) => format!("{note}; {sweep}"),
+        None => sweep,
+    });
+}
+
+// --------------------------------------------------------------------
+// Pipeline chains: filter* / project* over a source batch, whole per range.
+// --------------------------------------------------------------------
+
+/// Splits `plan` into its leading `Filter`/`Project` nodes (root first) and
+/// the source node beneath them.
+fn peel(plan: &Plan) -> (Vec<&Plan>, &Plan) {
+    let mut nodes = Vec::new();
+    let mut cur = plan;
+    while let Plan::Filter { input, .. } | Plan::Project { input, .. } = cur {
+        nodes.push(cur);
+        cur = input;
+    }
+    (nodes, cur)
 }
 
 /// One chain stage with its expressions bound to column indices.
@@ -118,107 +167,93 @@ enum BoundStage {
     },
 }
 
-/// A chain checked for feasibility and fully bound — everything needed to
-/// run morsels. Produced *before* any buffer-pool charge so a `None`
-/// (too small, binding failed) falls back to the serial path without side
-/// effects.
-struct PreparedChain {
-    scan_names: Vec<String>,
-    scan_col_idxs: Vec<usize>,
-    /// Stages in execution (leaf→root) order.
-    stages: Vec<BoundStage>,
-    /// Operator labels matching `stages` (leaf→root).
-    labels: Vec<String>,
-    out_schema: Vec<(String, DataType)>,
-    rows: usize,
-    morsels: usize,
-}
-
-fn prepare_chain(ex: &Executor<'_>, chain: &Chain<'_>) -> Result<Option<PreparedChain>, DbError> {
-    let t = ex.catalog.table(chain.table)?;
-    let rows = t.row_count();
-    let morsels = rows.div_ceil(ex.parallel.morsel_rows);
-    if morsels < 2 {
-        return Ok(None);
-    }
-    let scan_col_idxs: Vec<usize> = match chain.projection {
-        None => (0..t.column_count()).collect(),
-        Some(idxs) => idxs.clone(),
-    };
-    let scan_names: Vec<String> = scan_col_idxs
-        .iter()
-        .map(|&i| t.column_names()[i].clone())
-        .collect();
-    let mut schema: Vec<(String, DataType)> = scan_col_idxs
-        .iter()
-        .zip(&scan_names)
-        .map(|(&i, n)| (n.clone(), t.column(i).data_type()))
-        .collect();
-
-    let mut stages = Vec::with_capacity(chain.stages.len());
-    let mut labels = Vec::with_capacity(chain.stages.len());
-    for node in chain.stages.iter().rev() {
-        labels.push(plan_label(node));
+/// Binds chain `nodes` (root first) against the source's `schema`,
+/// returning the stages in execution (leaf→root) order and the chain's
+/// output schema.
+#[allow(clippy::type_complexity)]
+fn bind_chain(
+    nodes: &[&Plan],
+    mut schema: Vec<(String, DataType)>,
+) -> Result<(Vec<BoundStage>, Vec<(String, DataType)>), DbError> {
+    let mut stages = Vec::with_capacity(nodes.len());
+    for node in nodes.iter().rev() {
         match node {
-            Plan::Filter { predicate, .. } => {
-                let Ok(pred) = predicate.bind(&schema) else {
-                    return Ok(None); // serial path reproduces the error
-                };
-                stages.push(BoundStage::Filter { pred });
-            }
+            Plan::Filter { predicate, .. } => stages.push(BoundStage::Filter {
+                pred: predicate.bind(&schema)?,
+            }),
             Plan::Project { exprs, .. } => {
-                let in_schema = schema.clone();
                 let mut bound = Vec::with_capacity(exprs.len());
-                let mut names = Vec::with_capacity(exprs.len());
                 let mut out = Vec::with_capacity(exprs.len());
                 for (e, name) in exprs {
-                    let (Ok(b), Ok(dt)) = (e.bind(&schema), e.data_type(&schema)) else {
-                        return Ok(None);
-                    };
-                    bound.push(b);
-                    names.push(name.clone());
-                    out.push((name.clone(), dt));
+                    bound.push(e.bind(&schema)?);
+                    out.push((name.clone(), e.data_type(&schema)?));
                 }
                 stages.push(BoundStage::Project {
                     exprs: bound,
-                    names,
-                    in_schema,
+                    names: out.iter().map(|(n, _)| n.clone()).collect(),
+                    in_schema: std::mem::replace(&mut schema, out),
                 });
-                schema = out;
             }
-            _ => unreachable!("decompose only collects Filter/Project"),
+            _ => unreachable!("peel only collects Filter/Project"),
         }
     }
-    Ok(Some(PreparedChain {
-        scan_names,
-        scan_col_idxs,
-        stages,
-        labels,
-        out_schema: schema,
-        rows,
-        morsels,
-    }))
+    Ok((stages, schema))
 }
 
-/// Output of one morsel run through a chain.
-struct MorselOut {
+/// What a chain's stages did, per stage in execution (leaf→root) order.
+#[derive(Default)]
+struct StageStats {
+    /// Rows leaving each stage.
+    rows: Vec<usize>,
+    /// Seconds spent in each stage on the thread that ran it.
+    secs: Vec<f64>,
+}
+
+impl StageStats {
+    /// Per-stage totals over a sweep's ranges; times are summed worker
+    /// seconds — CPU cost, not wall clock.
+    fn total<'s>(stages: usize, parts: impl Iterator<Item = &'s StageStats>) -> StageStats {
+        let mut total = StageStats {
+            rows: vec![0; stages],
+            secs: vec![0.0; stages],
+        };
+        for part in parts {
+            for i in 0..stages {
+                total.rows[i] += part.rows[i];
+                total.secs[i] += part.secs[i];
+            }
+        }
+        total
+    }
+}
+
+/// Output of one range run through a chain.
+struct ChainOut {
     batch: Batch,
-    /// Rows leaving each stage (leaf→root order).
-    stage_rows: Vec<usize>,
-    /// Seconds spent in each stage on the worker (leaf→root order).
-    stage_secs: Vec<f64>,
+    stats: StageStats,
+}
+
+/// The rows of `base` a selection keeps — `base` itself, shared without a
+/// copy, when that is every row.
+fn select(base: &Batch, sel: Sel) -> Batch {
+    match sel {
+        Sel::Dense(r) if r == (0..base.row_count()) => Batch {
+            names: base.names.clone(),
+            cols: base.cols.clone(),
+        },
+        sel => base.take(&sel.into_vec()),
+    }
 }
 
 /// Runs rows `range` of `base` through the bound stages. The selection
 /// vector stays local (and lazy) until the first `Project` materializes.
-fn run_chain_morsel(
+fn run_chain(
     base: &Batch,
     stages: &[BoundStage],
     range: Range<usize>,
     engine: Engine,
-) -> Result<MorselOut, DbError> {
-    let mut stage_rows = Vec::with_capacity(stages.len());
-    let mut stage_secs = Vec::with_capacity(stages.len());
+) -> Result<ChainOut, DbError> {
+    let mut stats = StageStats::default();
     let mut lazy_sel: Option<Sel> = Some(Sel::Dense(range));
     let mut owned: Option<Batch> = None;
     for stage in stages {
@@ -227,7 +262,7 @@ fn run_chain_morsel(
             BoundStage::Filter { pred } => {
                 if let Some(b) = owned.take() {
                     let sel = vectorized_filter(&b, pred, engine)?;
-                    stage_rows.push(sel.len());
+                    stats.rows.push(sel.len());
                     owned = Some(b.take(&sel));
                 } else {
                     let sel = vectorized_filter_range(
@@ -236,7 +271,7 @@ fn run_chain_morsel(
                         lazy_sel.take().expect("lazy"),
                         engine,
                     )?;
-                    stage_rows.push(sel.len());
+                    stats.rows.push(sel.len());
                     lazy_sel = Some(Sel::Sparse(sel));
                 }
             }
@@ -247,7 +282,7 @@ fn run_chain_morsel(
             } => {
                 let input = match owned.take() {
                     Some(b) => b,
-                    None => base.take(&lazy_sel.take().expect("lazy").into_vec()),
+                    None => select(base, lazy_sel.take().expect("lazy")),
                 };
                 let mut cols = Vec::with_capacity(exprs.len());
                 for e in exprs {
@@ -257,21 +292,22 @@ fn run_chain_morsel(
                     names: names.clone(),
                     cols,
                 };
-                stage_rows.push(b.row_count());
+                stats.rows.push(b.row_count());
                 owned = Some(b);
             }
         }
-        stage_secs.push(t0.elapsed().as_secs_f64());
+        stats.secs.push(t0.elapsed().as_secs_f64());
     }
+    // Materializing a trailing filter's survivors is that filter's work.
+    let t0 = Instant::now();
     let batch = match owned {
         Some(b) => b,
-        None => base.take(&lazy_sel.expect("lazy").into_vec()),
+        None => select(base, lazy_sel.expect("lazy")),
     };
-    Ok(MorselOut {
-        batch,
-        stage_rows,
-        stage_secs,
-    })
+    if let Some(last) = stats.secs.last_mut() {
+        *last += t0.elapsed().as_secs_f64();
+    }
+    Ok(ChainOut { batch, stats })
 }
 
 /// Concatenates per-morsel output batches in morsel-index order.
@@ -290,269 +326,143 @@ fn concat_batches(schema: &[(String, DataType)], parts: &[Batch]) -> Batch {
     }
 }
 
-/// Opens the chain's operator spans on the calling thread's lane, root
-/// stage first, scan last — the same nesting the serial engine produces.
-fn open_chain_spans<'t>(
-    tracer: Option<&'t Tracer>,
-    prep: &PreparedChain,
-    scan_label: &str,
-) -> Vec<SpanGuard<'t>> {
-    let Some(t) = tracer else { return Vec::new() };
-    let mut guards: Vec<SpanGuard<'t>> = prep
-        .labels
-        .iter()
-        .rev() // root first
-        .map(|l| t.span(l))
-        .collect();
-    guards.push(t.span(scan_label));
-    guards
+/// Opens operator spans for `nodes` on the calling thread's lane, root
+/// first, so the source's span nests beneath the leaf stage.
+fn open_spans<'t>(tracer: Option<&'t Tracer>, nodes: &[&Plan]) -> Vec<SpanGuard<'t>> {
+    tracer.map_or_else(Vec::new, |t| {
+        nodes.iter().map(|p| t.span(&plan_label(p))).collect()
+    })
 }
 
-/// Charges the scan and builds the zero-copy base batch, annotating the
-/// innermost (scan) span with the same pool accounting the serial scan
-/// records.
-fn run_scan(
+/// Closes the spans of chain `nodes` (root first, `nodes[0]` at `depth`)
+/// leaf-first with their row counts, and pushes their profile entries in
+/// post-order; `total` holds the chain's first `nodes.len()` stages.
+fn close_chain(
     ex: &mut Executor<'_>,
-    table: &str,
-    prep: &PreparedChain,
-    guards: &mut [SpanGuard<'_>],
-) -> Result<(Batch, f64), DbError> {
-    let t0 = Instant::now();
-    let pool_before = ex.io_counters();
-    ex.charge_scan(table)?;
-    let t = ex.catalog.table(table)?;
-    let base = Batch {
-        names: prep.scan_names.clone(),
-        cols: prep
-            .scan_col_idxs
-            .iter()
-            .map(|&i| t.column_arc_io(i))
-            .collect::<Result<_, DbError>>()?,
-    };
-    if let Some(g) = guards.last_mut() {
-        g.attr("rows_out", prep.rows);
-        if let (Some((l0, p0)), Some((l1, p1))) = (pool_before, ex.io_counters()) {
-            let logical = l1.saturating_sub(l0);
-            let physical = p1.saturating_sub(p0);
-            g.attr("pool_hits", logical.saturating_sub(physical))
-                .attr("pool_misses", physical);
-        }
-    }
-    Ok((base, t0.elapsed().as_secs_f64()))
-}
-
-/// The morsel span idiom shared by every parallel operator: anchored where
-/// the worker's lane became free, with the dispatch gap recorded as a
-/// `queue-wait` child and `queued_ms` attribute (be aware what you
-/// measure: queueing is not operator time).
-fn morsel_span<'t>(
-    tracer: Option<&'t Tracer>,
-    name: &str,
-    sweep_start_ns: u64,
-    rows_in: usize,
-) -> Option<SpanGuard<'t>> {
-    let t = tracer?;
-    let anchor_ns = t.lane_resume_ns().max(sweep_start_ns);
-    let pickup_ns = t.now_ns();
-    let mut g = t.span_at(name, anchor_ns);
-    g.attr("rows_in", rows_in).attr(
-        "queued_ms",
-        pickup_ns.saturating_sub(anchor_ns) as f64 / 1e6,
-    );
-    drop(t.span_at("queue-wait", anchor_ns));
-    Some(g)
-}
-
-/// Pushes the chain's profile entries in post-order (scan deepest-first,
-/// then stages leaf→root), mirroring what serial recursion emits. Stage
-/// times are summed worker seconds — CPU cost, not wall clock.
-fn push_chain_profile(
-    ex: &mut Executor<'_>,
-    prep: &PreparedChain,
-    scan_label: String,
-    scan_secs: f64,
-    stage_rows: &[usize],
-    stage_secs: &[f64],
+    nodes: &[&Plan],
+    mut guards: Vec<SpanGuard<'_>>,
+    total: &StageStats,
     depth: usize,
 ) {
-    let nstages = prep.stages.len();
-    ex.profile.push(ProfileEntry {
-        op: scan_label,
-        depth: depth + nstages,
-        exclusive_ms: scan_secs * 1e3,
-        rows_out: prep.rows,
-        note: None,
-    });
-    for i in 0..nstages {
-        // Stage i is leaf→root; the root stage sits at `depth`.
-        let note = (i == nstages - 1).then(|| {
-            format!(
-                "parallel: {} morsels x {} threads",
-                prep.morsels, ex.parallel.threads
-            )
-        });
+    for (i, node) in nodes.iter().enumerate().rev() {
+        let si = nodes.len() - 1 - i;
+        if let Some(mut g) = guards.pop() {
+            g.attr("rows_out", total.rows[si]);
+        }
         ex.profile.push(ProfileEntry {
-            op: prep.labels[i].clone(),
-            depth: depth + nstages - 1 - i,
-            exclusive_ms: stage_secs[i] * 1e3,
-            rows_out: stage_rows[i],
-            note,
+            op: plan_label(node),
+            depth: depth + i,
+            exclusive_ms: total.secs[si] * 1e3,
+            rows_out: total.rows[si],
+            note: None,
         });
     }
 }
 
-fn try_pipeline(
+/// The `Filter`/`Project` operator: runs the whole chain rooted at `plan`
+/// over its source batch in one sweep. The root stage's span and profile
+/// entry belong to the caller ([`Executor::run_batch`]), which gets the
+/// batch and the root stage's own milliseconds; inner stages are recorded
+/// here.
+pub(crate) fn pipeline(
     ex: &mut Executor<'_>,
     plan: &Plan,
     depth: usize,
-) -> Result<Option<Batch>, DbError> {
-    let Some(chain) = decompose(plan) else {
-        return Ok(None);
+    span: &mut Option<SpanGuard<'_>>,
+) -> Result<(Batch, f64), DbError> {
+    let (nodes, source) = peel(plan);
+    let n = nodes.len();
+    let guards = open_spans(ex.tracer, &nodes[1..]);
+    let base = ex.run_batch(source, depth + n)?;
+    let (stages, out_schema) = bind_chain(&nodes, base.schema())?;
+    let engine = ex.engine;
+    let mut outs = sweep(ex, base.row_count(), |range| {
+        let out = run_chain(&base, &stages, range, engine)?;
+        let rows_out = out.batch.row_count();
+        Ok((out, rows_out))
+    })?;
+    let total = StageStats::total(n, outs.iter().map(|o| &o.stats));
+    record_sweep(ex, span, "parallel", outs.len());
+    let batch = if outs.len() == 1 {
+        outs.pop().expect("one range").batch
+    } else {
+        let parts: Vec<Batch> = outs.into_iter().map(|o| o.batch).collect();
+        concat_batches(&out_schema, &parts)
     };
-    let Some(prep) = prepare_chain(ex, &chain)? else {
-        return Ok(None);
-    };
-    let tracer = ex.tracer;
-    let scan_label = format!("Scan {}", chain.table);
-    let mut guards = open_chain_spans(tracer, &prep, &scan_label);
-    let (base, scan_secs) = run_scan(ex, chain.table, &prep, &mut guards)?;
-    // The scan span closes before stage work begins, like the serial engine.
-    guards.pop();
-
-    let morsel_rows = ex.parallel.morsel_rows;
-    let rows = prep.rows;
-    let stages = &prep.stages;
-    let engine = ex.engine();
-    let cancel = ex.cancel.clone();
-    let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-    let (results, _workers) = parallel_map_traced(prep.morsels, ex.parallel.threads, tracer, |m| {
-        if let Some(c) = &cancel {
-            c.check()?;
-        }
-        let range = m * morsel_rows..((m + 1) * morsel_rows).min(rows);
-        let rows_in = range.len();
-        let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-        let out = run_chain_morsel(&base, stages, range, engine)?;
-        if let Some(g) = span.as_mut() {
-            g.attr("rows_out", out.batch.row_count());
-        }
-        Ok::<MorselOut, DbError>(out)
-    });
-    let outs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let nstages = prep.stages.len();
-    let mut stage_rows = vec![0usize; nstages];
-    let mut stage_secs = vec![0f64; nstages];
-    for o in &outs {
-        for i in 0..nstages {
-            stage_rows[i] += o.stage_rows[i];
-            stage_secs[i] += o.stage_secs[i];
-        }
-    }
-    let parts: Vec<Batch> = outs.into_iter().map(|o| o.batch).collect();
-    let merged = concat_batches(&prep.out_schema, &parts);
-
-    // Close stage spans leaf-first with their summed row counts; the root
-    // stage additionally records the sweep shape.
-    for (gi, g) in guards.iter_mut().enumerate() {
-        let si = nstages - 1 - gi; // guard 0 is the root stage
-        g.attr("rows_out", stage_rows[si]);
-        if gi == 0 {
-            g.attr("morsels", prep.morsels)
-                .attr("threads", ex.parallel.threads);
-        }
-    }
-    while let Some(g) = guards.pop() {
-        drop(g);
-    }
-    push_chain_profile(
-        ex,
-        &prep,
-        scan_label,
-        scan_secs,
-        &stage_rows,
-        &stage_secs,
-        depth,
-    );
-    Ok(Some(merged))
+    // The inner nodes are the chain's first n-1 stages in leaf→root order,
+    // so `total` indexes them unchanged.
+    close_chain(ex, &nodes[1..], guards, &total, depth + 1);
+    Ok((batch, total.secs[n - 1] * 1e3))
 }
 
 // --------------------------------------------------------------------
-// Hash aggregation: local grouping per morsel, ordered merge, per-group
-// finish replaying rows in ascending original order.
+// Hash aggregation: single pass over one range, or local grouping per
+// morsel, ordered merge, per-group finish in ascending row order.
 // --------------------------------------------------------------------
 
-/// One morsel's local grouping: its evaluated key/argument columns plus a
-/// group directory in local first-seen order.
+/// One range's evaluated grouping/argument columns, the rows of them it
+/// covers, and (in a morsel sweep) its local group directory.
+#[derive(Default)]
 struct AggPart {
     group_cols: Vec<Arc<Column>>,
     agg_cols: Vec<Arc<Column>>,
+    range: Range<usize>,
     /// Local group keys in first-seen order.
     keys: Vec<Vec<Key>>,
-    /// First local row of each group (for extracting group values).
+    /// First row of each group (for extracting group values).
     first_rows: Vec<u32>,
-    /// Local rows of each group, ascending.
+    /// Rows of each group, ascending.
     rows: Vec<Vec<u32>>,
+    /// What the fused chain did on the way here.
+    chain: StageStats,
+    agg_secs: f64,
 }
 
-/// Groups rows `0..n` of the evaluated columns locally. NULL group keys
-/// drop the row, exactly as the serial engine does.
-fn group_local(
-    group_cols: Vec<Arc<Column>>,
-    agg_cols: Vec<Arc<Column>>,
-    n: usize,
-    grouped: bool,
-) -> AggPart {
-    let mut keys: Vec<Vec<Key>> = Vec::new();
-    let mut first_rows: Vec<u32> = Vec::new();
-    let mut rows: Vec<Vec<u32>> = Vec::new();
-    if !grouped {
-        // Global aggregate: one group holding every row.
-        if n > 0 {
-            keys.push(Vec::new());
-            first_rows.push(0);
-            rows.push((0..n as u32).collect());
+impl AggPart {
+    /// Fills the group directory over `self.range`. NULL group keys drop
+    /// the row, exactly as the single-pass aggregate does.
+    fn group(&mut self) {
+        if self.group_cols.is_empty() {
+            // Global aggregate: one group holding every row.
+            if !self.range.is_empty() {
+                self.keys.push(Vec::new());
+                self.first_rows.push(self.range.start as u32);
+                self.rows
+                    .push(self.range.clone().map(|i| i as u32).collect());
+            }
+            return;
         }
-    } else {
         let mut map: HashMap<Vec<Key>, usize> = HashMap::new();
-        'rows: for i in 0..n {
-            let mut key = Vec::with_capacity(group_cols.len());
-            for c in &group_cols {
+        'rows: for i in self.range.clone() {
+            let mut key = Vec::with_capacity(self.group_cols.len());
+            for c in &self.group_cols {
                 match value_key(&c.get(i)) {
                     Some(k) => key.push(k),
                     None => continue 'rows,
                 }
             }
-            let next = keys.len();
+            let next = self.keys.len();
             let id = *map.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                first_rows.push(i as u32);
-                rows.push(Vec::new());
+                self.keys.push(key);
+                self.first_rows.push(i as u32);
+                self.rows.push(Vec::new());
                 next
             });
-            rows[id].push(i as u32);
+            self.rows[id].push(i as u32);
         }
-    }
-    AggPart {
-        group_cols,
-        agg_cols,
-        keys,
-        first_rows,
-        rows,
     }
 }
 
 /// Merges the per-morsel group directories (in morsel order, so the global
-/// first-seen order matches serial), then finishes groups in parallel —
-/// each group replays its rows in ascending original order, giving float
-/// accumulators the serial addition sequence — and materializes the
-/// result through the same final step as the serial engine.
+/// first-seen order matches single-pass), then finishes groups in parallel
+/// — each group replays its rows in ascending original order, giving float
+/// accumulators the single-pass addition sequence — and materializes the
+/// result through the same final step as the single-pass aggregate.
 fn merge_and_finish(
-    ex: &mut Executor<'_>,
+    ex: &Executor<'_>,
     plan: &Plan,
     parts: &[AggPart],
     agg_meta: &[(AggFunc, DataType)],
-    grouped: bool,
 ) -> Result<Batch, DbError> {
     let mut gmap: HashMap<Vec<Key>, usize> = HashMap::new();
     let mut gvals: Vec<Vec<Value>> = Vec::new();
@@ -570,11 +480,14 @@ fn merge_and_finish(
         }
     }
 
-    let finish_group = |gid: usize| -> Vec<Value> {
-        let mut states: Vec<AggState> = agg_meta
+    let new_states = || -> Vec<AggState> {
+        agg_meta
             .iter()
             .map(|(f, dt)| AggState::new(*f, *dt))
-            .collect();
+            .collect()
+    };
+    let finish_group = |gid: usize| -> Vec<Value> {
+        let mut states = new_states();
         for &(pi, r) in &grows[gid] {
             let part = &parts[pi as usize];
             for (state, col) in states.iter_mut().zip(&part.agg_cols) {
@@ -586,328 +499,142 @@ fn merge_and_finish(
         row
     };
 
+    let grouped = !parts[0].group_cols.is_empty();
     let rows: Vec<Vec<Value>> = if gvals.is_empty() && !grouped {
         // Global aggregate over an empty input still yields one row.
-        let states: Vec<AggState> = agg_meta
-            .iter()
-            .map(|(f, dt)| AggState::new(*f, *dt))
-            .collect();
-        vec![states.into_iter().map(AggState::finish).collect()]
-    } else if gvals.len() >= 2 && ex.parallel.threads > 1 {
-        let (rows, _) = perfeval_pool::parallel_map(gvals.len(), ex.parallel.threads, finish_group);
-        rows
+        vec![new_states().into_iter().map(AggState::finish).collect()]
+    } else if gvals.len() >= 2 {
+        perfeval_pool::parallel_map(gvals.len(), ex.parallel.threads, finish_group).0
     } else {
         (0..gvals.len()).map(finish_group).collect()
     };
     finish_aggregate_batch(ex.catalog, plan, rows)
 }
 
-fn try_aggregate(
+/// The `Aggregate` operator. The `Filter`/`Project` chain beneath it is
+/// fused into the aggregate's own sweep, so a range runs the chain *and*
+/// its grouping in one pass without materializing the full intermediate
+/// batch; with no chain (the input is, say, a join) the argument columns
+/// are evaluated once over the source batch and ranges share them.
+/// Returns the batch and the aggregate's own milliseconds.
+pub(crate) fn aggregate(
     ex: &mut Executor<'_>,
     plan: &Plan,
     input: &Plan,
     group_by: &[(Expr, String)],
     aggregates: &[(AggFunc, Expr, String)],
     depth: usize,
-) -> Result<Option<Batch>, DbError> {
-    match decompose(input) {
-        Some(chain) => try_aggregate_fused(ex, plan, &chain, group_by, aggregates, depth),
-        None => try_aggregate_materialized(ex, plan, input, group_by, aggregates, depth).map(Some),
-    }
-}
-
-/// Fused mode: the aggregate's input is a scan→filter→project chain, so
-/// each morsel runs the chain *and* its local grouping in one pass,
-/// without ever materializing the full intermediate batch.
-fn try_aggregate_fused(
-    ex: &mut Executor<'_>,
-    plan: &Plan,
-    chain: &Chain<'_>,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggFunc, Expr, String)],
-    depth: usize,
-) -> Result<Option<Batch>, DbError> {
-    let Some(prep) = prepare_chain(ex, chain)? else {
-        return Ok(None);
+    span: &mut Option<SpanGuard<'_>>,
+) -> Result<(Batch, f64), DbError> {
+    let (nodes, source) = peel(input);
+    let n = nodes.len();
+    let guards = open_spans(ex.tracer, &nodes);
+    let base = ex.run_batch(source, depth + 1 + n)?;
+    let (stages, schema) = bind_chain(&nodes, base.schema())?;
+    let schema = &schema;
+    let g_bound: Vec<Expr> = group_by
+        .iter()
+        .map(|(e, _)| e.bind(schema))
+        .collect::<Result<_, _>>()?;
+    let a_bound: Vec<Expr> = aggregates
+        .iter()
+        .map(|(_, e, _)| e.bind(schema))
+        .collect::<Result<_, _>>()?;
+    let agg_meta: Vec<(AggFunc, DataType)> = aggregates
+        .iter()
+        .map(|(f, e, _)| Ok((*f, e.data_type(schema)?)))
+        .collect::<Result<_, DbError>>()?;
+    #[allow(clippy::type_complexity)]
+    let eval_cols = |b: &Batch| -> Result<(Vec<Arc<Column>>, Vec<Arc<Column>>), DbError> {
+        let eval = |exprs: &[Expr]| {
+            exprs
+                .iter()
+                .map(|e| vectorized_eval(b, e, schema))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok((eval(&g_bound)?, eval(&a_bound)?))
     };
-    // Bind the aggregate's expressions against the chain output before any
-    // side effects; a failure falls back to the serial path's error.
-    let schema = &prep.out_schema;
-    let mut g_bound = Vec::with_capacity(group_by.len());
-    for (e, _) in group_by {
-        match e.bind(schema) {
-            Ok(b) => g_bound.push(b),
-            Err(_) => return Ok(None),
-        }
-    }
-    let mut a_bound = Vec::with_capacity(aggregates.len());
-    let mut agg_meta = Vec::with_capacity(aggregates.len());
-    for (f, e, _) in aggregates {
-        match (e.bind(schema), e.data_type(schema)) {
-            (Ok(b), Ok(dt)) => {
-                a_bound.push(b);
-                agg_meta.push((*f, dt));
+
+    let t_shared = Instant::now();
+    let shared = if n == 0 {
+        Some(eval_cols(&base)?)
+    } else {
+        None
+    };
+    let shared_secs = t_shared.elapsed().as_secs_f64();
+    let engine = ex.engine;
+    let rows = base.row_count();
+    let split = morsel_count(ex, rows) >= 2;
+    let mut parts = sweep(ex, rows, |range| {
+        let mut part = AggPart::default();
+        let t_agg;
+        match &shared {
+            Some((group_cols, agg_cols)) => {
+                t_agg = Instant::now();
+                (part.group_cols, part.agg_cols) = (group_cols.clone(), agg_cols.clone());
+                part.range = range;
             }
-            _ => return Ok(None),
+            None => {
+                let out = run_chain(&base, &stages, range, engine)?;
+                t_agg = Instant::now();
+                (part.group_cols, part.agg_cols) = eval_cols(&out.batch)?;
+                part.range = 0..out.batch.row_count();
+                part.chain = out.stats;
+            }
         }
-    }
-
-    let tracer = ex.tracer;
-    let mut agg_span = tracer.map(|t| t.span("HashAggregate"));
-    let scan_label = format!("Scan {}", chain.table);
-    let mut guards = open_chain_spans(tracer, &prep, &scan_label);
-    let (base, scan_secs) = run_scan(ex, chain.table, &prep, &mut guards)?;
-    guards.pop();
-
-    let morsel_rows = ex.parallel.morsel_rows;
-    let rows = prep.rows;
-    let stages = &prep.stages;
-    let grouped = !group_by.is_empty();
-    let out_schema = &prep.out_schema;
-    let g_bound = &g_bound;
-    let a_bound = &a_bound;
-    let engine = ex.engine();
-    let cancel = ex.cancel.clone();
-    let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-    let (results, _workers) = parallel_map_traced(prep.morsels, ex.parallel.threads, tracer, |m| {
-        if let Some(c) = &cancel {
-            c.check()?;
+        if split {
+            part.group();
         }
-        let range = m * morsel_rows..((m + 1) * morsel_rows).min(rows);
-        let rows_in = range.len();
-        let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-        let chain_out = run_chain_morsel(&base, stages, range, engine)?;
-        let t_agg = Instant::now();
-        let mb = &chain_out.batch;
-        let group_cols = g_bound
-            .iter()
-            .map(|e| vectorized_eval(mb, e, out_schema))
-            .collect::<Result<Vec<_>, _>>()?;
-        let agg_cols = a_bound
-            .iter()
-            .map(|e| vectorized_eval(mb, e, out_schema))
-            .collect::<Result<Vec<_>, _>>()?;
-        let part = group_local(group_cols, agg_cols, mb.row_count(), grouped);
-        if let Some(g) = span.as_mut() {
-            g.attr("rows_out", mb.row_count())
-                .attr("groups", part.keys.len());
+        part.agg_secs = t_agg.elapsed().as_secs_f64();
+        let rows_out = part.range.len();
+        Ok((part, rows_out))
+    })?;
+    let total = StageStats::total(n, parts.iter().map(|p| &p.chain));
+    close_chain(ex, &nodes, guards, &total, depth + 1);
+    let agg_secs: f64 = parts.iter().map(|p| p.agg_secs).sum();
+
+    let t_finish = Instant::now();
+    record_sweep(ex, span, "parallel", parts.len());
+    let batch = if split {
+        let mut merge_span = ex.tracer.map(|t| t.span("merge"));
+        let batch = merge_and_finish(ex, plan, &parts, &agg_meta)?;
+        if let Some(g) = merge_span.as_mut() {
+            g.attr("groups", batch.row_count());
         }
-        Ok::<_, DbError>((
-            part,
-            chain_out.stage_rows,
-            chain_out.stage_secs,
-            t_agg.elapsed().as_secs_f64(),
-        ))
-    });
-    let outs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let nstages = prep.stages.len();
-    let mut stage_rows = vec![0usize; nstages];
-    let mut stage_secs = vec![0f64; nstages];
-    let mut agg_secs = 0f64;
-    let mut parts = Vec::with_capacity(outs.len());
-    for (part, srows, ssecs, asecs) in outs {
-        for i in 0..nstages {
-            stage_rows[i] += srows[i];
-            stage_secs[i] += ssecs[i];
-        }
-        agg_secs += asecs;
-        parts.push(part);
-    }
-    for (gi, g) in guards.iter_mut().enumerate() {
-        g.attr("rows_out", stage_rows[nstages - 1 - gi]);
-    }
-    while let Some(g) = guards.pop() {
-        drop(g);
-    }
-
-    let t_merge = Instant::now();
-    let mut merge_span = tracer.map(|t| t.span("merge"));
-    let batch = merge_and_finish(ex, plan, &parts, &agg_meta, grouped)?;
-    if let Some(g) = merge_span.as_mut() {
-        g.attr("groups", batch.row_count());
-    }
-    drop(merge_span);
-    let merge_secs = t_merge.elapsed().as_secs_f64();
-
-    if let Some(g) = agg_span.as_mut() {
-        g.attr("rows_out", batch.row_count())
-            .attr("morsels", prep.morsels)
-            .attr("threads", ex.parallel.threads);
-    }
-    drop(agg_span);
-    push_chain_profile(
-        ex,
-        &prep,
-        scan_label,
-        scan_secs,
-        &stage_rows,
-        &stage_secs,
-        depth + 1,
-    );
-    ex.profile.push(ProfileEntry {
-        op: "HashAggregate".to_owned(),
-        depth,
-        exclusive_ms: (agg_secs + merge_secs) * 1e3,
-        rows_out: batch.row_count(),
-        note: Some(format!(
-            "parallel: {} morsels x {} threads",
-            prep.morsels, ex.parallel.threads
-        )),
-    });
-    Ok(Some(batch))
-}
-
-/// Materialized mode: the aggregate's input is not a pipeline chain (e.g.
-/// a join), so it runs through the normal recursion — which may itself
-/// parallelize — and only the grouping is morsel-split, over row ranges
-/// of the materialized batch.
-fn try_aggregate_materialized(
-    ex: &mut Executor<'_>,
-    plan: &Plan,
-    input: &Plan,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggFunc, Expr, String)],
-    depth: usize,
-) -> Result<Batch, DbError> {
-    let start = Instant::now();
-    let tracer = ex.tracer;
-    let mut agg_span = tracer.map(|t| t.span("HashAggregate"));
-    let c0 = Instant::now();
-    let input_batch = ex.run_batch(input, depth + 1)?;
-    let child_ms = c0.elapsed().as_secs_f64() * 1e3;
-
-    let n = input_batch.row_count();
-    let morsel_rows = ex.parallel.morsel_rows;
-    let morsels = n.div_ceil(morsel_rows);
-    let batch = if morsels < 2 {
+        batch
+    } else {
+        let p = parts.pop().expect("one range");
         vectorized_aggregate(
             ex.catalog,
             plan,
-            &input_batch,
-            group_by,
-            aggregates,
-            ex.engine(),
+            &p.group_cols,
+            &p.agg_cols,
+            &agg_meta,
+            p.range.len(),
+            engine,
         )?
-    } else {
-        let schema = input_batch.schema();
-        let group_cols: Vec<Arc<Column>> = group_by
-            .iter()
-            .map(|(e, _)| vectorized_eval(&input_batch, &e.bind(&schema)?, &schema))
-            .collect::<Result<_, _>>()?;
-        let agg_cols: Vec<Arc<Column>> = aggregates
-            .iter()
-            .map(|(_, e, _)| vectorized_eval(&input_batch, &e.bind(&schema)?, &schema))
-            .collect::<Result<_, _>>()?;
-        let agg_meta: Vec<(AggFunc, DataType)> = aggregates
-            .iter()
-            .map(|(f, e, _)| Ok((*f, e.data_type(&schema)?)))
-            .collect::<Result<_, DbError>>()?;
-        let grouped = !group_by.is_empty();
-        let group_cols = &group_cols;
-        let agg_cols = &agg_cols;
-        let cancel = ex.cancel.clone();
-        let cancel = &cancel;
-        let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-        let (results, _workers) = parallel_map_traced(morsels, ex.parallel.threads, tracer, |m| {
-            let range = m * morsel_rows..((m + 1) * morsel_rows).min(n);
-            let rows_in = range.len();
-            // Morsel-boundary cancellation poll: an empty part is cheap
-            // and discarded below, so cancelled workers drain in bounded
-            // time without building a half-merged directory.
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return group_local(group_cols.to_vec(), agg_cols.to_vec(), 0, grouped);
-            }
-            let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-            // Each part shares the evaluated columns; its row ids are
-            // global, so restrict the directory to this morsel's range.
-            let mut part = group_local(
-                group_cols.to_vec(),
-                agg_cols.to_vec(),
-                0, // directory filled below over the global range
-                grouped,
-            );
-            fill_range_directory(&mut part, range, grouped);
-            if let Some(g) = span.as_mut() {
-                g.attr("groups", part.keys.len());
-            }
-            part
-        });
-        ex.check_cancel()?;
-        let parts = results;
-        merge_and_finish(ex, plan, &parts, &agg_meta, grouped)?
     };
-
-    let total_ms = start.elapsed().as_secs_f64() * 1e3;
-    if let Some(g) = agg_span.as_mut() {
-        g.attr("rows_out", batch.row_count());
-    }
-    drop(agg_span);
-    ex.profile.push(ProfileEntry {
-        op: "HashAggregate".to_owned(),
-        depth,
-        exclusive_ms: (total_ms - child_ms).max(0.0),
-        rows_out: batch.row_count(),
-        note: (morsels >= 2).then(|| {
-            format!(
-                "parallel: {} morsels x {} threads",
-                morsels, ex.parallel.threads
-            )
-        }),
-    });
-    Ok(batch)
-}
-
-/// Builds a part's group directory over a *global* row range (materialized
-/// aggregation shares the evaluated columns across parts).
-fn fill_range_directory(part: &mut AggPart, range: Range<usize>, grouped: bool) {
-    if !grouped {
-        if !range.is_empty() {
-            part.keys.push(Vec::new());
-            part.first_rows.push(range.start as u32);
-            part.rows.push(range.map(|i| i as u32).collect());
-        }
-        return;
-    }
-    let mut map: HashMap<Vec<Key>, usize> = HashMap::new();
-    'rows: for i in range {
-        let mut key = Vec::with_capacity(part.group_cols.len());
-        for c in &part.group_cols {
-            match value_key(&c.get(i)) {
-                Some(k) => key.push(k),
-                None => continue 'rows,
-            }
-        }
-        let next = part.keys.len();
-        let id = *map.entry(key.clone()).or_insert_with(|| {
-            part.keys.push(key);
-            part.first_rows.push(i as u32);
-            part.rows.push(Vec::new());
-            next
-        });
-        part.rows[id].push(i as u32);
-    }
+    let own_secs = shared_secs + agg_secs + t_finish.elapsed().as_secs_f64();
+    Ok((batch, own_secs * 1e3))
 }
 
 // --------------------------------------------------------------------
-// Hash join: serial build on the smaller side, parallel partitioned probe.
+// Hash join: build on the smaller side, probe the other in a sweep.
 // --------------------------------------------------------------------
 
-fn try_join(
+/// The `Join` operator. Returns the batch and the join's own milliseconds.
+pub(crate) fn join(
     ex: &mut Executor<'_>,
     left: &Plan,
     right: &Plan,
     left_key: &Expr,
     right_key: &Expr,
     depth: usize,
-) -> Result<Batch, DbError> {
-    let start = Instant::now();
-    let tracer = ex.tracer;
-    let mut span = tracer.map(|t| t.span("HashJoin"));
-    let c0 = Instant::now();
+    span: &mut Option<SpanGuard<'_>>,
+) -> Result<(Batch, f64), DbError> {
     let lb = ex.run_batch(left, depth + 1)?;
     let rb = ex.run_batch(right, depth + 1)?;
-    let child_ms = c0.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
 
     let ls = lb.schema();
     let rs = rb.schema();
@@ -915,53 +642,39 @@ fn try_join(
     let lkey_col = vectorized_eval(&lb, &lk, &ls)?;
     let rkey_col = vectorized_eval(&rb, &rk, &rs)?;
     let side = choose_build_side(&lkey_col, &rkey_col);
-    let (build_col, probe_col) = match side {
-        crate::exec::BuildSide::Left => (&lkey_col, &rkey_col),
-        crate::exec::BuildSide::Right => (&rkey_col, &lkey_col),
+    let (build_col, probe_col): (&Column, &Column) = match side {
+        BuildSide::Left => (&lkey_col, &rkey_col),
+        BuildSide::Right => (&rkey_col, &lkey_col),
     };
-    let build = JoinBuild::new(build_col, probe_col, ex.engine());
+    let build = JoinBuild::new(build_col, probe_col, ex.engine);
 
-    let np = probe_col.len();
-    let morsel_rows = ex.parallel.morsel_rows;
-    let morsels = np.div_ceil(morsel_rows);
-    let (bsel, psel) = if morsels >= 2 {
-        let build = &build;
-        let probe_col: &Column = probe_col;
-        let cancel = ex.cancel.clone();
-        let cancel = &cancel;
-        let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-        let (results, _workers) = parallel_map_traced(morsels, ex.parallel.threads, tracer, |m| {
-            let range = m * morsel_rows..((m + 1) * morsel_rows).min(np);
-            let rows_in = range.len();
-            // Morsel-boundary cancellation poll: empty pair lists drain
-            // the sweep fast; the post-sweep check discards them.
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return (Vec::new(), Vec::new());
-            }
-            let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-            let pairs = build.probe_range(probe_col, range);
-            if let Some(g) = span.as_mut() {
-                g.attr("rows_out", pairs.0.len());
-            }
-            pairs
-        });
-        ex.check_cancel()?;
+    let mut pairs = sweep(ex, probe_col.len(), |range| {
+        let pairs = build.probe_range(probe_col, range);
+        let rows_out = pairs.0.len();
+        Ok((pairs, rows_out))
+    })?;
+    if let Some(g) = span.as_mut() {
+        g.attr("build_side", side.label());
+    }
+    ex.pending_note = Some(format!("build={}", side.label()));
+    record_sweep(ex, span, "parallel probe", pairs.len());
+    let (bsel, psel) = if pairs.len() == 1 {
+        pairs.pop().expect("one range")
+    } else {
         // Morsel-order concatenation of probe-major ranges is exactly what
         // one full-range probe produces.
-        let total: usize = results.iter().map(|(b, _)| b.len()).sum();
+        let total: usize = pairs.iter().map(|(b, _)| b.len()).sum();
         let mut bsel = Vec::with_capacity(total);
         let mut psel = Vec::with_capacity(total);
-        for (b, p) in results {
+        for (b, p) in pairs {
             bsel.extend(b);
             psel.extend(p);
         }
         (bsel, psel)
-    } else {
-        build.probe_range(probe_col, 0..np)
     };
     let (lsel, rsel) = match side {
-        crate::exec::BuildSide::Left => (bsel, psel),
-        crate::exec::BuildSide::Right => (psel, bsel),
+        BuildSide::Left => (bsel, psel),
+        BuildSide::Right => (psel, bsel),
     };
     let (lsel, rsel) = canonicalize_join_pairs(side, lsel, rsel);
 
@@ -971,31 +684,5 @@ fn try_join(
     names.extend(rout.names);
     let mut cols = lout.cols;
     cols.extend(rout.cols);
-    let batch = Batch { names, cols };
-
-    let total_ms = start.elapsed().as_secs_f64() * 1e3;
-    if let Some(g) = span.as_mut() {
-        g.attr("rows_out", batch.row_count())
-            .attr("build_side", side.label());
-        if morsels >= 2 {
-            g.attr("morsels", morsels)
-                .attr("threads", ex.parallel.threads);
-        }
-    }
-    drop(span);
-    let mut note = format!("build={}", side.label());
-    if morsels >= 2 {
-        note.push_str(&format!(
-            "; parallel probe: {} morsels x {} threads",
-            morsels, ex.parallel.threads
-        ));
-    }
-    ex.profile.push(ProfileEntry {
-        op: "HashJoin".to_owned(),
-        depth,
-        exclusive_ms: (total_ms - child_ms).max(0.0),
-        rows_out: batch.row_count(),
-        note: Some(note),
-    });
-    Ok(batch)
+    Ok((Batch { names, cols }, t0.elapsed().as_secs_f64() * 1e3))
 }

@@ -23,7 +23,6 @@ use crate::parser::{parse_statement, to_plan, Statement};
 use crate::plan::Plan;
 use crate::sink::{NullSink, ResultSink};
 use crate::types::Value;
-use memsim::{BufferPool, Disk};
 use perfeval_fault::FaultRegistry;
 use perfeval_measure::{Clock, CpuClock, Measurement, Phase, PhaseTimer};
 use perfeval_trace::Tracer;
@@ -43,8 +42,6 @@ pub struct QueryResult {
     /// CPU ("user") time of the execute phase, measured with a thread CPU
     /// clock alongside the wall clock, in ms.
     pub execute_cpu_ms: f64,
-    /// Simulated disk wait incurred during execution (0 without a pool), ms.
-    pub sim_io_ms: f64,
     /// Simulated output-device overhead from the sink, ms. Private: this
     /// constant-per-byte simulation predates the wire layer and feeds only
     /// the era-hardware what-if figure [`QueryResult::sim_client_real_ms`].
@@ -58,8 +55,8 @@ pub struct QueryResult {
     /// Per-operator profile trace.
     pub profile: Vec<ProfileEntry>,
     /// Chunk requests this statement made to the *real* storage buffer
-    /// pool (0 unless the catalog is disk-backed). Unlike
-    /// [`QueryResult::sim_io_ms`], these are measurements, not a model.
+    /// pool (0 unless the catalog is disk-backed): a measurement, not a
+    /// model.
     pub store_logical_reads: u64,
     /// Chunk requests that missed the pool and hit disk with a real
     /// `pread` (0 unless the catalog is disk-backed).
@@ -70,22 +67,14 @@ impl QueryResult {
     /// Server-side "user" (CPU) time of the execute phase.
     ///
     /// Measured with [`CpuClock`] (thread CPU time), not inferred from the
-    /// wall clock: under scheduler pressure or simulated I/O waits the two
-    /// genuinely differ, which is the entire point of the user-vs-real
-    /// exhibit.
+    /// wall clock: under scheduler pressure or I/O waits the two genuinely
+    /// differ, which is the entire point of the user-vs-real exhibit.
     pub fn server_user_ms(&self) -> f64 {
         self.execute_cpu_ms
     }
 
     /// Server-side "real" time: execute-phase wall time, as the wall clock
-    /// actually measured it.
-    ///
-    /// This used to silently add `sim_io_ms` — a *simulated* disk wait that
-    /// never elapsed on any clock — so a pure in-process run reported a
-    /// "real" time no stopwatch could reproduce. Measurement and simulation
-    /// are now separate: this accessor is honest wall time; the
-    /// simulation-inclusive figure lives in
-    /// [`QueryResult::sim_server_real_ms`].
+    /// actually measured it — nothing modeled is ever added to it.
     pub fn server_real_ms(&self) -> f64 {
         self.phases.phase(Phase::Execute).unwrap_or(0.0)
     }
@@ -102,20 +91,11 @@ impl QueryResult {
         self.server_real_ms() + self.phases.phase(Phase::Print).unwrap_or(0.0)
     }
 
-    /// *Simulated* server real time: execute wall plus the memsim disk
-    /// wait accounting ([`QueryResult::sim_io_ms`]). Use this for what-if
-    /// experiments on era hardware (E2's 1992 disks); use
-    /// [`QueryResult::server_real_ms`] when reporting what was measured.
-    pub fn sim_server_real_ms(&self) -> f64 {
-        self.server_real_ms() + self.sim_io_ms
-    }
-
-    /// *Simulated* client real time: [`QueryResult::sim_server_real_ms`]
-    /// plus print wall plus the sink's simulated device overhead.
+    /// *Simulated* client real time: [`QueryResult::client_real_ms`] plus
+    /// the sink's simulated device overhead (E1's era what-if; use
+    /// [`QueryResult::client_real_ms`] when reporting what was measured).
     pub fn sim_client_real_ms(&self) -> f64 {
-        self.sim_server_real_ms()
-            + self.phases.phase(Phase::Print).unwrap_or(0.0)
-            + self.sim_print_ms
+        self.client_real_ms() + self.sim_print_ms
     }
 
     /// Number of result rows.
@@ -129,7 +109,6 @@ pub struct Session {
     catalog: Catalog,
     mode: ExecMode,
     optimizer: OptimizerConfig,
-    pool: Option<BufferPool>,
     parallelism: usize,
     morsel_rows: usize,
     faults: Option<Arc<FaultRegistry>>,
@@ -152,13 +131,12 @@ const _: () = {
 
 impl Session {
     /// Creates a session over a catalog with the optimized engine, all
-    /// optimizer rules on, and no I/O simulation.
+    /// optimizer rules on.
     pub fn new(catalog: Catalog) -> Self {
         Session {
             catalog,
             mode: ExecMode::Optimized,
             optimizer: OptimizerConfig::all(),
-            pool: None,
             parallelism: 1,
             morsel_rows: crate::exec::DEFAULT_MORSEL_ROWS,
             faults: None,
@@ -203,13 +181,6 @@ impl Session {
         self
     }
 
-    /// Attaches a simulated disk + buffer pool; scans now charge page I/O
-    /// and [`Session::flush_caches`] produces genuine cold runs.
-    pub fn with_disk(mut self, disk: Disk, pool_pages: usize) -> Self {
-        self.pool = Some(BufferPool::new(disk, pool_pages));
-        self
-    }
-
     /// Reconfigures the optimizer (for ablations).
     pub fn set_optimizer(&mut self, config: OptimizerConfig) {
         self.optimizer = config;
@@ -231,29 +202,21 @@ impl Session {
     }
 
     /// Flushes the buffer pool — the cold-run "reboot" of slide 32. No-op
-    /// without a pool.
+    /// unless the catalog is disk-backed.
     ///
-    /// For a disk-backed catalog this is a *real* cold switch: it empties
-    /// the storage buffer pool and drops the segment files' OS page-cache
-    /// pages ([`Storage::drop_caches`](crate::Storage::drop_caches)).
+    /// This is a *real* cold switch: it empties the storage buffer pool and
+    /// drops the segment files' OS page-cache pages
+    /// ([`Storage::drop_caches`](crate::Storage::drop_caches)).
     pub fn flush_caches(&mut self) {
-        if let Some(pool) = &mut self.pool {
-            pool.flush();
-        }
         if let Some(store) = self.catalog.storage() {
             store.drop_caches();
         }
     }
 
-    /// Buffer-pool hit rate of the last statement (`None` without a pool).
-    ///
-    /// Prefers the *real* storage pool of a disk-backed catalog — a
-    /// measured rate — over the modeled `memsim` pool.
+    /// Measured buffer-pool hit rate of the last statement (`None` unless
+    /// the catalog is disk-backed).
     pub fn pool_hit_rate(&self) -> Option<f64> {
-        if self.catalog.storage().is_some() {
-            return self.last_store_io.as_ref().map(|c| c.hit_rate());
-        }
-        self.pool.as_ref().map(|p| p.hit_rate())
+        self.last_store_io.as_ref().map(|c| c.hit_rate())
     }
 
     /// Plans a statement (parse + optimize), without executing. Only
@@ -459,12 +422,7 @@ impl<'s, 'q> Query<'s, 'q> {
         timer.record_phase(Phase::Optimize, t1.elapsed().as_secs_f64() * 1e3);
 
         // Execute. Wall time and thread CPU time are measured side by side:
-        // their gap (plus simulated I/O) is the user-vs-real exhibit.
-        let io_before = session.pool.as_ref().map_or(0.0, |p| p.sim_wait_ns());
-        let pool_before = session
-            .pool
-            .as_ref()
-            .map(|p| (p.logical_reads(), p.physical_reads()));
+        // their gap is the user-vs-real exhibit.
         let store_before = session.catalog.storage().map(|s| s.counters());
         let cpu = CpuClock::new();
         let cpu0 = cpu.now_ns();
@@ -480,9 +438,6 @@ impl<'s, 'q> Query<'s, 'q> {
             if let Some(token) = cancel.clone() {
                 executor = executor.with_cancel(token);
             }
-            if let Some(pool) = &mut session.pool {
-                executor = executor.with_pool(pool);
-            }
             if let Some(t) = tracer {
                 executor = executor.with_tracer(t);
             }
@@ -491,8 +446,6 @@ impl<'s, 'q> Query<'s, 'q> {
         };
         let execute_cpu_ms = cpu.now_ns().saturating_sub(cpu0) as f64 / 1e6;
         let execute_wall_ms = t2.elapsed().as_secs_f64() * 1e3;
-        let io_after = session.pool.as_ref().map_or(0.0, |p| p.sim_wait_ns());
-        let sim_io_ms = (io_after - io_before) / 1e6;
         // Real storage-pool deltas, when the catalog is disk-backed.
         let store_io = match (&store_before, session.catalog.storage()) {
             (Some(before), Some(store)) => Some(store.counters().since(before)),
@@ -501,18 +454,10 @@ impl<'s, 'q> Query<'s, 'q> {
         session.last_store_io = store_io;
         if let Some(g) = exec_span.as_mut() {
             g.attr("rows_out", result.row_count())
-                .attr("cpu_ms", execute_cpu_ms)
-                .attr("sim_io_ms", sim_io_ms);
-            // pool_hits/pool_misses prefer the *measured* storage pool
-            // over the modeled memsim one.
+                .attr("cpu_ms", execute_cpu_ms);
             if let Some(c) = &store_io {
                 g.attr("pool_hits", c.hits())
                     .attr("pool_misses", c.physical_reads);
-            } else if let (Some((l0, p0)), Some(pool)) = (pool_before, session.pool.as_ref()) {
-                let logical = pool.logical_reads().saturating_sub(l0);
-                let physical = pool.physical_reads().saturating_sub(p0);
-                g.attr("pool_hits", logical.saturating_sub(physical))
-                    .attr("pool_misses", physical);
             }
         }
         drop(exec_span);
@@ -538,7 +483,6 @@ impl<'s, 'q> Query<'s, 'q> {
             rows,
             phases: timer.finish(),
             execute_cpu_ms,
-            sim_io_ms,
             sim_print_ms: report.sim_overhead_ms,
             result_bytes: report.bytes,
             profile,
@@ -570,7 +514,6 @@ fn ddl_result(timer: PhaseTimer, affected: usize) -> QueryResult {
         rows: vec![vec![Value::Int(affected as i64)]],
         phases: timer.finish(),
         execute_cpu_ms: 0.0,
-        sim_io_ms: 0.0,
         sim_print_ms: 0.0,
         result_bytes: 0,
         profile: Vec::new(),
@@ -612,7 +555,7 @@ mod tests {
             assert!(r.phases.phase(phase).is_some(), "missing {phase}");
         }
         assert!(r.server_user_ms() >= 0.0);
-        assert_eq!(r.sim_io_ms, 0.0, "no pool attached");
+        assert_eq!(r.store_physical_reads, 0, "in-memory catalog");
     }
 
     #[test]
@@ -663,88 +606,17 @@ mod tests {
     }
 
     #[test]
-    fn cold_run_has_real_much_greater_than_user() {
-        let mut catalog = Catalog::new();
-        let mut t = TableBuilder::new("big")
-            .column("v", DataType::Float)
-            .build();
-        for i in 0..500_000 {
-            t.push_row(vec![Value::Float(i as f64)]).unwrap();
-        }
-        catalog.register(t).unwrap();
-        // A slow 1992-era disk keeps the cold-run I/O wait dominant even
-        // when this test runs in an unoptimized dev build (where the CPU
-        // component is inflated).
-        let mut s = Session::new(catalog).with_disk(Disk::era_1992(), 10_000);
-        let sql = "SELECT SUM(v) FROM big";
-
-        s.flush_caches();
-        let cold = s.query(sql).run().unwrap();
-        // Best of five hot runs, keyed on the real-vs-user gap asserted
-        // below: under parallel test execution any single run can be
-        // descheduled mid-query, inflating real without touching user.
-        let hot = (0..5)
-            .map(|_| s.query(sql).run().unwrap())
-            .min_by(|a, b| {
-                let ga = (a.server_real_ms() - a.server_user_ms()).abs();
-                let gb = (b.server_real_ms() - b.server_user_ms()).abs();
-                ga.total_cmp(&gb)
-            })
-            .unwrap();
-
-        assert!(cold.sim_io_ms > 0.0, "cold run must wait on disk");
-        assert_eq!(hot.sim_io_ms, 0.0, "hot run must not");
-        assert!(
-            cold.sim_server_real_ms() > 2.0 * cold.server_user_ms(),
-            "cold: sim real {} vs user {}",
-            cold.sim_server_real_ms(),
-            cold.server_user_ms()
-        );
-        // Hot real ~ hot user: user is now genuine thread CPU time, so
-        // allow scheduler noise instead of demanding bit equality.
-        let gap = (hot.server_real_ms() - hot.server_user_ms()).abs();
-        assert!(
-            gap < 1.0 + 0.5 * hot.server_real_ms(),
-            "hot: real {} vs user {}",
-            hot.server_real_ms(),
-            hot.server_user_ms()
-        );
-    }
-
-    #[test]
     fn server_real_is_wall_time_not_simulation() {
         // The bugfix this pins: server_real_ms() once added simulated disk
         // waits (pure accounting, no clock ever advanced) to measured wall
         // time, so an in-process run reported a "real" time no stopwatch
         // could reproduce.
-        let mut catalog = Catalog::new();
-        let mut t = TableBuilder::new("big")
-            .column("v", DataType::Float)
-            .build();
-        for i in 0..200_000 {
-            t.push_row(vec![Value::Float(i as f64)]).unwrap();
-        }
-        catalog.register(t).unwrap();
-        // The slowest era disk maximizes the simulated component.
-        let mut s = Session::new(catalog).with_disk(Disk::era_1992(), 10_000);
-        s.flush_caches();
-        let cold = s.query("SELECT SUM(v) FROM big").run().unwrap();
-
-        assert!(cold.sim_io_ms > 0.0, "cold run accrues simulated waits");
-        let wall = cold.phases.phase(Phase::Execute).unwrap();
+        let mut s = session();
+        let r = s.query("SELECT SUM(y) FROM nums").run().unwrap();
         assert_eq!(
-            cold.server_real_ms(),
-            wall,
+            r.server_real_ms(),
+            r.phases.phase(Phase::Execute).unwrap(),
             "measured real time is execute wall time, nothing else"
-        );
-        assert_eq!(
-            cold.sim_server_real_ms(),
-            wall + cold.sim_io_ms,
-            "the simulation-inclusive figure is opt-in and labeled as such"
-        );
-        assert!(
-            cold.server_real_ms() < cold.sim_server_real_ms(),
-            "simulated waits are not wall time"
         );
     }
 
@@ -759,7 +631,7 @@ mod tests {
             .unwrap();
         assert_eq!(r.row_count(), 10_000);
         assert!(r.sim_print_ms > 0.0);
-        assert!(r.sim_client_real_ms() > r.sim_server_real_ms());
+        assert!(r.sim_client_real_ms() > r.client_real_ms());
         // The measured (non-simulated) figures order the same way: printing
         // 10k rows costs real wall time too.
         assert!(r.client_real_ms() > r.server_real_ms());
@@ -786,23 +658,6 @@ mod tests {
             Err(DbError::UnknownTable(_))
         ));
         assert!(matches!(s.query("garbage").run(), Err(DbError::Parse(_))));
-    }
-
-    #[test]
-    fn pool_hit_rate_visible() {
-        let mut catalog = Catalog::new();
-        let mut t = TableBuilder::new("small")
-            .column("v", DataType::Int)
-            .build();
-        for i in 0..100_000 {
-            t.push_row(vec![Value::Int(i)]).unwrap();
-        }
-        catalog.register(t).unwrap();
-        let mut s = Session::new(catalog).with_disk(Disk::raid_2008(), 1_000);
-        assert_eq!(s.pool_hit_rate(), Some(0.0));
-        s.query("SELECT COUNT(*) FROM small").run().unwrap();
-        s.query("SELECT COUNT(*) FROM small").run().unwrap();
-        assert!(s.pool_hit_rate().unwrap() > 0.0);
     }
 
     #[test]
@@ -847,41 +702,6 @@ mod tests {
             parent = p.parent;
         }
         assert!(reached_execute, "operators are descendants of execute");
-    }
-
-    #[test]
-    fn traced_query_with_pool_records_hit_miss_attrs() {
-        let mut catalog = Catalog::new();
-        let mut t = TableBuilder::new("small")
-            .column("v", DataType::Int)
-            .build();
-        for i in 0..100_000 {
-            t.push_row(vec![Value::Int(i)]).unwrap();
-        }
-        catalog.register(t).unwrap();
-        let mut s = Session::new(catalog).with_disk(Disk::raid_2008(), 1_000);
-        let tracer = Tracer::new();
-        s.query("SELECT COUNT(*) FROM small")
-            .traced(&tracer)
-            .run()
-            .unwrap();
-        s.query("SELECT COUNT(*) FROM small")
-            .traced(&tracer)
-            .run()
-            .unwrap();
-        let trace = tracer.snapshot();
-        let execs: Vec<_> = trace.lanes[0]
-            .records
-            .iter()
-            .filter(|r| r.name == "execute")
-            .collect();
-        assert_eq!(execs.len(), 2);
-        // Cold run misses, hot run hits.
-        assert!(execs[0].attr("pool_misses").is_some(), "cold run misses");
-        assert!(execs[1].attr("pool_hits").is_some(), "hot run hits");
-        // Scan operator spans carry the same accounting.
-        let scan = trace.find("Scan small").next().expect("scan span");
-        assert!(scan.attr("pool_misses").is_some() || scan.attr("pool_hits").is_some());
     }
 
     #[test]

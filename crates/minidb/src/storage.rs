@@ -8,7 +8,7 @@
 //! chunks through one shared [`BufferPool`] — zero-copy once resident,
 //! real `pread(2)` on a miss. The pool's hit/miss counters are
 //! measurements, which is what makes hot-vs-cold a controlled design
-//! factor (E26) instead of a `memsim` model.
+//! factor (E26) instead of a model.
 //!
 //! Disk-backed tables are **read-only**: `push_row` returns an error.
 //! Load data in memory, persist, reopen.

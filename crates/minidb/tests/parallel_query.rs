@@ -163,61 +163,90 @@ fn edge_morsel_geometries() {
 /// The parallel profile must tell the same story as the serial one: same
 /// operators at the same depths with the same row counts (only the times
 /// and notes may differ), and the per-worker morsel spans must account
-/// for exactly the serial operator's output rows — no row lost or
-/// double-counted across workers.
+/// for exactly the rows entering and leaving every swept operator — no row
+/// lost or double-counted across workers. Checked for a pipeline, a join
+/// probe, an aggregate fused with its filter, and a filter above a join.
 #[test]
 fn parallel_profile_and_trace_account_for_every_row() {
-    let catalog = build_catalog(10_000, 0, 0xabcdef);
-    let sql = "SELECT k, v FROM t WHERE k < 25";
+    let catalog = build_catalog(10_000, 100, 0xabcdef);
+    // Each shape names its sweeps as (operator feeding rows in, operator
+    // whose rows come out), looked up in the serial profile.
+    let shapes: [(&str, &[(&str, &str)]); 4] = [
+        ("SELECT k, v FROM t WHERE k < 25", &[("Scan t", "Project")]),
+        (
+            "SELECT k, w FROM t JOIN u ON k = j",
+            &[("Scan t", "HashJoin"), ("HashJoin", "Project")],
+        ),
+        (
+            "SELECT k, SUM(v) AS s FROM t WHERE k < 30 GROUP BY k",
+            &[("Scan t", "Filter")],
+        ),
+        (
+            "SELECT k, w FROM t JOIN u ON k = j WHERE v > w",
+            &[("Scan t", "HashJoin"), ("HashJoin", "Project")],
+        ),
+    ];
+    for (sql, sweeps) in shapes {
+        let serial_result = Session::new(catalog.clone()).query(sql).run().unwrap();
 
-    let mut serial = Session::new(catalog.clone());
-    let serial_result = serial.query(sql).run().unwrap();
-    let filter_rows = serial_result.rows.len();
+        let tracer = perfeval_trace::Tracer::new();
+        let mut parallel = Session::new(catalog.clone())
+            .with_parallelism(4)
+            .with_morsel_rows(1024);
+        let parallel_result = parallel.query(sql).traced(&tracer).run().unwrap();
+        assert!(rows_bit_equal(&serial_result.rows, &parallel_result.rows));
 
-    let tracer = perfeval_trace::Tracer::new();
-    let mut parallel = Session::new(catalog)
-        .with_parallelism(4)
-        .with_morsel_rows(1024);
-    let parallel_result = parallel.query(sql).traced(&tracer).run().unwrap();
-    assert_eq!(parallel_result.rows.len(), filter_rows);
+        // Profile: operator tree and row counts match the serial engine.
+        let shape = |profile: &[minidb::exec::ProfileEntry]| -> Vec<(String, usize, usize)> {
+            profile
+                .iter()
+                .map(|e| (e.op.clone(), e.depth, e.rows_out))
+                .collect()
+        };
+        assert_eq!(
+            shape(&serial_result.profile),
+            shape(&parallel_result.profile),
+            "{sql}\nserial:\n{}\nparallel:\n{}",
+            minidb::exec::render_profile(&serial_result.profile),
+            minidb::exec::render_profile(&parallel_result.profile),
+        );
 
-    // Profile: operator tree and row counts match the serial engine.
-    let shape = |profile: &[minidb::exec::ProfileEntry]| -> Vec<(String, usize, usize)> {
-        profile
+        // Trace: worker lanes exist, and their morsel spans' rows_in and
+        // rows_out sum to what the profile says each sweep took and gave.
+        let rows_of = |op: &str| -> usize {
+            let entry = serial_result.profile.iter().find(|e| e.op == op);
+            entry.unwrap_or_else(|| panic!("{sql}: no {op}")).rows_out
+        };
+        let trace = tracer.snapshot();
+        assert!(trace.lanes.len() > 1, "worker lanes expected in the trace");
+        let morsels: Vec<_> = trace
+            .lanes
             .iter()
-            .map(|e| (e.op.clone(), e.depth, e.rows_out))
-            .collect()
-    };
-    assert_eq!(
-        shape(&serial_result.profile),
-        shape(&parallel_result.profile),
-        "serial:\n{}\nparallel:\n{}",
-        minidb::exec::render_profile(&serial_result.profile),
-        minidb::exec::render_profile(&parallel_result.profile),
-    );
-
-    // Trace: worker lanes exist, and their morsel spans' rows_in/rows_out
-    // sum to the scan and filter row counts respectively.
-    let trace = tracer.snapshot();
-    assert!(trace.lanes.len() > 1, "worker lanes expected in the trace");
-    let morsels: Vec<_> = trace
-        .lanes
-        .iter()
-        .flat_map(|l| l.records.iter())
-        .filter(|r| r.name.starts_with("morsel "))
-        .collect();
-    assert_eq!(morsels.len(), 10, "10_000 rows / 1024-row morsels");
-    let attr_sum = |key: &str| -> i64 {
-        morsels
-            .iter()
-            .map(|r| match r.attr(key) {
-                Some(perfeval_trace::AttrValue::Int(v)) => *v,
-                other => panic!("morsel span missing {key}: {other:?}"),
-            })
-            .sum()
-    };
-    assert_eq!(attr_sum("rows_in"), 10_000);
-    assert_eq!(attr_sum("rows_out"), filter_rows as i64);
+            .flat_map(|l| l.records.iter())
+            .filter(|r| r.name.starts_with("morsel "))
+            .collect();
+        let attr_sum = |key: &str| -> usize {
+            morsels
+                .iter()
+                .map(|r| match r.attr(key) {
+                    Some(perfeval_trace::AttrValue::Int(v)) => *v as usize,
+                    other => panic!("morsel span missing {key}: {other:?}"),
+                })
+                .sum()
+        };
+        let want = |f: &dyn Fn(&(&str, &str)) -> usize| sweeps.iter().map(f).sum::<usize>();
+        assert_eq!(
+            morsels.len(),
+            want(&|(src, _)| rows_of(src).div_ceil(1024)),
+            "{sql}: one span per 1024-row morsel of every sweep"
+        );
+        assert_eq!(attr_sum("rows_in"), want(&|(src, _)| rows_of(src)), "{sql}");
+        assert_eq!(
+            attr_sum("rows_out"),
+            want(&|(_, out)| rows_of(out)),
+            "{sql}"
+        );
+    }
 }
 
 /// Scans must be zero-copy: running scan-only and scan+filter queries,

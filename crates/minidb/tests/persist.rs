@@ -172,13 +172,28 @@ fn cold_hot_flush_counters_are_real() {
     let mut session = Session::new(disk);
     let sql = "SELECT SUM(v) FROM probe WHERE id >= 0";
 
-    let cold = session.query(sql).run().unwrap();
+    let tracer = perfeval_trace::Tracer::new();
+    let cold = session.query(sql).traced(&tracer).run().unwrap();
     assert!(cold.store_physical_reads > 0, "cold run must touch disk");
 
-    let hot = session.query(sql).run().unwrap();
+    let hot = session.query(sql).traced(&tracer).run().unwrap();
     assert_eq!(hot.store_physical_reads, 0, "hot rerun must be all hits");
     assert!(hot.store_logical_reads > 0);
     assert_eq!(session.pool_hit_rate(), Some(1.0));
+
+    // The execute and scan spans carry the same measured accounting.
+    let trace = tracer.snapshot();
+    let int_attr = |span: &perfeval_trace::SpanRecord, key: &str| match span.attr(key) {
+        Some(perfeval_trace::AttrValue::Int(v)) => *v,
+        other => panic!("{}: {key} = {other:?}", span.name),
+    };
+    for name in ["execute", "Scan probe"] {
+        let spans: Vec<_> = trace.find(name).collect();
+        assert_eq!(spans.len(), 2, "{name}: one span per run");
+        assert!(int_attr(spans[0], "pool_misses") > 0, "{name}: cold misses");
+        assert_eq!(int_attr(spans[1], "pool_misses"), 0, "{name}: hot does not");
+        assert!(int_attr(spans[1], "pool_hits") > 0, "{name}: hot run hits");
+    }
 
     session.flush_caches();
     let recold = session.query(sql).run().unwrap();

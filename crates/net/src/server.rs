@@ -416,79 +416,14 @@ impl ServerBuilder {
     }
 }
 
-/// Legacy entry point for the server, kept as a one-release shim over
-/// [`Server::builder`].
-pub struct Server {
-    workers: usize,
-    tracer: Option<Tracer>,
-    faults: Arc<FaultRegistry>,
-}
-
-impl Default for Server {
-    fn default() -> Self {
-        #[allow(deprecated)]
-        Self::new()
-    }
-}
+/// The server's entry point: [`Server::builder`] is the one way to
+/// configure and start one.
+pub struct Server;
 
 impl Server {
     /// Configures a server. See [`ServerBuilder`].
     pub fn builder() -> ServerBuilder {
         ServerBuilder::new()
-    }
-
-    /// A thread-per-connection server with two accept workers.
-    #[deprecated(note = "use Server::builder().transport(..).mode(..).serve(..)")]
-    pub fn new() -> Self {
-        Server {
-            workers: 2,
-            tracer: None,
-            faults: Arc::new(FaultRegistry::disabled()),
-        }
-    }
-
-    /// Number of accept workers = maximum concurrently served connections.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    #[deprecated(note = "use ServerMode::ThreadPerConn { workers } on the builder")]
-    pub fn workers(mut self, n: usize) -> Self {
-        assert!(n > 0, "a server needs at least one worker");
-        self.workers = n;
-        self
-    }
-
-    /// Records server-side spans into `tracer`.
-    #[deprecated(note = "use ServerBuilder::traced")]
-    pub fn traced(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
-        self
-    }
-
-    /// Arms the server-side fault sites.
-    #[deprecated(note = "use ServerBuilder::with_faults")]
-    pub fn with_faults(mut self, faults: Arc<FaultRegistry>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Starts serving `listener` in thread-per-connection mode.
-    #[deprecated(note = "use Server::builder().transport(listener).serve(factory)")]
-    pub fn serve(
-        self,
-        listener: Arc<dyn Listener>,
-        factory: impl Fn() -> Session + Send + Sync + 'static,
-    ) -> ServerHandle {
-        let mut b = Server::builder()
-            .transport(listener)
-            .mode(ServerMode::ThreadPerConn {
-                workers: self.workers,
-            })
-            .with_faults(self.faults);
-        if let Some(t) = self.tracer.as_ref() {
-            b = b.traced(t);
-        }
-        b.serve(factory)
     }
 }
 

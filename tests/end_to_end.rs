@@ -41,9 +41,10 @@ fn optimizer_on_off_preserves_results_across_family() {
 
 #[test]
 fn run_protocol_drives_session_hot_and_cold() {
-    let catalog = small_catalog();
-    let session =
-        std::cell::RefCell::new(Session::new(catalog).with_disk(Disk::era_1992(), 50_000));
+    let dir = std::env::temp_dir().join(format!("perfeval_e2e_hotcold_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    small_catalog().persist(&dir).unwrap();
+    let session = std::cell::RefCell::new(Session::new(Catalog::open(&dir).unwrap()));
     let sql = queries::q6();
     let protocol = RunProtocol::last_of_three_hot();
     let result = protocol.execute(
@@ -52,15 +53,16 @@ fn run_protocol_drives_session_hot_and_cold() {
             let r = session.borrow_mut().query(&sql).run().unwrap();
             Measurement::from_phases(vec![
                 ("user".into(), r.server_user_ms()),
-                ("io".into(), r.sim_io_ms),
+                ("reads".into(), r.store_physical_reads as f64),
             ])
         },
     );
-    // First run cold (I/O), last run hot (no I/O): the kept measurement is
-    // hot.
-    assert!(result.all[0].named("io").unwrap() > 0.0);
-    assert_eq!(result.kept[0].named("io").unwrap(), 0.0);
+    // First run cold (real segment reads), last run hot (none): the kept
+    // measurement is hot.
+    assert!(result.all[0].named("reads").unwrap() > 0.0);
+    assert_eq!(result.kept[0].named("reads").unwrap(), 0.0);
     assert_eq!(result.protocol_description(), protocol.describe());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
