@@ -25,6 +25,27 @@ pub fn cloned_bytes() -> u64 {
     CLONED_BYTES.load(Ordering::Relaxed)
 }
 
+/// Bytes of column data copied by materializing multi-chunk disk-backed
+/// columns ([`Table::column_arc_io`](crate::Table::column_arc_io)) since
+/// process start.
+static SCAN_CONCAT_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Total bytes of column data copied so far to assemble whole columns out
+/// of a disk-backed table's pooled chunks.
+///
+/// Process-global and monotone, like [`cloned_bytes`]. A sweeping operator
+/// (`Filter`/`Project`/`Aggregate`) over a multi-chunk table reads chunk by
+/// chunk and must not move it; a bare scan under `Sort`/`TopN`/`Limit`/
+/// `Distinct`, a join side, or the debug engine does.
+pub fn scan_concat_bytes() -> u64 {
+    SCAN_CONCAT_BYTES.load(Ordering::Relaxed)
+}
+
+/// Charges one assembled whole column to [`scan_concat_bytes`].
+pub(crate) fn charge_scan_concat(whole: &Column) {
+    SCAN_CONCAT_BYTES.fetch_add(whole.len() as u64 * whole.value_bytes(), Ordering::Relaxed);
+}
+
 /// A string dictionary: distinct values plus the reverse index used while
 /// loading. Shared between column copies via `Arc`, so cloning a string
 /// column during query execution costs one reference count, not a rebuild
@@ -47,14 +68,15 @@ impl StrDict {
     }
 
     /// Rebuilds a dictionary from its distinct values (the persistence
-    /// reload path). Values must be distinct; codes are positional.
-    pub(crate) fn from_values(values: Vec<String>) -> StrDict {
-        let index = values
+    /// reload path); codes are positional. `None` if a value repeats — two
+    /// codes for one string would break every comparison made by code.
+    pub(crate) fn from_values(values: Vec<String>) -> Option<StrDict> {
+        let index: HashMap<String, u32> = values
             .iter()
             .enumerate()
             .map(|(i, s)| (s.clone(), i as u32))
             .collect();
-        StrDict { values, index }
+        (index.len() == values.len()).then_some(StrDict { values, index })
     }
 
     /// Interns a value, returning its code.
@@ -300,14 +322,30 @@ impl Column {
                     }
                     None => {
                         // Dictionaries diverge: re-intern in row order so the
-                        // dictionary comes out in serial first-seen order.
-                        let mut col = Column::new(DataType::Str);
+                        // dictionary comes out in serial first-seen order —
+                        // one string lookup per distinct value of a part,
+                        // one code translation per row.
+                        const UNSEEN: u32 = u32::MAX;
+                        let mut merged = StrDict::default();
+                        let mut out = Vec::with_capacity(total);
                         for p in parts {
-                            for i in 0..p.len() {
-                                col.push(p.get(i)).expect("str into str column");
+                            let Column::Str { dict, codes } = p else {
+                                panic!("str part expected, got {}", p.data_type());
+                            };
+                            let values = dict.values();
+                            let mut remap = vec![UNSEEN; values.len()];
+                            for &code in codes {
+                                let slot = &mut remap[code as usize];
+                                if *slot == UNSEEN {
+                                    *slot = merged.intern(values[code as usize].clone());
+                                }
+                                out.push(*slot);
                             }
                         }
-                        col
+                        Column::Str {
+                            dict: Arc::new(merged),
+                            codes: out,
+                        }
                     }
                 }
             }
@@ -477,6 +515,29 @@ mod tests {
             unreachable!()
         }
         assert_eq!(c.get(2), Value::Str("p".into()));
+    }
+
+    /// Filtered chunk outputs: a part's dictionary may hold values no row
+    /// of the part uses, in an order its rows do not follow. The merged
+    /// dictionary lists what the rows show, in the order they show it.
+    #[test]
+    fn concat_str_interns_by_row_appearance_not_dictionary_order() {
+        let mut a = Column::new(DataType::Str);
+        for s in ["x", "y", "z", "y"] {
+            a.push(Value::Str(s.into())).unwrap();
+        }
+        let mut b = Column::new(DataType::Str);
+        for s in ["w", "z", "x"] {
+            b.push(Value::Str(s.into())).unwrap();
+        }
+        // a keeps rows [z, y] (dictionary still x, y, z); b keeps [x, w].
+        let c = Column::concat(DataType::Str, &[&a.take(&[2, 3]), &b.take(&[2, 0])]);
+        let (dict, codes) = c.as_str_codes().unwrap();
+        assert_eq!(dict, ["z", "y", "x", "w"]);
+        assert_eq!(codes, [0, 1, 2, 3]);
+        if let Column::Str { dict, .. } = &c {
+            assert_eq!(dict.code_of("x"), Some(2), "reverse index kept in step");
+        }
     }
 
     #[test]

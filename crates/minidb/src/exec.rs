@@ -25,8 +25,10 @@ use crate::error::DbError;
 use crate::expr::{AggFunc, BinOp, Expr};
 use crate::kernels::{self, Cmp, Engine, Sel};
 use crate::plan::Plan;
+use crate::storage::ScanIo;
+use crate::table::Table;
 use crate::types::{DataType, Value};
-use perfeval_trace::Tracer;
+use perfeval_trace::{SpanGuard, Tracer};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -222,6 +224,24 @@ pub fn plan_label(plan: &Plan) -> String {
     }
 }
 
+/// The table column indices a scan reads, in output order.
+pub(crate) fn projected_columns(t: &Table, projection: &Option<Vec<usize>>) -> Vec<usize> {
+    match projection {
+        Some(idxs) => idxs.clone(),
+        None => (0..t.column_count()).collect(),
+    }
+}
+
+/// Puts a disk-backed scan's own pool accounting on its span: how many
+/// chunks the table is cut into and how the scan's reads of them went.
+pub(crate) fn scan_span_attrs(span: &mut Option<SpanGuard<'_>>, io: &ScanIo, chunks: usize) {
+    if let Some(g) = span.as_mut() {
+        g.attr("chunks", chunks)
+            .attr("pool_hits", io.hits)
+            .attr("pool_misses", io.misses);
+    }
+}
+
 /// A columnar batch flowing between optimized operators.
 ///
 /// Columns are shared by `Arc`: a scan batch holds the base table's own
@@ -357,6 +377,34 @@ impl AggState {
             // Columns are NULL-free, so COUNT counts every row.
             (AggState::Count(n), _) => *n += 1,
             (state, col) => state.update(&col.get(i)),
+        }
+    }
+
+    /// [`AggState::update_from_col`] over `rows` in order — the same
+    /// additions in the same sequence, with the type dispatch hoisted out
+    /// of the row loop. The two-phase aggregate replays each group's rows
+    /// through it.
+    pub(crate) fn update_rows(&mut self, col: &Column, rows: &[u32]) {
+        match (&mut *self, col) {
+            (AggState::Sum { acc, .. }, Column::Int(v)) => {
+                rows.iter().for_each(|&r| *acc += v[r as usize] as f64)
+            }
+            (AggState::Sum { acc, .. }, Column::Float(v)) => {
+                rows.iter().for_each(|&r| *acc += v[r as usize])
+            }
+            (AggState::Avg { sum, n }, Column::Int(v)) => {
+                rows.iter().for_each(|&r| *sum += v[r as usize] as f64);
+                *n += rows.len() as i64;
+            }
+            (AggState::Avg { sum, n }, Column::Float(v)) => {
+                rows.iter().for_each(|&r| *sum += v[r as usize]);
+                *n += rows.len() as i64;
+            }
+            // Columns are NULL-free, so COUNT counts every row.
+            (AggState::Count(n), _) => *n += rows.len() as i64,
+            (state, col) => rows
+                .iter()
+                .for_each(|&r| state.update(&col.get(r as usize))),
         }
     }
 
@@ -586,11 +634,31 @@ impl<'a> Executor<'a> {
         &self.profile
     }
 
-    /// Current `(logical_reads, physical_reads)` of a disk-backed catalog's
-    /// buffer pool, for scan span attrs (`None` for an in-memory catalog).
-    fn io_counters(&self) -> Option<(u64, u64)> {
-        let c = self.catalog.storage()?.counters();
-        Some((c.logical_reads, c.physical_reads))
+    /// Materializes a scan's projected columns whole — the `Scan` operator
+    /// of both engines. Disk-backed tables read through the buffer pool
+    /// (and copy multi-chunk columns together, see
+    /// [`Table::column_arc_io`](crate::Table::column_arc_io)); the scan's
+    /// own pool accesses land on `span`.
+    fn scan_whole(
+        &self,
+        table: &str,
+        projection: &Option<Vec<usize>>,
+        span: &mut Option<SpanGuard<'_>>,
+    ) -> Result<Batch, DbError> {
+        let t = self.catalog.table(table)?;
+        let idxs = projected_columns(t, projection);
+        let mut io = ScanIo::default();
+        let cols = idxs
+            .iter()
+            .map(|&i| t.scan_column(i, &mut io))
+            .collect::<Result<_, DbError>>()?;
+        if let Some(b) = t.backing() {
+            scan_span_attrs(span, &io, b.chunk_count());
+        }
+        Ok(Batch {
+            names: idxs.iter().map(|&i| t.column_names()[i].clone()).collect(),
+            cols,
+        })
     }
 
     // ----------------------------------------------------------------
@@ -606,29 +674,16 @@ impl<'a> Executor<'a> {
         self.check_cancel()?;
         let start = Instant::now();
         let label = plan_label(plan);
-        let pool_before = match plan {
-            Plan::Scan { .. } => self.io_counters(),
-            _ => None,
-        };
         let mut span = self.tracer.map(|t| t.span(&label));
         let result: (Vec<(String, DataType)>, Vec<Vec<Value>>);
         let mut child_ms = 0.0;
         match plan {
             Plan::Scan { table, projection } => {
-                let t = self.catalog.table(table)?;
                 let schema = plan.schema(self.catalog)?;
-                let n = t.row_count();
                 // Fetch columns once (disk-backed tables do real I/O
                 // here), then materialize row-at-a-time as before.
-                let cols: Vec<Arc<Column>> = match projection {
-                    None => (0..t.column_count())
-                        .map(|i| t.column_arc_io(i))
-                        .collect::<Result<_, DbError>>()?,
-                    Some(idxs) => idxs
-                        .iter()
-                        .map(|&c| t.column_arc_io(c))
-                        .collect::<Result<_, DbError>>()?,
-                };
+                let cols = self.scan_whole(table, projection, &mut span)?.cols;
+                let n = self.catalog.table(table)?.row_count();
                 let mut rows = Vec::with_capacity(n);
                 for i in 0..n {
                     // Debug build: materialize and re-verify every row.
@@ -871,12 +926,6 @@ impl<'a> Executor<'a> {
         let entry_rows = result.1.len();
         if let Some(g) = span.as_mut() {
             g.attr("rows_out", entry_rows);
-            if let (Some((l0, p0)), Some((l1, p1))) = (pool_before, self.io_counters()) {
-                let logical = l1.saturating_sub(l0);
-                let physical = p1.saturating_sub(p0);
-                g.attr("pool_hits", logical.saturating_sub(physical))
-                    .attr("pool_misses", physical);
-            }
         }
         drop(span);
         // Post-order append: children recorded themselves first; `run`
@@ -899,37 +948,15 @@ impl<'a> Executor<'a> {
         self.check_cancel()?;
         let start = Instant::now();
         let label = plan_label(plan);
-        let pool_before = match plan {
-            Plan::Scan { .. } => self.io_counters(),
-            _ => None,
-        };
         let mut span = self.tracer.map(|t| t.span(&label));
         let mut child_ms = 0.0;
         // Operators that sweep morsels (`crate::parallel`) report their own
         // time, summed over workers; the rest get wall time minus children.
         let mut own_ms = None;
         let batch = match plan {
-            Plan::Scan { table, projection } => {
-                let t = self.catalog.table(table)?;
-                // Zero-copy: the batch shares the table's columns by Arc
-                // (disk-backed tables fetch through the buffer pool —
-                // still an Arc clone once resident).
-                let (names, cols): (Vec<String>, Vec<Arc<Column>>) = match projection {
-                    None => (
-                        t.column_names().to_vec(),
-                        (0..t.column_count())
-                            .map(|i| t.column_arc_io(i))
-                            .collect::<Result<_, DbError>>()?,
-                    ),
-                    Some(idxs) => (
-                        idxs.iter().map(|&i| t.column_names()[i].clone()).collect(),
-                        idxs.iter()
-                            .map(|&i| t.column_arc_io(i))
-                            .collect::<Result<_, DbError>>()?,
-                    ),
-                };
-                Batch { names, cols }
-            }
+            // Zero-copy for an in-memory or single-chunk table: the batch
+            // shares the table's columns (or the pooled chunk) by Arc.
+            Plan::Scan { table, projection } => self.scan_whole(table, projection, &mut span)?,
             Plan::Filter { .. } | Plan::Project { .. } => {
                 let (batch, ms) = crate::parallel::pipeline(self, plan, depth, &mut span)?;
                 own_ms = Some(ms);
@@ -1008,12 +1035,6 @@ impl<'a> Executor<'a> {
         let rows_out = batch.row_count();
         if let Some(g) = span.as_mut() {
             g.attr("rows_out", rows_out);
-            if let (Some((l0, p0)), Some((l1, p1))) = (pool_before, self.io_counters()) {
-                let logical = l1.saturating_sub(l0);
-                let physical = p1.saturating_sub(p0);
-                g.attr("pool_hits", logical.saturating_sub(physical))
-                    .attr("pool_misses", physical);
-            }
         }
         drop(span);
         self.profile.push(ProfileEntry {

@@ -2,119 +2,278 @@
 //!
 //! These are the only implementations of `Filter`/`Project`, `Aggregate`
 //! and `Join` the batch engine has — [`Executor::run_batch`] dispatches
-//! straight here. Each one runs its work through [`sweep`], which makes a
-//! single decision from two things it observes, the executor's thread
-//! count and the input's row count:
+//! straight here. Each one runs its work through [`sweep`], which cuts its
+//! [`Input`] into *units* from what it observes — how the input is stored,
+//! the executor's thread count, the input's row count:
 //!
-//! * `threads > 1` and the input spans at least two morsels: fixed-size
-//!   row-range *morsels* are pulled by worker threads from a shared atomic
-//!   cursor ([`perfeval_pool::parallel_map_traced`]);
-//! * otherwise: the whole input is one range `0..rows`, run on the calling
-//!   thread — no spawn, no morsel spans, no stitching.
+//! * a **multi-chunk disk-backed table** directly under the operator's
+//!   `Filter`/`Project` chain: one unit per chunk, at any thread count.
+//!   The thread that runs a unit fetches that chunk's projected columns
+//!   through the buffer pool (`Arc` clones when resident — no copy), works
+//!   through the chunk's own batch a morsel at a time and lets it go, so no
+//!   whole column is ever assembled and what a unit holds besides its chunk
+//!   is morsel-sized. Units take their [`Turn`] at the pool in chunk order,
+//!   which makes a statement's pool counters those of a one-thread scan
+//!   whatever the schedule;
+//! * any other input — an operator's output, an in-memory table, a
+//!   single-chunk table — is one **shared batch**: with `threads > 1` and
+//!   at least two morsels of rows, fixed-size row-range *morsels* of it;
+//!   otherwise the single range `0..rows` on the calling thread — no
+//!   spawn, no unit spans, no stitching.
+//!
+//! Units are pulled by worker threads from a shared atomic cursor
+//! ([`perfeval_pool::parallel_map_traced`]; one thread runs them in order
+//! on the calling thread) and poll for cancellation one by one. What a
+//! sweep yields is *parts* in row order: a morsel of a shared batch, or a
+//! morsel of a chunk.
 //!
 //! The operators:
 //!
-//! * **pipelines** — a `Filter`/`Project` chain over any source batch (a
-//!   scan, a join, an aggregate) runs whole per range, with the selection
-//!   vector kept range-local and lazy; per-morsel outputs are stitched
-//!   back together in morsel-index order;
+//! * **pipelines** — a `Filter`/`Project` chain over its source runs whole
+//!   per part, with the selection vector kept part-local and lazy; the
+//!   parts' outputs are stitched back together in part order;
 //! * **hash aggregation** — the chain beneath the aggregate is fused into
-//!   the same sweep. One range folds single-pass
-//!   ([`vectorized_aggregate`]); a morsel sweep groups each morsel
-//!   locally, merges the group directories in morsel order (preserving
-//!   first-seen group order), then finishes each group by replaying its
-//!   rows in ascending original order — so float accumulators see exactly
-//!   the single-pass addition sequence;
+//!   the same sweep. One part folds single-pass ([`vectorized_aggregate`]);
+//!   several each bucket their rows by group locally, and an
+//!   [`OrderedFold`] takes the parts in part order as they come in
+//!   (preserving first-seen group order), replaying each local group's
+//!   rows into its global accumulators in ascending original order — so
+//!   float accumulators see exactly the single-pass addition sequence —
+//!   and drops a part's columns once folded;
 //! * **hash joins** — build on the smaller input on the calling thread,
-//!   probe the other in a sweep, concatenate matched pairs in morsel order
+//!   probe the other in a sweep, concatenate matched pairs in part order
 //!   and canonicalize so the output is independent of the build side.
 //!
-//! Every merge point is ordered by morsel index, never by completion
-//! order, which makes the result **bit-identical** for any thread count
-//! and morsel size — the property the correctness suite asserts and
+//! Every merge point is ordered by part index, never by completion order,
+//! which makes the result **bit-identical** for any thread count, morsel
+//! size and chunk size — the property the correctness suite asserts and
 //! exhibit E19 leans on ("same question, same answer, different
 //! wall-clock"). `Sort`, `TopN`, `Limit` and `Distinct` do not sweep;
-//! their inputs still do.
+//! their inputs still do, except a bare scan, which they (like a join
+//! side) take whole from [`Executor::run_batch`]'s `Scan` arm.
 
+use crate::cancel::CancelToken;
 use crate::column::Column;
 use crate::error::DbError;
 use crate::exec::{
     bind_join_keys, canonicalize_join_pairs, choose_build_side, finish_aggregate_batch, plan_label,
-    value_key, vectorized_aggregate, vectorized_eval, vectorized_filter, vectorized_filter_range,
-    AggState, Batch, BuildSide, Executor, JoinBuild, Key, ProfileEntry,
+    projected_columns, scan_span_attrs, value_key, vectorized_aggregate, vectorized_eval,
+    vectorized_filter, vectorized_filter_range, AggState, Batch, BuildSide, Executor, JoinBuild,
+    Key, ProfileEntry,
 };
 use crate::expr::{AggFunc, Expr};
 use crate::kernels::{Engine, Sel};
 use crate::plan::Plan;
+use crate::storage::{DiskBacking, ScanIo};
 use crate::types::{DataType, Value};
 use perfeval_pool::parallel_map_traced;
 use perfeval_trace::{SpanGuard, Tracer};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 // --------------------------------------------------------------------
-// The sweep: one range on the calling thread, or morsels on workers.
+// The sweep: chunks of a backed table, or morsels of a shared batch.
 // --------------------------------------------------------------------
 
-/// How many ranges a `rows`-row input is swept in: its morsel count when
-/// workers are configured, else 1.
-fn morsel_count(ex: &Executor<'_>, rows: usize) -> usize {
-    if ex.parallel.threads > 1 {
-        rows.div_ceil(ex.parallel.morsel_rows).max(1)
-    } else {
-        1
+/// What an operator sweeps.
+enum Input<'a> {
+    /// One batch all units share by reference: an operator's output, an
+    /// in-memory table, a single-chunk table.
+    Shared(Batch),
+    /// A multi-chunk disk-backed table: each unit reads its own chunk.
+    Chunked(ChunkedScan<'a>),
+}
+
+impl Input<'_> {
+    /// What one unit of this input is called in spans and profile notes.
+    fn unit_name(&self) -> &'static str {
+        match self {
+            Input::Shared(_) => "morsel",
+            Input::Chunked(_) => "chunk",
+        }
+    }
+
+    fn schema(&self) -> Vec<(String, DataType)> {
+        match self {
+            Input::Shared(base) => base.schema(),
+            Input::Chunked(scan) => scan.schema.clone(),
+        }
     }
 }
 
-/// Runs `work` over `0..rows` and returns its outputs in range order.
-/// `work` yields its output plus the rows it produced (recorded on the
-/// morsel span). One output means the input ran as one range on the
-/// calling thread; more means a morsel sweep across workers, which polls
-/// for cancellation at every morsel boundary.
-fn sweep<T: Send>(
-    ex: &Executor<'_>,
-    rows: usize,
-    work: impl Fn(Range<usize>) -> Result<(T, usize), DbError> + Sync,
-) -> Result<Vec<T>, DbError> {
-    let morsels = morsel_count(ex, rows);
-    if morsels < 2 {
-        return Ok(vec![work(0..rows)?.0]);
-    }
-    let tracer = ex.tracer;
-    let cancel = ex.cancel.clone();
-    let morsel_rows = ex.parallel.morsel_rows;
-    let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-    let (results, _workers) = parallel_map_traced(morsels, ex.parallel.threads, tracer, |m| {
-        if let Some(c) = &cancel {
+/// The `Scan` of a multi-chunk disk-backed table, read by the sweep's units
+/// one chunk each instead of being materialized whole.
+struct ChunkedScan<'a> {
+    backing: &'a DiskBacking,
+    /// Table column indices of the projection, in output order.
+    cols: Vec<usize>,
+    schema: Vec<(String, DataType)>,
+    turn: Turn,
+    /// The units' own pool accesses and fetch time, summed.
+    io: Mutex<ScanIo>,
+}
+
+impl ChunkedScan<'_> {
+    /// Chunk `k`'s projected columns as a batch — one pool lookup per
+    /// column, made when it is unit `k`'s turn. A cancelled or failed unit
+    /// has still taken its turn and passes it on.
+    fn fetch(&self, k: usize, cancel: Option<&CancelToken>) -> Result<Batch, DbError> {
+        let _turn = self.turn.take(k);
+        if let Some(c) = cancel {
             c.check()?;
         }
-        let range = m * morsel_rows..((m + 1) * morsel_rows).min(rows);
-        let mut span = morsel_span(tracer, m, sweep_start_ns, range.len());
-        let (out, rows_out) = work(range)?;
+        let t0 = Instant::now();
+        let mut io = ScanIo::default();
+        let cols = self
+            .cols
+            .iter()
+            .map(|&ci| self.backing.fetch_chunk(ci, k, &mut io))
+            .collect::<Result<_, DbError>>()?;
+        io.secs = t0.elapsed().as_secs_f64();
+        self.io
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .add(io);
+        Ok(Batch {
+            names: self.schema.iter().map(|(n, _)| n.clone()).collect(),
+            cols,
+        })
+    }
+}
+
+/// Orders the units' accesses to the buffer pool: unit `k` reads after unit
+/// `k - 1` has, whichever threads run them, so the pool sees the access
+/// sequence of a one-thread scan and its counters do not depend on the
+/// schedule. Units start in index order (the pool's cursor), so the unit
+/// whose turn it is has always been started. The counter is valid after
+/// every step, so a poisoned lock is simply taken over.
+#[derive(Default)]
+struct Turn {
+    next: Mutex<usize>,
+    passed: Condvar,
+}
+
+impl Turn {
+    /// Blocks until it is `unit`'s turn; dropping the guard passes it on.
+    fn take(&self, unit: usize) -> TurnGuard<'_> {
+        let next = self.next.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(
+            self.passed
+                .wait_while(next, |next| *next != unit)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        TurnGuard(self)
+    }
+}
+
+struct TurnGuard<'a>(&'a Turn);
+
+impl Drop for TurnGuard<'_> {
+    fn drop(&mut self) {
+        *self.0.next.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.passed.notify_all();
+    }
+}
+
+/// How many units `input` is scheduled in: a chunked scan's chunks; a
+/// shared batch's morsels when workers are configured, else 1.
+fn unit_count(ex: &Executor<'_>, input: &Input<'_>) -> usize {
+    match input {
+        Input::Chunked(scan) => scan.backing.chunk_count(),
+        Input::Shared(base) if ex.parallel.threads > 1 => {
+            base.row_count().div_ceil(ex.parallel.morsel_rows).max(1)
+        }
+        Input::Shared(_) => 1,
+    }
+}
+
+/// Runs `work` over every *part* of `input` — its index, its batch and the
+/// rows of it to cover — and returns the outputs in part order. A unit of a
+/// shared batch is one part; a chunk is worked through a morsel at a time,
+/// each a part, so what a unit holds besides its chunk is morsel-sized
+/// whatever the chunk size. Part indices ascend with the rows, without
+/// gaps. `work` yields its output plus the rows it produced (recorded on
+/// the unit span). One output means a shared batch ran as one range on the
+/// calling thread; more means chunks or morsels, polled for cancellation
+/// unit by unit.
+fn sweep<T: Send>(
+    ex: &Executor<'_>,
+    input: &Input<'_>,
+    work: impl Fn(usize, &Batch, Range<usize>) -> Result<(T, usize), DbError> + Sync,
+) -> Result<Vec<T>, DbError> {
+    let units = unit_count(ex, input);
+    if let (Input::Shared(base), true) = (input, units < 2) {
+        return Ok(vec![work(0, base, 0..base.row_count())?.0]);
+    }
+    let threads = ex.parallel.threads;
+    // One thread runs the units in place, on the caller's lane: no spans.
+    let tracer = ex.tracer.filter(|_| threads > 1);
+    let cancel = ex.cancel.as_ref();
+    let morsel_rows = ex.parallel.morsel_rows;
+    let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
+    let (results, _workers) = parallel_map_traced(units, threads, tracer, |u| {
+        let mut span = unit_span(tracer, input.unit_name(), u, sweep_start_ns);
+        let chunk;
+        let (batch, range, first_part) = match input {
+            Input::Shared(base) => {
+                if let Some(c) = cancel {
+                    c.check()?;
+                }
+                let range = u * morsel_rows..((u + 1) * morsel_rows).min(base.row_count());
+                (base, range, u)
+            }
+            Input::Chunked(scan) => {
+                // Waiting for the turn is not the operator's time either.
+                let fetch_span = tracer.map(|t| t.span("fetch"));
+                chunk = scan.fetch(u, cancel)?;
+                drop(fetch_span);
+                // Every chunk before the last holds `chunk_rows` rows.
+                let first_part = u * scan.backing.chunk_rows().div_ceil(morsel_rows);
+                (&chunk, 0..chunk.row_count(), first_part)
+            }
+        };
+        if let Some(g) = span.as_mut() {
+            g.attr("rows_in", range.len());
+        }
+        let mut outs = Vec::new();
+        let mut rows_out = 0;
+        let mut lo = range.start;
+        loop {
+            let hi = lo.saturating_add(morsel_rows).min(range.end);
+            let (out, rows) = work(first_part + outs.len(), batch, lo..hi)?;
+            outs.push(out);
+            rows_out += rows;
+            lo = hi;
+            if lo >= range.end {
+                break;
+            }
+        }
         if let Some(g) = span.as_mut() {
             g.attr("rows_out", rows_out);
         }
-        Ok(out)
+        Ok(outs)
     });
-    results.into_iter().collect()
+    let parts: Vec<Vec<T>> = results.into_iter().collect::<Result<_, DbError>>()?;
+    Ok(parts.into_iter().flatten().collect())
 }
 
-/// The morsel span: anchored where the worker's lane became free, with the
-/// dispatch gap recorded as a `queue-wait` child and `queued_ms` attribute
-/// (be aware what you measure: queueing is not operator time).
-fn morsel_span(
-    tracer: Option<&Tracer>,
-    m: usize,
+/// The unit span (`morsel 3`, `chunk 0`): anchored where the worker's lane
+/// became free, with the dispatch gap recorded as a `queue-wait` child and
+/// `queued_ms` attribute (be aware what you measure: queueing is not
+/// operator time).
+fn unit_span<'t>(
+    tracer: Option<&'t Tracer>,
+    name: &str,
+    u: usize,
     sweep_start_ns: u64,
-    rows_in: usize,
-) -> Option<SpanGuard<'_>> {
+) -> Option<SpanGuard<'t>> {
     let t = tracer?;
     let anchor_ns = t.lane_resume_ns().max(sweep_start_ns);
     let pickup_ns = t.now_ns();
-    let mut g = t.span_at(&format!("morsel {m}"), anchor_ns);
-    g.attr("rows_in", rows_in).attr(
+    let mut g = t.span_at(&format!("{name} {u}"), anchor_ns);
+    g.attr(
         "queued_ms",
         pickup_ns.saturating_sub(anchor_ns) as f64 / 1e6,
     );
@@ -123,19 +282,81 @@ fn morsel_span(
 }
 
 /// Records how an operator's input was swept — span attributes plus the
-/// profile note — when it was split into morsels; one range leaves no mark.
-fn record_sweep(ex: &mut Executor<'_>, span: &mut Option<SpanGuard<'_>>, what: &str, n: usize) {
+/// profile note — when it was cut into units; one range leaves no mark.
+fn record_sweep(
+    ex: &mut Executor<'_>,
+    span: &mut Option<SpanGuard<'_>>,
+    what: &str,
+    input: &Input<'_>,
+) {
+    let n = unit_count(ex, input);
     if n < 2 {
         return;
     }
     let threads = ex.parallel.threads;
+    let units = format!("{}s", input.unit_name());
     if let Some(g) = span.as_mut() {
-        g.attr("morsels", n).attr("threads", threads);
+        g.attr(&units, n).attr("threads", threads);
     }
-    let sweep = format!("{what}: {n} morsels x {threads} threads");
+    let sweep = format!("{what}: {n} {units} x {threads} threads");
     ex.pending_note = Some(match ex.pending_note.take() {
         Some(note) => format!("{note}; {sweep}"),
         None => sweep,
+    });
+}
+
+/// Starts the sweep of `source`, the plan node beneath an operator's chain
+/// at `depth`. A `Scan` of a multi-chunk disk-backed table is left for the
+/// units to read chunk by chunk, its span open on the calling thread's lane
+/// until [`close_source`]; anything else is executed to its batch.
+fn open_source<'a>(
+    ex: &mut Executor<'a>,
+    source: &Plan,
+    depth: usize,
+) -> Result<(Input<'a>, Option<SpanGuard<'a>>), DbError> {
+    if let Plan::Scan { table, projection } = source {
+        let t = ex.catalog.table(table)?;
+        if let Some(backing) = t.backing().filter(|b| b.chunk_count() >= 2) {
+            let scan = ChunkedScan {
+                backing,
+                cols: projected_columns(t, projection),
+                schema: source.schema(ex.catalog)?,
+                turn: Turn::default(),
+                io: Mutex::default(),
+            };
+            let span = ex.tracer.map(|t| t.span(&plan_label(source)));
+            return Ok((Input::Chunked(scan), span));
+        }
+    }
+    Ok((Input::Shared(ex.run_batch(source, depth)?), None))
+}
+
+/// Ends a sweep's source: a chunked scan closes its span with the units'
+/// own pool accounting and takes its profile entry — their summed fetch
+/// time — where [`Executor::run_batch`] would have pushed it.
+fn close_source(
+    ex: &mut Executor<'_>,
+    source: &Plan,
+    depth: usize,
+    input: &Input<'_>,
+    mut span: Option<SpanGuard<'_>>,
+) {
+    let Input::Chunked(scan) = input else {
+        return;
+    };
+    let io = *scan.io.lock().unwrap_or_else(PoisonError::into_inner);
+    let rows_out = scan.backing.rows();
+    scan_span_attrs(&mut span, &io, scan.backing.chunk_count());
+    if let Some(g) = span.as_mut() {
+        g.attr("rows_out", rows_out);
+    }
+    drop(span);
+    ex.profile.push(ProfileEntry {
+        op: plan_label(source),
+        depth,
+        exclusive_ms: io.secs * 1e3,
+        rows_out,
+        note: None,
     });
 }
 
@@ -373,16 +594,17 @@ pub(crate) fn pipeline(
     let (nodes, source) = peel(plan);
     let n = nodes.len();
     let guards = open_spans(ex.tracer, &nodes[1..]);
-    let base = ex.run_batch(source, depth + n)?;
-    let (stages, out_schema) = bind_chain(&nodes, base.schema())?;
+    let (input, source_span) = open_source(ex, source, depth + n)?;
+    let (stages, out_schema) = bind_chain(&nodes, input.schema())?;
     let engine = ex.engine;
-    let mut outs = sweep(ex, base.row_count(), |range| {
-        let out = run_chain(&base, &stages, range, engine)?;
+    let mut outs = sweep(ex, &input, |_, base, range| {
+        let out = run_chain(base, &stages, range, engine)?;
         let rows_out = out.batch.row_count();
         Ok((out, rows_out))
     })?;
+    close_source(ex, source, depth + n, &input, source_span);
     let total = StageStats::total(n, outs.iter().map(|o| &o.stats));
-    record_sweep(ex, span, "parallel", outs.len());
+    record_sweep(ex, span, "parallel", &input);
     let batch = if outs.len() == 1 {
         outs.pop().expect("one range").batch
     } else {
@@ -396,126 +618,164 @@ pub(crate) fn pipeline(
 }
 
 // --------------------------------------------------------------------
-// Hash aggregation: single pass over one range, or local grouping per
-// morsel, ordered merge, per-group finish in ascending row order.
+// Hash aggregation: single pass over one unit, or local grouping per
+// unit folded into the global groups in unit order.
 // --------------------------------------------------------------------
 
-/// One range's evaluated grouping/argument columns, the rows of them it
-/// covers, and (in a morsel sweep) its local group directory.
+/// One unit's evaluated grouping/argument columns, the rows of them it
+/// covers, and what computing them cost. With several units the columns
+/// move on into the [`OrderedFold`] and only the accounting comes back.
 #[derive(Default)]
 struct AggPart {
     group_cols: Vec<Arc<Column>>,
     agg_cols: Vec<Arc<Column>>,
     range: Range<usize>,
-    /// Local group keys in first-seen order.
-    keys: Vec<Vec<Key>>,
-    /// First row of each group (for extracting group values).
-    first_rows: Vec<u32>,
-    /// Rows of each group, ascending.
-    rows: Vec<Vec<u32>>,
     /// What the fused chain did on the way here.
     chain: StageStats,
     agg_secs: f64,
 }
 
-impl AggPart {
-    /// Fills the group directory over `self.range`. NULL group keys drop
-    /// the row, exactly as the single-pass aggregate does.
-    fn group(&mut self) {
-        if self.group_cols.is_empty() {
-            // Global aggregate: one group holding every row.
-            if !self.range.is_empty() {
-                self.keys.push(Vec::new());
-                self.first_rows.push(self.range.start as u32);
-                self.rows
-                    .push(self.range.clone().map(|i| i as u32).collect());
-            }
-            return;
-        }
-        let mut map: HashMap<Vec<Key>, usize> = HashMap::new();
-        'rows: for i in self.range.clone() {
-            let mut key = Vec::with_capacity(self.group_cols.len());
-            for c in &self.group_cols {
-                match value_key(&c.get(i)) {
-                    Some(k) => key.push(k),
-                    None => continue 'rows,
-                }
-            }
-            let next = self.keys.len();
-            let id = *map.entry(key.clone()).or_insert_with(|| {
-                self.keys.push(key);
-                self.first_rows.push(i as u32);
-                self.rows.push(Vec::new());
-                next
-            });
-            self.rows[id].push(i as u32);
-        }
+/// One unit's rows bucketed by group.
+struct LocalGroups {
+    group_cols: Vec<Arc<Column>>,
+    agg_cols: Vec<Arc<Column>>,
+    /// Local group keys in first-seen order.
+    keys: Vec<Vec<Key>>,
+    /// Rows of each group, ascending; the first one yields the group's
+    /// values.
+    rows: Vec<Vec<u32>>,
+}
+
+/// Row `i` of `col` as one word, equal for two rows of the same column
+/// exactly when their values are (strings by dictionary code, floats by
+/// bits): a group key that costs no allocation per row.
+fn key_word(col: &Column, i: usize) -> u64 {
+    match col {
+        Column::Int(v) => v[i] as u64,
+        Column::Float(v) => v[i].to_bits(),
+        Column::Str { codes, .. } => u64::from(codes[i]),
+        Column::Bool(v) => u64::from(v[i]),
     }
 }
 
-/// Merges the per-morsel group directories (in morsel order, so the global
-/// first-seen order matches single-pass), then finishes groups in parallel
-/// — each group replays its rows in ascending original order, giving float
-/// accumulators the single-pass addition sequence — and materializes the
-/// result through the same final step as the single-pass aggregate.
-fn merge_and_finish(
-    ex: &Executor<'_>,
-    plan: &Plan,
-    parts: &[AggPart],
-    agg_meta: &[(AggFunc, DataType)],
-) -> Result<Batch, DbError> {
-    let mut gmap: HashMap<Vec<Key>, usize> = HashMap::new();
-    let mut gvals: Vec<Vec<Value>> = Vec::new();
-    let mut grows: Vec<Vec<(u32, u32)>> = Vec::new();
-    for (pi, part) in parts.iter().enumerate() {
-        for (li, key) in part.keys.iter().enumerate() {
-            let next = gvals.len();
-            let id = *gmap.entry(key.clone()).or_insert_with(|| {
-                let first = part.first_rows[li] as usize;
-                gvals.push(part.group_cols.iter().map(|c| c.get(first)).collect());
-                grows.push(Vec::new());
-                next
-            });
-            grows[id].extend(part.rows[li].iter().map(|&r| (pi as u32, r)));
+impl LocalGroups {
+    /// Buckets rows `range` of the evaluated columns. Columns are
+    /// NULL-free, so every row lands in a group, exactly as in the
+    /// single-pass aggregate. Rows are matched on their key words; a real
+    /// [`Key`] is built once per local group, for the fold across units.
+    fn of(part: &mut AggPart) -> LocalGroups {
+        let mut local = LocalGroups {
+            group_cols: std::mem::take(&mut part.group_cols),
+            agg_cols: std::mem::take(&mut part.agg_cols),
+            keys: Vec::new(),
+            rows: Vec::new(),
+        };
+        if local.group_cols.is_empty() {
+            // Global aggregate: one group holding every row.
+            if !part.range.is_empty() {
+                local.keys.push(Vec::new());
+                local
+                    .rows
+                    .push(part.range.clone().map(|i| i as u32).collect());
+            }
+            return local;
         }
+        let mut map: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut words = Vec::with_capacity(local.group_cols.len());
+        for i in part.range.clone() {
+            words.clear();
+            words.extend(local.group_cols.iter().map(|c| key_word(c, i)));
+            let id = match map.get(words.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = local.keys.len();
+                    map.insert(words.clone(), id);
+                    let key = local.group_cols.iter().map(|c| value_key(&c.get(i)));
+                    local
+                        .keys
+                        .push(key.map(|k| k.expect("NULL-free column")).collect());
+                    local.rows.push(Vec::new());
+                    id
+                }
+            };
+            local.rows[id].push(i as u32);
+        }
+        local
     }
+}
 
-    let new_states = || -> Vec<AggState> {
-        agg_meta
+/// The aggregate across parts. Parts finish in any order; their local
+/// groups are folded into the global ones in *part* order — by whichever
+/// thread closes the gap, nobody waits — and a part's columns are dropped
+/// as soon as they are folded. Global groups therefore appear in
+/// single-pass first-seen order, and each accumulator replays its group's
+/// rows in ascending original order: float sums see exactly the
+/// single-pass addition sequence, and are never merged as partial sums.
+struct OrderedFold<'m> {
+    agg_meta: &'m [(AggFunc, DataType)],
+    /// Parts `0..next` are folded.
+    next: usize,
+    /// Finished parts still waiting for an earlier one.
+    parked: HashMap<usize, LocalGroups>,
+    ids: HashMap<Vec<Key>, usize>,
+    /// Per global group: its values and its accumulators.
+    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+}
+
+impl OrderedFold<'_> {
+    fn new_states(&self) -> Vec<AggState> {
+        self.agg_meta
             .iter()
             .map(|(f, dt)| AggState::new(*f, *dt))
             .collect()
-    };
-    let finish_group = |gid: usize| -> Vec<Value> {
-        let mut states = new_states();
-        for &(pi, r) in &grows[gid] {
-            let part = &parts[pi as usize];
-            for (state, col) in states.iter_mut().zip(&part.agg_cols) {
-                state.update_from_col(col, r as usize);
-            }
-        }
-        let mut row = gvals[gid].clone();
-        row.extend(states.into_iter().map(AggState::finish));
-        row
-    };
+    }
 
-    let grouped = !parts[0].group_cols.is_empty();
-    let rows: Vec<Vec<Value>> = if gvals.is_empty() && !grouped {
-        // Global aggregate over an empty input still yields one row.
-        vec![new_states().into_iter().map(AggState::finish).collect()]
-    } else if gvals.len() >= 2 {
-        perfeval_pool::parallel_map(gvals.len(), ex.parallel.threads, finish_group).0
-    } else {
-        (0..gvals.len()).map(finish_group).collect()
-    };
-    finish_aggregate_batch(ex.catalog, plan, rows)
+    /// Hands in part `part`'s local groups and folds every part that is
+    /// now next in line.
+    fn push(&mut self, part: usize, local: LocalGroups) {
+        self.parked.insert(part, local);
+        while let Some(local) = self.parked.remove(&self.next) {
+            for (key, rows) in local.keys.iter().zip(&local.rows) {
+                let id = match self.ids.get(key) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.groups.len();
+                        let first = rows[0] as usize;
+                        let values = local.group_cols.iter().map(|c| c.get(first)).collect();
+                        self.groups.push((values, self.new_states()));
+                        self.ids.insert(key.clone(), id);
+                        id
+                    }
+                };
+                for (state, col) in self.groups[id].1.iter_mut().zip(&local.agg_cols) {
+                    state.update_rows(col, rows);
+                }
+            }
+            self.next += 1;
+        }
+    }
+
+    /// The aggregate's output rows, unsorted.
+    fn finish(mut self, grouped: bool) -> Vec<Vec<Value>> {
+        if self.groups.is_empty() && !grouped {
+            // Global aggregate over an empty input still yields one row.
+            self.groups.push((Vec::new(), self.new_states()));
+        }
+        self.groups
+            .into_iter()
+            .map(|(mut row, states)| {
+                row.extend(states.into_iter().map(AggState::finish));
+                row
+            })
+            .collect()
+    }
 }
 
 /// The `Aggregate` operator. The `Filter`/`Project` chain beneath it is
-/// fused into the aggregate's own sweep, so a range runs the chain *and*
+/// fused into the aggregate's own sweep, so a unit runs the chain *and*
 /// its grouping in one pass without materializing the full intermediate
-/// batch; with no chain (the input is, say, a join) the argument columns
-/// are evaluated once over the source batch and ranges share them.
+/// batch; with no chain over a shared batch (the input is, say, a join)
+/// the argument columns are evaluated once and its morsels share them.
 /// Returns the batch and the aggregate's own milliseconds.
 pub(crate) fn aggregate(
     ex: &mut Executor<'_>,
@@ -529,8 +789,8 @@ pub(crate) fn aggregate(
     let (nodes, source) = peel(input);
     let n = nodes.len();
     let guards = open_spans(ex.tracer, &nodes);
-    let base = ex.run_batch(source, depth + 1 + n)?;
-    let (stages, schema) = bind_chain(&nodes, base.schema())?;
+    let (input, source_span) = open_source(ex, source, depth + 1 + n)?;
+    let (stages, schema) = bind_chain(&nodes, input.schema())?;
     let schema = &schema;
     let g_bound: Vec<Expr> = group_by
         .iter()
@@ -556,16 +816,21 @@ pub(crate) fn aggregate(
     };
 
     let t_shared = Instant::now();
-    let shared = if n == 0 {
-        Some(eval_cols(&base)?)
-    } else {
-        None
+    let shared = match &input {
+        Input::Shared(base) if n == 0 => Some(eval_cols(base)?),
+        _ => None,
     };
     let shared_secs = t_shared.elapsed().as_secs_f64();
     let engine = ex.engine;
-    let rows = base.row_count();
-    let split = morsel_count(ex, rows) >= 2;
-    let mut parts = sweep(ex, rows, |range| {
+    let split = unit_count(ex, &input) >= 2;
+    let fold = Mutex::new(OrderedFold {
+        agg_meta: &agg_meta,
+        next: 0,
+        parked: HashMap::new(),
+        ids: HashMap::new(),
+        groups: Vec::new(),
+    });
+    let mut parts = sweep(ex, &input, |p, base, range| {
         let mut part = AggPart::default();
         let t_agg;
         match &shared {
@@ -575,7 +840,7 @@ pub(crate) fn aggregate(
                 part.range = range;
             }
             None => {
-                let out = run_chain(&base, &stages, range, engine)?;
+                let out = run_chain(base, &stages, range, engine)?;
                 t_agg = Instant::now();
                 (part.group_cols, part.agg_cols) = eval_cols(&out.batch)?;
                 part.range = 0..out.batch.row_count();
@@ -583,25 +848,25 @@ pub(crate) fn aggregate(
             }
         }
         if split {
-            part.group();
+            let local = LocalGroups::of(&mut part);
+            fold.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(p, local);
         }
         part.agg_secs = t_agg.elapsed().as_secs_f64();
         let rows_out = part.range.len();
         Ok((part, rows_out))
     })?;
+    close_source(ex, source, depth + 1 + n, &input, source_span);
     let total = StageStats::total(n, parts.iter().map(|p| &p.chain));
     close_chain(ex, &nodes, guards, &total, depth + 1);
     let agg_secs: f64 = parts.iter().map(|p| p.agg_secs).sum();
 
     let t_finish = Instant::now();
-    record_sweep(ex, span, "parallel", parts.len());
+    record_sweep(ex, span, "parallel", &input);
     let batch = if split {
-        let mut merge_span = ex.tracer.map(|t| t.span("merge"));
-        let batch = merge_and_finish(ex, plan, &parts, &agg_meta)?;
-        if let Some(g) = merge_span.as_mut() {
-            g.attr("groups", batch.row_count());
-        }
-        batch
+        let fold = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
+        finish_aggregate_batch(ex.catalog, plan, fold.finish(!group_by.is_empty()))?
     } else {
         let p = parts.pop().expect("one range");
         vectorized_aggregate(
@@ -642,14 +907,19 @@ pub(crate) fn join(
     let lkey_col = vectorized_eval(&lb, &lk, &ls)?;
     let rkey_col = vectorized_eval(&rb, &rk, &rs)?;
     let side = choose_build_side(&lkey_col, &rkey_col);
-    let (build_col, probe_col): (&Column, &Column) = match side {
+    let (build_col, probe_col) = match side {
         BuildSide::Left => (&lkey_col, &rkey_col),
         BuildSide::Right => (&rkey_col, &lkey_col),
     };
     let build = JoinBuild::new(build_col, probe_col, ex.engine);
 
-    let mut pairs = sweep(ex, probe_col.len(), |range| {
-        let pairs = build.probe_range(probe_col, range);
+    // The probe sweeps a one-column batch: the probe side's evaluated keys.
+    let probe_keys = Input::Shared(Batch {
+        names: vec!["key".to_owned()],
+        cols: vec![Arc::clone(probe_col)],
+    });
+    let mut pairs = sweep(ex, &probe_keys, |_, keys, range| {
+        let pairs = build.probe_range(&keys.cols[0], range);
         let rows_out = pairs.0.len();
         Ok((pairs, rows_out))
     })?;
@@ -657,7 +927,7 @@ pub(crate) fn join(
         g.attr("build_side", side.label());
     }
     ex.pending_note = Some(format!("build={}", side.label()));
-    record_sweep(ex, span, "parallel probe", pairs.len());
+    record_sweep(ex, span, "parallel probe", &probe_keys);
     let (bsel, psel) = if pairs.len() == 1 {
         pairs.pop().expect("one range")
     } else {

@@ -10,6 +10,17 @@
 //! measurements, which is what makes hot-vs-cold a controlled design
 //! factor (E26) instead of a model.
 //!
+//! The chunk is the unit of a sweep: a `Filter`/`Project`/`Aggregate`
+//! over a multi-chunk table fetches one chunk's projected columns per
+//! unit, runs on them and lets them go (`crate::parallel`). A reader
+//! holds its chunks by `Arc` and **nothing is pinned**, so a scan larger
+//! than the budget evicts its own head rather than overcommitting, and at
+//! most `threads × projected columns` chunks are alive outside the budget
+//! at a time. Only operators that need their whole input at once (a bare
+//! scan under `Sort`/`TopN`/`Limit`/`Distinct` or as a join side) and the
+//! DBG oracle materialize a whole column, by [`Column::concat`], in
+//! [`Table::column_arc_io`](crate::Table::column_arc_io).
+//!
 //! Disk-backed tables are **read-only**: `push_row` returns an error.
 //! Load data in memory, persist, reopen.
 //!
@@ -161,13 +172,61 @@ impl Storage {
         (frames, dropped)
     }
 
-    fn load_chunk(&self, key: SegKey, path: &Path, fault_key: u64) -> Result<Arc<Column>, DbError> {
+    /// One logical read of `chunk`, plus whether it missed. The segment
+    /// path is only built on a miss, where the loader also refuses a
+    /// segment that does not hold the rows the manifest promised.
+    fn load_chunk(
+        &self,
+        key: SegKey,
+        dir: &Path,
+        chunk: &ChunkRef,
+    ) -> Result<(Arc<Column>, bool), DbError> {
+        let mut missed = false;
         let mut pool = self.pool.lock().expect("store pool lock");
-        pool.get_or_load(key, || -> Result<(Column, u64), DbError> {
-            let data = read_segment(path, self.faults.as_deref(), fault_key).map_err(store_err)?;
+        let col = pool.get_or_load(key, || -> Result<(Column, u64), DbError> {
+            missed = true;
+            let path = dir.join(&chunk.file);
+            let data = read_segment(&path, self.faults.as_deref(), read_fault_key(key))
+                .map_err(store_err)?;
+            if data.rows() as u64 != chunk.rows {
+                return Err(DbError::Io(format!(
+                    "{}: segment holds {} row(s), manifest says {}",
+                    path.display(),
+                    data.rows(),
+                    chunk.rows
+                )));
+            }
             let bytes = data.heap_bytes();
-            Ok((column_from_data(data), bytes))
-        })
+            let col = column_from_data(data).ok_or_else(|| {
+                DbError::Io(format!(
+                    "{}: segment dictionary repeats a value",
+                    path.display()
+                ))
+            })?;
+            Ok((col, bytes))
+        })?;
+        Ok((col, missed))
+    }
+}
+
+/// One scan's own accesses to the buffer pool, counted as the scan makes
+/// them. Deltas of the shared pool's counters would charge a scan the
+/// reads of every other session using the catalog at the same time.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScanIo {
+    /// Chunk reads served from the pool.
+    pub(crate) hits: u64,
+    /// Chunk reads that ran the loader: real I/O.
+    pub(crate) misses: u64,
+    /// Seconds spent fetching, on the threads that fetched.
+    pub(crate) secs: f64,
+}
+
+impl ScanIo {
+    pub(crate) fn add(&mut self, other: ScanIo) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.secs += other.secs;
     }
 }
 
@@ -185,37 +244,58 @@ impl DiskBacking {
         self.manifest.rows as usize
     }
 
-    /// Fetches one whole column through the pool. Single-chunk columns
-    /// are pure `Arc` clones once resident (zero-copy); multi-chunk
-    /// columns fetch each chunk through the pool and concatenate in
-    /// serial order. Chunks are *not* pinned during assembly — the
-    /// `Arc`s keep them alive — so a column bigger than the pool budget
-    /// evicts its own head mid-scan rather than overcommitting, which
-    /// is exactly the behavior the hot/cold experiment measures.
-    pub(crate) fn fetch_column(&self, ci: usize) -> Result<Arc<Column>, DbError> {
+    /// Rows per chunk, all but the last.
+    pub(crate) fn chunk_rows(&self) -> usize {
+        self.manifest.chunk_rows as usize
+    }
+
+    /// Chunks per column — the manifest is validated at load, so every
+    /// column has the same count and chunk `k` the same rows in each.
+    pub(crate) fn chunk_count(&self) -> usize {
+        self.manifest.columns.first().map_or(0, |c| c.chunks.len())
+    }
+
+    /// Materializes one whole column. Single-chunk columns are pure `Arc`
+    /// clones once resident (zero-copy); multi-chunk columns fetch each
+    /// chunk through the pool and *copy* them together in serial order,
+    /// outside the pool's budget — for the operators that need their whole
+    /// input at once. Sweeps go chunk by chunk through
+    /// [`DiskBacking::fetch_chunk`] instead. Nothing is pinned either way.
+    pub(crate) fn fetch_column(&self, ci: usize, io: &mut ScanIo) -> Result<Arc<Column>, DbError> {
         let col = &self.manifest.columns[ci];
         let dt = data_type_of(col.tag);
         match col.chunks.len() {
             0 => Ok(Arc::new(Column::new(dt))),
-            1 => self.fetch_chunk(ci, 0),
+            1 => self.fetch_chunk(ci, 0, io),
             n => {
                 let parts: Vec<Arc<Column>> = (0..n)
-                    .map(|k| self.fetch_chunk(ci, k))
+                    .map(|k| self.fetch_chunk(ci, k, io))
                     .collect::<Result<_, DbError>>()?;
                 let refs: Vec<&Column> = parts.iter().map(Arc::as_ref).collect();
-                Ok(Arc::new(Column::concat(dt, &refs)))
+                let whole = Column::concat(dt, &refs);
+                crate::column::charge_scan_concat(&whole);
+                Ok(Arc::new(whole))
             }
         }
     }
 
-    fn seg_key(&self, ci: usize, chunk: usize) -> SegKey {
-        (self.table_id, ci as u32, chunk as u32)
-    }
-
-    fn fetch_chunk(&self, ci: usize, chunk: usize) -> Result<Arc<Column>, DbError> {
-        let key = self.seg_key(ci, chunk);
-        let path = self.dir.join(&self.manifest.columns[ci].chunks[chunk].file);
-        self.store.load_chunk(key, &path, read_fault_key(key))
+    /// One logical read: chunk `chunk` of column `ci` through the pool —
+    /// an `Arc` clone when resident, a real `pread` + decode on a miss.
+    pub(crate) fn fetch_chunk(
+        &self,
+        ci: usize,
+        chunk: usize,
+        io: &mut ScanIo,
+    ) -> Result<Arc<Column>, DbError> {
+        let key = (self.table_id, ci as u32, chunk as u32);
+        let chunk = &self.manifest.columns[ci].chunks[chunk];
+        let (col, missed) = self.store.load_chunk(key, &self.dir, chunk)?;
+        if missed {
+            io.misses += 1;
+        } else {
+            io.hits += 1;
+        }
+        Ok(col)
     }
 }
 
@@ -248,16 +328,17 @@ fn type_tag_of(dt: DataType) -> TypeTag {
 }
 
 /// Decoded segment payload → engine column (vectors move; no copy).
-fn column_from_data(data: ColumnData) -> Column {
-    match data {
+/// `None` for a string segment whose dictionary repeats a value.
+fn column_from_data(data: ColumnData) -> Option<Column> {
+    Some(match data {
         ColumnData::I64(v) => Column::Int(v),
         ColumnData::F64(v) => Column::Float(v),
         ColumnData::Str { dict, codes } => Column::Str {
-            dict: Arc::new(StrDict::from_values(dict)),
+            dict: Arc::new(StrDict::from_values(dict)?),
             codes,
         },
         ColumnData::Bool(v) => Column::Bool(v),
-    }
+    })
 }
 
 /// One chunk of an engine column → segment payload. String chunks get a

@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::error::DbError;
-use crate::storage::{persist_table, DiskBacking, StoreConfig};
+use crate::storage::{persist_table, DiskBacking, ScanIo, StoreConfig};
 use crate::types::{DataType, Value};
 use std::path::Path;
 use std::sync::Arc;
@@ -16,7 +16,8 @@ use std::sync::Arc;
 /// A table is either **in-memory** (columns resident, mutable) or
 /// **disk-backed** (opened via [`Catalog::open`](crate::Catalog::open)):
 /// backed tables keep empty placeholder columns for schema answers and
-/// fetch real column data through the shared buffer pool on demand via
+/// fetch real column data through the shared buffer pool on demand —
+/// chunk by chunk under a sweeping operator, whole columns via
 /// [`Table::column_arc_io`]. Backed tables are read-only.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -104,18 +105,33 @@ impl Table {
             .expect("disk-backed column fetch failed")
     }
 
-    /// Shared handle to a column by index, surfacing storage errors.
+    /// Shared handle to a whole column by index, surfacing storage errors.
     ///
     /// In-memory tables return their resident `Arc` (free). Disk-backed
     /// tables pull every chunk of the column through the buffer pool —
     /// an `Arc` clone when resident, a real `pread` on a miss — and
     /// return [`DbError::Io`] when a segment is unreadable (including
-    /// injected `store.read` faults).
+    /// injected `store.read` faults). A single-chunk column *is* its
+    /// pooled chunk (zero-copy); a multi-chunk column is a fresh copy of
+    /// its chunks, held outside the pool's budget — the materialization
+    /// for consumers that need the whole column at once. The sweeping
+    /// operators never ask for it: they read a multi-chunk table one chunk
+    /// per unit.
     pub fn column_arc_io(&self, idx: usize) -> Result<Arc<Column>, DbError> {
+        self.scan_column(idx, &mut ScanIo::default())
+    }
+
+    /// [`Table::column_arc_io`], counting the pool accesses into `io`.
+    pub(crate) fn scan_column(&self, idx: usize, io: &mut ScanIo) -> Result<Arc<Column>, DbError> {
         match &self.backing {
-            Some(b) => b.fetch_column(idx),
+            Some(b) => b.fetch_column(idx, io),
             None => Ok(Arc::clone(&self.columns[idx])),
         }
+    }
+
+    /// The disk backing, if any.
+    pub(crate) fn backing(&self) -> Option<&DiskBacking> {
+        self.backing.as_ref()
     }
 
     /// Column by name.

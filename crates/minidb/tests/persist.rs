@@ -246,3 +246,436 @@ fn stray_files_are_quarantined_and_counted() {
     assert!(again.storage().unwrap().quarantined().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// Chunk-at-a-time sweeps: a Filter/Project/Aggregate over a multi-chunk
+// backed table reads one chunk per unit. Answers, pool counters and span
+// accounting must not depend on chunk size, morsel size, thread count,
+// pool budget or eviction policy.
+// ---------------------------------------------------------------------
+
+fn rows_bit_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(ra, rb)| {
+            ra.len() == rb.len()
+                && ra.iter().zip(rb).all(|(va, vb)| match (va, vb) {
+                    (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                    (x, y) => x == y,
+                })
+        })
+}
+
+/// `fact` (`rows` rows: floats whose sums depend on addition order, a
+/// low-cardinality string whose first-seen order differs chunk to chunk),
+/// `dim` (a join partner a third its size) and `empty`.
+fn sweep_catalog(rows: i64) -> Catalog {
+    let mut catalog = Catalog::new();
+    let mut fact = TableBuilder::new("fact")
+        .column("id", minidb::DataType::Int)
+        .column("x", minidb::DataType::Float)
+        .column("tag", minidb::DataType::Str)
+        .column("flag", minidb::DataType::Bool)
+        .build();
+    for i in 0..rows {
+        let x = match i % 11 {
+            0 => -0.0,
+            1 => 1e16,
+            2 => -1e16,
+            _ => (i as f64) * 0.1 + 1e-9 * (i % 13) as f64,
+        };
+        fact.push_row(vec![
+            Value::Int(i),
+            Value::Float(x),
+            Value::Str(format!("tag{}", (i * 7 + i / 5) % 9)),
+            Value::Bool(i % 3 != 0),
+        ])
+        .unwrap();
+    }
+    catalog.register(fact).unwrap();
+    let mut dim = TableBuilder::new("dim")
+        .column("j", minidb::DataType::Int)
+        .column("w", minidb::DataType::Float)
+        .build();
+    for j in 0..rows / 3 {
+        dim.push_row(vec![Value::Int(j * 2), Value::Float(j as f64 * 0.25)])
+            .unwrap();
+    }
+    catalog.register(dim).unwrap();
+    let empty = TableBuilder::new("empty")
+        .column("k", minidb::DataType::Int)
+        .column("s", minidb::DataType::Str)
+        .build();
+    catalog.register(empty).unwrap();
+    catalog
+}
+
+/// The statement shapes a chunked sweep must get right: every way a
+/// `Scan` can sit under (or beside) the sweeping operators.
+const SWEEP_SQL: [&str; 12] = [
+    // Filter-only select returning a string column: per-chunk
+    // dictionaries are stitched back together.
+    "SELECT id, tag FROM fact WHERE flag = true",
+    "SELECT tag FROM fact WHERE id >= 0",
+    // Aggregate directly over the scan (no chain), global and grouped.
+    "SELECT COUNT(*), SUM(x), AVG(x), MIN(id), MAX(id) FROM fact",
+    "SELECT tag, COUNT(*), SUM(id) FROM fact GROUP BY tag ORDER BY tag",
+    // Grouped float SUM/AVG under a filter: addition order is visible.
+    "SELECT tag, flag, SUM(x), AVG(x) FROM fact WHERE id > 3 GROUP BY tag, flag ORDER BY tag, flag",
+    // Filter above a join; a bare-scan join side.
+    "SELECT id, w FROM fact JOIN dim ON id = j WHERE x > w",
+    "SELECT id, w FROM fact JOIN dim ON id = j",
+    // ORDER BY ... LIMIT over a bare scan (`*`: no Project between) and
+    // over a projecting one; DISTINCT.
+    "SELECT * FROM fact ORDER BY id DESC LIMIT 5",
+    "SELECT id, tag FROM fact ORDER BY id DESC LIMIT 5",
+    "SELECT DISTINCT tag FROM fact",
+    // An empty table.
+    "SELECT COUNT(*), SUM(k) FROM empty",
+    "SELECT k, s FROM empty WHERE k > 0",
+];
+
+#[test]
+fn chunked_sweeps_match_the_oracle_by_bits() {
+    // Small chunks over a small table, big chunks over a bigger one: both
+    // reach ragged last chunks, one-row chunks, exactly-one-chunk and
+    // chunk-larger-than-table geometries.
+    let geometries: [(i64, &[usize]); 2] = [(300, &[1, 7]), (9000, &[1000, 4097, 9000, 9001])];
+    for (rows, chunk_sizes) in geometries {
+        let mem = sweep_catalog(rows);
+        let oracle: Vec<Vec<Vec<Value>>> = SWEEP_SQL
+            .iter()
+            .map(|sql| {
+                let mut s = Session::new(mem.clone()).with_mode(ExecMode::Debug);
+                s.query(sql).run().unwrap().rows
+            })
+            .collect();
+        for &chunk_rows in chunk_sizes {
+            let dir = temp_dir(&format!("sweep_{rows}_{chunk_rows}"));
+            mem.persist_with(&dir, &StoreConfig::default().chunk_rows(chunk_rows))
+                .unwrap();
+            // One Int chunk's bytes: every scan evicts as it goes.
+            let one_chunk = 8 * chunk_rows.min(rows as usize) as u64;
+            for pool_bytes in [one_chunk, minidb::storage::DEFAULT_POOL_BYTES] {
+                for evict in Evict::all() {
+                    let config = StoreConfig::default().pool_bytes(pool_bytes).evict(evict);
+                    let disk = Catalog::open_with(&dir, config).unwrap();
+                    for threads in [1usize, 2, 8] {
+                        for morsel in [1usize, 64, 16_384] {
+                            let mut s = Session::new(disk.clone())
+                                .with_parallelism(threads)
+                                .with_morsel_rows(morsel);
+                            for (sql, want) in SWEEP_SQL.iter().zip(&oracle) {
+                                let got = s.query(sql).run().unwrap();
+                                assert!(
+                                    rows_bit_equal(want, &got.rows),
+                                    "{sql}: rows={rows} chunk={chunk_rows} pool={pool_bytes} \
+                                     {evict:?} threads={threads} morsel={morsel}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// SIMD kernels over chunk batches, and the profile: a chunked sweep tells
+/// the same operator story (labels, depths, row counts) as the in-memory
+/// run of the same statement.
+#[test]
+fn chunked_sweeps_keep_simd_answers_and_the_profile_shape() {
+    let mem = sweep_catalog(2000);
+    let dir = temp_dir("sweep_profile");
+    mem.persist_with(&dir, &StoreConfig::default().chunk_rows(300))
+        .unwrap();
+    let disk = Catalog::open(&dir).unwrap();
+    let shape = |profile: &[minidb::exec::ProfileEntry]| -> Vec<(String, usize, usize)> {
+        profile
+            .iter()
+            .map(|e| (e.op.clone(), e.depth, e.rows_out))
+            .collect()
+    };
+    for sql in SWEEP_SQL {
+        let want = Session::new(mem.clone()).query(sql).run().unwrap();
+        for mode in [ExecMode::Optimized, ExecMode::Simd] {
+            for threads in [1usize, 4] {
+                let got = Session::new(disk.clone())
+                    .with_mode(mode)
+                    .with_parallelism(threads)
+                    .with_morsel_rows(128)
+                    .query(sql)
+                    .run()
+                    .unwrap();
+                assert!(rows_bit_equal(&want.rows, &got.rows), "{sql} {mode:?}");
+                assert_eq!(
+                    shape(&want.profile),
+                    shape(&got.profile),
+                    "{sql} {mode:?} threads={threads}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A statement's pool counters are those of a one-thread scan whatever the
+/// schedule: units take their turn at the pool in chunk order. On a pool of
+/// four chunks, 50 repetitions of one statement move the counters through
+/// exactly the same sequence at 1, 2 and 8 threads, and every `(column,
+/// chunk)` is looked up exactly once per scan.
+#[test]
+fn pool_counters_are_schedule_independent() {
+    let dir = temp_dir("sweep_counters");
+    let rows = 4000usize;
+    let chunk_rows = 250usize;
+    sweep_catalog(rows as i64)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(chunk_rows))
+        .unwrap();
+    let chunks = rows.div_ceil(chunk_rows) as u64;
+    // (statement, projected columns of `fact`)
+    let statements = [
+        ("SELECT SUM(x) FROM fact WHERE id >= 0", 2u64),
+        (
+            "SELECT tag, COUNT(*) FROM fact WHERE flag = true GROUP BY tag",
+            2,
+        ),
+        ("SELECT id, x, tag FROM fact WHERE id > 100", 3),
+    ];
+    for (sql, projected) in statements {
+        let mut sequences = Vec::new();
+        for threads in [1usize, 2, 8] {
+            for morsel in [64usize, 16_384] {
+                let config = StoreConfig::default().pool_bytes(4 * 8 * chunk_rows as u64);
+                let disk = Catalog::open_with(&dir, config).unwrap();
+                let store = Arc::clone(disk.storage().unwrap());
+                let mut s = Session::new(disk)
+                    .with_parallelism(threads)
+                    .with_morsel_rows(morsel);
+                let mut deltas = Vec::new();
+                for _ in 0..50 {
+                    let before = store.counters();
+                    s.query(sql).run().unwrap();
+                    let d = store.counters().since(&before);
+                    assert_eq!(
+                        d.logical_reads,
+                        chunks * projected,
+                        "{sql}: one lookup per (column, chunk), threads={threads}"
+                    );
+                    deltas.push(d);
+                }
+                sequences.push((threads, morsel, deltas));
+            }
+        }
+        let (_, _, want) = &sequences[0];
+        assert!(want.iter().any(|d| d.evictions > 0), "{sql}: pool too big");
+        for (threads, morsel, got) in &sequences {
+            assert_eq!(want, got, "{sql}: threads={threads} morsel={morsel}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An injected `store.read` failure in the middle of a chunked sweep, at
+/// any thread count: a typed I/O error, no unit left waiting for its turn
+/// at the pool, and the session (and its pool) keep answering.
+#[test]
+fn read_fault_mid_sweep_is_typed_and_nobody_waits() {
+    let dir = temp_dir("sweep_fault");
+    let mem = sweep_catalog(900);
+    mem.persist_with(&dir, &StoreConfig::default().chunk_rows(100))
+        .unwrap();
+    // Table ids follow sorted name order: dim=0, empty=1, fact=2.
+    for (column, chunk) in [(0u32, 0u32), (1, 4), (0, 8)] {
+        for threads in [1usize, 2, 8] {
+            let faults = Arc::new(FaultRegistry::new(7).armed_always(
+                "store.read",
+                Trigger::Key(minidb::storage::read_fault_key((2, column, chunk))),
+                FaultAction::FailIo,
+            ));
+            let disk = Catalog::open_with(&dir, StoreConfig::default().faults(faults)).unwrap();
+            let mut session = Session::new(disk).with_parallelism(threads);
+            for sql in [
+                "SELECT SUM(x) FROM fact WHERE id >= 0",
+                "SELECT id, x FROM fact WHERE id > 5",
+            ] {
+                let err = session.query(sql).run().unwrap_err();
+                assert!(
+                    matches!(err, DbError::Io(_)),
+                    "{sql} threads={threads}: {err}"
+                );
+            }
+            let ok = session.query("SELECT COUNT(*) FROM dim WHERE j >= 0").run();
+            assert_eq!(ok.unwrap().rows, vec![vec![Value::Int(300)]]);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Cancellation is polled at every unit of a chunked sweep: a token raised
+/// while the scan is under way stops it after a handful of chunks, not
+/// after the table, and the session survives.
+#[test]
+fn cancellation_stops_a_chunked_sweep_between_units() {
+    let dir = temp_dir("sweep_cancel");
+    let rows = 20_000usize;
+    sweep_catalog(rows as i64)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(10))
+        .unwrap();
+    let total_reads = 2 * rows.div_ceil(10) as u64;
+    for threads in [1usize, 4] {
+        let disk = Catalog::open(&dir).unwrap();
+        let store = Arc::clone(disk.storage().unwrap());
+        let mut session = Session::new(disk).with_parallelism(threads);
+        let token = minidb::CancelToken::new();
+        let canceller = {
+            let (store, token) = (Arc::clone(&store), token.clone());
+            std::thread::spawn(move || {
+                while store.counters().logical_reads < 16 {
+                    std::hint::spin_loop();
+                }
+                token.cancel();
+            })
+        };
+        let err = session
+            .query("SELECT SUM(x) FROM fact WHERE id >= 0")
+            .cancel(token)
+            .run()
+            .unwrap_err();
+        canceller.join().unwrap();
+        assert!(
+            matches!(err, DbError::Cancelled(_)),
+            "threads={threads}: {err}"
+        );
+        let reads = store.counters().logical_reads;
+        assert!(
+            (16..total_reads).contains(&reads),
+            "threads={threads}: {reads} of {total_reads} reads before the sweep stopped"
+        );
+        // A deadline that has already passed never reaches the pool.
+        let before = store.counters();
+        let err = session
+            .query("SELECT SUM(x) FROM fact WHERE id >= 0")
+            .deadline_ms(0.0)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, DbError::Cancelled(_)), "{err}");
+        assert_eq!(store.counters().since(&before).logical_reads, 0);
+        let ok = session.query("SELECT COUNT(*) FROM dim WHERE j >= 0").run();
+        assert_eq!(ok.unwrap().rows.len(), 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `Scan` span reports the scan's own pool accesses: two sessions
+/// scanning different tables of one catalog (one shared pool) at the same
+/// time are each charged exactly their own chunks, under a sweep and under
+/// a whole-column materialization alike.
+#[test]
+fn concurrent_scans_report_only_their_own_chunks() {
+    let dir = temp_dir("sweep_spans");
+    sweep_catalog(3000)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(100))
+        .unwrap();
+    let disk = Catalog::open(&dir).unwrap();
+    let int_attr = |span: &perfeval_trace::SpanRecord, key: &str| match span.attr(key) {
+        Some(perfeval_trace::AttrValue::Int(v)) => *v,
+        other => panic!("{}: {key} = {other:?}", span.name),
+    };
+    // (table, chunks, statement, projected columns)
+    let scans = [
+        ("fact", 30, "SELECT SUM(x) FROM fact WHERE id >= 0", 2),
+        ("dim", 10, "SELECT j, w FROM dim ORDER BY j LIMIT 3", 2),
+    ];
+    std::thread::scope(|scope| {
+        for (table, chunks, sql, projected) in scans {
+            let catalog = disk.clone();
+            scope.spawn(move || {
+                let mut session = Session::new(catalog).with_parallelism(2);
+                for _ in 0..40 {
+                    let tracer = perfeval_trace::Tracer::new();
+                    session.query(sql).traced(&tracer).run().unwrap();
+                    let trace = tracer.snapshot();
+                    let name = format!("Scan {table}");
+                    let spans: Vec<_> = trace.find(&name).collect();
+                    assert_eq!(spans.len(), 1, "{sql}");
+                    assert_eq!(int_attr(spans[0], "chunks"), chunks, "{sql}");
+                    assert_eq!(
+                        int_attr(spans[0], "pool_hits") + int_attr(spans[0], "pool_misses"),
+                        chunks * projected,
+                        "{sql}: a scan is charged its own reads only"
+                    );
+                }
+            });
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites a committed manifest's body with a consistent checksum, the
+/// way a buggy writer (not a torn write) would leave it.
+fn edit_manifest(table_dir: &std::path::Path, edit: fn(&str) -> String) {
+    let path = table_dir.join("TABLE.manifest");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let body = &text[..text.rfind("checksum ").unwrap()];
+    let body = edit(body);
+    let sum = perfeval_store::fnv1a64(body.as_bytes());
+    std::fs::write(&path, format!("{body}checksum {sum:016x}\n")).unwrap();
+}
+
+/// The manifest's geometry is what a sweep cuts units from, so a manifest
+/// that does not tile its table, or a segment that does not hold the rows
+/// the manifest says, is refused with a typed error — never a panic, an
+/// out-of-bounds index or silently dropped rows.
+#[test]
+fn untiled_manifests_and_short_segments_are_refused() {
+    let mem = sweep_catalog(300);
+    let config = StoreConfig::default().chunk_rows(7);
+    type Edit = fn(&str) -> String;
+    let edits: [(&str, Edit); 4] = [
+        ("rows beyond the chunks", |b| {
+            b.replace("rows 300\n", "rows 301\n")
+        }),
+        ("zero chunk_rows", |b| {
+            b.replace("chunk_rows 7\n", "chunk_rows 0\n")
+        }),
+        ("fewer chunks than slots", |b| {
+            b.replace("chunk_rows 7\n", "chunk_rows 6\n")
+        }),
+        ("a chunk that is not its slot's length", |b| {
+            b.replacen("seg 7 ", "seg 8 ", 1)
+        }),
+    ];
+    for (what, edit) in edits {
+        let dir = temp_dir("untiled");
+        mem.persist_with(&dir, &config).unwrap();
+        edit_manifest(&dir.join("fact"), edit);
+        match Catalog::open(&dir) {
+            Err(DbError::Io(msg)) => assert!(msg.contains("does not tile"), "{what}: {msg}"),
+            other => panic!("{what}: expected a typed refusal, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // The ragged last chunk's file (6 rows) in a full slot (7 rows): the
+    // manifest still tiles, the physical read does not deliver.
+    let dir = temp_dir("short_segment");
+    mem.persist_with(&dir, &config).unwrap();
+    let fact = dir.join("fact");
+    std::fs::copy(fact.join("g1_c0_k42.seg"), fact.join("g1_c0_k3.seg")).unwrap();
+    let mut session = Session::new(Catalog::open(&dir).unwrap());
+    for sql in [
+        "SELECT SUM(id) FROM fact WHERE id >= 0",
+        "SELECT id FROM fact ORDER BY id LIMIT 1",
+    ] {
+        let err = session.query(sql).run().unwrap_err();
+        assert!(
+            matches!(&err, DbError::Io(m) if m.contains("manifest says 7")),
+            "{err}"
+        );
+    }
+    let ok = session.query("SELECT COUNT(*) FROM dim WHERE j >= 0").run();
+    assert_eq!(ok.unwrap().rows, vec![vec![Value::Int(100)]]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

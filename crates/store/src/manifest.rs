@@ -175,13 +175,57 @@ impl TableManifest {
                 }
             })
             .collect::<Result<_, _>>()?;
-        Ok(TableManifest {
+        let manifest = TableManifest {
             name,
             rows,
             chunk_rows,
             generation,
             columns,
-        })
+        };
+        manifest.check_tiling()?;
+        Ok(manifest)
+    }
+
+    /// Refuses a manifest whose chunk lists do not tile the table: readers
+    /// take `rows`, `chunk_rows` and every [`ChunkRef::rows`] as the scan's
+    /// geometry, so each column must list exactly `ceil(rows / chunk_rows)`
+    /// chunks and chunk `k` must hold its slot's rows — `chunk_rows`, or
+    /// the remainder in the last slot.
+    fn check_tiling(&self) -> Result<(), StoreError> {
+        let corrupt = |what: String| {
+            Err(StoreError::Corrupt(format!(
+                "table {} manifest does not tile: {what}",
+                self.name
+            )))
+        };
+        if self.chunk_rows == 0 && self.rows > 0 {
+            return corrupt(format!("{} row(s) in chunks of 0", self.rows));
+        }
+        let slots = match self.chunk_rows {
+            0 => 0,
+            n => self.rows.div_ceil(n),
+        };
+        for c in &self.columns {
+            if c.chunks.len() as u64 != slots {
+                return corrupt(format!(
+                    "column {} lists {} chunk(s), {} row(s) in chunks of {} need {slots}",
+                    c.name,
+                    c.chunks.len(),
+                    self.rows,
+                    self.chunk_rows
+                ));
+            }
+            for (k, ch) in c.chunks.iter().enumerate() {
+                let want = self.chunk_rows.min(self.rows - k as u64 * self.chunk_rows);
+                if ch.rows != want {
+                    return corrupt(format!(
+                        "column {} chunk {k} holds {} row(s), its slot {want}",
+                        c.name, ch.rows
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Loads and verifies `dir/TABLE.manifest`; `Ok(None)` if absent.
@@ -415,11 +459,18 @@ mod tests {
                 ColumnManifest {
                     name: "flag".into(),
                     tag: TypeTag::Bool,
-                    chunks: vec![ChunkRef {
-                        file: TableManifest::seg_file(3, 1, 0),
-                        rows: 100,
-                        bytes: 132,
-                    }],
+                    chunks: vec![
+                        ChunkRef {
+                            file: TableManifest::seg_file(3, 1, 0),
+                            rows: 64,
+                            bytes: 96,
+                        },
+                        ChunkRef {
+                            file: TableManifest::seg_file(3, 1, 1),
+                            rows: 36,
+                            bytes: 68,
+                        },
+                    ],
                 },
             ],
         }
@@ -457,6 +508,54 @@ mod tests {
             TableManifest::load(&dir),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    /// A manifest whose checksum is consistent but whose chunk lists do not
+    /// tile the table (a writer bug, not a torn write) is refused at load:
+    /// readers cut their scans from this geometry.
+    #[test]
+    fn manifests_that_do_not_tile_are_refused() {
+        type Edit = fn(&mut TableManifest);
+        let edits: [(&str, Edit); 6] = [
+            ("rows past the chunks", |m| m.rows = 129),
+            ("rows short of the chunks", |m| m.rows = 64),
+            ("chunk_rows 0 with rows", |m| m.chunk_rows = 0),
+            ("a column one chunk short", |m| {
+                m.columns[1].chunks.pop();
+            }),
+            ("a ragged chunk mid-column", |m| {
+                m.columns[0].chunks[0].rows = 63;
+            }),
+            ("an overlong last chunk", |m| {
+                m.columns[1].chunks[1].rows = 37;
+            }),
+        ];
+        for (what, edit) in edits {
+            let dir = tdir("untiled");
+            let mut m = sample();
+            edit(&mut m);
+            // `commit` renders with a checksum that matches the edited body.
+            m.commit(&dir).unwrap();
+            match TableManifest::load(&dir) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains("does not tile"), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // What does tile: an empty table (no chunks, any chunk_rows) and a
+        // table that fills its last chunk exactly.
+        let dir = tdir("tiled");
+        let mut empty = sample();
+        (empty.rows, empty.chunk_rows) = (0, 0);
+        empty.columns.iter_mut().for_each(|c| c.chunks.clear());
+        empty.commit(&dir).unwrap();
+        assert_eq!(TableManifest::load(&dir).unwrap().unwrap(), empty);
+        let mut exact = sample();
+        exact.rows = 128;
+        exact.columns.iter_mut().for_each(|c| c.chunks[1].rows = 64);
+        exact.commit(&dir).unwrap();
+        assert_eq!(TableManifest::load(&dir).unwrap().unwrap(), exact);
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //!
 //! ## Invariants
 //!
-//! - A **pinned** frame (`pins > 0`) is never evicted; multi-chunk
-//!   column assembly pins its chunks for the duration.
+//! - A **pinned** frame (`pins > 0`) is never evicted. minidb's scans pin
+//!   nothing: a reader holds the chunks it is working on by `Arc`, so a
+//!   scan larger than the budget evicts its own head instead of
+//!   over-committing, and what is alive outside the budget is what readers
+//!   hold at that moment — for a chunk-at-a-time sweep at most
+//!   `threads × projected columns` chunks.
 //! - A **dirty** frame is never evicted until [`BufferPool::take_dirty`]
 //!   collects it for write-back — losing unwritten bytes is not an
 //!   eviction policy.
