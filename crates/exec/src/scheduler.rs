@@ -602,17 +602,22 @@ mod tests {
         assert_eq!(sweep.attr("units"), Some(&16u64.into()));
         assert_eq!(trace.find("sweep").count(), 1, "one sweep root");
 
-        let worker_lanes_with_units = trace
+        // Two workers: the calling thread (its units nest under `sweep` on
+        // its own lane) and one helper, `worker-1`.
+        let lanes_with_units: Vec<&str> = trace
             .lanes
             .iter()
-            .filter(|l| {
-                l.label.starts_with("worker-")
-                    && l.records.iter().any(|s| s.name.starts_with("unit "))
-            })
-            .count();
+            .filter(|l| l.records.iter().any(|s| s.name.starts_with("unit ")))
+            .map(|l| l.label.as_str())
+            .collect();
+        assert_eq!(
+            lanes_with_units.len(),
+            2,
+            "expected unit spans on both workers' lanes, got {lanes_with_units:?}"
+        );
         assert!(
-            worker_lanes_with_units >= 2,
-            "expected unit spans on >=2 worker lanes, got {worker_lanes_with_units}"
+            lanes_with_units.contains(&"worker-1"),
+            "{lanes_with_units:?}"
         );
 
         // 16 units, cache disabled: every unit span is a miss with a

@@ -233,12 +233,15 @@ pub(crate) fn projected_columns(t: &Table, projection: &Option<Vec<usize>>) -> V
 }
 
 /// Puts a disk-backed scan's own pool accounting on its span: how many
-/// chunks the table is cut into and how the scan's reads of them went.
+/// chunks the table is cut into and how the scan's reads of them went
+/// (`discarded`: misses whose value was dropped, another session having
+/// admitted the chunk first).
 pub(crate) fn scan_span_attrs(span: &mut Option<SpanGuard<'_>>, io: &ScanIo, chunks: usize) {
     if let Some(g) = span.as_mut() {
         g.attr("chunks", chunks)
             .attr("pool_hits", io.hits)
-            .attr("pool_misses", io.misses);
+            .attr("pool_misses", io.misses)
+            .attr("discarded", io.discarded);
     }
 }
 

@@ -12,16 +12,19 @@
 //!   through the buffer pool (`Arc` clones when resident — no copy), works
 //!   through the chunk's own batch a morsel at a time and lets it go, so no
 //!   whole column is ever assembled and what a unit holds besides its chunk
-//!   is morsel-sized. Units take their [`Turn`] at the pool in chunk order,
-//!   which makes a statement's pool counters those of a one-thread scan
-//!   whatever the schedule;
+//!   is morsel-sized. A unit reads the segments the pool does not hold
+//!   *ahead of its turn* and with no lock held, so the reads of different
+//!   chunks overlap across workers; it then takes its [`Turn`] at the pool
+//!   in chunk order for the bookkeeping alone, which makes a statement's
+//!   pool counters those of a one-thread scan whatever the schedule;
 //! * any other input — an operator's output, an in-memory table, a
 //!   single-chunk table — is one **shared batch**: with `threads > 1` and
 //!   at least two morsels of rows, fixed-size row-range *morsels* of it;
 //!   otherwise the single range `0..rows` on the calling thread — no
 //!   spawn, no unit spans, no stitching.
 //!
-//! Units are pulled by worker threads from a shared atomic cursor
+//! Units are pulled from a shared atomic cursor by the calling thread —
+//! worker 0 — and `threads - 1` helpers
 //! ([`perfeval_pool::parallel_map_traced`]; one thread runs them in order
 //! on the calling thread) and poll for cancellation one by one. What a
 //! sweep yields is *parts* in row order: a morsel of a shared batch, or a
@@ -70,7 +73,7 @@ use perfeval_pool::parallel_map_traced;
 use perfeval_trace::{SpanGuard, Tracer};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 // --------------------------------------------------------------------
@@ -116,21 +119,38 @@ struct ChunkedScan<'a> {
 }
 
 impl ChunkedScan<'_> {
-    /// Chunk `k`'s projected columns as a batch — one pool lookup per
-    /// column, made when it is unit `k`'s turn. A cancelled or failed unit
-    /// has still taken its turn and passes it on.
-    fn fetch(&self, k: usize, cancel: Option<&CancelToken>) -> Result<Batch, DbError> {
-        let _turn = self.turn.take(k);
-        if let Some(c) = cancel {
-            c.check()?;
-        }
+    /// Chunk `k`'s projected columns as a batch. The segments the pool does
+    /// not hold are read before the unit's turn, under the `read` span;
+    /// the `turn` span is the wait for it plus one pool lookup per column,
+    /// in column order. A unit that fails, is cancelled or panics on the
+    /// way has still taken its turn and passed it on.
+    fn fetch(
+        &self,
+        k: usize,
+        cancel: Option<&CancelToken>,
+        tracer: Option<&Tracer>,
+    ) -> Result<Batch, DbError> {
+        let check = || cancel.map_or(Ok(()), CancelToken::check);
         let t0 = Instant::now();
+        let place = self.turn.place(k);
+        check()?;
+        let mut span = tracer.map(|t| t.span("read"));
+        let ahead = self.backing.read_ahead(&self.cols, k);
+        if let Some(g) = span.as_mut() {
+            g.attr("columns", self.cols.len())
+                .attr("ahead", ahead.iter().flatten().count());
+        }
+        drop(span);
+
+        let span = tracer.map(|t| t.span("turn"));
+        drop(place.wait());
+        check()?;
         let mut io = ScanIo::default();
-        let cols = self
-            .cols
-            .iter()
-            .map(|&ci| self.backing.fetch_chunk(ci, k, &mut io))
+        let cols = (self.cols.iter().zip(ahead))
+            .map(|(&ci, ahead)| self.backing.admit(ci, k, ahead, &mut io))
             .collect::<Result<_, DbError>>()?;
+        drop(place);
+        drop(span);
         io.secs = t0.elapsed().as_secs_f64();
         self.io
             .lock()
@@ -143,12 +163,14 @@ impl ChunkedScan<'_> {
     }
 }
 
-/// Orders the units' accesses to the buffer pool: unit `k` reads after unit
-/// `k - 1` has, whichever threads run them, so the pool sees the access
-/// sequence of a one-thread scan and its counters do not depend on the
-/// schedule. Units start in index order (the pool's cursor), so the unit
-/// whose turn it is has always been started. The counter is valid after
-/// every step, so a poisoned lock is simply taken over.
+/// Orders the units' *bookkeeping* at the buffer pool, not their I/O: unit
+/// `k` looks its columns up after unit `k - 1` has, whichever threads run
+/// them and whoever read its segments first, so the pool sees the lookup
+/// sequence of a one-thread scan — counters, stamps, admissions and
+/// evictions do not depend on the schedule. Units start in index order (the
+/// pool's cursor), so the unit whose turn it is has always been started.
+/// The counter is valid after every step, so a poisoned lock is simply
+/// taken over.
 #[derive(Default)]
 struct Turn {
     next: Mutex<usize>,
@@ -156,24 +178,33 @@ struct Turn {
 }
 
 impl Turn {
-    /// Blocks until it is `unit`'s turn; dropping the guard passes it on.
-    fn take(&self, unit: usize) -> TurnGuard<'_> {
-        let next = self.next.lock().unwrap_or_else(PoisonError::into_inner);
-        drop(
-            self.passed
-                .wait_while(next, |next| *next != unit)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        TurnGuard(self)
+    /// `unit`'s place in line, held from before its first fallible step:
+    /// dropping it — normally or while unwinding — waits for the turn if it
+    /// has not come yet and passes it on, so no later unit is left waiting.
+    fn place(&self, unit: usize) -> Place<'_> {
+        Place { turn: self, unit }
     }
 }
 
-struct TurnGuard<'a>(&'a Turn);
+struct Place<'a> {
+    turn: &'a Turn,
+    unit: usize,
+}
 
-impl Drop for TurnGuard<'_> {
+impl Place<'_> {
+    /// Blocks until it is this unit's turn.
+    fn wait(&self) -> MutexGuard<'_, usize> {
+        let next = (self.turn.next.lock()).unwrap_or_else(PoisonError::into_inner);
+        (self.turn.passed)
+            .wait_while(next, |next| *next != self.unit)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Drop for Place<'_> {
     fn drop(&mut self) {
-        *self.0.next.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        self.0.passed.notify_all();
+        *self.wait() += 1;
+        self.turn.passed.notify_all();
     }
 }
 
@@ -225,10 +256,9 @@ fn sweep<T: Send>(
                 (base, range, u)
             }
             Input::Chunked(scan) => {
-                // Waiting for the turn is not the operator's time either.
-                let fetch_span = tracer.map(|t| t.span("fetch"));
-                chunk = scan.fetch(u, cancel)?;
-                drop(fetch_span);
+                // Reading and waiting for the turn are not the operator's
+                // time either: `fetch` records them as their own spans.
+                chunk = scan.fetch(u, cancel, tracer)?;
                 // Every chunk before the last holds `chunk_rows` rows.
                 let first_part = u * scan.backing.chunk_rows().div_ceil(morsel_rows);
                 (&chunk, 0..chunk.row_count(), first_part)
@@ -260,9 +290,11 @@ fn sweep<T: Send>(
 }
 
 /// The unit span (`morsel 3`, `chunk 0`): anchored where the worker's lane
-/// became free, with the dispatch gap recorded as a `queue-wait` child and
-/// `queued_ms` attribute (be aware what you measure: queueing is not
-/// operator time).
+/// became free — for the calling thread, worker 0, whose lane holds the
+/// operator's open span, no earlier than the sweep's start, so its units
+/// nest under that span — with the dispatch gap recorded as a `queue-wait`
+/// child and `queued_ms` attribute (be aware what you measure: queueing is
+/// not operator time).
 fn unit_span<'t>(
     tracer: Option<&'t Tracer>,
     name: &str,
@@ -332,8 +364,11 @@ fn open_source<'a>(
 }
 
 /// Ends a sweep's source: a chunked scan closes its span with the units'
-/// own pool accounting and takes its profile entry — their summed fetch
-/// time — where [`Executor::run_batch`] would have pushed it.
+/// own pool accounting and takes its profile entry where
+/// [`Executor::run_batch`] would have pushed it. Its milliseconds are the
+/// units' fetch time — reading, waiting for the turn, admitting — summed
+/// over the workers, so with reads overlapping they can exceed the scan's
+/// wall-clock share; the entry says so.
 fn close_source(
     ex: &mut Executor<'_>,
     source: &Plan,
@@ -356,7 +391,7 @@ fn close_source(
         depth,
         exclusive_ms: io.secs * 1e3,
         rows_out,
-        note: None,
+        note: Some("worker seconds: read + turn + admit".to_owned()),
     });
 }
 

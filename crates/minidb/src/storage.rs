@@ -21,6 +21,18 @@
 //! DBG oracle materialize a whole column, by [`Column::concat`], in
 //! [`Table::column_arc_io`](crate::Table::column_arc_io).
 //!
+//! A logical read is two steps. **Read**: peek which chunks the pool does
+//! not hold (uncounted) and `pread` + verify + decode those with *no lock
+//! held* — a chunk read this way is alive before it is admitted, and is
+//! one of the `threads × projected columns` above. **Admit**: one
+//! `get_or_load` under the pool mutex, whose loader hands the value (or
+//! the error) over; it reads in place only if a frame that was resident at
+//! the peek has gone since. The mutex therefore covers hash-map work, and
+//! a sweep's units can make the reads of different chunks at the same time
+//! while taking turns at the bookkeeping. A value read ahead whose chunk
+//! another session admitted meanwhile is dropped and still counted as a
+//! physical read (and as `discarded` on the scan's span).
+//!
 //! Disk-backed tables are **read-only**: `push_row` returns an error.
 //! Load data in memory, persist, reopen.
 //!
@@ -37,6 +49,10 @@
 //! |------|----------|--------------------------|
 //! | `store.write` | segment ordinal within one persist | torn write: segment truncated mid-payload under a full-payload checksum; the persist fails before its manifest commit, so reopening yields the pre-write state |
 //! | `store.read`  | `(table_id << 40) \| (column << 20) \| chunk` | the chunk load fails with [`DbError::Io`]; the query errors, the session survives |
+//!
+//! `store.read` is fired once per physical read before that verdict, so
+//! the other actions arm too: `DelayMs` is a slow disk, `Panic` a crashing
+//! reader — the statement panics, the pool and the catalog keep serving.
 
 use crate::catalog::Catalog;
 use crate::column::{Column, StrDict};
@@ -49,7 +65,7 @@ use perfeval_store::{
     ColumnData, ColumnManifest, Evict, PoolCounters, SegKey, StoreError, TableManifest, TypeTag,
 };
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default buffer-pool budget: 64 MiB.
 pub const DEFAULT_POOL_BYTES: u64 = 64 * 1024 * 1024;
@@ -129,24 +145,32 @@ impl Storage {
         &self.root
     }
 
+    /// The pool, locked. A poisoned lock is taken over: the pool is valid
+    /// after every step (counters move first, a frame is inserted only
+    /// after its load succeeded), so a reader that panicked under the lock
+    /// costs its own statement and nobody else's.
+    fn pool(&self) -> MutexGuard<'_, BufferPool<Column>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Cumulative real-I/O counters of the buffer pool.
     pub fn counters(&self) -> PoolCounters {
-        self.pool.lock().expect("store pool lock").counters()
+        self.pool().counters()
     }
 
     /// Bytes of decoded chunks currently cached.
     pub fn resident_bytes(&self) -> u64 {
-        self.pool.lock().expect("store pool lock").resident_bytes()
+        self.pool().resident_bytes()
     }
 
     /// The pool's byte budget.
     pub fn capacity_bytes(&self) -> u64 {
-        self.pool.lock().expect("store pool lock").capacity_bytes()
+        self.pool().capacity_bytes()
     }
 
     /// The pool's eviction policy.
     pub fn evict_policy(&self) -> Evict {
-        self.pool.lock().expect("store pool lock").evict_policy()
+        self.pool().evict_policy()
     }
 
     /// Files quarantined when the catalog was opened (`table/file`
@@ -162,7 +186,7 @@ impl Storage {
     /// is 0 on tmpfs or non-Linux hosts, where cold degrades gracefully
     /// to pool-cold-only.
     pub fn drop_caches(&self) -> (usize, usize) {
-        let frames = self.pool.lock().expect("store pool lock").drop_all();
+        let frames = self.pool().drop_all();
         let mut dropped = 0;
         for path in &self.segments {
             if perfeval_store::drop_page_cache(path) {
@@ -171,54 +195,26 @@ impl Storage {
         }
         (frames, dropped)
     }
-
-    /// One logical read of `chunk`, plus whether it missed. The segment
-    /// path is only built on a miss, where the loader also refuses a
-    /// segment that does not hold the rows the manifest promised.
-    fn load_chunk(
-        &self,
-        key: SegKey,
-        dir: &Path,
-        chunk: &ChunkRef,
-    ) -> Result<(Arc<Column>, bool), DbError> {
-        let mut missed = false;
-        let mut pool = self.pool.lock().expect("store pool lock");
-        let col = pool.get_or_load(key, || -> Result<(Column, u64), DbError> {
-            missed = true;
-            let path = dir.join(&chunk.file);
-            let data = read_segment(&path, self.faults.as_deref(), read_fault_key(key))
-                .map_err(store_err)?;
-            if data.rows() as u64 != chunk.rows {
-                return Err(DbError::Io(format!(
-                    "{}: segment holds {} row(s), manifest says {}",
-                    path.display(),
-                    data.rows(),
-                    chunk.rows
-                )));
-            }
-            let bytes = data.heap_bytes();
-            let col = column_from_data(data).ok_or_else(|| {
-                DbError::Io(format!(
-                    "{}: segment dictionary repeats a value",
-                    path.display()
-                ))
-            })?;
-            Ok((col, bytes))
-        })?;
-        Ok((col, missed))
-    }
 }
+
+/// A segment read and decoded ahead of its admission: the column and its
+/// exact byte charge, or the typed error its logical read will surface.
+pub(crate) type ReadAhead = Result<(Column, u64), DbError>;
 
 /// One scan's own accesses to the buffer pool, counted as the scan makes
 /// them. Deltas of the shared pool's counters would charge a scan the
 /// reads of every other session using the catalog at the same time.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ScanIo {
-    /// Chunk reads served from the pool.
+    /// Chunk reads served from the pool with no I/O.
     pub(crate) hits: u64,
-    /// Chunk reads that ran the loader: real I/O.
+    /// Chunk reads that read their segment: real I/O.
     pub(crate) misses: u64,
-    /// Seconds spent fetching, on the threads that fetched.
+    /// Of `misses`, reads made ahead and dropped because another session
+    /// had admitted the chunk by the time this scan looked it up.
+    pub(crate) discarded: u64,
+    /// Seconds spent fetching — reading, waiting for the turn, admitting —
+    /// summed over the threads that fetched.
     pub(crate) secs: f64,
 }
 
@@ -226,6 +222,7 @@ impl ScanIo {
     pub(crate) fn add(&mut self, other: ScanIo) {
         self.hits += other.hits;
         self.misses += other.misses;
+        self.discarded += other.discarded;
         self.secs += other.secs;
     }
 }
@@ -260,7 +257,8 @@ impl DiskBacking {
     /// chunk through the pool and *copy* them together in serial order,
     /// outside the pool's budget — for the operators that need their whole
     /// input at once. Sweeps go chunk by chunk through
-    /// [`DiskBacking::fetch_chunk`] instead. Nothing is pinned either way.
+    /// [`read_ahead`](Self::read_ahead) and [`admit`](Self::admit) instead.
+    /// Nothing is pinned either way.
     pub(crate) fn fetch_column(&self, ci: usize, io: &mut ScanIo) -> Result<Arc<Column>, DbError> {
         let col = &self.manifest.columns[ci];
         let dt = data_type_of(col.tag);
@@ -279,23 +277,100 @@ impl DiskBacking {
         }
     }
 
-    /// One logical read: chunk `chunk` of column `ci` through the pool —
-    /// an `Arc` clone when resident, a real `pread` + decode on a miss.
-    pub(crate) fn fetch_chunk(
+    fn seg_key(&self, ci: usize, chunk: usize) -> SegKey {
+        (self.table_id, ci as u32, chunk as u32)
+    }
+
+    /// One physical read, made with no lock held: `pread`, header and
+    /// checksum verification, decode, and the refusal of a segment that
+    /// does not hold the rows the manifest promised or whose dictionary
+    /// repeats a value. Fires `store.read` once.
+    fn read_chunk(&self, ci: usize, chunk: usize) -> ReadAhead {
+        let key = read_fault_key(self.seg_key(ci, chunk));
+        let chunk = &self.manifest.columns[ci].chunks[chunk];
+        let path = self.dir.join(&chunk.file);
+        let data = read_segment(&path, self.store.faults.as_deref(), key).map_err(store_err)?;
+        if data.rows() as u64 != chunk.rows {
+            return Err(DbError::Io(format!(
+                "{}: segment holds {} row(s), manifest says {}",
+                path.display(),
+                data.rows(),
+                chunk.rows
+            )));
+        }
+        let bytes = data.heap_bytes();
+        let col = column_from_data(data).ok_or_else(|| {
+            DbError::Io(format!(
+                "{}: segment dictionary repeats a value",
+                path.display()
+            ))
+        })?;
+        Ok((col, bytes))
+    }
+
+    /// The read step for chunk `chunk` of columns `cols`: one uncounted
+    /// peek at the pool, then a `pread` + decode, with no lock held, of
+    /// each column it does not hold. `None` is a column that was resident
+    /// — or that comes after a failed read: the unit will surface that
+    /// error first and never look the later columns up, as a scan that
+    /// reads in place would not have read them.
+    pub(crate) fn read_ahead(&self, cols: &[usize], chunk: usize) -> Vec<Option<ReadAhead>> {
+        let resident: Vec<bool> = {
+            let pool = self.store.pool();
+            (cols.iter())
+                .map(|&ci| pool.contains(self.seg_key(ci, chunk)))
+                .collect()
+        };
+        let mut failed = false;
+        let mut ahead = Vec::with_capacity(cols.len());
+        for (&ci, resident) in cols.iter().zip(resident) {
+            let read = (!resident && !failed).then(|| self.read_chunk(ci, chunk));
+            failed |= matches!(read, Some(Err(_)));
+            ahead.push(read);
+        }
+        ahead
+    }
+
+    /// The admit step, one logical read charged to `io`: chunk `chunk` of
+    /// column `ci` through the pool — an `Arc` clone when resident, else
+    /// the frame made from what was read `ahead`. The loader reads in place
+    /// only when the peek found the chunk resident and it has gone since;
+    /// on a hit a value read ahead is dropped, and counted.
+    pub(crate) fn admit(
+        &self,
+        ci: usize,
+        chunk: usize,
+        mut ahead: Option<ReadAhead>,
+        io: &mut ScanIo,
+    ) -> Result<Arc<Column>, DbError> {
+        let mut missed = false;
+        let mut pool = self.store.pool();
+        let col = pool.get_or_load(self.seg_key(ci, chunk), || {
+            missed = true;
+            ahead.take().unwrap_or_else(|| self.read_chunk(ci, chunk))
+        });
+        if missed {
+            io.misses += 1;
+        } else if ahead.is_some() {
+            pool.count_discarded_read();
+            io.misses += 1;
+            io.discarded += 1;
+        } else {
+            io.hits += 1;
+        }
+        col
+    }
+
+    /// Both steps back to back, for a reader that takes no turns.
+    fn fetch_chunk(
         &self,
         ci: usize,
         chunk: usize,
         io: &mut ScanIo,
     ) -> Result<Arc<Column>, DbError> {
-        let key = (self.table_id, ci as u32, chunk as u32);
-        let chunk = &self.manifest.columns[ci].chunks[chunk];
-        let (col, missed) = self.store.load_chunk(key, &self.dir, chunk)?;
-        if missed {
-            io.misses += 1;
-        } else {
-            io.hits += 1;
-        }
-        Ok(col)
+        let resident = self.store.pool().contains(self.seg_key(ci, chunk));
+        let ahead = (!resident).then(|| self.read_chunk(ci, chunk));
+        self.admit(ci, chunk, ahead, io)
     }
 }
 
@@ -508,4 +583,47 @@ pub(crate) fn open_catalog(root: &Path, config: StoreConfig) -> Result<Catalog, 
     }
     catalog.attach_storage(store);
     Ok(catalog)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::table::TableBuilder;
+    use crate::types::Value;
+
+    /// A reader that dies while it holds the pool lock — reachable when a
+    /// frame resident at the peek is gone at the lookup and the loader reads
+    /// in place — poisons the mutex; every later access takes it over.
+    #[test]
+    fn a_poisoned_pool_lock_is_taken_over() {
+        let dir = std::env::temp_dir().join(format!("minidb_poison_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut t = TableBuilder::new("t").column("k", DataType::Int).build();
+        for k in 0..10 {
+            t.push_row(vec![Value::Int(k)]).unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(t).unwrap();
+        catalog
+            .persist_with(&dir, &StoreConfig::default().chunk_rows(4))
+            .unwrap();
+        let disk = Catalog::open(&dir).unwrap();
+        let store = Arc::clone(disk.storage().unwrap());
+        let died = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let _pool = store.pool();
+                panic!("reader died under the pool lock");
+            });
+            reader.join()
+        });
+        assert!(died.is_err() && store.pool.is_poisoned());
+        let column = disk.table("t").unwrap().column_arc_io(0).unwrap();
+        assert_eq!(column.len(), 10);
+        let c = store.counters();
+        assert_eq!((c.logical_reads, c.physical_reads), (3, 3));
+        assert!(store.resident_bytes() <= store.capacity_bytes());
+        assert_eq!(store.evict_policy(), Evict::Lru);
+        assert_eq!(store.drop_caches().0, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

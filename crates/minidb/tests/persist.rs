@@ -17,6 +17,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// An integer attribute of a recorded span.
+fn int_attr(span: &perfeval_trace::SpanRecord, key: &str) -> i64 {
+    match span.attr(key) {
+        Some(perfeval_trace::AttrValue::Int(v)) => *v,
+        other => panic!("{}: {key} = {other:?}", span.name),
+    }
+}
+
 /// A catalog with edge-case data: NaN and signed zeros, a low-cardinality
 /// string column, bools, and enough rows to span several chunks at small
 /// `chunk_rows`.
@@ -183,10 +191,6 @@ fn cold_hot_flush_counters_are_real() {
 
     // The execute and scan spans carry the same measured accounting.
     let trace = tracer.snapshot();
-    let int_attr = |span: &perfeval_trace::SpanRecord, key: &str| match span.attr(key) {
-        Some(perfeval_trace::AttrValue::Int(v)) => *v,
-        other => panic!("{}: {key} = {other:?}", span.name),
-    };
     for name in ["execute", "Scan probe"] {
         let spans: Vec<_> = trace.find(name).collect();
         assert_eq!(spans.len(), 2, "{name}: one span per run");
@@ -513,6 +517,86 @@ fn read_fault_mid_sweep_is_typed_and_nobody_waits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `Panic` arm at `store.read` — a crashing reader — costs the statement
+/// that hit it and nothing else: the panic reaches the caller (who contains
+/// it, as a server does), every unit still takes and passes its turn at any
+/// thread count, and the next statements on the same session, catalog and
+/// pool — sweeps over the same table that do not touch the armed column —
+/// answer by bits.
+#[test]
+fn a_panicking_reader_costs_one_statement_and_nobody_waits() {
+    let dir = temp_dir("sweep_panic");
+    let mem = sweep_catalog(900);
+    mem.persist_with(&dir, &StoreConfig::default().chunk_rows(100))
+        .unwrap();
+    // Statements that read `fact.x` (column 1), chunk by chunk and whole.
+    let armed = [
+        "SELECT SUM(x) FROM fact WHERE id >= 0",
+        "SELECT id, x FROM fact WHERE id > 5",
+        "SELECT id, x FROM fact ORDER BY id DESC LIMIT 3",
+    ];
+    let spared = [
+        "SELECT tag, COUNT(*), SUM(id) FROM fact WHERE flag = true GROUP BY tag ORDER BY tag",
+        "SELECT id, tag FROM fact WHERE id > 5",
+    ];
+    let oracle: Vec<_> = spared
+        .iter()
+        .map(|sql| Session::new(mem.clone()).query(sql).run().unwrap().rows)
+        .collect();
+    // Table ids follow sorted name order: dim=0, empty=1, fact=2.
+    for chunk in [0u32, 4, 8] {
+        for threads in [1usize, 2, 8] {
+            let key = minidb::storage::read_fault_key((2, 1, chunk));
+            let faults = Arc::new(FaultRegistry::new(7).armed_always(
+                "store.read",
+                Trigger::Key(key),
+                FaultAction::Panic,
+            ));
+            // A pool of three chunks: evictions go on around the panics.
+            let config = StoreConfig::default()
+                .pool_bytes(3 * 8 * 100)
+                .faults(Arc::clone(&faults));
+            let disk = Catalog::open_with(&dir, config).unwrap();
+            let store = Arc::clone(disk.storage().unwrap());
+            let (done, finished) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let mut session = Session::new(disk).with_parallelism(threads);
+                let mut answers = Vec::new();
+                for (a, b) in armed.iter().zip(spared.iter().cycle()) {
+                    let run = std::panic::AssertUnwindSafe(|| session.query(a).run());
+                    let payload = std::panic::catch_unwind(run).expect_err("armed chunk");
+                    let message = perfeval_fault::panic_message(payload.as_ref());
+                    answers.push((message, session.query(b).run().unwrap().rows));
+                }
+                done.send(answers).unwrap();
+            });
+            // A unit left waiting for its turn would hang its sweep forever.
+            let answers = finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("threads={threads}: a sweep never finished"));
+            worker.join().unwrap();
+            for ((message, rows), want) in answers.iter().zip(oracle.iter().cycle()) {
+                assert!(
+                    message.contains(&format!("store.read (key {key}")),
+                    "threads={threads}: {message}"
+                );
+                assert!(
+                    rows_bit_equal(want, rows),
+                    "threads={threads} chunk={chunk}"
+                );
+            }
+            assert_eq!(faults.fired("store.read"), armed.len() as u64);
+            let c = store.counters();
+            assert!(
+                c.evictions > 0 && c.physical_reads <= c.logical_reads,
+                "{c:?}"
+            );
+            assert!(store.resident_bytes() <= store.capacity_bytes());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Cancellation is polled at every unit of a chunked sweep: a token raised
 /// while the scan is under way stops it after a handful of chunks, not
 /// after the table, and the session survives.
@@ -579,10 +663,6 @@ fn concurrent_scans_report_only_their_own_chunks() {
         .persist_with(&dir, &StoreConfig::default().chunk_rows(100))
         .unwrap();
     let disk = Catalog::open(&dir).unwrap();
-    let int_attr = |span: &perfeval_trace::SpanRecord, key: &str| match span.attr(key) {
-        Some(perfeval_trace::AttrValue::Int(v)) => *v,
-        other => panic!("{}: {key} = {other:?}", span.name),
-    };
     // (table, chunks, statement, projected columns)
     let scans = [
         ("fact", 30, "SELECT SUM(x) FROM fact WHERE id >= 0", 2),
@@ -610,6 +690,189 @@ fn concurrent_scans_report_only_their_own_chunks() {
             });
         }
     });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every segment that was really read is a physical read, admitted or not.
+/// Two sessions scan the same cold four-chunk table at once on a slow disk,
+/// so both peek before either admits and one of them reads chunks the other
+/// gets to admit first: those values are dropped, and still counted — by
+/// the pool (`physical_reads` = `store.read` site firings) and on the
+/// scans' own spans (`pool_misses`, of which `discarded`).
+#[test]
+fn discarded_reads_are_still_physical_reads() {
+    let dir = temp_dir("sweep_discard");
+    let mem = sweep_catalog(400);
+    mem.persist_with(&dir, &StoreConfig::default().chunk_rows(100))
+        .unwrap();
+    let sql = "SELECT tag, SUM(x) FROM fact WHERE id >= 0 GROUP BY tag ORDER BY tag";
+    let want = Session::new(mem).query(sql).run().unwrap().rows;
+    let faults = Arc::new(FaultRegistry::new(1).armed_always(
+        "store.read",
+        Trigger::Always,
+        FaultAction::DelayMs(2.0),
+    ));
+    let config = StoreConfig::default().faults(Arc::clone(&faults));
+    let disk = Catalog::open_with(&dir, config).unwrap();
+    let store = Arc::clone(disk.storage().unwrap());
+    let mut discarded = 0;
+    for round in 0..20 {
+        store.drop_caches();
+        let (before, fired) = (store.counters(), faults.fired("store.read"));
+        let start = std::sync::Barrier::new(2);
+        let scans: Vec<[u64; 3]> = std::thread::scope(|scope| {
+            let scan = || {
+                let mut session = Session::new(disk.clone()).with_parallelism(2);
+                let tracer = perfeval_trace::Tracer::new();
+                start.wait();
+                let got = session.query(sql).traced(&tracer).run().unwrap();
+                assert!(rows_bit_equal(&want, &got.rows), "round {round}");
+                let trace = tracer.snapshot();
+                let span = trace.find("Scan fact").next().expect("scan span");
+                ["pool_hits", "pool_misses", "discarded"].map(|key| int_attr(span, key) as u64)
+            };
+            let handles = [scope.spawn(scan), scope.spawn(scan)];
+            handles.map(|h| h.join().unwrap()).to_vec()
+        });
+        let d = store.counters().since(&before);
+        // Three projected columns x four chunks, per scan.
+        assert_eq!(d.logical_reads, 24);
+        assert_eq!(
+            d.physical_reads,
+            faults.fired("store.read") - fired,
+            "round {round}: every read made is counted, {scans:?}"
+        );
+        assert_eq!(
+            scans.iter().map(|s| s[1]).sum::<u64>(),
+            d.physical_reads,
+            "round {round}: the scans' own misses are the pool's reads"
+        );
+        for [hits, misses, dropped] in &scans {
+            assert_eq!(hits + misses, 12, "round {round}");
+            assert!(dropped <= misses);
+        }
+        // Each chunk is admitted once; what was read beyond was dropped.
+        assert_eq!(
+            scans.iter().map(|s| s[2]).sum::<u64>(),
+            d.physical_reads - 12,
+            "round {round}: {scans:?}"
+        );
+        discarded += d.physical_reads - 12;
+    }
+    assert!(discarded > 0, "two cold scans at once never raced");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cold sweep overlaps its reads across workers: on a disk that takes 5 ms
+/// per segment (a `DelayMs` arm — a sleep, so the test does not depend on
+/// how many CPUs it gets) two threads finish a twelve-chunk table in well
+/// under the time one thread takes, with the same answer and the same pool
+/// counters. Fails with the reads made under the turn.
+#[test]
+fn cold_reads_of_different_chunks_overlap_across_workers() {
+    let dir = temp_dir("sweep_overlap");
+    let mem = sweep_catalog(1200);
+    mem.persist_with(&dir, &StoreConfig::default().chunk_rows(100))
+        .unwrap();
+    let sql = "SELECT SUM(x), COUNT(*) FROM fact WHERE id >= 0";
+    let want = Session::new(mem).query(sql).run().unwrap().rows;
+    let faults = Arc::new(FaultRegistry::new(1).armed_always(
+        "store.read",
+        Trigger::Always,
+        FaultAction::DelayMs(5.0),
+    ));
+    // A one-chunk pool: every one of the 2 x 12 lookups is a read.
+    let config = StoreConfig::default().pool_bytes(8 * 100).faults(faults);
+    let disk = Catalog::open_with(&dir, config).unwrap();
+    let store = Arc::clone(disk.storage().unwrap());
+    let sweep = |threads: usize| {
+        let mut session = Session::new(disk.clone()).with_parallelism(threads);
+        store.drop_caches();
+        let before = store.counters();
+        let t0 = std::time::Instant::now();
+        let got = session.query(sql).run().unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(rows_bit_equal(&want, &got.rows), "threads={threads}");
+        (secs, store.counters().since(&before))
+    };
+    // Best of three per arm: a stalled runner lengthens a sweep, never
+    // shortens one.
+    let best = |threads| {
+        let runs: Vec<_> = (0..3).map(|_| sweep(threads)).collect();
+        assert!(runs.iter().all(|r| r.1 == runs[0].1), "threads={threads}");
+        let secs = runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+        (secs, runs[0].1)
+    };
+    let (one, counters_one) = best(1);
+    let (two, counters_two) = best(2);
+    assert_eq!(counters_one, counters_two);
+    assert_eq!(counters_one.physical_reads, 24, "{counters_one:?}");
+    assert!(
+        one >= 0.120,
+        "24 reads x 5 ms on one thread took {one:.3} s"
+    );
+    assert!(
+        two <= 0.7 * one,
+        "two threads took {two:.3} s, one took {one:.3} s: reads did not overlap"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A traced chunk unit shows whether it waited on the disk or on its
+/// neighbours: a `read` span (before the turn: how many of its columns it
+/// read ahead) and a `turn` span (the wait plus the pool lookups), in that
+/// order, under each `chunk N` span — worker 0's on the calling thread's
+/// lane, nested under the `Scan` span.
+#[test]
+fn chunk_units_split_their_fetch_into_read_and_turn() {
+    let dir = temp_dir("sweep_read_turn");
+    sweep_catalog(800)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(100))
+        .unwrap();
+    let disk = Catalog::open(&dir).unwrap();
+    let mut session = Session::new(disk).with_parallelism(2);
+    for ahead in [2i64, 0] {
+        let tracer = perfeval_trace::Tracer::new();
+        session
+            .query("SELECT SUM(x) FROM fact WHERE id >= 0")
+            .traced(&tracer)
+            .run()
+            .unwrap();
+        let trace = tracer.snapshot();
+        let scan = trace.find("Scan fact").next().expect("scan span").clone();
+        let mut units = 0;
+        for lane in &trace.lanes {
+            let callers = lane.records.iter().any(|r| r.id == scan.id);
+            for unit in lane.records.iter().filter(|r| r.name.starts_with("chunk ")) {
+                units += 1;
+                if callers {
+                    assert_eq!(unit.parent, Some(scan.id), "{} nests", unit.name);
+                } else {
+                    assert_eq!(lane.label, "worker-1", "{}", unit.name);
+                }
+                let child = |name: &str| {
+                    let mut found = (lane.records.iter())
+                        .filter(|r| r.parent == Some(unit.id) && r.name == name);
+                    let span = found
+                        .next()
+                        .unwrap_or_else(|| panic!("{}: {name}", unit.name));
+                    assert!(found.next().is_none(), "{}: one {name} span", unit.name);
+                    span
+                };
+                let (read, turn) = (child("read"), child("turn"));
+                assert!(
+                    read.end_ns <= turn.start_ns,
+                    "{}: read, then turn",
+                    unit.name
+                );
+                assert_eq!(read.attr("columns"), Some(&2i64.into()));
+                // Cold: both columns read ahead. Warm: nothing to read.
+                assert_eq!(read.attr("ahead"), Some(&ahead.into()), "{}", unit.name);
+            }
+        }
+        assert_eq!(units, 8);
+        assert_eq!(trace.find("fetch").count(), 0);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

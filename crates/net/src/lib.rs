@@ -43,7 +43,9 @@
 //!   readiness loop ([`poll`]) multiplexes connections onto N core-pinned
 //!   shard workers with per-shard sessions, bounded per-connection write
 //!   queues, and cross-shard work *sharing* (idle shards lend their cores
-//!   to a busy shard's query as extra morsel parallelism).
+//!   to a busy shard's query as extra morsel parallelism: the busy shard's
+//!   thread is worker 0 on its own core, and the helpers it spawns leave
+//!   that core for the rest of the process's CPUs before taking work).
 //! * **ThreadPerConn** — the original blocking thread-per-connection loop,
 //!   kept as an explicit experiment arm (`exp_e23_sharded_server`).
 //!

@@ -459,27 +459,7 @@ impl Epoll {
 /// cpuset-restricted runners may refuse; the server runs unpinned then).
 /// Returns whether the pin took.
 pub fn pin_current_thread(core: usize) -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        #[repr(C)]
-        struct CpuSet {
-            bits: [u64; 16], // 1024 CPUs, the glibc default cpu_set_t
-        }
-        extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-        }
-        let mut set = CpuSet { bits: [0; 16] };
-        let idx = core % 1024;
-        set.bits[idx / 64] |= 1u64 << (idx % 64);
-        // SAFETY: pid 0 = calling thread; the mask is a live stack value of
-        // the size we pass.
-        unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) == 0 }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = core;
-        false
-    }
+    perfeval_pool::affinity::CpuSet::single(core).pin_current_thread()
 }
 
 /// The shard a connection ordinal maps to: a pure function of

@@ -25,7 +25,11 @@
 //! `parallelism = 1 + idle_shards`, borrowing the idle cores through the
 //! engine's morsel-parallel operators. PR 3 guarantees parallel OPT is
 //! bit-identical to serial for any thread count, so stealing changes tail
-//! latency, never answers.
+//! latency, never answers. The shard thread itself is worker 0 of such a
+//! sweep and stays on its pinned core; a helper spawned from it would
+//! inherit that one-CPU mask and queue up behind it, so the pool moves
+//! each helper to the process's CPUs minus the shard's before it takes
+//! work ([`perfeval_pool::affinity`]) — the borrowed core is another core.
 //!
 //! Transports that cannot signal readiness ([`EventSource::Blocking`])
 //! fall back to a dedicated thread running the same blocking

@@ -7,6 +7,21 @@
 //! *slots*, not the schedule: result `i` always lands in slot `i`, so the
 //! output is independent of which worker ran it and when.
 //!
+//! **The calling thread is worker 0.** A map over `threads` workers spawns
+//! `threads - 1` helpers (`worker-1`, `worker-2`, …) and the caller pulls
+//! units from the same cursor instead of sleeping in the scope — one thread
+//! fewer to fork, join and give a malloc arena per map, and the caller's
+//! units record on the caller's own tracing lane, nested under whatever
+//! span it has open.
+//!
+//! **A helper does not inherit a pin.** A thread is forked with its
+//! parent's affinity mask, so the helpers of a caller pinned to one CPU (a
+//! shard worker lending an idle shard's core) would queue up behind it on
+//! that CPU. When the caller's mask is a strict subset of the process's,
+//! each helper first moves itself to *the process's CPUs minus the
+//! caller's* ([`affinity`]); an unpinned caller, a one-CPU process and a
+//! non-Linux host change nothing. The caller's own mask is never touched.
+//!
 //! Failure model: each invocation of the work closure runs under
 //! `catch_unwind`, so one panicking unit never takes down a worker, poisons
 //! a lock, or abandons the remaining units. [`parallel_map_caught`] exposes
@@ -16,6 +31,8 @@
 //! after every unit has finished. Lock poisoning is recovered rather than
 //! escalated: a poisoned mutex only ever means a worker panicked, and the
 //! data under it is still valid.
+
+pub mod affinity;
 
 use perfeval_trace::Tracer;
 use std::panic::AssertUnwindSafe;
@@ -83,9 +100,10 @@ where
     parallel_map_traced(count, threads, None, f)
 }
 
-/// [`parallel_map`] with an optional tracer: workers get stable names
-/// (`worker-<n>`), and each registers + labels its tracing lane before
-/// taking work, so a snapshot stitches every worker into one timeline.
+/// [`parallel_map`] with an optional tracer: helpers get stable names
+/// (`worker-<n>`, n ≥ 1), and each registers + labels its tracing lane
+/// before taking work, so a snapshot stitches every worker into one
+/// timeline. Worker 0 is the calling thread and keeps its own lane.
 ///
 /// The closure runs on the worker threads, so spans it opens against the
 /// same tracer land on the correct per-worker lane automatically.
@@ -152,32 +170,40 @@ where
         Mutex::new((0..count).map(|_| None).collect());
     let stats: Mutex<Vec<WorkerStats>> = Mutex::new(vec![WorkerStats::default(); threads]);
 
+    let work = |worker: usize| {
+        let mut local = WorkerStats::default();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            let t0 = std::time::Instant::now();
+            let value = call(i);
+            local.busy_secs += t0.elapsed().as_secs_f64();
+            local.units += 1;
+            lock_recover(&slots)[i] = Some(value);
+        }
+        lock_recover(&stats)[worker] = local;
+    };
+    let helper_cpus = affinity::helper_mask_of_caller();
     std::thread::scope(|scope| {
-        let (cursor, slots, stats, call) = (&cursor, &slots, &stats, &call);
-        for worker in 0..threads {
+        let work = &work;
+        for worker in 1..threads {
             let name = format!("worker-{worker}");
             std::thread::Builder::new()
                 .name(name.clone())
                 .spawn_scoped(scope, move || {
+                    if let Some(cpus) = helper_cpus {
+                        cpus.pin_current_thread();
+                    }
                     if let Some(t) = tracer {
                         t.label_thread(&name);
                     }
-                    let mut local = WorkerStats::default();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let t0 = std::time::Instant::now();
-                        let value = call(i);
-                        local.busy_secs += t0.elapsed().as_secs_f64();
-                        local.units += 1;
-                        lock_recover(slots)[i] = Some(value);
-                    }
-                    lock_recover(stats)[worker] = local;
+                    work(worker);
                 })
                 .expect("failed to spawn pool worker");
         }
+        work(0);
     });
 
     let results = lock_recover(&slots)
@@ -190,6 +216,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::affinity::CpuSet;
     use super::*;
 
     #[test]
@@ -282,6 +309,115 @@ mod tests {
             14,
             "all healthy units still ran"
         );
+    }
+
+    /// Two units that meet at a barrier run at the same time, so on two
+    /// different threads: one per worker. Returns, per unit, the thread it
+    /// ran on and the affinity mask it saw there.
+    fn two_units_at_once() -> Vec<(std::thread::ThreadId, Option<String>, Option<CpuSet>)> {
+        let both = std::sync::Barrier::new(2);
+        let (out, stats) = parallel_map(2, 2, |_| {
+            both.wait();
+            let me = std::thread::current();
+            (
+                me.id(),
+                me.name().map(str::to_owned),
+                CpuSet::of_current_thread(),
+            )
+        });
+        assert_eq!(stats.len(), 2);
+        assert!(stats.iter().all(|s| s.units == 1), "{stats:?}");
+        out
+    }
+
+    #[test]
+    fn the_calling_thread_is_worker_zero() {
+        let caller = std::thread::current().id();
+        let out = two_units_at_once();
+        let on_caller = out.iter().filter(|(id, ..)| *id == caller).count();
+        assert_eq!(on_caller, 1, "one unit ran on the calling thread");
+        let helper = out.iter().find(|(id, ..)| *id != caller).unwrap();
+        assert_eq!(helper.1.as_deref(), Some("worker-1"));
+    }
+
+    #[test]
+    fn the_caller_works_and_the_contract_holds() {
+        // Slot order, every unit run, lowest-index panic, `threads` stats
+        // entries summing to `count` — with the caller pulling units too.
+        let caller = std::thread::current().id();
+        let on_caller = AtomicUsize::new(0);
+        let ran = AtomicUsize::new(0);
+        let (out, stats) = parallel_map_caught(200, 3, None, |i| {
+            if std::thread::current().id() == caller {
+                on_caller.fetch_add(1, Ordering::Relaxed);
+            }
+            ran.fetch_add(1, Ordering::Relaxed);
+            if i == 150 || i == 17 {
+                panic!("boom {i}");
+            }
+            i + 1
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 200);
+        assert_eq!(stats.len(), 3);
+        assert_eq!(stats.iter().map(|s| s.units).sum::<usize>(), 200);
+        assert_eq!(stats[0].units, on_caller.load(Ordering::Relaxed));
+        for (i, slot) in out.iter().enumerate() {
+            match slot {
+                Ok(v) => assert_eq!(*v, i + 1),
+                Err(caught) => assert_eq!(caught.message, format!("boom {i}")),
+            }
+        }
+        let first = out.iter().find_map(|s| s.as_ref().err()).unwrap();
+        assert_eq!(first.message, "boom 17");
+    }
+
+    /// Placement, from what a unit observes where it runs. Each case runs
+    /// on a thread of its own, so a pin never leaks into the test harness.
+    #[test]
+    fn a_pinned_callers_helper_leaves_the_callers_cpu() {
+        let Some(process) = CpuSet::of_process() else {
+            println!("placement: skipped (no affinity calls on this platform)");
+            return;
+        };
+        let run = |pin: Option<CpuSet>| {
+            std::thread::spawn(move || {
+                if let Some(cpus) = pin {
+                    assert!(cpus.pin_current_thread(), "pin to {cpus:?}");
+                }
+                let before = CpuSet::of_current_thread();
+                let caller = std::thread::current().id();
+                let out = two_units_at_once();
+                assert_eq!(
+                    CpuSet::of_current_thread(),
+                    before,
+                    "the caller's own mask is never touched"
+                );
+                let (worker0, helper): (Vec<_>, Vec<_>) =
+                    out.into_iter().partition(|(id, ..)| *id == caller);
+                assert_eq!(worker0[0].2, before, "worker 0 is the caller");
+                (before.unwrap(), helper[0].2.unwrap())
+            })
+            .join()
+            .expect("placement case")
+        };
+
+        let (caller, helper) = run(None);
+        assert_eq!(helper, caller, "an unpinned caller's helpers inherit");
+
+        if process.count() < 2 {
+            // Nothing to move to: a pin to the only CPU equals the process.
+            let only = (0..1024).find(|&c| process.contains(c)).unwrap();
+            let (caller, helper) = run(Some(CpuSet::single(only)));
+            assert_eq!(helper, caller, "one-CPU process: helpers inherit");
+            println!("placement: process has one CPU {process:?}; pinned case skipped");
+            return;
+        }
+        let cpu = (0..1024).find(|&c| process.contains(c)).unwrap();
+        let (caller, helper) = run(Some(CpuSet::single(cpu)));
+        assert_eq!(caller, CpuSet::single(cpu));
+        assert!(!helper.contains(cpu), "helper {helper:?} left cpu {cpu}");
+        assert_eq!(Some(helper), caller.helper_mask(&process));
+        println!("placement: ran; caller on {caller:?}, helper on {helper:?}");
     }
 
     #[test]

@@ -17,7 +17,19 @@
 //!   scan larger than the budget evicts its own head instead of
 //!   over-committing, and what is alive outside the budget is what readers
 //!   hold at that moment — for a chunk-at-a-time sweep at most
-//!   `threads × projected columns` chunks.
+//!   `threads × projected columns` chunks, counting a chunk from when its
+//!   unit has read it to when the unit lets it go.
+//! - The pool does **no I/O of its own and holds no lock**: the owner's
+//!   mutex is meant to cover hash-map work only. minidb peeks
+//!   ([`BufferPool::contains`], uncounted), reads a missing segment with no
+//!   lock held, and hands the value to [`BufferPool::get_or_load`]'s loader
+//!   — so every counter, stamp, admission and eviction still happens in
+//!   the order of the `get_or_load` calls, whoever read what first.
+//! - **Every real read is counted.** A value read ahead whose chunk turns
+//!   out resident at `get_or_load` (another session admitted it meanwhile)
+//!   is dropped, and the caller reports it with
+//!   [`BufferPool::count_discarded_read`]: `physical_reads` is segment
+//!   reads made, admitted or not.
 //! - A **dirty** frame is never evicted until [`BufferPool::take_dirty`]
 //!   collects it for write-back — losing unwritten bytes is not an
 //!   eviction policy.
@@ -87,7 +99,9 @@ impl std::fmt::Display for Evict {
 pub struct PoolCounters {
     /// Chunk accesses through the pool (hits + misses).
     pub logical_reads: u64,
-    /// Accesses that had to load from storage (real I/O).
+    /// Segment reads made for those accesses (real I/O): misses, plus
+    /// reads made ahead and dropped because the chunk had become resident
+    /// — at most one per logical read.
     pub physical_reads: u64,
     /// Frames evicted to stay within budget.
     pub evictions: u64,
@@ -264,6 +278,13 @@ impl<T> BufferPool<T> {
             self.counters.overcommits += 1;
         }
         Ok(value)
+    }
+
+    /// Counts a segment read made ahead of a [`get_or_load`](Self::get_or_load)
+    /// that then hit: the value was dropped, the I/O was real. Call it at
+    /// most once per such hit, so hits never underflow.
+    pub fn count_discarded_read(&mut self) {
+        self.counters.physical_reads += 1;
     }
 
     /// Pins a resident frame (it cannot be evicted until unpinned).
@@ -538,6 +559,17 @@ mod tests {
         // Everything is a miss again.
         p.get_or_load(key(0), load(0, 100)).unwrap();
         assert_eq!(p.counters().physical_reads, before.physical_reads + 1);
+    }
+
+    #[test]
+    fn a_discarded_read_is_still_a_physical_read() {
+        let mut p: BufferPool<i64> = BufferPool::new(1000, Evict::Lru);
+        p.get_or_load(key(0), load(1, 10)).unwrap();
+        // Read ahead by someone who peeked before the admission above.
+        assert_eq!(*p.get_or_load(key(0), load(2, 10)).unwrap(), 1, "hit");
+        p.count_discarded_read();
+        let c = p.counters();
+        assert_eq!((c.logical_reads, c.physical_reads, c.hits()), (2, 2, 0));
     }
 
     #[test]

@@ -43,8 +43,9 @@ pub const FORMAT_VERSION: u16 = 1;
 /// **torn write**: the file is truncated mid-payload while its header
 /// claims (and checksums) the full payload.
 pub const SITE_WRITE: &str = "store.write";
-/// Fault site fired once per segment read; a `FailIo` arm injects a
-/// read failure before any bytes are returned.
+/// Fault site fired once per segment read, before any bytes are returned:
+/// every action arms (a `DelayMs` arm is a slow disk), and a `FailIo` arm
+/// injects a read failure.
 pub const SITE_READ: &str = "store.read";
 
 /// The decoded payload of one column chunk, independent of any engine's
@@ -698,19 +699,24 @@ fn pread_exact(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> 
 
 /// Reads and decodes a segment file via `pread(2)`.
 ///
-/// Fires the [`SITE_READ`] fault site with `key` once per call; a
-/// `FailIo` arm injects a read failure. A genuinely short file (e.g. a
-/// torn write) surfaces as [`StoreError::Corrupt`].
+/// Fires the [`SITE_READ`] fault site with `key` once per call, then asks
+/// it for the I/O verdict: a `DelayMs`/`JitterMs` arm is a slow disk, a
+/// `Panic` arm a crashing reader, a `FailIo` arm an injected read failure.
+/// A genuinely short file (e.g. a torn write) surfaces as
+/// [`StoreError::Corrupt`].
 pub fn read_segment(
     path: &Path,
     faults: Option<&FaultRegistry>,
     key: u64,
 ) -> Result<ColumnData, StoreError> {
-    if faults.is_some_and(|f| f.io_fails(SITE_READ, key)) {
-        return Err(StoreError::Io(format!(
-            "injected read failure: {}",
-            path.display()
-        )));
+    if let Some(f) = faults {
+        f.fire(SITE_READ, key, 1);
+        if f.io_fails(SITE_READ, key) {
+            return Err(StoreError::Io(format!(
+                "injected read failure: {}",
+                path.display()
+            )));
+        }
     }
     let file = File::open(path)?;
     let mut header = [0u8; HEADER_LEN];
@@ -869,6 +875,17 @@ mod tests {
         ));
         // And the same file still reads fine without the fault.
         assert!(read_segment(&path, None, 0).unwrap().bit_eq(&data));
+
+        // The site fires every action, not only the I/O verdict.
+        let slow = FaultRegistry::new(3).armed_always(
+            SITE_READ,
+            Trigger::Key(7),
+            FaultAction::DelayMs(0.0),
+        );
+        assert!(read_segment(&path, Some(&slow), 6).unwrap().bit_eq(&data));
+        assert_eq!(slow.fired(SITE_READ), 0, "another key");
+        assert!(read_segment(&path, Some(&slow), 7).unwrap().bit_eq(&data));
+        assert_eq!(slow.fired(SITE_READ), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -84,19 +84,19 @@ fn traced_query_and_sweep_stitch_into_one_timeline() {
 #[test]
 fn worker_lanes_carry_their_pool_names() {
     let tracer = Tracer::new();
+    tracer.label_thread("caller");
     parallel_map_traced(16, 3, Some(&tracer), |i| {
         drop(tracer.span("work"));
         i
     });
     let trace = tracer.snapshot();
-    let workers: Vec<_> = trace
-        .lanes
-        .iter()
-        .filter(|l| l.label.starts_with("worker-"))
-        .collect();
-    assert!(workers.len() >= 2, "got {} worker lanes", workers.len());
+    // The calling thread is worker 0 and keeps its own lane; the two
+    // helpers label theirs.
+    let mut labels: Vec<_> = trace.lanes.iter().map(|l| l.label.as_str()).collect();
+    labels.sort_unstable();
+    assert_eq!(labels, ["caller", "worker-1", "worker-2"]);
     assert_eq!(
-        workers.iter().flat_map(|l| l.records.iter()).count(),
+        trace.lanes.iter().flat_map(|l| l.records.iter()).count(),
         16,
         "every unit recorded exactly one span"
     );
