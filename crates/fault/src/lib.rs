@@ -89,6 +89,14 @@ pub enum Trigger {
     Key(u64),
     /// Fire for any of these keys.
     Keys(Vec<u64>),
+    /// Fire for this key at exactly this attempt — "frame `attempt` of
+    /// connection `key`" at the sites whose attempt is an ordinal.
+    KeyAttempt {
+        /// Matching key.
+        key: u64,
+        /// Matching 1-based attempt.
+        attempt: u32,
+    },
     /// Fire when `key % modulus == remainder`.
     KeyModulo {
         /// Divisor (must be non-zero).
@@ -107,11 +115,12 @@ pub enum Trigger {
 }
 
 impl Trigger {
-    fn matches(&self, site: &str, key: u64) -> bool {
+    fn matches(&self, site: &str, key: u64, attempt: u32) -> bool {
         match self {
             Trigger::Always => true,
             Trigger::Key(k) => key == *k,
             Trigger::Keys(ks) => ks.contains(&key),
+            Trigger::KeyAttempt { key: k, attempt: a } => key == *k && attempt == *a,
             Trigger::KeyModulo { modulus, remainder } => {
                 *modulus != 0 && key % *modulus == *remainder
             }
@@ -311,7 +320,7 @@ impl FaultRegistry {
                 fp.site == site
                     && fp.attempts_below.is_none_or(|n| attempt < n)
                     && !matches!(fp.action, FaultAction::FailIo)
-                    && fp.trigger.matches(site, key)
+                    && fp.trigger.matches(site, key, attempt)
             })
             .map(|fp| fp.action.clone())
             .collect();
@@ -321,10 +330,17 @@ impl FaultRegistry {
         }
     }
 
-    /// Evaluates only [`FaultAction::FailIo`] arms at `site` for `key`;
-    /// returns true if the I/O operation should be failed. Never panics or
-    /// sleeps.
+    /// [`FaultRegistry::io_fails_at`] for sites without an ordinal
+    /// (attempt 1, as with [`FaultRegistry::fire`]).
     pub fn io_fails(&self, site: &str, key: u64) -> bool {
+        self.io_fails_at(site, key, 1)
+    }
+
+    /// Evaluates only [`FaultAction::FailIo`] arms at `site` for
+    /// `(key, attempt)`; returns true if the I/O operation should be
+    /// failed. Never panics or sleeps. The attempt reaches the trigger
+    /// only: a `FailIo` arm ignores its failpoint's attempt window.
+    pub fn io_fails_at(&self, site: &str, key: u64, attempt: u32) -> bool {
         if !self.is_armed() {
             return false;
         }
@@ -332,7 +348,7 @@ impl FaultRegistry {
         let fails = self.arms.iter().any(|fp| {
             fp.site == site
                 && matches!(fp.action, FaultAction::FailIo)
-                && fp.trigger.matches(site, key)
+                && fp.trigger.matches(site, key, attempt)
         });
         if fails {
             self.record_fired(site);
@@ -443,7 +459,7 @@ mod tests {
                 permille: 250,
                 seed,
             };
-            (0..200).filter(|&k| t.matches("site", k)).collect()
+            (0..200).filter(|&k| t.matches("site", k, 1)).collect()
         };
         assert_eq!(fires(42), fires(42), "pure function of (site, key, seed)");
         assert_ne!(fires(42), fires(43), "different seeds, different schedule");
@@ -457,17 +473,28 @@ mod tests {
             modulus: 4,
             remainder: 1,
         };
-        assert!(m.matches("s", 5) && m.matches("s", 1) && !m.matches("s", 4));
+        assert!(m.matches("s", 5, 1) && m.matches("s", 1, 1) && !m.matches("s", 4, 1));
         let ks = Trigger::Keys(vec![2, 9]);
-        assert!(ks.matches("s", 9) && !ks.matches("s", 3));
+        assert!(ks.matches("s", 9, 1) && !ks.matches("s", 3, 1));
         assert!(
             !Trigger::KeyModulo {
                 modulus: 0,
                 remainder: 0
             }
-            .matches("s", 0),
+            .matches("s", 0, 1),
             "zero modulus never fires instead of dividing by zero"
         );
+    }
+
+    #[test]
+    fn key_attempt_trigger_fails_io_at_one_ordinal_only() {
+        let at = Trigger::KeyAttempt { key: 3, attempt: 5 };
+        let r = FaultRegistry::new(0).armed_always("net.write", at, FaultAction::FailIo);
+        for attempt in 1..=8 {
+            assert_eq!(r.io_fails_at("net.write", 3, attempt), attempt == 5);
+            assert!(!r.io_fails_at("net.write", 4, attempt));
+        }
+        assert!(!r.io_fails("net.write", 3), "no ordinal means attempt 1");
     }
 
     #[test]

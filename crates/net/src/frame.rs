@@ -566,10 +566,10 @@ impl FramedIo {
     /// Transport errors, or an injected `net.write` failure.
     pub fn send(&mut self, frame: &Frame) -> io::Result<()> {
         self.frames_written += 1;
+        let (conn, ordinal) = (self.conn_id, self.frames_written);
         // Delay/jitter/hang/panic actions first, then the I/O verdict.
-        self.faults
-            .fire("net.write", self.conn_id, self.frames_written);
-        if self.faults.io_fails("net.write", self.conn_id) {
+        self.faults.fire("net.write", conn, ordinal);
+        if self.faults.io_fails_at("net.write", conn, ordinal) {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
                 "injected net.write failure",
@@ -589,8 +589,9 @@ impl FramedIo {
     /// corruption, or an injected `net.read` failure.
     pub fn recv(&mut self) -> io::Result<Frame> {
         self.frames_read += 1;
-        self.faults.fire("net.read", self.conn_id, self.frames_read);
-        if self.faults.io_fails("net.read", self.conn_id) {
+        let (conn, ordinal) = (self.conn_id, self.frames_read);
+        self.faults.fire("net.read", conn, ordinal);
+        if self.faults.io_fails_at("net.read", conn, ordinal) {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionReset,
                 "injected net.read failure",

@@ -37,17 +37,18 @@
 //! # server.wait();
 //! ```
 //!
-//! Two server cores live behind that builder ([`ServerMode`]):
+//! One conversation, two schedulers ([`ServerMode`]): handshake, admission,
+//! statement execution and response framing are written once; a scheduler
+//! supplies only the load admission is judged against, a statement's
+//! parallelism, the deadline left when it reaches the engine, and the
+//! frames' way to the transport.
 //!
-//! * **Sharded** (default) — an event-driven, shared-nothing core: a
-//!   readiness loop ([`poll`]) multiplexes connections onto N core-pinned
-//!   shard workers with per-shard sessions, bounded per-connection write
-//!   queues, and cross-shard work *sharing* (idle shards lend their cores
-//!   to a busy shard's query as extra morsel parallelism: the busy shard's
-//!   thread is worker 0 on its own core, and the helpers it spawns leave
-//!   that core for the rest of the process's CPUs before taking work).
-//! * **ThreadPerConn** — the original blocking thread-per-connection loop,
-//!   kept as an explicit experiment arm (`exp_e23_sharded_server`).
+//! * **Sharded** (default) — event-driven and shared-nothing: a readiness
+//!   loop ([`poll`]) multiplexes connections onto N core-pinned shards with
+//!   bounded per-connection write queues; idle shards lend their cores to a
+//!   busy shard's query as extra morsel parallelism.
+//! * **ThreadPerConn** — the blocking thread-per-connection loop, kept as
+//!   an explicit experiment arm (`exp_e23_sharded_server`).
 //!
 //! Guarantees the tests pin down:
 //!
@@ -61,7 +62,8 @@
 //!   `perfeval-trace` snapshot holds both sides of the wire.
 //! * **Deterministic faults.** `net.accept` / `net.read` / `net.write`
 //!   failpoints (delay, jitter, fail, hang) keyed by connection + frame
-//!   ordinals, so a dropped connection is a *scheduled* event — and
+//!   ordinals — the same ordinals in both cores (`tests/sharded.rs`) — so
+//!   a dropped connection is a *scheduled* event — and
 //!   surfaces as a contained `UnitOutcome` under `perfeval-exec`
 //!   (`tests/net_exec.rs` at the workspace root). The `net.admit` site
 //!   sits at the admission decision; its `FailIo` arm forces a typed
@@ -81,6 +83,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod conversation;
 pub mod frame;
 pub mod poll;
 pub mod retry;
@@ -107,7 +110,7 @@ mod tests {
     use super::*;
     use minidb::{Catalog, DataType, Session, TableBuilder, Value};
 
-    fn catalog() -> Catalog {
+    pub(crate) fn catalog() -> Catalog {
         let mut catalog = Catalog::new();
         let mut t = TableBuilder::new("nums")
             .column("x", DataType::Int)

@@ -1,25 +1,26 @@
-//! The server: two execution engines behind one builder API.
+//! The server: one conversation, two schedulers, behind one builder API.
 //!
-//! [`ServerMode`] is a **declared design factor** — the execution engine is
-//! chosen explicitly at construction, never implied by a constructor's
-//! accident, in the spirit of making every performance-relevant knob an
-//! explicit factor of the experiment design:
+//! [`ServerMode`] is a **declared design factor** — the scheduler is chosen
+//! explicitly at construction, in the spirit of making every
+//! performance-relevant knob an explicit factor of the experiment design:
 //!
 //! * [`ServerMode::ThreadPerConn`] — the classic engine: a pool of accept
-//!   workers, each serving one connection at a time with blocking I/O.
-//!   Simple, and its scheduling behavior under high connection counts is
-//!   itself an object of study (experiment E23).
+//!   workers, each serving one connection at a time with blocking I/O (the
+//!   driver at the bottom of this file). Its scheduling behavior under high
+//!   connection counts is itself an object of study (experiment E23).
 //! * [`ServerMode::Sharded`] — the event-driven shared-nothing core in
 //!   [`crate::shard`]: deterministic conn→shard placement, per-shard
-//!   readiness loops (epoll for TCP, the zero-syscall shim for loopback),
-//!   bounded per-connection write queues, and cross-shard work stealing
-//!   through the engine's morsel parallelism.
+//!   readiness loops, bounded per-connection write queues, and cross-shard
+//!   work stealing through the engine's morsel parallelism.
 //!
-//! Both modes share the per-connection session isolation, the fault sites
-//! (`net.accept`/`net.read`/`net.write`), panic containment, trace-span
-//! stitching, and the timing footer semantics — results and measured
-//! decompositions are mode-independent; throughput and tails are not,
-//! which is the point.
+//! Handshake, admission, statement execution, outcome classification, the
+//! timing footer and response framing are written once, in
+//! `conversation.rs`; the fault sites fire at the same ordinals in both. A
+//! scheduler supplies four things only: the load admission is judged
+//! against, the parallelism a statement runs with, the deadline left when
+//! it reaches the engine, and how frames get to the transport. Results and
+//! measured decompositions are therefore mode-independent; throughput and
+//! tails are not, which is the point.
 //!
 //! ```no_run
 //! # use minidb_net::{Server, ServerMode, LoopbackEndpoint};
@@ -36,14 +37,15 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
-use minidb::{CancelToken, DbError, Session};
+use minidb::Session;
 use perfeval_fault::FaultRegistry;
 use perfeval_pool::parallel_map_traced;
-use perfeval_trace::{SpanId, Tracer};
+use perfeval_trace::Tracer;
 
-use crate::frame::{Footer, Frame, FramedIo, RejectCode, PROTOCOL_VERSION, ROWS_PER_BATCH};
+use crate::conversation::{Conversation, Step};
+use crate::frame::{Frame, FramedIo, RejectCode};
 use crate::shard::{run_sharded, ShardConfig, ShardTelemetry};
 use crate::transport::{Listener, Transport};
 
@@ -217,6 +219,19 @@ impl Counters {
         };
         c.fetch_add(1, Ordering::Relaxed);
     }
+
+    pub(crate) fn snapshot(&self) -> ServerStats {
+        ServerStats {
+            connections: self.connections.load(Ordering::Relaxed),
+            queries: self.queries.load(Ordering::Relaxed),
+            disconnects: self.disconnects.load(Ordering::Relaxed),
+            worker_panics: self.worker_panics.load(Ordering::Relaxed),
+            rejected_overload: self.rejected_overload.load(Ordering::Relaxed),
+            rejected_deadline: self.rejected_deadline.load(Ordering::Relaxed),
+            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
+            cancelled_queries: self.cancelled_queries.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A snapshot of server counters.
@@ -262,7 +277,6 @@ pub struct ServerBuilder {
     faults: Arc<FaultRegistry>,
     placement_seed: u64,
     pin_cores: bool,
-    work_stealing: bool,
     admission: Admission,
 }
 
@@ -275,7 +289,6 @@ impl ServerBuilder {
             faults: Arc::new(FaultRegistry::disabled()),
             placement_seed: 0,
             pin_cores: true,
-            work_stealing: true,
             admission: Admission::default(),
         }
     }
@@ -333,14 +346,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Let a busy shard borrow idle shards' cores via the engine's morsel
-    /// parallelism (sharded mode). Bit-identical answers either way; only
-    /// latency moves. Default on.
-    pub fn work_stealing(mut self, steal: bool) -> Self {
-        self.work_stealing = steal;
-        self
-    }
-
     /// Starts serving, building one session per connection with `factory`.
     /// Returns immediately; the engine runs until [`ServerHandle::shutdown`].
     ///
@@ -377,7 +382,9 @@ impl ServerBuilder {
                         // workers exit when the listener shuts down.
                         let tracer = shared.tracer.clone();
                         parallel_map_traced(workers, workers, tracer.as_ref(), |_w| {
-                            shared.accept_loop();
+                            while let Some((conn_id, transport)) = shared.accept_conn() {
+                                shared.serve_blocking(transport, conn_id);
+                            }
                         });
                     })
                     .expect("spawn server supervisor thread");
@@ -394,7 +401,6 @@ impl ServerBuilder {
                     queue_depth,
                     placement_seed: self.placement_seed,
                     pin_cores: self.pin_cores,
-                    work_stealing: self.work_stealing,
                 };
                 let tel = Arc::new(ShardTelemetry::new(shards));
                 let tel2 = Arc::clone(&tel);
@@ -466,16 +472,7 @@ impl ServerHandle {
 
     /// Current counters (live; monotonic).
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            connections: self.counters.connections.load(Ordering::Relaxed),
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            disconnects: self.counters.disconnects.load(Ordering::Relaxed),
-            worker_panics: self.counters.worker_panics.load(Ordering::Relaxed),
-            rejected_overload: self.counters.rejected_overload.load(Ordering::Relaxed),
-            rejected_deadline: self.counters.rejected_deadline.load(Ordering::Relaxed),
-            rejected_shutdown: self.counters.rejected_shutdown.load(Ordering::Relaxed),
-            cancelled_queries: self.counters.cancelled_queries.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// The engine this server runs.
@@ -557,7 +554,7 @@ impl Shared {
         admitted_now: u64,
     ) -> Option<RejectCode> {
         self.faults.fire("net.admit", conn_id, query_ordinal);
-        if self.faults.io_fails("net.admit", conn_id) {
+        if self.faults.io_fails_at("net.admit", conn_id, query_ordinal) {
             return Some(RejectCode::Overloaded);
         }
         if self.draining.load(Ordering::Acquire) {
@@ -570,255 +567,111 @@ impl Shared {
         None
     }
 
-    /// The deadline a query runs under: the client's header value wins,
-    /// else the server's default; `0` means none.
-    pub(crate) fn effective_deadline_ms(&self, frame_deadline_ms: u32) -> u32 {
-        if frame_deadline_ms > 0 {
-            frame_deadline_ms
-        } else {
-            self.admission.default_deadline_ms
-        }
-    }
-
-    fn accept_loop(&self) {
+    /// The accept gate, shared by both engines: blocks for the next
+    /// connection, gives it its ordinal, passes it through the `net.accept`
+    /// fault site (an injected failure drops it on the floor, exactly like
+    /// a listener backlog overflow would) and counts it live. `None` once
+    /// the listener has shut down (or failed).
+    pub(crate) fn accept_conn(&self) -> Option<(u64, Box<dyn Transport>)> {
         loop {
-            let transport = match self.listener.accept() {
-                Ok(t) => t,
-                Err(_) => return, // shutdown (or listener failure): worker exits
-            };
+            let transport = self.listener.accept().ok()?;
             let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
             self.faults.fire("net.accept", conn_id, 1);
             if self.faults.io_fails("net.accept", conn_id) {
-                // Injected accept failure: drop the connection on the
-                // floor, exactly like a listener backlog overflow would.
                 self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             self.counters.connections.fetch_add(1, Ordering::Relaxed);
             self.live_conns.fetch_add(1, Ordering::AcqRel);
-            self.serve_blocking(transport, conn_id);
-            self.live_conns.fetch_sub(1, Ordering::AcqRel);
+            return Some((conn_id, transport));
         }
     }
 
-    /// Serves one connection on the calling thread with blocking I/O and
-    /// full containment — the thread-per-conn data path, also used by the
-    /// sharded engine's fallback for readiness-incapable transports.
+    /// Serves one accepted connection to its end on the calling thread with
+    /// blocking I/O and full containment — the thread-per-conn data path,
+    /// also used by the sharded engine's fallback for readiness-incapable
+    /// transports.
     pub(crate) fn serve_blocking(&self, transport: Box<dyn Transport>, conn_id: u64) {
         let mut io = FramedIo::new(transport, Arc::clone(&self.faults), conn_id);
-        // A panic while serving (injected engine fault, engine bug)
-        // must not take the serving thread down with it.
+        // A panic while serving (injected wire or admission fault, server
+        // bug outside the conversation's own guard) must not take the
+        // serving thread down with it.
         let outcome = catch_unwind(AssertUnwindSafe(|| self.serve_connection(&mut io)));
-        match outcome {
-            Ok(true) => {}
-            Ok(false) => {
-                self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-            }
+        if outcome.is_err() {
+            self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
         }
+        if !matches!(outcome, Ok(true)) {
+            self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        self.live_conns.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Serves one connection to completion. Returns `true` on a clean
-    /// `Bye`, `false` on transport error / protocol violation.
+    /// The blocking scheduler: `recv → on_frame → send`, and on a statement
+    /// `run → send every frame`. Returns `true` on a clean `Bye`, `false`
+    /// on transport error / protocol violation.
     fn serve_connection(&self, io: &mut FramedIo) -> bool {
-        // Handshake first: refuse version mismatches before any query.
-        match io.recv() {
-            Ok(Frame::Hello {
-                version: PROTOCOL_VERSION,
-            }) => {}
-            Ok(Frame::Hello { version }) => {
-                let _ = io.send(&Frame::Error(DbError::Io(format!(
-                    "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
-                ))));
-                return false;
-            }
-            _ => return false,
-        }
-        // Connection-bound admission: a `Hello` past the bound gets a
-        // typed rejection instead of a place in line.
-        let max_conns = self.admission.max_conns as u64;
-        if max_conns > 0 && self.live_conns.load(Ordering::Acquire) > max_conns {
-            self.counters.count_reject(RejectCode::Overloaded);
-            let _ = io.send(&Frame::Rejected {
-                code: RejectCode::Overloaded,
-                retry_after_ms: self.admission.retry_after_ms,
-            });
-            return false;
-        }
-        if io
-            .send(&Frame::HelloOk {
-                version: PROTOCOL_VERSION,
-            })
-            .is_err()
-        {
-            return false;
-        }
-
-        let mut session = (self.factory)();
-        let mut query_ordinal: u32 = 0;
+        let mut conv = Conversation::new(io.conn_id());
         loop {
-            match io.recv() {
-                Ok(Frame::Query {
-                    trace_parent,
-                    deadline_ms,
-                    sql,
-                }) => {
-                    self.counters.queries.fetch_add(1, Ordering::Relaxed);
-                    query_ordinal += 1;
-                    if !self.answer_query(
-                        io,
-                        &mut session,
-                        trace_parent,
-                        deadline_ms,
-                        query_ordinal,
-                        &sql,
-                    ) {
+            let Ok(frame) = io.recv() else {
+                return false;
+            };
+            // The gauge is incremented optimistically so concurrent workers
+            // race for the budget rather than past it.
+            let slot =
+                matches!(frame, Frame::Query { .. }).then(|| InflightSlot::take(&self.inflight));
+            let admitted_now = slot.as_ref().map_or(0, |s| s.ahead);
+            match conv.on_frame(self, frame, admitted_now) {
+                Step::Send(reply) => {
+                    drop(slot); // a shed query holds no slot while its frame is written
+                    if io.send(&reply).is_err() {
                         return false;
                     }
                 }
-                Ok(Frame::Bye) => return true,
-                Ok(_) => {
-                    let _ = io.send(&Frame::Error(DbError::Io(
-                        "protocol violation: expected Query or Bye".to_owned(),
-                    )));
+                Step::SendThenClose(reply) => {
+                    let _ = io.send(&reply);
                     return false;
                 }
-                Err(_) => return false,
+                Step::Close { clean } => return clean,
+                Step::Run(stmt) => {
+                    // No queue here: the statement has its whole deadline
+                    // and the session's own parallelism.
+                    let deadline_left_ms = stmt.deadline_left_ms(Duration::ZERO);
+                    let mut response = conv.run(self, stmt, None, deadline_left_ms);
+                    drop(slot);
+                    // Blocking writes: by the time `Done` is asked for, the
+                    // last row byte is with the transport.
+                    while let Some(frame) = response.next_frame().or_else(|| response.done()) {
+                        if io.send(&frame).is_err() {
+                            return false;
+                        }
+                    }
+                }
             }
         }
     }
+}
 
-    /// Runs one query and streams the response. Returns `false` if the
-    /// transport died mid-response.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_query(
-        &self,
-        io: &mut FramedIo,
-        session: &mut Session,
-        trace_parent: u64,
-        deadline_ms: u32,
-        query_ordinal: u32,
-        sql: &str,
-    ) -> bool {
-        // Admission first: shed fast, before any engine work. The gauge is
-        // incremented optimistically so concurrent workers race for the
-        // budget rather than past it.
-        let admitted_now = self.inflight.fetch_add(1, Ordering::AcqRel);
-        if let Some(code) = self.admit_query(io.conn_id(), query_ordinal, admitted_now) {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.counters.count_reject(code);
-            return io
-                .send(&Frame::Rejected {
-                    code,
-                    retry_after_ms: self.admission.retry_after_ms,
-                })
-                .is_ok();
+/// Thread-per-conn's hold on the global in-flight gauge, from just before
+/// the admission decision until the statement leaves the engine. Released
+/// on drop, so a panic on the way (a `Panic` armed at `net.admit`) cannot
+/// leak the slot and leave the server answering `Overloaded` forever.
+struct InflightSlot<'a> {
+    gauge: &'a AtomicU64,
+    /// Statements that held a slot when this one was taken.
+    ahead: u64,
+}
+
+impl<'a> InflightSlot<'a> {
+    fn take(gauge: &'a AtomicU64) -> Self {
+        InflightSlot {
+            gauge,
+            ahead: gauge.fetch_add(1, Ordering::AcqRel),
         }
+    }
+}
 
-        // Parent the server's span under the client's span id from the
-        // frame header; 0 means the client wasn't tracing.
-        let mut serve_span = self.tracer.as_ref().map(|t| {
-            if trace_parent != 0 {
-                t.span_with_parent("net.serve", SpanId(trace_parent))
-            } else {
-                t.span("net.serve")
-            }
-        });
-        if let Some(g) = serve_span.as_mut() {
-            g.attr("conn", io.conn_id() as i64);
-        }
-
-        let effective_deadline = self.effective_deadline_ms(deadline_ms);
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            let mut query = session.query(sql);
-            if let Some(t) = self.tracer.as_ref() {
-                query = query.traced(t);
-            }
-            if effective_deadline > 0 {
-                query = query.cancel(CancelToken::with_deadline_ms(f64::from(effective_deadline)));
-            }
-            query.run()
-        }));
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-        let result = match ran {
-            Ok(r) => r,
-            Err(payload) => {
-                // Contained engine panic: the client gets an error frame,
-                // the connection and the worker live on.
-                self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let msg = perfeval_fault::panic_message(payload.as_ref());
-                return io
-                    .send(&Frame::Error(DbError::Io(format!(
-                        "server panic while executing: {msg}"
-                    ))))
-                    .is_ok();
-            }
-        };
-
-        match result {
-            Err(DbError::Cancelled(_)) if effective_deadline > 0 => {
-                // The deadline cut the query short: partial work is
-                // discarded (bit-safely — no partial result escapes) and
-                // the client gets the typed rejection, not a DbError.
-                self.counters
-                    .cancelled_queries
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters.count_reject(RejectCode::DeadlineExceeded);
-                io.send(&Frame::Rejected {
-                    code: RejectCode::DeadlineExceeded,
-                    retry_after_ms: self.admission.retry_after_ms,
-                })
-                .is_ok()
-            }
-            Err(e) => {
-                if matches!(e, DbError::Cancelled(_)) {
-                    self.counters
-                        .cancelled_queries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                io.send(&Frame::Error(e)).is_ok()
-            }
-            Ok(r) => {
-                use perfeval_measure::Phase;
-                let rows_total = r.rows.len() as u64;
-                let mut footer = Footer {
-                    parse_ms: r.phases.phase(Phase::Parse).unwrap_or(0.0),
-                    optimize_ms: r.phases.phase(Phase::Optimize).unwrap_or(0.0),
-                    execute_ms: r.phases.phase(Phase::Execute).unwrap_or(0.0),
-                    execute_cpu_ms: r.execute_cpu_ms,
-                    serialize_ms: 0.0,
-                    rows: rows_total,
-                };
-                // Serialize + stream. The timer covers encode AND write:
-                // writes into a full bounded buffer block, and that wait is
-                // genuine serialize/transfer time, not server compute.
-                let t0 = Instant::now();
-                if io
-                    .send(&Frame::ResultHeader {
-                        columns: r.column_names,
-                    })
-                    .is_err()
-                {
-                    return false;
-                }
-                let mut rows = r.rows;
-                while !rows.is_empty() {
-                    let rest = rows.split_off(rows.len().min(ROWS_PER_BATCH));
-                    let batch = std::mem::replace(&mut rows, rest);
-                    if io.send(&Frame::RowBatch { rows: batch }).is_err() {
-                        return false;
-                    }
-                }
-                footer.serialize_ms = t0.elapsed().as_secs_f64() * 1e3;
-                if let Some(g) = serve_span.as_mut() {
-                    g.attr("rows", rows_total as i64)
-                        .attr("serialize_ms", footer.serialize_ms);
-                }
-                io.send(&Frame::Done(footer)).is_ok()
-            }
-        }
+impl Drop for InflightSlot<'_> {
+    fn drop(&mut self) {
+        self.gauge.fetch_sub(1, Ordering::AcqRel);
     }
 }

@@ -1,23 +1,34 @@
-//! The sharded server core: an event-driven, shared-nothing engine.
+//! The sharded server core: an event-driven, shared-nothing scheduler.
+//!
+//! One conversation, two schedulers: what a connection *says* — handshake,
+//! admission, statement execution, response framing — is
+//! [`crate::conversation`], shared line for line with the thread-per-conn
+//! core. This file is the other half: placement, readiness I/O and the run
+//! queue. Of the four things a scheduler supplies it gives `admitted_now` =
+//! the shard's run-queue length, `parallelism` = `1 + idle shards`, the
+//! deadline left after the wait in the run queue, and frames to the
+//! transport through a bounded queue.
 //!
 //! One acceptor (the supervisor thread) places each connection on a shard
 //! by a **pure function** of `(placement_seed, conn_id)` — see
 //! [`crate::poll::shard_for`] — so the conn→shard map is a declared design
 //! factor, reproducible across runs regardless of arrival timing. Each
-//! shard worker owns its connections outright: sessions, read buffers, and
-//! write queues are single-threaded state touched only by that shard, so
-//! there is no lock on the query path (shared-nothing by construction, the
-//! property the thread-per-connection mode only approximates statistically).
+//! shard worker owns its connections outright: conversations (and their
+//! sessions), read buffers, and write queues are single-threaded state
+//! touched only by that shard, so there is no lock on the query path
+//! (shared-nothing by construction, the property the thread-per-connection
+//! mode only approximates statistically).
 //!
 //! A shard multiplexes its connections with a [`Poll`] readiness loop:
 //! kernel sockets via epoll, loopback pipes via the zero-syscall shim.
 //! Responses stream through a **bounded per-connection write queue** (at
 //! most `queue_depth` encoded frames); when a slow reader fills it, the
-//! remaining batches wait *unencoded* in the pending response and the shard
+//! remaining rows wait *unencoded* in the pending response and the shard
 //! moves on to other connections — backpressure stalls one connection,
 //! never the shard. The stall is charged to the response's `serialize_ms`
-//! (stamped when the last batch drains, exactly the window the blocking
-//! server charges), so the timing decomposition is mode-independent.
+//! (`Done` is asked for when the last batch has drained, exactly the window
+//! the blocking server charges), so the timing decomposition is
+//! mode-independent.
 //!
 //! Cross-shard work stealing reuses the `crates/pool` morsel machinery
 //! instead of migrating connections: when a shard starts a query while
@@ -32,9 +43,9 @@
 //! work ([`perfeval_pool::affinity`]) — the borrowed core is another core.
 //!
 //! Transports that cannot signal readiness ([`EventSource::Blocking`])
-//! fall back to a dedicated thread running the same blocking
-//! `serve_connection` loop as thread-per-conn mode — containment and
-//! counters included — so exotic test transports keep working.
+//! fall back to a dedicated thread running the blocking scheduler of
+//! thread-per-conn mode — containment and counters included — so exotic
+//! test transports keep working.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -43,12 +54,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use minidb::{DbError, Value};
-use perfeval_trace::{SpanGuard, SpanId};
-
-use minidb::CancelToken;
-
-use crate::frame::{Footer, Frame, RejectCode, MAX_FRAME_LEN, PROTOCOL_VERSION, ROWS_PER_BATCH};
+use crate::conversation::{spent, Conversation, Response, Statement, Step};
+use crate::frame::{Frame, MAX_FRAME_LEN};
 use crate::poll::{pin_current_thread, shard_for, Interest, Poll, RawFd};
 use crate::server::Shared;
 use crate::transport::{EventSource, Transport};
@@ -60,7 +67,6 @@ pub(crate) struct ShardConfig {
     pub queue_depth: usize,
     pub placement_seed: u64,
     pub pin_cores: bool,
-    pub work_stealing: bool,
 }
 
 /// Live sharded-core telemetry, surfaced through `ServerHandle`.
@@ -145,21 +151,7 @@ fn accept_into_shards(
     tel: &ShardTelemetry,
     queues: &[ShardQueue],
 ) {
-    loop {
-        let transport = match shared.listener.accept() {
-            Ok(t) => t,
-            Err(_) => return, // shutdown (or listener failure)
-        };
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        // Same fault discipline as thread-per-conn: fire (delay/panic
-        // actions), then the I/O verdict.
-        shared.faults.fire("net.accept", conn_id, 1);
-        if shared.faults.io_fails("net.accept", conn_id) {
-            shared.counters.disconnects.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        shared.live_conns.fetch_add(1, Ordering::AcqRel);
+    while let Some((conn_id, transport)) = shared.accept_conn() {
         let shard = shard_for(cfg.placement_seed, conn_id, cfg.shards);
         tel.per_shard_conns[shard].fetch_add(1, Ordering::Relaxed);
         queues[shard]
@@ -236,49 +228,27 @@ fn shard_main<'scope, 'env>(
     }
 }
 
-/// A response not yet fully handed to the transport: the already-executed
-/// query's remaining row batches (unencoded — the *encoded* queue is what
-/// is bounded), its footer, and the running serialize timer.
-struct PendingResponse<'t> {
-    batches: VecDeque<Vec<Vec<Value>>>,
-    footer: Footer,
-    t0: Instant,
-    rows_total: u64,
-    done_enqueued: bool,
-    span: Option<SpanGuard<'t>>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    AwaitHello,
-    Ready,
-}
-
-/// A query admitted past the shard's budget, waiting its turn in the run
-/// queue. Its deadline keeps ticking while it waits — expiry in the queue
-/// is shed *without* touching the engine.
-struct QueuedQuery {
+/// A statement admitted past the shard's budget, waiting its turn in the
+/// run queue. Its deadline keeps ticking while it waits.
+struct Queued {
     token: usize,
-    trace_parent: u64,
-    /// Effective deadline (client header or server default); 0 = none.
-    deadline_ms: u32,
+    stmt: Statement,
     enqueued: Instant,
-    sql: String,
 }
 
 struct ShardConn<'t> {
     conn_id: u64,
     transport: Box<dyn Transport>,
     fd: Option<RawFd>,
-    state: ConnState,
-    session: Option<minidb::Session>,
+    conv: Conversation,
     inbuf: VecDeque<u8>,
     frames_read: u32,
     frames_written: u32,
-    queries_seen: u32,
     write_q: VecDeque<Vec<u8>>,
     front_pos: usize,
-    pending: Option<PendingResponse<'t>>,
+    /// A response not yet fully handed to the transport. What it still
+    /// holds is unencoded — the *encoded* queue is what is bounded.
+    pending: Option<Response<'t>>,
     /// A query from this connection sits in the shard's run queue.
     queued: bool,
     close_after_flush: bool,
@@ -312,13 +282,13 @@ struct ShardCore<'env> {
     pokes: Vec<usize>,
     /// Admitted-but-unstarted queries; its length is what the admission
     /// budget (`Admission::max_inflight`, per shard) bounds.
-    run_q: VecDeque<QueuedQuery>,
+    run_q: VecDeque<Queued>,
 }
 
 impl<'env> ShardCore<'env> {
     /// Runs one event handler with thread-per-conn-equivalent containment:
-    /// a panic (injected wire fault, server bug outside the inner query
-    /// guard) costs the connection, never the shard.
+    /// a panic (injected wire or admission fault, server bug outside the
+    /// conversation's own guard) costs the connection, never the shard.
     fn guarded(&mut self, token: usize, f: impl FnOnce(&mut Self, usize)) {
         if catch_unwind(AssertUnwindSafe(|| f(&mut *self, token))).is_err() {
             self.shared
@@ -362,12 +332,10 @@ impl<'env> ShardCore<'env> {
                 conn_id,
                 transport,
                 fd,
-                state: ConnState::AwaitHello,
-                session: None,
+                conv: Conversation::new(conn_id),
                 inbuf: VecDeque::new(),
                 frames_read: 0,
                 frames_written: 0,
-                queries_seen: 0,
                 write_q: VecDeque::new(),
                 front_pos: 0,
                 pending: None,
@@ -390,10 +358,7 @@ impl<'env> ShardCore<'env> {
         let shared = self.shared;
         std::thread::Builder::new()
             .name(format!("shard-compat-{conn_id}"))
-            .spawn_scoped(scope, move || {
-                shared.serve_blocking(transport, conn_id);
-                shared.live_conns.fetch_sub(1, Ordering::AcqRel);
-            })
+            .spawn_scoped(scope, move || shared.serve_blocking(transport, conn_id))
             .expect("spawn compat connection thread");
     }
 
@@ -467,18 +432,13 @@ impl<'env> ShardCore<'env> {
     }
 
     fn on_writable(&mut self, token: usize) {
-        if !self.flush_writes(token) {
-            return;
+        if self.conns.get(&token).is_some_and(|c| c.close_after_flush) {
+            // A draining close completes once the queue is empty.
+            self.close_after_flush(token);
+        } else if self.flush_writes(token) {
+            self.pump_response(token);
+            self.update_interest(token);
         }
-        self.pump_response(token);
-        // A draining close completes once the queue is empty.
-        if let Some(conn) = self.conns.get(&token) {
-            if conn.close_after_flush && conn.write_q.is_empty() {
-                self.drop_conn(token, false);
-                return;
-            }
-        }
-        self.update_interest(token);
     }
 
     /// Parses and dispatches complete frames from the input buffer,
@@ -512,7 +472,7 @@ impl<'env> ShardCore<'env> {
             // Fault parity with `FramedIo::recv`: 1-based frame ordinal,
             // fired before the frame is acted on.
             self.shared.faults.fire("net.read", conn_id, ordinal);
-            if self.shared.faults.io_fails("net.read", conn_id) {
+            if self.shared.faults.io_fails_at("net.read", conn_id, ordinal) {
                 self.drop_conn(token, false);
                 return;
             }
@@ -528,96 +488,33 @@ impl<'env> ShardCore<'env> {
         self.update_interest(token);
     }
 
+    /// Hands one frame to the connection's conversation. Admission happens
+    /// here, at frame-receipt time, against the run queue the shard has
+    /// already committed to: rejecting costs one frame encode — bounded,
+    /// fast, engine untouched.
     fn dispatch(&mut self, token: usize, frame: Frame) {
-        let state = match self.conns.get(&token) {
-            Some(c) => c.state,
-            None => return,
+        let shared = self.shared;
+        let admitted_now = self.run_q.len() as u64;
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
         };
-        match (state, frame) {
-            (ConnState::AwaitHello, Frame::Hello { version }) => {
-                if version != PROTOCOL_VERSION {
-                    let msg = format!(
-                        "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
-                    );
-                    self.refuse(token, DbError::Io(msg));
-                    return;
-                }
-                // Connection-bound admission: a `Hello` past the bound gets
-                // a typed rejection instead of a place in line.
-                let max_conns = self.shared.admission.max_conns as u64;
-                if max_conns > 0 && self.shared.live_conns.load(Ordering::Acquire) > max_conns {
-                    self.shared.counters.count_reject(RejectCode::Overloaded);
-                    self.send_then_close(
-                        token,
-                        &Frame::Rejected {
-                            code: RejectCode::Overloaded,
-                            retry_after_ms: self.shared.admission.retry_after_ms,
-                        },
-                    );
-                    return;
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.state = ConnState::Ready;
-                    conn.session = Some((self.shared.factory)());
-                }
-                self.send_now(
-                    token,
-                    &Frame::HelloOk {
-                        version: PROTOCOL_VERSION,
-                    },
-                );
+        match conn.conv.on_frame(shared, frame, admitted_now) {
+            Step::Send(reply) => {
+                self.send_now(token, &reply);
             }
-            (ConnState::AwaitHello, _) => {
-                // Thread-per-conn treats a missing handshake as a dead
-                // connection — no courtesy error frame.
-                self.drop_conn(token, false);
+            Step::SendThenClose(reply) => {
+                if self.send_now(token, &reply) {
+                    self.close_after_flush(token);
+                }
             }
-            (
-                ConnState::Ready,
-                Frame::Query {
-                    trace_parent,
-                    deadline_ms,
-                    sql,
-                },
-            ) => {
-                self.shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-                let (conn_id, ordinal) = match self.conns.get_mut(&token) {
-                    Some(conn) => {
-                        conn.queries_seen += 1;
-                        (conn.conn_id, conn.queries_seen)
-                    }
-                    None => return,
-                };
-                // Admission at frame-receipt time: the budget is the run
-                // queue the shard has already committed to. Rejecting here
-                // costs one frame encode — bounded, fast, engine untouched.
-                if let Some(code) =
-                    self.shared
-                        .admit_query(conn_id, ordinal, self.run_q.len() as u64)
-                {
-                    self.shared.counters.count_reject(code);
-                    self.send_reject(token, code);
-                    return;
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.queued = true;
-                }
-                self.run_q.push_back(QueuedQuery {
+            Step::Close { clean } => self.drop_conn(token, clean),
+            Step::Run(stmt) => {
+                conn.queued = true;
+                self.run_q.push_back(Queued {
                     token,
-                    trace_parent,
-                    deadline_ms: self.shared.effective_deadline_ms(deadline_ms),
+                    stmt,
                     enqueued: Instant::now(),
-                    sql,
                 });
-            }
-            (ConnState::Ready, Frame::Bye) => {
-                self.drop_conn(token, true);
-            }
-            (ConnState::Ready, _) => {
-                self.refuse(
-                    token,
-                    DbError::Io("protocol violation: expected Query or Bye".to_owned()),
-                );
             }
         }
     }
@@ -628,323 +525,104 @@ impl<'env> ShardCore<'env> {
         self.enqueue_frame(token, frame) && self.flush_writes(token)
     }
 
-    /// Sends an error frame and closes once it has flushed — a refused
-    /// connection still counts as a disconnect, like thread-per-conn.
-    fn refuse(&mut self, token: usize, err: DbError) {
-        self.send_then_close(token, &Frame::Error(err));
-    }
-
-    /// Sends one frame and closes the connection once it has flushed.
-    fn send_then_close(&mut self, token: usize, frame: &Frame) {
-        if !self.send_now(token, frame) {
+    /// Closes the connection once everything already queued has flushed —
+    /// at once if nothing is. It counts as a disconnect, like a refused
+    /// connection under thread-per-conn.
+    fn close_after_flush(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.close_after_flush = true;
+        conn.pending = None;
+        if !self.flush_writes(token) {
             return;
         }
-        let drained = match self.conns.get_mut(&token) {
-            Some(conn) => {
-                conn.close_after_flush = true;
-                conn.write_q.is_empty()
-            }
-            None => return,
-        };
-        if drained {
+        if self.conns.get(&token).is_some_and(|c| c.write_q.is_empty()) {
             self.drop_conn(token, false);
         } else {
             self.update_interest(token);
         }
     }
 
-    /// Answers one query with a typed rejection; the connection stays up —
-    /// shedding refuses work, not clients.
-    fn send_reject(&mut self, token: usize, code: RejectCode) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.queued = false;
-        }
-        self.send_now(
-            token,
-            &Frame::Rejected {
-                code,
-                retry_after_ms: self.shared.admission.retry_after_ms,
-            },
-        );
-        self.update_interest(token);
-    }
-
     /// Executes everything admitted to the run queue this iteration, in
-    /// arrival order. Deadlines that expired while queued are shed here —
-    /// a typed rejection, zero engine work, the queue slot freed in
-    /// bounded time.
+    /// arrival order.
     fn drain_run_queue(&mut self) {
         while let Some(q) = self.run_q.pop_front() {
-            let token = q.token;
-            match self.conns.get_mut(&token) {
-                Some(conn) => conn.queued = false,
-                None => continue, // connection died while the query waited
-            }
-            self.guarded(token, move |c, t| c.execute_queued(t, q));
+            self.guarded(q.token, move |c, t| c.execute_queued(t, q));
         }
     }
 
-    /// Runs one dequeued query: sheds it if its deadline already passed,
-    /// otherwise executes under a cancel token covering the time left.
-    fn execute_queued(&mut self, token: usize, q: QueuedQuery) {
-        let deadline_remaining_ms = if q.deadline_ms > 0 {
-            let waited_ms = q.enqueued.elapsed().as_secs_f64() * 1e3;
-            let remaining = f64::from(q.deadline_ms) - waited_ms;
-            if remaining <= 0.0 {
-                self.shared
-                    .counters
-                    .count_reject(RejectCode::DeadlineExceeded);
-                self.send_reject(token, RejectCode::DeadlineExceeded);
-                return;
-            }
-            Some(remaining)
-        } else {
-            None
+    /// Runs one dequeued statement on the shard thread — shared-nothing —
+    /// under the deadline queueing left it, and starts streaming the
+    /// response.
+    fn execute_queued(&mut self, token: usize, q: Queued) {
+        let (shared, tel) = (self.shared, self.tel);
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return; // connection died while the query waited
         };
-        self.answer_query(token, q.trace_parent, deadline_remaining_ms, &q.sql);
-    }
-
-    /// Runs one query on the connection's session and starts streaming the
-    /// response. The engine runs *on the shard thread* — shared-nothing —
-    /// but with parallelism borrowed from idle shards when stealing is on.
-    fn answer_query(
-        &mut self,
-        token: usize,
-        trace_parent: u64,
-        deadline_remaining_ms: Option<f64>,
-        sql: &str,
-    ) {
-        let conn_id = match self.conns.get(&token) {
-            Some(c) => c.conn_id,
-            None => return,
-        };
-        let mut span = self.shared.tracer.as_ref().map(|t| {
-            if trace_parent != 0 {
-                t.span_with_parent("net.serve", SpanId(trace_parent))
-            } else {
-                t.span("net.serve")
-            }
-        });
-        if let Some(g) = span.as_mut() {
-            g.attr("conn", conn_id as i64);
-        }
-
+        conn.queued = false;
+        let deadline_left_ms = q.stmt.deadline_left_ms(q.enqueued.elapsed());
         // Work stealing: idle shards are parked in their readiness waits;
         // borrow their cores through the engine's morsel parallelism. The
         // answer is bit-identical at any parallelism (the PR 3 invariant),
-        // so stealing is purely a latency lever.
-        let borrowed = if self.cfg.work_stealing {
-            1 + self
-                .tel
-                .idle_shards
-                .load(Ordering::Acquire)
-                .min(self.cfg.shards.saturating_sub(1))
+        // so stealing is purely a latency lever. A statement whose deadline
+        // ran out in the queue is shed before the engine and borrows nobody.
+        let idle = if spent(deadline_left_ms) {
+            0
         } else {
-            1
+            tel.idle_shards.load(Ordering::Acquire)
         };
-        if borrowed > 1 {
-            self.tel.steal_borrows.fetch_add(1, Ordering::Relaxed);
+        let parallelism = 1 + idle.min(self.cfg.shards.saturating_sub(1));
+        if parallelism > 1 {
+            tel.steal_borrows.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(g) = span.as_mut() {
-            g.attr("shard_parallelism", borrowed as i64);
-        }
-
-        let tracer = self.shared.tracer.as_ref();
-        let ran = {
-            let session = self
-                .conns
-                .get_mut(&token)
-                .and_then(|c| c.session.as_mut())
-                .expect("Ready connections have a session");
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut query = session.query(sql);
-                if let Some(t) = tracer {
-                    query = query.traced(t);
-                }
-                if borrowed > 1 {
-                    query = query.parallelism(borrowed);
-                }
-                if let Some(ms) = deadline_remaining_ms {
-                    query = query.cancel(CancelToken::with_deadline_ms(ms));
-                }
-                query.run()
-            }))
-        };
-        let result = match ran {
-            Ok(r) => r,
-            Err(payload) => {
-                // Contained engine panic: error frame to the client, the
-                // connection and the shard live on.
-                self.shared
-                    .counters
-                    .worker_panics
-                    .fetch_add(1, Ordering::Relaxed);
-                let msg = perfeval_fault::panic_message(payload.as_ref());
-                self.send_now(
-                    token,
-                    &Frame::Error(DbError::Io(format!("server panic while executing: {msg}"))),
-                );
-                self.update_interest(token);
-                return;
-            }
-        };
-
-        match result {
-            Err(DbError::Cancelled(_)) if deadline_remaining_ms.is_some() => {
-                // The deadline cut the query short mid-flight: partial
-                // work is discarded (bit-safely) and the client gets the
-                // typed rejection; the session and connection live on.
-                self.shared
-                    .counters
-                    .cancelled_queries
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .counters
-                    .count_reject(RejectCode::DeadlineExceeded);
-                self.send_reject(token, RejectCode::DeadlineExceeded);
-            }
-            Err(e) => {
-                if matches!(e, DbError::Cancelled(_)) {
-                    self.shared
-                        .counters
-                        .cancelled_queries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                self.send_now(token, &Frame::Error(e));
-                self.update_interest(token);
-            }
-            Ok(r) => {
-                use perfeval_measure::Phase;
-                let rows_total = r.rows.len() as u64;
-                let footer = Footer {
-                    parse_ms: r.phases.phase(Phase::Parse).unwrap_or(0.0),
-                    optimize_ms: r.phases.phase(Phase::Optimize).unwrap_or(0.0),
-                    execute_ms: r.phases.phase(Phase::Execute).unwrap_or(0.0),
-                    execute_cpu_ms: r.execute_cpu_ms,
-                    serialize_ms: 0.0,
-                    rows: rows_total,
-                };
-                // The serialize timer starts here and stops when the last
-                // batch drains — encode, queueing, and any slow-reader
-                // stall all land in `serialize_ms`, matching the blocking
-                // server's charge.
-                let t0 = Instant::now();
-                let mut batches = VecDeque::new();
-                let mut rows = r.rows;
-                while !rows.is_empty() {
-                    let rest = rows.split_off(rows.len().min(ROWS_PER_BATCH));
-                    batches.push_back(std::mem::replace(&mut rows, rest));
-                }
-                if !self.enqueue_frame(
-                    token,
-                    &Frame::ResultHeader {
-                        columns: r.column_names,
-                    },
-                ) {
-                    return;
-                }
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.pending = Some(PendingResponse {
-                        batches,
-                        footer,
-                        t0,
-                        rows_total,
-                        done_enqueued: false,
-                        span,
-                    });
-                }
-                self.pump_response(token);
-                self.update_interest(token);
-            }
-        }
+        let response = conn
+            .conv
+            .run(shared, q.stmt, Some(parallelism), deadline_left_ms);
+        conn.pending = Some(response);
+        self.pump_response(token);
+        self.update_interest(token);
     }
 
-    /// Moves pending batches into the bounded write queue and flushes; when
-    /// everything drains, stamps `serialize_ms`, sends `Done`, and resumes
-    /// reads.
+    /// Moves the pending response into the bounded write queue and flushes:
+    /// the next frame is asked for only while the queue has room, `Done` —
+    /// and with it the end of the serialize window — only once the queue is
+    /// empty, so a slow reader's stall lands in `serialize_ms` exactly as a
+    /// blocking write's would. When `Done` has drained too, reads resume.
     fn pump_response(&mut self, token: usize) {
+        let depth = self.cfg.queue_depth;
         loop {
-            // Stage at most one batch per iteration, respecting the depth
-            // bound; the borrow of the pending response ends before the
-            // enqueue call needs `self`.
-            let staged = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let Some(p) = conn.pending.as_mut() else {
-                    return;
-                };
-                if conn.write_q.len() < self.cfg.queue_depth {
-                    p.batches.pop_front()
-                } else {
-                    None
-                }
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
             };
-            if let Some(batch) = staged {
-                if !self.enqueue_frame(token, &Frame::RowBatch { rows: batch }) {
+            let Some(p) = conn.pending.as_mut() else {
+                return;
+            };
+            let queued = conn.write_q.len();
+            let staged = match queued {
+                0 => p.next_frame().or_else(|| p.done()),
+                n if n < depth => p.next_frame(),
+                _ => None,
+            };
+            if let Some(frame) = staged {
+                if !self.enqueue_frame(token, &frame) {
                     return; // connection died mid-response
                 }
-                continue;
-            }
-            if !self.flush_writes(token) {
+            } else if queued == 0 {
+                // Fully delivered: close the serve span, resume reads, and
+                // poke ourselves to parse anything that queued up while
+                // paused.
+                conn.pending = None;
+                self.pokes.push(token);
+                self.update_interest(token);
                 return;
-            }
-            // Re-examine: queue full means wait for writable; batches left
-            // means loop; all drained means finish with Done.
-            enum Next {
-                Wait,
-                Refill,
-                SendDone(Frame),
-                Complete,
-            }
-            let next = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let Some(p) = conn.pending.as_mut() else {
-                    return;
-                };
-                if !conn.write_q.is_empty() {
-                    Next::Wait
-                } else if !p.batches.is_empty() {
-                    Next::Refill
-                } else if !p.done_enqueued {
-                    // The last row byte is with the transport: the
-                    // serialize window closes, exactly like the blocking
-                    // server stamping before its `Done`.
-                    p.footer.serialize_ms = p.t0.elapsed().as_secs_f64() * 1e3;
-                    p.done_enqueued = true;
-                    let rows_total = p.rows_total as i64;
-                    let serialize_ms = p.footer.serialize_ms;
-                    if let Some(g) = p.span.as_mut() {
-                        g.attr("rows", rows_total)
-                            .attr("serialize_ms", serialize_ms);
-                    }
-                    Next::SendDone(Frame::Done(p.footer))
-                } else {
-                    Next::Complete
-                }
-            };
-            match next {
-                Next::Wait => return, // resume on the next writable event
-                Next::Refill => continue,
-                Next::SendDone(done) => {
-                    if !self.send_now(token, &done) {
-                        return;
-                    }
-                    continue; // loop once more to reach Complete (or Wait)
-                }
-                Next::Complete => {
-                    // Fully delivered: close the serve span, resume reads,
-                    // and poke ourselves to parse anything that queued up
-                    // while paused.
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.pending = None;
-                    }
-                    self.pokes.push(token);
-                    self.update_interest(token);
-                    return;
-                }
+            } else if !self.flush_writes(token)
+                || self
+                    .conns
+                    .get(&token)
+                    .is_some_and(|c| !c.write_q.is_empty())
+            {
+                return; // dead, or resume on the next writable event
             }
         }
     }
@@ -952,25 +630,23 @@ impl<'env> ShardCore<'env> {
     /// Appends one encoded frame to the bounded write queue, with
     /// `FramedIo::send` fault parity. Returns false if the connection died.
     fn enqueue_frame(&mut self, token: usize, frame: &Frame) -> bool {
-        let (conn_id, ordinal) = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            conn.frames_written += 1;
-            (conn.conn_id, conn.frames_written)
-        };
-        self.shared.faults.fire("net.write", conn_id, ordinal);
-        if self.shared.faults.io_fails("net.write", conn_id) {
-            self.drop_conn(token, false);
-            return false;
-        }
+        let faults = &self.shared.faults;
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
+        conn.frames_written += 1;
+        faults.fire("net.write", conn.conn_id, conn.frames_written);
+        if faults.io_fails_at("net.write", conn.conn_id, conn.frames_written) {
+            // The failure is this frame's alone: what is queued ahead of it
+            // counts as written, as it would be under blocking writes.
+            self.close_after_flush(token);
+            return false;
+        }
         conn.write_q.push_back(frame.encode());
+        let queued = conn.write_q.len() as u64;
         self.tel
             .write_queue_peak
-            .fetch_max(conn.write_q.len() as u64, Ordering::Relaxed);
+            .fetch_max(queued, Ordering::Relaxed);
         true
     }
 

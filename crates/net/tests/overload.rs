@@ -374,3 +374,46 @@ fn max_inflight_sheds_concurrent_query_thread_per_conn() {
     assert!(stats.rejected_overload >= 1);
     assert_eq!(stats.disconnects, 0);
 }
+
+/// A `Panic` armed at `net.admit` unwinds out of the admission decision
+/// with the connection's in-flight slot already taken. The slot must come
+/// back: with a 1-query budget, a leaked slot would make the server answer
+/// `Overloaded` forever.
+#[test]
+fn admit_panic_gives_its_inflight_slot_back_thread_per_conn() {
+    let faults = Arc::new(FaultRegistry::new(1).armed_always(
+        "net.admit",
+        Trigger::Key(0),
+        FaultAction::Panic,
+    ));
+    let ep = LoopbackEndpoint::new();
+    let dial = ep.connector();
+    let server = Server::builder()
+        .transport(ep)
+        .mode(ServerMode::ThreadPerConn { workers: 2 })
+        .admission(Admission::default().max_inflight(1))
+        .with_faults(faults)
+        .serve(|| Session::new(catalog()));
+
+    // Connection 0: its first admission decision panics; the worker
+    // contains it and the connection is gone.
+    let mut doomed = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
+    match doomed.query(Q_BEFORE) {
+        Err(NetError::Io(_)) => {}
+        other => panic!("expected a dead connection, got {other:?}"),
+    }
+
+    // Connection 1 finds the budget free and is answered bit-identically
+    // to an in-process run.
+    let mut serial = Session::new(catalog());
+    let want = serial.query(Q_AFTER).run().unwrap().rows;
+    let mut next = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
+    let r = next.query(Q_AFTER).unwrap();
+    assert_rows_bit_identical(&r.rows, &want);
+    next.close().unwrap();
+
+    let stats = server.wait();
+    assert_eq!(stats.worker_panics, 1);
+    assert_eq!(stats.disconnects, 1);
+    assert_eq!(stats.rejected_overload, 0, "no slot leaked");
+}

@@ -1,13 +1,14 @@
 //! Behavioral contracts specific to the sharded server core: bounded write
 //! queues under a slow reader (backpressure that is *charged to serialize*,
-//! never unbounded memory), and deterministic connection→shard placement.
+//! never unbounded memory), deterministic connection→shard placement, and
+//! the wire-fault parity with the thread-per-conn core the docs promise.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use minidb::{Catalog, DataType, Session, TableBuilder, Value};
 use minidb_net::{Client, Frame, FramedIo, LoopbackEndpoint, Server, ServerMode, PROTOCOL_VERSION};
-use perfeval_fault::FaultRegistry;
+use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
 
 fn catalog(rows: i64) -> Catalog {
     let mut catalog = Catalog::new();
@@ -161,27 +162,26 @@ fn shard_placement_is_deterministic_under_a_seed() {
     );
 }
 
-/// Queries answered with work stealing on and off are bit-identical — idle
+/// Queries answered with and without borrowed cores are bit-identical — idle
 /// shards lend parallelism, which may change the morsel schedule but never
-/// the answer.
+/// the answer. One shard has no lender; a lone query on four borrows.
 #[test]
 fn work_stealing_changes_timing_never_answers() {
-    let run = |stealing: bool| -> Vec<Vec<Value>> {
+    let run = |shards: usize| -> Vec<Vec<Value>> {
         let ep = LoopbackEndpoint::new();
         let dial = ep.connector();
         let server = Server::builder()
             .transport(ep)
             .mode(ServerMode::Sharded {
-                shards: 4,
+                shards,
                 queue_depth: 16,
             })
-            .work_stealing(stealing)
             .serve(|| Session::new(catalog(10_000)));
         let mut c = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
         let r = c.query("SELECT SUM(y), MAX(x) FROM nums").unwrap();
         let rows = r.rows;
         c.close().unwrap();
-        if stealing {
+        if shards > 1 {
             assert!(
                 server.steal_borrows() > 0,
                 "a lone query on a 4-shard server should borrow idle cores"
@@ -192,8 +192,8 @@ fn work_stealing_changes_timing_never_answers() {
         server.wait();
         rows
     };
-    let with = run(true);
-    let without = run(false);
+    let with = run(4);
+    let without = run(1);
     assert_eq!(with.len(), without.len());
     for (a, b) in with.iter().zip(&without) {
         for (x, y) in a.iter().zip(b) {
@@ -202,6 +202,92 @@ fn work_stealing_changes_timing_never_answers() {
                 _ => assert_eq!(x, y),
             }
         }
+    }
+}
+
+/// Fault parity across the cores: `net.write` is keyed by connection and
+/// frame ordinal on the server side of both, so a `FailIo` armed at frame
+/// `k` of one connection — inside a multi-batch answer — cuts that stream
+/// after the same `k - 1` delivered frames whichever core serves it, counts
+/// one disconnect, and leaves the other connection alone.
+#[test]
+fn injected_write_failure_cuts_the_stream_at_the_same_frame_in_both_cores() {
+    // 2 000 rows = 8 batches: HelloOk, ResultHeader, 8 x RowBatch, Done are
+    // frames 1..=11 of the connection. Frame 5 is the third RowBatch.
+    const CUT_AT: u32 = 5;
+    let modes = [
+        ServerMode::ThreadPerConn { workers: 2 },
+        ServerMode::Sharded {
+            shards: 1,
+            queue_depth: 64,
+        },
+        ServerMode::Sharded {
+            shards: 4,
+            queue_depth: 64,
+        },
+    ];
+    for mode in modes {
+        let faults = Arc::new(FaultRegistry::new(1).armed_always(
+            "net.write",
+            Trigger::KeyAttempt {
+                key: 1,
+                attempt: CUT_AT,
+            },
+            FaultAction::FailIo,
+        ));
+        let ep = LoopbackEndpoint::new();
+        let dial = ep.connector();
+        let server = Server::builder()
+            .transport(ep)
+            .mode(mode)
+            .with_faults(faults)
+            .serve(|| Session::new(catalog(2_000)));
+
+        // Sequential dials: the bystander is connection 0, the victim 1.
+        let mut bystander = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
+        let mut victim = FramedIo::new(
+            Box::new(dial.connect().unwrap()),
+            Arc::new(FaultRegistry::disabled()),
+            1,
+        );
+        victim
+            .send(&Frame::Hello {
+                version: PROTOCOL_VERSION,
+            })
+            .unwrap();
+        victim
+            .send(&Frame::Query {
+                trace_parent: 0,
+                deadline_ms: 0,
+                sql: "SELECT x, y FROM nums".into(),
+            })
+            .unwrap();
+        let mut got = Vec::new();
+        while let Ok(frame) = victim.recv() {
+            got.push(frame);
+        }
+        let shape: Vec<&str> = got
+            .iter()
+            .map(|f| match f {
+                Frame::HelloOk { .. } => "HelloOk",
+                Frame::ResultHeader { .. } => "ResultHeader",
+                Frame::RowBatch { .. } => "RowBatch",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            ["HelloOk", "ResultHeader", "RowBatch", "RowBatch"],
+            "{mode:?}: frames 1..{CUT_AT} arrive, frame {CUT_AT} and the rest never do"
+        );
+
+        let r = bystander.query("SELECT x, y FROM nums").unwrap();
+        assert_eq!(r.rows.len(), 2_000, "{mode:?}: the other connection");
+        bystander.close().unwrap();
+        let stats = server.wait();
+        assert_eq!(stats.connections, 2, "{mode:?}");
+        assert_eq!(stats.disconnects, 1, "{mode:?}: only the cut connection");
+        assert_eq!(stats.worker_panics, 0, "{mode:?}");
     }
 }
 
