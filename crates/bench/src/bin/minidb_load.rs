@@ -50,7 +50,9 @@ use std::sync::Arc;
 
 use minidb::{Catalog, Session};
 use minidb_net::{BackoffPolicy, Server, ServerMode, TcpEndpoint, TcpTransport, Transport};
-use perfeval_bench::{banner, catalog_at, print_environment, BENCH_SCALE_FACTOR};
+use perfeval_bench::{
+    banner, catalog_at, print_environment, print_wire_protocol, BENCH_SCALE_FACTOR,
+};
 use perfeval_harness::Properties;
 use perfeval_load::{expected_checksums, Arrival, Dialer, LoadRunner, LoadSpec};
 use workload::queries;
@@ -76,6 +78,7 @@ fn run(spec: LoadSpec, addr: &str, sf: f64, verify: bool, reps: usize) {
     }
     let report = runner.run_replicated(reps);
     println!();
+    print_wire_protocol();
     for line in report.render_lines() {
         println!("{line}");
     }

@@ -49,7 +49,9 @@ use minidb_net::{
     Admission, Client, NetError, RejectCode, Server, ServerMode, TcpEndpoint, TcpTransport,
     DEFAULT_QUEUE_DEPTH,
 };
-use perfeval_bench::{banner, catalog_at, print_environment, BENCH_SCALE_FACTOR};
+use perfeval_bench::{
+    banner, catalog_at, print_environment, print_wire_protocol, BENCH_SCALE_FACTOR,
+};
 use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
 use perfeval_harness::Properties;
 use workload::queries;
@@ -60,6 +62,8 @@ fn main() {
         "the E21/E23/E25 substrate",
     );
     print_environment();
+    print_wire_protocol();
+    println!();
 
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");

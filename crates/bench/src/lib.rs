@@ -174,6 +174,15 @@ pub fn banner(experiment: &str, slide: &str) {
     println!("{}", "=".repeat(72));
 }
 
+/// The wire protocol a served experiment speaks — the client/driver
+/// configuration is part of what a report must state.
+pub fn print_wire_protocol() {
+    println!(
+        "wire protocol: version {} (results stream as ColumnBatch frames)",
+        minidb_net::PROTOCOL_VERSION
+    );
+}
+
 /// Environment line printed by every experiment: "document what you do".
 pub fn print_environment() {
     let spec = perfeval_measure::EnvSpec::capture();

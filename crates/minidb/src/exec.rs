@@ -30,6 +30,7 @@ use crate::table::Table;
 use crate::types::{DataType, Value};
 use perfeval_trace::{SpanGuard, Tracer};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,6 +94,68 @@ impl ResultSet {
             .iter()
             .map(|r| r.iter().map(|v| v.render().len() + 1).sum::<usize>())
             .sum()
+    }
+}
+
+/// Rows built out of columns by [`ResultData::into_rows`] since process
+/// start.
+static ROWS_TRANSPOSED: AtomicU64 = AtomicU64::new(0);
+
+/// Total rows the crate's one column→row transposition has built so far.
+///
+/// Process-global and monotone, like
+/// [`scan_concat_bytes`](crate::column::scan_concat_bytes). An in-process
+/// [`Executor::run`] of the batch engine moves it by the result's row
+/// count; a statement served over `minidb-net` must not move it — its
+/// columns go to the socket as they are.
+pub fn rows_transposed() -> u64 {
+    ROWS_TRANSPOSED.load(Ordering::Relaxed)
+}
+
+/// A result as the engine left it, before anyone asked for rows.
+#[derive(Debug, Clone)]
+pub struct ColumnarResult {
+    /// Output column names.
+    pub column_names: Vec<String>,
+    /// The values.
+    pub data: ResultData,
+}
+
+/// The values of a result in the shape the engine tier produced them.
+#[derive(Debug, Clone)]
+pub enum ResultData {
+    /// The batch engine's typed columns, one per output column, all of one
+    /// length and none holding NULL.
+    Columns(Vec<Arc<Column>>),
+    /// The debug interpreter's rows (and the one cell of a DDL/DML
+    /// answer): they may hold NULL and mix types within a column, so they
+    /// have no typed-column form.
+    Rows(Vec<Vec<Value>>),
+}
+
+impl ResultData {
+    /// Number of rows.
+    pub fn row_count(&self) -> usize {
+        match self {
+            ResultData::Columns(cols) => cols.first().map_or(0, |c| c.len()),
+            ResultData::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// The rows: the crate's one transposition, counted by
+    /// [`rows_transposed`]. Rows that already exist are handed over as
+    /// they are and count nothing.
+    pub fn into_rows(self) -> Vec<Vec<Value>> {
+        match self {
+            ResultData::Rows(rows) => rows,
+            ResultData::Columns(cols) => {
+                let n = cols.first().map_or(0, |c| c.len());
+                ROWS_TRANSPOSED.fetch_add(n as u64, Ordering::Relaxed);
+                (0..n)
+                    .map(|i| cols.iter().map(|c| c.get(i)).collect())
+                    .collect()
+            }
+        }
     }
 }
 
@@ -604,25 +667,33 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Runs the plan to a materialized result.
+    /// Runs the plan to a materialized result: [`Executor::run_columns`],
+    /// then the transposition.
     pub fn run(&mut self, plan: &Plan) -> Result<ResultSet, DbError> {
+        let ColumnarResult { column_names, data } = self.run_columns(plan)?;
+        Ok(ResultSet {
+            column_names,
+            rows: data.into_rows(),
+        })
+    }
+
+    /// Runs the plan and stops where the engine stops: the batch engine's
+    /// columns are returned as they are, no row is built.
+    pub fn run_columns(&mut self, plan: &Plan) -> Result<ColumnarResult, DbError> {
         self.profile.clear();
         let result = match self.mode {
             ExecMode::Debug => {
                 let (schema, rows) = self.run_rows(plan, 0)?;
-                ResultSet {
+                ColumnarResult {
                     column_names: schema.into_iter().map(|(n, _)| n).collect(),
-                    rows,
+                    data: ResultData::Rows(rows),
                 }
             }
             ExecMode::Optimized | ExecMode::Simd => {
                 let batch = self.run_batch(plan, 0)?;
-                let rows = (0..batch.row_count())
-                    .map(|i| batch.cols.iter().map(|c| c.get(i)).collect())
-                    .collect();
-                ResultSet {
+                ColumnarResult {
                     column_names: batch.names,
-                    rows,
+                    data: ResultData::Columns(batch.cols),
                 }
             }
         };

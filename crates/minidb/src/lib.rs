@@ -81,7 +81,7 @@ pub use column::Column;
 pub use error::DbError;
 pub use exec::ExecMode;
 pub use plan::Plan;
-pub use session::{Query, QueryResult, Session};
+pub use session::{Query, QueryColumns, QueryResult, Session};
 pub use sink::{FileSink, NullSink, ResultSink, TerminalSink};
 pub use storage::{Storage, StoreConfig};
 pub use table::{Table, TableBuilder};

@@ -17,7 +17,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::exec::{ExecMode, Executor, ProfileEntry, ResultSet};
+use crate::exec::{ColumnarResult, ExecMode, Executor, ProfileEntry, ResultData, ResultSet};
 use crate::optimizer::{optimize, OptimizerConfig};
 use crate::parser::{parse_statement, to_plan, Statement};
 use crate::plan::Plan;
@@ -25,7 +25,7 @@ use crate::sink::{NullSink, ResultSink};
 use crate::types::Value;
 use perfeval_fault::FaultRegistry;
 use perfeval_measure::{Clock, CpuClock, Measurement, Phase, PhaseTimer};
-use perfeval_trace::Tracer;
+use perfeval_trace::{SpanGuard, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,6 +102,32 @@ impl QueryResult {
     pub fn row_count(&self) -> usize {
         self.rows.len()
     }
+}
+
+/// What [`Query::run_columns`] returns: a statement parsed, optimized and
+/// executed, its result still in the shape the engine produced — no row
+/// built, nothing printed. [`Query::run`] is this plus the transposition
+/// and the sink; `minidb-net`'s server sends the columns as they are.
+pub struct QueryColumns<'q> {
+    /// Output column names.
+    pub column_names: Vec<String>,
+    /// The values, as columns (batch engine) or rows (debug interpreter,
+    /// DDL/DML).
+    pub data: ResultData,
+    /// Real (wall-clock) parse / optimize / execute breakdown, ms; execute
+    /// ends where the engine returned its columns.
+    pub phases: Measurement,
+    /// CPU ("user") time of the execute phase, ms.
+    pub execute_cpu_ms: f64,
+    /// Per-operator profile trace.
+    pub profile: Vec<ProfileEntry>,
+    /// See [`QueryResult::store_logical_reads`].
+    pub store_logical_reads: u64,
+    /// See [`QueryResult::store_physical_reads`].
+    pub store_physical_reads: u64,
+    /// The statement's `query` span, open until this is dropped so that
+    /// `run`'s print phase still nests under it.
+    root: Option<SpanGuard<'q>>,
 }
 
 /// A database session.
@@ -326,12 +352,84 @@ impl<'s, 'q> Query<'s, 'q> {
     }
 
     /// Parses, optimizes, executes, and prints the statement, returning the
-    /// timed result.
-    pub fn run(self) -> Result<QueryResult, DbError> {
+    /// timed result: [`Query::run_columns`], then the rows, then the sink.
+    pub fn run(mut self) -> Result<QueryResult, DbError> {
+        let mut null = NullSink;
+        let sink: &mut dyn ResultSink = match self.sink.take() {
+            Some(s) => s,
+            None => &mut null,
+        };
+        let tracer = self.tracer;
+        let QueryColumns {
+            column_names,
+            data,
+            phases,
+            mut execute_cpu_ms,
+            profile,
+            store_logical_reads,
+            store_physical_reads,
+            root,
+        } = self.run_columns()?;
+        let mut timer = PhaseTimer::new();
+        for (name, ms) in phases.phases() {
+            timer.record(name, *ms);
+        }
+
+        // Rows. For an in-process caller the transposition is part of
+        // producing the answer, so it stays on the execute account, wall
+        // and CPU. Rows that already exist cost and charge nothing.
+        let transposes = matches!(data, ResultData::Columns(_));
+        let cpu = CpuClock::new();
+        let (cpu0, t0) = (cpu.now_ns(), Instant::now());
+        let result = ResultSet {
+            column_names,
+            rows: data.into_rows(),
+        };
+        if transposes {
+            timer.record_phase(Phase::Execute, t0.elapsed().as_secs_f64() * 1e3);
+            execute_cpu_ms += cpu.now_ns().saturating_sub(cpu0) as f64 / 1e6;
+        }
+
+        // Print — unless parse was the whole statement: a DDL/DML answer
+        // reports its one cell and never reaches the sink.
+        let mut printed = None;
+        if phases.phase(Phase::Execute).is_some() {
+            let t3 = Instant::now();
+            let mut print_span = tracer.map(|t| t.span("print"));
+            let report = sink.consume(&result)?;
+            if let Some(g) = print_span.as_mut() {
+                g.attr("bytes", report.bytes)
+                    .attr("sim_print_ms", report.sim_overhead_ms);
+            }
+            drop(print_span);
+            timer.record_phase(Phase::Print, t3.elapsed().as_secs_f64() * 1e3);
+            printed = Some(report);
+        }
+        drop(root);
+
+        let ResultSet { column_names, rows } = result;
+        Ok(QueryResult {
+            column_names,
+            rows,
+            phases: timer.finish(),
+            execute_cpu_ms,
+            sim_print_ms: printed.map_or(0.0, |r| r.sim_overhead_ms),
+            result_bytes: printed.map_or(0, |r| r.bytes),
+            profile,
+            store_logical_reads,
+            store_physical_reads,
+        })
+    }
+
+    /// Parses, optimizes and executes the statement and stops there: the
+    /// result keeps the shape the engine produced, and the batch engine
+    /// builds no row. A [`sink`](Self::sink) is not fed — sinks consume
+    /// rows.
+    pub fn run_columns(self) -> Result<QueryColumns<'q>, DbError> {
         let Query {
             session,
             sql,
-            sink,
+            sink: _,
             tracer,
             parallelism,
             morsel_rows,
@@ -347,11 +445,6 @@ impl<'s, 'q> Query<'s, 'q> {
             (Some(t), None) => Some(t),
             (None, Some(ms)) => Some(crate::cancel::CancelToken::with_deadline_ms(ms)),
             (Some(t), Some(ms)) => Some(t.deadline_in_ms(ms)),
-        };
-        let mut null = NullSink;
-        let sink: &mut dyn ResultSink = match sink {
-            Some(s) => s,
-            None => &mut null,
         };
 
         let statement = session.statements;
@@ -441,7 +534,7 @@ impl<'s, 'q> Query<'s, 'q> {
             if let Some(t) = tracer {
                 executor = executor.with_tracer(t);
             }
-            let result = executor.run(&plan)?;
+            let result = executor.run_columns(&plan)?;
             (result, executor.profile().to_vec())
         };
         let execute_cpu_ms = cpu.now_ns().saturating_sub(cpu0) as f64 / 1e6;
@@ -452,8 +545,9 @@ impl<'s, 'q> Query<'s, 'q> {
             _ => None,
         };
         session.last_store_io = store_io;
+        let ColumnarResult { column_names, data } = result;
         if let Some(g) = exec_span.as_mut() {
-            g.attr("rows_out", result.row_count())
+            g.attr("rows_out", data.row_count())
                 .attr("cpu_ms", execute_cpu_ms);
             if let Some(c) = &store_io {
                 g.attr("pool_hits", c.hits())
@@ -463,31 +557,18 @@ impl<'s, 'q> Query<'s, 'q> {
         drop(exec_span);
         timer.record_phase(Phase::Execute, execute_wall_ms);
 
-        // Print.
-        let t3 = Instant::now();
-        let mut print_span = tracer.map(|t| t.span("print"));
-        let report = sink.consume(&result)?;
-        if let Some(g) = print_span.as_mut() {
-            g.attr("bytes", report.bytes)
-                .attr("sim_print_ms", report.sim_overhead_ms);
-        }
-        drop(print_span);
-        timer.record_phase(Phase::Print, t3.elapsed().as_secs_f64() * 1e3);
-
-        let ResultSet { column_names, rows } = result;
         if let Some(g) = root.as_mut() {
-            g.attr("rows", rows.len());
+            g.attr("rows", data.row_count());
         }
-        Ok(QueryResult {
+        Ok(QueryColumns {
             column_names,
-            rows,
+            data,
             phases: timer.finish(),
             execute_cpu_ms,
-            sim_print_ms: report.sim_overhead_ms,
-            result_bytes: report.bytes,
             profile,
             store_logical_reads: store_io.as_ref().map_or(0, |c| c.logical_reads),
             store_physical_reads: store_io.as_ref().map_or(0, |c| c.physical_reads),
+            root,
         })
     }
 }
@@ -508,17 +589,16 @@ fn sql_preview(sql: &str) -> String {
 /// Result shape for DDL/DML statements: no columns, `affected` rows
 /// reported via [`QueryResult::row_count`]-independent metadata (we encode
 /// it as a single-cell result so scripts can read it).
-fn ddl_result(timer: PhaseTimer, affected: usize) -> QueryResult {
-    QueryResult {
+fn ddl_result<'q>(timer: PhaseTimer, affected: usize) -> QueryColumns<'q> {
+    QueryColumns {
         column_names: vec!["rows_affected".to_owned()],
-        rows: vec![vec![Value::Int(affected as i64)]],
+        data: ResultData::Rows(vec![vec![Value::Int(affected as i64)]]),
         phases: timer.finish(),
         execute_cpu_ms: 0.0,
-        sim_print_ms: 0.0,
-        result_bytes: 0,
         profile: Vec::new(),
         store_logical_reads: 0,
         store_physical_reads: 0,
+        root: None,
     }
 }
 

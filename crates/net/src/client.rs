@@ -433,15 +433,28 @@ impl Client {
                 )))
             }
         };
+        // Rows are built here, once, a batch at a time as it arrives.
+        // `Frame::decode` has checked each batch against itself (columns
+        // of one length, codes inside their dictionary); its width against
+        // the header is checked before a row is built from it.
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let footer = loop {
             match self.io.recv()? {
-                Frame::RowBatch { rows: batch } => rows.extend(batch),
+                Frame::ColumnBatch(batch) => {
+                    if batch.width() != columns.len() {
+                        return Err(NetError::Protocol(format!(
+                            "column count mismatch: header names {}, batch carries {}",
+                            columns.len(),
+                            batch.width()
+                        )));
+                    }
+                    batch.append_rows_to(&mut rows);
+                }
                 Frame::Done(footer) => break footer,
                 Frame::Error(e) => return Err(NetError::Db(e)),
                 f => {
                     return Err(NetError::Protocol(format!(
-                        "expected RowBatch or Done, got {f:?}"
+                        "expected ColumnBatch or Done, got {f:?}"
                     )))
                 }
             }

@@ -6,7 +6,8 @@
 //! admission decision — and runs an admitted [`Statement`] into a
 //! [`Response`]: span parenting, the one `catch_unwind` around the engine,
 //! the one outcome classification with its counters, the one `Footer`, and
-//! the one batch splitter. The two server cores drive it and differ only in
+//! the one place a result becomes frames — as the columns the engine left,
+//! no row built. The two server cores drive it and differ only in
 //! the four things a scheduler supplies (see [`crate::server`]): the
 //! `admitted_now` load, the `parallelism`, the deadline left, and the pace
 //! at which the response's frames are asked for.
@@ -15,11 +16,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use minidb::{CancelToken, DbError, Session, Value};
+use minidb::exec::ResultData;
+use minidb::{CancelToken, DbError, Session};
 use perfeval_measure::Phase;
 use perfeval_trace::{SpanGuard, SpanId};
 
-use crate::frame::{Footer, Frame, RejectCode, PROTOCOL_VERSION, ROWS_PER_BATCH};
+use crate::frame::{Batches, ColumnBatch, Footer, Frame, RejectCode, PROTOCOL_VERSION};
 use crate::server::Shared;
 
 /// The protocol state of one connection: its ordinal (the fault key), its
@@ -151,7 +153,7 @@ impl Conversation {
         if spent(deadline_left_ms) {
             // Expired while it waited its turn.
             let shed = rejected(shared, RejectCode::DeadlineExceeded);
-            return Response::new(shed, Vec::new(), None, None);
+            return Response::new(shed, None, None);
         }
         // Parent the server's span under the client's span id from the
         // frame header; 0 means the client wasn't tracing.
@@ -184,12 +186,12 @@ impl Conversation {
             if let Some(ms) = deadline_left_ms {
                 query = query.cancel(CancelToken::with_deadline_ms(ms));
             }
-            query.run()
+            query.run_columns()
         }));
 
         let counters = &shared.counters;
-        let only = |frame| (frame, Vec::new(), None);
-        let (head, rows, footer) = match ran {
+        let only = |frame| (frame, None);
+        let (head, result) = match ran {
             Err(payload) => {
                 // Contained engine panic: the client gets an error frame,
                 // the connection and the serving thread live on.
@@ -220,24 +222,24 @@ impl Conversation {
                     execute_ms: r.phases.phase(Phase::Execute).unwrap_or(0.0),
                     execute_cpu_ms: r.execute_cpu_ms,
                     serialize_ms: 0.0,
-                    rows: r.rows.len() as u64,
+                    rows: r.data.row_count() as u64,
                 };
                 let columns = r.column_names;
-                (Frame::ResultHeader { columns }, r.rows, Some(footer))
+                (Frame::ResultHeader { columns }, Some((r.data, footer)))
             }
         };
-        Response::new(head, rows, footer, span)
+        Response::new(head, result, span)
     }
 }
 
 /// The frames that answer one statement, handed out one at a time so the
 /// scheduler decides the pace: a head (`ResultHeader`, or the single
-/// `Error`/`Rejected` frame of a statement with no result), `RowBatch`es
-/// taken from the front of the rows, then `Done`. Only what has been
-/// handed out is encoded; the rest waits here as rows.
+/// `Error`/`Rejected` frame of a statement with no result), `ColumnBatch`es
+/// cut off the front of the result, then `Done`. Nothing is copied until a
+/// handed-out batch is encoded; the rest waits here as the engine left it.
 pub(crate) struct Response<'t> {
     head: Option<Frame>,
-    rows: std::vec::IntoIter<Vec<Value>>,
+    batches: Batches,
     /// `None` for a one-frame answer, and once `Done` has been handed out.
     footer: Option<Footer>,
     t0: Instant,
@@ -247,15 +249,12 @@ pub(crate) struct Response<'t> {
 
 impl<'t> Response<'t> {
     /// The serialize window opens here.
-    fn new(
-        head: Frame,
-        rows: Vec<Vec<Value>>,
-        footer: Option<Footer>,
-        span: Option<SpanGuard<'t>>,
-    ) -> Self {
+    fn new(head: Frame, result: Option<(ResultData, Footer)>, span: Option<SpanGuard<'t>>) -> Self {
+        let (data, footer) = result.unzip();
         Response {
             head: Some(head),
-            rows: rows.into_iter(),
+            // A one-frame answer streams nothing.
+            batches: ColumnBatch::batches(data.unwrap_or(ResultData::Rows(Vec::new()))),
             footer,
             t0: Instant::now(),
             span,
@@ -264,11 +263,8 @@ impl<'t> Response<'t> {
 
     /// The next frame ahead of `Done`; `None` when no such frame is left.
     pub(crate) fn next_frame(&mut self) -> Option<Frame> {
-        if let Some(head) = self.head.take() {
-            return Some(head);
-        }
-        let rows: Vec<_> = self.rows.by_ref().take(ROWS_PER_BATCH).collect();
-        (!rows.is_empty()).then_some(Frame::RowBatch { rows })
+        let head = self.head.take();
+        head.or_else(|| self.batches.next().map(Frame::ColumnBatch))
     }
 
     /// `Done`, once, with `serialize_ms` stamped now — so ask when the last
@@ -292,30 +288,18 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
+    use minidb::{Catalog, Column, DataType, ExecMode, TableBuilder, Value};
     use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
 
     use crate::server::Admission;
-    use crate::tests::catalog;
+    use crate::tests::{bits_eq, catalog};
     use crate::transport::LoopbackEndpoint;
 
     /// A `Shared` with no server around it: nothing listens, nothing runs.
-    /// `setup` names the one thing a script case arms (see `SCRIPT`).
-    fn shared(setup: &str) -> Shared {
-        let session_fault = match setup {
-            "panic" => Some(("minidb.execute", FaultAction::Panic)),
-            "slow" => Some(("minidb.execute", FaultAction::DelayMs(40.0))),
-            "cancel" => Some(("minidb.cancel", FaultAction::FailIo)),
-            _ => None,
-        };
-        let mut shared = Shared {
+    fn bare(factory: impl Fn() -> Session + Send + Sync + 'static) -> Shared {
+        Shared {
             listener: LoopbackEndpoint::new(),
-            factory: Box::new(move || match session_fault.clone() {
-                // Keyed to the session's first statement.
-                Some((site, action)) => Session::new(catalog()).with_faults(Arc::new(
-                    FaultRegistry::new(1).armed_always(site, Trigger::Key(0), action),
-                )),
-                None => Session::new(catalog()),
-            }),
+            factory: Box::new(factory),
             tracer: None,
             faults: Arc::new(FaultRegistry::disabled()),
             counters: Arc::default(),
@@ -324,7 +308,24 @@ mod tests {
             draining: Arc::default(),
             inflight: AtomicU64::new(0),
             live_conns: AtomicU64::new(1),
+        }
+    }
+
+    /// `setup` names the one thing a script case arms (see `SCRIPT`).
+    fn shared(setup: &str) -> Shared {
+        let session_fault = match setup {
+            "panic" => Some(("minidb.execute", FaultAction::Panic)),
+            "slow" => Some(("minidb.execute", FaultAction::DelayMs(40.0))),
+            "cancel" => Some(("minidb.cancel", FaultAction::FailIo)),
+            _ => None,
         };
+        let mut shared = bare(move || match session_fault.clone() {
+            // Keyed to the session's first statement.
+            Some((site, action)) => Session::new(catalog()).with_faults(Arc::new(
+                FaultRegistry::new(1).armed_always(site, Trigger::Key(0), action),
+            )),
+            None => Session::new(catalog()),
+        });
         let first_query = Trigger::KeyAttempt { key: 0, attempt: 1 };
         let admit =
             FaultRegistry::new(1).armed_always("net.admit", first_query, FaultAction::FailIo);
@@ -341,7 +342,7 @@ mod tests {
         match frame {
             Frame::Error(e) => format!("Error {e}"),
             Frame::Rejected { code, .. } => format!("Rejected {code:?}"),
-            Frame::RowBatch { rows } => format!("Batch {}", rows.len()),
+            Frame::ColumnBatch(batch) => format!("Batch {}", batch.rows()),
             Frame::Done(footer) => format!("Done {}", footer.rows),
             other => format!("{other:?}"),
         }
@@ -360,7 +361,7 @@ no Hello first        | -      | count                   | close dirty |
 Hello past max_conns  | full   | hello                   | Rejected Overloaded; close dirty | rejected_overload: 1
 Query while draining  | -      | hello count drain count | HelloOk; ResultHeader; Batch 1; Done 1; Rejected ShuttingDown | queries: 2, rejected_shutdown: 1
 the scheduler's load  | budget | hello count@2 count@1   | HelloOk; Rejected Overloaded; ResultHeader; Batch 1; Done 1 | queries: 2, rejected_overload: 1
-net.admit FailIo      | admit  | hello count some        | HelloOk; Rejected Overloaded; ResultHeader; Batch 256; Batch 44; Done 300 | queries: 2, rejected_overload: 1
+net.admit FailIo      | admit  | hello count some        | HelloOk; Rejected Overloaded; ResultHeader; Batch 300; Done 300 | queries: 2, rejected_overload: 1
 deadline already spent| panic  | hello count/5~5         | HelloOk; Rejected DeadlineExceeded | queries: 1, rejected_deadline: 1
 deadline mid-flight   | slow   | hello count/5 count     | HelloOk; Rejected DeadlineExceeded; ResultHeader; Batch 1; Done 1 | queries: 2, rejected_deadline: 1, cancelled_queries: 1
 cancelled, no deadline| cancel | hello count count       | HelloOk; Error cancelled:; ResultHeader; Batch 1; Done 1 | queries: 2, cancelled_queries: 1
@@ -430,37 +431,149 @@ Bye                   | -      | hello bye               | HelloOk; close clean 
         }
     }
 
-    /// Batches come off the front of the rows, `ROWS_PER_BATCH` at a time,
-    /// and encode to exactly what `rows.chunks(ROWS_PER_BATCH)` encodes to.
+    /// Batches come off the front of the result, a byte budget's worth of
+    /// rows at a time, and encode to exactly what the result chunked by
+    /// hand at that many rows encodes to — for the batch engine's columns
+    /// and for the debug interpreter's rows.
     #[test]
     fn response_batches_are_the_rows_chunked_from_the_front() {
-        for n in [0usize, 1, 255, 256, 257, 25_000] {
-            let rows: Vec<Vec<Value>> = (0..n as i64)
-                .map(|i| vec![Value::Int(i), Value::Float(i as f64 / 8.0)])
+        // Int + Float: 16 bytes a row, 4 096 rows a batch; the same cells
+        // as tagged values: 18 bytes a row, 3 640. 40 000 rows span 10 and 11.
+        for n in [0usize, 1, 4_095, 4_096, 4_097, 40_000] {
+            let ints: Vec<i64> = (0..n as i64).collect();
+            let floats: Vec<f64> = (0..n).map(|i| i as f64 / 8.0).collect();
+            let rows: Vec<Vec<Value>> = (0..n)
+                .map(|i| vec![Value::Int(ints[i]), Value::Float(floats[i])])
                 .collect();
-            let footer = Some(Footer::default());
-            let mut response = Response::new(Frame::Bye, rows.clone(), footer, None);
-            assert_eq!(
-                response.next_frame(),
-                Some(Frame::Bye),
-                "the head, whatever it is"
+            let columns = |r: std::ops::Range<usize>| {
+                ResultData::Columns(vec![
+                    Arc::new(Column::Int(ints[r.clone()].to_vec())),
+                    Arc::new(Column::Float(floats[r].to_vec())),
+                ])
+            };
+            let as_rows = |r: std::ops::Range<usize>| ResultData::Rows(rows[r].to_vec());
+            type Slice<'a> = &'a dyn Fn(std::ops::Range<usize>) -> ResultData;
+            let shapes: [(Slice, usize); 2] = [(&columns, 4_096), (&as_rows, 3_640)];
+            for (slice, per_batch) in shapes {
+                let want: Vec<Vec<u8>> = (0..n)
+                    .step_by(per_batch)
+                    .map(|at| {
+                        let mut alone = ColumnBatch::batches(slice(at..n.min(at + per_batch)));
+                        let frame = Frame::ColumnBatch(alone.next().expect("a chunk has rows"));
+                        assert!(alone.next().is_none(), "a chunk is one batch");
+                        frame.encode()
+                    })
+                    .collect();
+                let result = Some((slice(0..n), Footer::default()));
+                let mut response = Response::new(Frame::Bye, result, None);
+                assert_eq!(
+                    response.next_frame(),
+                    Some(Frame::Bye),
+                    "the head, whatever it is"
+                );
+                let mut back = Vec::new();
+                let got: Vec<Vec<u8>> = std::iter::from_fn(|| response.next_frame())
+                    .map(|frame| {
+                        let bytes = frame.encode();
+                        match Frame::decode(&bytes[4..]).unwrap() {
+                            Frame::ColumnBatch(batch) => batch.append_rows_to(&mut back),
+                            f => panic!("wrong frame {f:?}"),
+                        }
+                        bytes
+                    })
+                    .collect();
+                assert_eq!(got.len(), n.div_ceil(per_batch), "{n} rows");
+                assert!(got == want, "{n} rows: same bytes on the wire");
+                assert!(back == rows, "{n} rows: the far side builds the same rows");
+                assert!(matches!(response.done(), Some(Frame::Done(_))));
+                assert!(response.next_frame().is_none() && response.done().is_none());
+            }
+        }
+    }
+
+    /// The proof that the server builds no rows: a served statement leaves
+    /// `minidb::exec::rows_transposed()` where it was, on both batch tiers,
+    /// and what its frames carry is bit for bit what the in-process run —
+    /// which moves the counter by exactly the row count — returns as rows.
+    /// The counter is process-global: no other test of this binary runs a
+    /// query in process.
+    #[test]
+    fn a_served_statement_builds_no_rows() {
+        const ROWS: usize = 25_000;
+        const SQL: &str = "SELECT x, y, s, b FROM wide";
+        let mut t = TableBuilder::new("wide")
+            .column("x", DataType::Int)
+            .column("y", DataType::Float)
+            .column("s", DataType::Str)
+            .column("b", DataType::Bool)
+            .build();
+        for i in 0..ROWS as i64 {
+            t.push_row(vec![
+                Value::Int(i),
+                Value::Float(-(i as f64) / 7.0),
+                Value::Str(format!("s{}", i % 11)),
+                Value::Bool(i % 3 == 0),
+            ])
+            .unwrap();
+        }
+        let mut wide = Catalog::new();
+        wide.register(t).unwrap();
+
+        for mode in [ExecMode::Optimized, ExecMode::Simd] {
+            let served = wide.clone();
+            let shared = bare(move || Session::new(served.clone()).with_mode(mode));
+            let mut conv = Conversation::new(0);
+            let hello = Frame::Hello {
+                version: PROTOCOL_VERSION,
+            };
+            assert!(matches!(conv.on_frame(&shared, hello, 0), Step::Send(_)));
+            let query = Frame::Query {
+                trace_parent: 0,
+                deadline_ms: 0,
+                sql: SQL.to_owned(),
+            };
+            let Step::Run(stmt) = conv.on_frame(&shared, query, 0) else {
+                panic!("{mode}: the statement is admitted");
+            };
+
+            let before = minidb::exec::rows_transposed();
+            let mut response = conv.run(&shared, stmt, None, None);
+            let (mut frames, mut got) = (0, Vec::new());
+            while let Some(frame) = response.next_frame().or_else(|| response.done()) {
+                frames += 1;
+                // Through the bytes, as a scheduler would send it.
+                match Frame::decode(&frame.encode()[4..]).unwrap() {
+                    Frame::ColumnBatch(batch) => batch.append_rows_to(&mut got),
+                    Frame::ResultHeader { columns } => assert_eq!(columns.len(), 4),
+                    Frame::Done(footer) => assert_eq!(footer.rows, ROWS as u64),
+                    f => panic!("{mode}: unexpected frame {f:?}"),
+                }
+            }
+            assert!(
+                frames >= 2 + 8,
+                "{mode}: a multi-batch answer, {frames} frames"
             );
-            let got: Vec<Vec<u8>> = std::iter::from_fn(|| response.next_frame())
-                .map(|frame| frame.encode())
-                .collect();
-            let want: Vec<Vec<u8>> = rows
-                .chunks(ROWS_PER_BATCH)
-                .map(|chunk| {
-                    Frame::RowBatch {
-                        rows: chunk.to_vec(),
-                    }
-                    .encode()
-                })
-                .collect();
-            assert_eq!(got.len(), n.div_ceil(ROWS_PER_BATCH), "{n} rows");
-            assert!(got == want, "{n} rows: same bytes on the wire");
-            assert!(matches!(response.done(), Some(Frame::Done(_))));
-            assert!(response.next_frame().is_none() && response.done().is_none());
+            assert_eq!(
+                minidb::exec::rows_transposed() - before,
+                0,
+                "{mode}: the served path transposed rows"
+            );
+
+            let want = Session::new(wide.clone())
+                .with_mode(mode)
+                .query(SQL)
+                .run()
+                .unwrap()
+                .rows;
+            assert_eq!(
+                minidb::exec::rows_transposed() - before,
+                ROWS as u64,
+                "{mode}: the in-process run is the one that transposes"
+            );
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+                assert!(bits_eq(g, w), "{mode}: wire {g:?} != in-process {w:?}");
+            }
         }
     }
 }

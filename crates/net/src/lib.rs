@@ -55,6 +55,12 @@
 //! * **Bit identity.** Results over loopback and TCP equal an in-process
 //!   [`minidb::Session`] run exactly — floats compared by `to_bits()`
 //!   (`tests/roundtrip.rs`).
+//! * **Columns to the socket.** A result crosses the wire as the columns
+//!   the engine produced ([`ColumnBatch`] frames, protocol version 3): the
+//!   server builds no row — `minidb::exec::rows_transposed()` stays put
+//!   across a served statement — and the client builds each row once, as
+//!   its batch arrives. What arrives where a batch should be is checked
+//!   before it is believed (`tests/hostile.rs`).
 //! * **Backpressure.** Outgoing buffers are bounded; a slow reader blocks
 //!   the writer instead of growing a queue ([`transport`] tests).
 //! * **Span stitching.** The client's `net.query` span id rides the frame
@@ -93,7 +99,8 @@ pub mod transport;
 
 pub use client::{Client, Connect, Connector, NetError, NetQueryResult};
 pub use frame::{
-    Footer, Frame, FramedIo, RejectCode, MAX_FRAME_LEN, PROTOCOL_VERSION, ROWS_PER_BATCH,
+    Batches, ColumnBatch, Footer, Frame, FramedIo, RejectCode, BATCH_BYTES, MAX_FRAME_LEN,
+    PROTOCOL_VERSION, ROWS_PER_BATCH,
 };
 pub use poll::{shard_for, Interest, Poll, Ready, ShimHandle};
 pub use retry::{BackoffPolicy, CircuitBreaker};
@@ -109,6 +116,14 @@ pub use transport::{
 mod tests {
     use super::*;
     use minidb::{Catalog, DataType, Session, TableBuilder, Value};
+
+    /// Bit-level equality: floats by `to_bits()`, everything else by `==`.
+    pub(crate) fn bits_eq(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
 
     pub(crate) fn catalog() -> Catalog {
         let mut catalog = Catalog::new();

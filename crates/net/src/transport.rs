@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::poll::{RawFd, ShimHandle};
 
@@ -288,6 +288,39 @@ impl Pipe {
         })
     }
 
+    /// Moves bytes off the front of a non-empty ring into `out` — two
+    /// slice copies, the ring being at most two runs — and wakes the
+    /// writer. Returns how many.
+    fn take(&self, mut s: MutexGuard<'_, PipeState>, out: &mut [u8]) -> usize {
+        let n = out.len().min(s.buf.len());
+        let (front, back) = s.buf.as_slices();
+        let from_front = n.min(front.len());
+        out[..from_front].copy_from_slice(&front[..from_front]);
+        out[from_front..n].copy_from_slice(&back[..n - from_front]);
+        s.buf.drain(..n);
+        self.writable.notify_all();
+        let watcher = s.on_writable.clone();
+        drop(s);
+        if let Some(w) = watcher {
+            w.writable();
+        }
+        n
+    }
+
+    /// Appends as much of `data` as the `space` left in the ring takes and
+    /// wakes the reader. Returns how many bytes.
+    fn put(&self, mut s: MutexGuard<'_, PipeState>, data: &[u8], space: usize) -> usize {
+        let n = data.len().min(space);
+        s.buf.extend(&data[..n]);
+        self.readable.notify_all();
+        let watcher = s.on_readable.clone();
+        drop(s);
+        if let Some(w) = watcher {
+            w.readable();
+        }
+        n
+    }
+
     fn read(&self, out: &mut [u8]) -> io::Result<usize> {
         if out.is_empty() {
             return Ok(0);
@@ -295,17 +328,7 @@ impl Pipe {
         let mut s = self.state.lock().unwrap();
         loop {
             if !s.buf.is_empty() {
-                let n = out.len().min(s.buf.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = s.buf.pop_front().expect("n <= len");
-                }
-                self.writable.notify_all();
-                let watcher = s.on_writable.clone();
-                drop(s);
-                if let Some(w) = watcher {
-                    w.writable();
-                }
-                return Ok(n);
+                return Ok(self.take(s, out));
             }
             if s.write_closed {
                 return Ok(0); // clean EOF
@@ -328,15 +351,7 @@ impl Pipe {
             }
             let space = self.capacity.saturating_sub(s.buf.len());
             if space > 0 {
-                let n = data.len().min(space);
-                s.buf.extend(&data[..n]);
-                self.readable.notify_all();
-                let watcher = s.on_readable.clone();
-                drop(s);
-                if let Some(w) = watcher {
-                    w.readable();
-                }
-                return Ok(n);
+                return Ok(self.put(s, data, space));
             }
             // Full: this wait IS the backpressure — the writer cannot
             // outrun the reader by more than `capacity` bytes.
@@ -350,7 +365,7 @@ impl Pipe {
         if out.is_empty() {
             return Ok(0);
         }
-        let mut s = self.state.lock().unwrap();
+        let s = self.state.lock().unwrap();
         if s.buf.is_empty() {
             return if s.write_closed {
                 Ok(0)
@@ -358,17 +373,7 @@ impl Pipe {
                 Err(io::Error::new(io::ErrorKind::WouldBlock, "pipe empty"))
             };
         }
-        let n = out.len().min(s.buf.len());
-        for slot in out.iter_mut().take(n) {
-            *slot = s.buf.pop_front().expect("n <= len");
-        }
-        self.writable.notify_all();
-        let watcher = s.on_writable.clone();
-        drop(s);
-        if let Some(w) = watcher {
-            w.writable();
-        }
-        Ok(n)
+        Ok(self.take(s, out))
     }
 
     /// Nonblocking write: `WouldBlock` while the ring is full — the
@@ -378,7 +383,7 @@ impl Pipe {
         if data.is_empty() {
             return Ok(0);
         }
-        let mut s = self.state.lock().unwrap();
+        let s = self.state.lock().unwrap();
         if s.read_closed {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -389,15 +394,7 @@ impl Pipe {
         if space == 0 {
             return Err(io::Error::new(io::ErrorKind::WouldBlock, "pipe full"));
         }
-        let n = data.len().min(space);
-        s.buf.extend(&data[..n]);
-        self.readable.notify_all();
-        let watcher = s.on_readable.clone();
-        drop(s);
-        if let Some(w) = watcher {
-            w.readable();
-        }
-        Ok(n)
+        Ok(self.put(s, data, space))
     }
 
     fn close_write(&self) {

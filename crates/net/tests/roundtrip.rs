@@ -12,18 +12,21 @@ use std::sync::{Arc, OnceLock};
 
 use minidb::{Catalog, Session, Value};
 use minidb_net::{
-    Client, LoopbackEndpoint, Server, ServerMode, TcpEndpoint, TcpTransport, Transport,
+    Client, LoopbackEndpoint, NetQueryResult, Server, ServerMode, TcpEndpoint, TcpTransport,
+    Transport, BATCH_BYTES,
 };
 use proptest::prelude::*;
 use workload::dbgen::{generate, GenConfig};
 use workload::queries;
 
+/// Scale 0.004 is ~24 000 `lineitem` rows: `large_result`'s 24-byte rows
+/// go 2 730 to a batch, so that answer spans 9 batches.
 fn catalog() -> Catalog {
     static CATALOG: OnceLock<Catalog> = OnceLock::new();
     CATALOG
         .get_or_init(|| {
             generate(&GenConfig {
-                scale_factor: 0.002,
+                scale_factor: 0.004,
                 ..GenConfig::default()
             })
         })
@@ -58,7 +61,7 @@ fn assert_rows_bit_identical(sql: &str, got: &[Vec<Value>], want: &[Vec<Value>])
     }
 }
 
-fn check_over(client: &mut Client, sql: &str) {
+fn check_over(client: &mut Client, sql: &str) -> NetQueryResult {
     let (want_cols, want_rows) = expected(sql);
     let r = client.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     assert_eq!(r.columns, want_cols, "columns for {sql}");
@@ -67,6 +70,17 @@ fn check_over(client: &mut Client, sql: &str) {
         r.footer.rows,
         want_rows.len() as u64,
         "footer rows for {sql}"
+    );
+    r
+}
+
+/// The squeeze tests are about an answer of many batches: more bytes than
+/// eight full ones hold.
+fn assert_spans_eight_batches(r: &NetQueryResult) {
+    assert!(
+        r.bytes_received > 8 * BATCH_BYTES as u64,
+        "{} bytes is not more than eight batches",
+        r.bytes_received
     );
 }
 
@@ -147,7 +161,7 @@ fn large_result_streams_through_a_tiny_pipe_bit_identically() {
         .mode(ServerMode::ThreadPerConn { workers: 1 })
         .serve(|| Session::new(catalog()));
     let mut client = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
-    check_over(&mut client, &queries::large_result());
+    assert_spans_eight_batches(&check_over(&mut client, &queries::large_result()));
     client.close().unwrap();
     server.wait();
 }
@@ -167,7 +181,7 @@ fn sharded_large_result_streams_through_a_tiny_pipe_bit_identically() {
         })
         .serve(|| Session::new(catalog()));
     let mut client = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
-    check_over(&mut client, &queries::large_result());
+    assert_spans_eight_batches(&check_over(&mut client, &queries::large_result()));
     client.close().unwrap();
     server.wait();
 }

@@ -32,7 +32,9 @@ fn catalog(rows: i64) -> Catalog {
 #[test]
 fn slow_reader_backpressure_is_bounded_and_charged_to_serialize() {
     const QUEUE_DEPTH: usize = 2;
-    // 20k rows ≈ 79 row batches: far more frames than the queue may hold.
+    const ROWS: i64 = 40_000;
+    // 16 bytes a row, 4 096 rows a batch: 40k rows are 10 batches — far more
+    // frames than the queue may hold.
     let ep = LoopbackEndpoint::with_capacity(512);
     let dial = ep.connector();
     let server = Server::builder()
@@ -41,7 +43,7 @@ fn slow_reader_backpressure_is_bounded_and_charged_to_serialize() {
             shards: 1,
             queue_depth: QUEUE_DEPTH,
         })
-        .serve(|| Session::new(catalog(20_000)));
+        .serve(|| Session::new(catalog(ROWS)));
 
     // The slow reader drives the protocol by hand so it can dawdle between
     // frames while the server's response sits in the bounded queue.
@@ -89,8 +91,8 @@ fn slow_reader_backpressure_is_bounded_and_charged_to_serialize() {
     let footer = loop {
         match slow.recv().unwrap() {
             Frame::ResultHeader { .. } => {}
-            Frame::RowBatch { rows } => {
-                rows_seen += rows.len() as u64;
+            Frame::ColumnBatch(batch) => {
+                rows_seen += batch.rows() as u64;
                 frames += 1;
                 if frames <= 5 {
                     std::thread::sleep(Duration::from_millis(20));
@@ -100,8 +102,9 @@ fn slow_reader_backpressure_is_bounded_and_charged_to_serialize() {
             other => panic!("unexpected frame {other:?}"),
         }
     };
-    assert_eq!(rows_seen, 20_000);
-    assert_eq!(footer.rows, 20_000);
+    assert_eq!(rows_seen, ROWS as u64);
+    assert_eq!(footer.rows, ROWS as u64);
+    assert!(frames >= 8, "a multi-batch answer: {frames} batches");
     assert!(
         footer.serialize_ms >= 50.0,
         "the reader's stall is the server's serialize time: {} ms",
@@ -212,8 +215,10 @@ fn work_stealing_changes_timing_never_answers() {
 /// one disconnect, and leaves the other connection alone.
 #[test]
 fn injected_write_failure_cuts_the_stream_at_the_same_frame_in_both_cores() {
-    // 2 000 rows = 8 batches: HelloOk, ResultHeader, 8 x RowBatch, Done are
-    // frames 1..=11 of the connection. Frame 5 is the third RowBatch.
+    // 16 bytes a row, 4 096 rows a batch: 36 000 rows = 9 batches. HelloOk,
+    // ResultHeader, 9 x ColumnBatch, Done are frames 1..=12 of the
+    // connection. Frame 5 is the third ColumnBatch.
+    const ROWS: i64 = 36_000;
     const CUT_AT: u32 = 5;
     let modes = [
         ServerMode::ThreadPerConn { workers: 2 },
@@ -241,7 +246,7 @@ fn injected_write_failure_cuts_the_stream_at_the_same_frame_in_both_cores() {
             .transport(ep)
             .mode(mode)
             .with_faults(faults)
-            .serve(|| Session::new(catalog(2_000)));
+            .serve(|| Session::new(catalog(ROWS)));
 
         // Sequential dials: the bystander is connection 0, the victim 1.
         let mut bystander = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
@@ -271,18 +276,22 @@ fn injected_write_failure_cuts_the_stream_at_the_same_frame_in_both_cores() {
             .map(|f| match f {
                 Frame::HelloOk { .. } => "HelloOk",
                 Frame::ResultHeader { .. } => "ResultHeader",
-                Frame::RowBatch { .. } => "RowBatch",
+                Frame::ColumnBatch(batch) if batch.rows() == 4_096 => "ColumnBatch",
                 _ => "other",
             })
             .collect();
         assert_eq!(
             shape,
-            ["HelloOk", "ResultHeader", "RowBatch", "RowBatch"],
+            ["HelloOk", "ResultHeader", "ColumnBatch", "ColumnBatch"],
             "{mode:?}: frames 1..{CUT_AT} arrive, frame {CUT_AT} and the rest never do"
         );
 
         let r = bystander.query("SELECT x, y FROM nums").unwrap();
-        assert_eq!(r.rows.len(), 2_000, "{mode:?}: the other connection");
+        assert_eq!(
+            r.rows.len(),
+            ROWS as usize,
+            "{mode:?}: the other connection"
+        );
         bystander.close().unwrap();
         let stats = server.wait();
         assert_eq!(stats.connections, 2, "{mode:?}");
