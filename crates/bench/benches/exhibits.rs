@@ -63,7 +63,7 @@ fn bench_e3_dbg_opt(c: &mut Criterion) {
 }
 
 /// E4: the memory-wall scan on each historical machine (simulation speed;
-/// the simulated per-iteration costs are printed by exp_e4_memory_wall).
+/// the simulated per-iteration costs are printed by `perfeval-exp e4`).
 fn bench_e4_memory_wall(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_memory_wall_sim");
     group.sample_size(10);

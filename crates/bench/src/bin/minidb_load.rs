@@ -12,19 +12,10 @@
 //! minidb-load --smoke                                               # CI self-test
 //! ```
 //!
-//! Knobs (`-Dkey=value`): `addr` (TCP server to target; empty =
-//! self-host a loopback TCP server), `clients`, `requests` (total per
-//! run), `arrival` (`closed` | `poisson` | `paced`), `rate` (total
-//! offered q/s, open loop), `think_ms` (mean think time, closed loop),
-//! `reps` (replicated runs — CIs need ≥ 2), `mix` (`light` | `heavy` |
-//! `full`), `sf` (catalog scale factor — must match the server's when
-//! targeting a remote, since result checksums are computed locally),
-//! `verify` (check result checksums against serial execution),
-//! `server_mode` (`sharded` | `threaded` — which core the self-hosted
-//! server runs; ignored when `addr` targets a remote), `data_dir`
-//! (self-host from **disk-backed** segments: the catalog is persisted
-//! into this directory once and reopened through the `perfeval-store`
-//! buffer pool; ignored when targeting a remote).
+//! Knobs (`-Dkey=value`): the `KNOBS` table below, which any argument it
+//! does not declare prints. `sf` must match the server's when targeting a
+//! remote, since result checksums are computed locally; `mode` and
+//! `data_dir` shape the self-hosted server and are ignored with a remote.
 //!
 //! Overload etiquette knobs: `-Dretry=N` allows N seeded-backoff retries
 //! per request after a server rejection or a dead connection (default 1:
@@ -48,12 +39,14 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use minidb::{Catalog, Session};
-use minidb_net::{BackoffPolicy, Server, ServerMode, TcpEndpoint, TcpTransport, Transport};
-use perfeval_bench::{
-    banner, catalog_at, print_environment, print_wire_protocol, BENCH_SCALE_FACTOR,
+use minidb::{Session, StoreConfig};
+use minidb_net::{
+    BackoffPolicy, Server, TcpEndpoint, TcpTransport, Transport, DEFAULT_QUEUE_DEPTH,
 };
-use perfeval_harness::Properties;
+use perfeval_bench::knobs::{Config, Knob};
+use perfeval_bench::{
+    catalog_at, cli_args, open_or_persist, print_header, print_wire_protocol, server_mode,
+};
 use perfeval_load::{expected_checksums, Arrival, Dialer, LoadRunner, LoadSpec};
 use workload::queries;
 
@@ -103,61 +96,43 @@ fn run(spec: LoadSpec, addr: &str, sf: f64, verify: bool, reps: usize) {
     );
 }
 
+#[rustfmt::skip]
+const KNOBS: &[Knob] = &[
+    Knob::new("addr", "", "TCP server to target (empty: self-host a loopback TCP server)"),
+    Knob::new("clients", "16", "concurrent client sessions"),
+    Knob::new("requests", "800", "total requests per run; at least one per client"),
+    Knob::new("arrival", "closed", "arrival discipline: closed | poisson | paced"),
+    Knob::new("rate", "1000", "total offered q/s of an open loop"),
+    Knob::new("think_ms", "1.0", "mean think time of a closed loop, ms"),
+    Knob::new("reps", "2", "replicated runs (CIs need at least 2)"),
+    Knob::new("mix", "light", "query mix: light | heavy | full"),
+    Knob::new("sf", "0.01", "catalog scale factor; must match a remote server's"),
+    Knob::new("verify", "true", "true | false: check result checksums against serial execution"),
+    Knob::new("mode", "sharded", "the self-hosted server's core: sharded | threaded"),
+    Knob::new("retry", "1", "seeded-backoff retries per request after a rejection"),
+    Knob::new("deadline_ms", "0", "deadline stamped on every Query header, ms (0 = none)"),
+    Knob::new("data_dir", "", "self-host disk-backed from here, persisting on first use"),
+];
+
 fn main() {
-    banner(
+    let config = Config::parse_or_exit("minidb-load", KNOBS, &[], &cli_args());
+    print_header(
         "minidb-load: the load generator",
         "arrival discipline is a knob, not an accident",
+        &config,
     );
-    print_environment();
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props = Properties::with_defaults(&[
-        ("addr", ""),
-        ("clients", "16"),
-        ("requests", "800"),
-        ("arrival", "closed"),
-        ("rate", "1000"),
-        ("think_ms", "1.0"),
-        ("reps", "2"),
-        ("mix", "light"),
-        ("sf", &BENCH_SCALE_FACTOR.to_string()),
-        ("verify", "true"),
-        ("server_mode", "sharded"),
-        ("retry", "1"),
-        ("deadline_ms", "0"),
-        ("data_dir", ""),
-    ]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let addr = props.get("addr").unwrap_or("").to_owned();
-    let clients = props
-        .get_u64("clients")
-        .expect("-Dclients")
-        .unwrap_or(16)
-        .max(1) as usize;
-    let requests = props
-        .get_u64("requests")
-        .expect("-Drequests")
-        .unwrap_or(800)
-        .max(clients as u64) as usize;
-    let rate = props.get_f64("rate").expect("-Drate").unwrap_or(1000.0);
-    let think_ms = props
-        .get_f64("think_ms")
-        .expect("-Dthink_ms")
-        .unwrap_or(1.0);
-    let reps = props.get_u64("reps").expect("-Dreps").unwrap_or(2).max(1) as usize;
-    let sf = props
-        .get_f64("sf")
-        .expect("-Dsf")
-        .unwrap_or(BENCH_SCALE_FACTOR);
-    let verify = props.get_bool("verify").expect("-Dverify").unwrap_or(true);
-    let retries = props.get_u64("retry").expect("-Dretry").unwrap_or(1) as u32;
-    let deadline_ms = props
-        .get_u64("deadline_ms")
-        .expect("-Ddeadline_ms")
-        .unwrap_or(0) as u32;
+    let smoke = config.smoke();
+    let addr = config.str("addr");
+    let clients = config.get::<usize>("clients").max(1);
+    let requests = config.get::<usize>("requests").max(clients);
+    let rate = config.get::<f64>("rate");
+    let think_ms = config.get::<f64>("think_ms");
+    let reps = config.get::<usize>("reps").max(1);
+    let sf = config.get::<f64>("sf");
+    let verify = config.get::<bool>("verify");
+    let retries = config.get::<u32>("retry");
+    let deadline_ms = config.get::<u32>("deadline_ms");
     // Backoff only matters once retries can collide with a struggling
     // server; keep the default retry immediate (reconnect-and-retry-once)
     // and give multi-retry policies a short seeded jittered ramp.
@@ -168,8 +143,8 @@ fn main() {
     } else {
         BackoffPolicy::retries(retries).with_base_ms(0.0)
     };
-    let mix = mix_named(props.get("mix").unwrap_or("light"));
-    let arrival = match props.get("arrival").unwrap_or("closed") {
+    let mix = mix_named(config.str("mix"));
+    let arrival = match config.str("arrival") {
         "closed" => Arrival::Closed { think_ms },
         "poisson" => Arrival::OpenPoisson { rate_qps: rate },
         "paced" => Arrival::OpenPaced { rate_qps: rate },
@@ -177,17 +152,17 @@ fn main() {
     };
 
     // Self-host a loopback TCP server unless the user points us at one.
-    // `-Dserver_mode=threaded` pits the load against the old
-    // thread-per-connection core (workers must cover every client session);
-    // the default is the sharded event-driven core.
-    let server_mode = match props.get("server_mode").unwrap_or("sharded") {
-        "sharded" => ServerMode::default(),
-        "threaded" => ServerMode::ThreadPerConn {
-            workers: clients.max(8) + 2,
-        },
-        other => panic!("-Dserver_mode must be sharded|threaded, got {other:?}"),
-    };
-    let data_dir = props.get("data_dir").unwrap_or("").to_owned();
+    // `-Dmode=threaded` pits the load against the old thread-per-connection
+    // core (workers must cover every client session); the default is the
+    // sharded event-driven core, one shard per core.
+    let hosted_mode = server_mode(
+        config.str("mode"),
+        clients.max(8) + 2,
+        0,
+        DEFAULT_QUEUE_DEPTH,
+    )
+    .unwrap_or_else(|bad_mode| config.refuse(&bad_mode));
+    let data_dir = config.str("data_dir");
     // `--smoke` always serves from persisted-and-reopened segments so the
     // checksum verification (expected answers computed in memory) doubles
     // as a persist -> reopen bit-identity proof over the wire.
@@ -205,32 +180,25 @@ fn main() {
                 smoke_tmp = Some(tmp.clone());
                 tmp
             } else {
-                PathBuf::from(&data_dir)
+                PathBuf::from(data_dir)
             };
-            if !root
-                .join(perfeval_store::manifest::CATALOG_MANIFEST)
-                .exists()
-            {
-                catalog_at(sf).persist(&root).expect("persist load catalog");
-                println!("persisted sf={sf} catalog into {}", root.display());
-            }
-            let disk = Catalog::open(&root).expect("reopen persisted catalog");
+            let disk = open_or_persist(&root, sf, StoreConfig::default());
             println!("serving disk-backed segments from {}", root.display());
             disk
         };
         let server = Server::builder()
             .transport(endpoint)
-            .mode(server_mode)
+            .mode(hosted_mode)
             .serve(move || Session::new(catalog.clone()));
         println!(
             "self-hosted server on {local} ({}, sf={sf}).",
-            server_mode.describe()
+            hosted_mode.describe()
         );
         Some((server, local.to_string()))
     } else {
         None
     };
-    let target = hosted.as_ref().map_or(addr.clone(), |(_, a)| a.clone());
+    let target = hosted.as_ref().map_or(addr.to_owned(), |(_, a)| a.clone());
 
     if smoke {
         // Two tiny arms — one per arrival family — with full verification.
@@ -293,7 +261,7 @@ fn main() {
         return;
     }
 
-    let name = format!("{}/{clients}", props.get("arrival").unwrap_or("closed"));
+    let name = format!("{}/{clients}", config.str("arrival"));
     let spec = LoadSpec::new(&name, clients, requests, arrival)
         .mix(mix)
         .retry(retry_policy)
@@ -305,5 +273,16 @@ fn main() {
             "\nserver saw {} connection(s), {} query(ies).",
             stats.connections, stats.queries
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_scale_factor_default_is_the_library_constant() {
+        let config = Config::parse(KNOBS, &[], &[]).expect("the empty command line");
+        assert_eq!(config.get::<f64>("sf"), perfeval_bench::BENCH_SCALE_FACTOR);
     }
 }

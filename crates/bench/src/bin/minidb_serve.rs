@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! minidb-serve -Daddr=127.0.0.1:7878 -Dmode=sharded -Dshards=4 -Dsf=0.01
-//! minidb-serve --shards 8            # shorthand for -Dmode=sharded -Dshards=8
+//! minidb-serve --shards 8            # shorthand for -Dshards=8 (sharded is the default mode)
 //! minidb-serve -Dmode=threaded -Dworkers=4
 //! minidb-serve --max-inflight 8 --deadline-ms 50   # overload protection
 //! ```
@@ -15,7 +15,7 @@
 //! each owning its connections, with `-Dqueue=N` bounding every connection's
 //! write queue — while `threaded` runs the classic thread-per-connection
 //! loop (`-Dworkers=N` acceptors). Both serve bit-identical results; E23
-//! (`exp_e23_sharded_server`) measures the difference under load.
+//! (`perfeval-exp e23`) measures the difference under load.
 //!
 //! Overload protection (both cores): `--max-inflight N` (alias
 //! `-Dmax_inflight=N`) bounds concurrently executing queries — excess is
@@ -23,7 +23,7 @@
 //! (alias `-Ddeadline_ms=N`) applies a default per-query deadline,
 //! enforced by cooperative cancellation, to queries whose header carries
 //! none; `-Dmax_conns=N` bounds concurrent sessions at the handshake.
-//! `0` disables each knob. E25 (`exp_e25_overload`) measures the policy
+//! `0` disables each knob. E25 (`perfeval-exp e25`) measures the policy
 //! under saturation.
 //!
 //! Persistent storage: `--data-dir PATH` (alias `-Ddata_dir=PATH`) serves
@@ -41,141 +41,76 @@
 //! `DeadlineExceeded` without poisoning the connection. Exits 0 — the
 //! self-test CI runs.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use minidb::{Catalog, Session, StoreConfig};
+use minidb::{Session, StoreConfig};
 use minidb_net::{
     Admission, Client, NetError, RejectCode, Server, ServerMode, TcpEndpoint, TcpTransport,
-    DEFAULT_QUEUE_DEPTH,
 };
+use perfeval_bench::knobs::{Config, Flag, Knob};
 use perfeval_bench::{
-    banner, catalog_at, print_environment, print_wire_protocol, BENCH_SCALE_FACTOR,
+    catalog_at, cli_args, open_or_persist, print_header, print_wire_protocol, server_mode,
 };
 use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
-use perfeval_harness::Properties;
 use workload::queries;
 
+#[rustfmt::skip]
+const KNOBS: &[Knob] = &[
+    Knob::new("addr", "127.0.0.1:7878", "where to listen"),
+    Knob::new("mode", "sharded", "the server core: sharded | threaded"),
+    Knob::new("workers", "4", "threaded: acceptor threads"),
+    Knob::new("shards", "0", "sharded: readiness loops (0 = one per core)"),
+    Knob::new("queue", "64", "sharded: write-queue bound per connection, frames"),
+    Knob::new("sf", "0.01", "scale factor of the served catalog"),
+    Knob::new("max_inflight", "0", "concurrently executing queries before shedding (0 = off)"),
+    Knob::new("max_conns", "0", "concurrent sessions admitted at the handshake (0 = off)"),
+    Knob::new("deadline_ms", "0", "default per-query deadline, ms (0 = none)"),
+    Knob::new("data_dir", "", "serve disk-backed from here, persisting on first use"),
+    Knob::new("pool_mb", "64", "buffer-pool budget of a disk-backed catalog, MiB"),
+    Knob::new("evict", "lru", "its eviction policy: lru | clock | 2q"),
+];
+
+/// Quickstart spellings of the knobs above.
+const FLAGS: &[Flag] = &[
+    ("--shards", "shards"),
+    ("--max-inflight", "max_inflight"),
+    ("--deadline-ms", "deadline_ms"),
+    ("--pool-mb", "pool_mb"),
+    ("--data-dir", "data_dir"),
+];
+
 fn main() {
-    banner(
+    let config = Config::parse_or_exit("minidb-serve", KNOBS, FLAGS, &cli_args());
+    print_header(
         "minidb-serve: the wire-protocol server",
         "the E21/E23/E25 substrate",
+        &config,
     );
-    print_environment();
     print_wire_protocol();
     println!();
 
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    // Quickstart spellings of the -D knobs.
-    for (flag, key) in [
-        ("--shards", "shards"),
-        ("--max-inflight", "max_inflight"),
-        ("--deadline-ms", "deadline_ms"),
-        ("--pool-mb", "pool_mb"),
-    ] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            let n = args
-                .get(i + 1)
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("{flag} needs a number"));
-            let mut replacement = vec![format!("-D{key}={n}")];
-            if flag == "--shards" {
-                replacement.insert(0, "-Dmode=sharded".into());
-            }
-            args.splice(i..=i + 1, replacement);
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--data-dir") {
-        let path = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--data-dir needs a path"))
-            .clone();
-        args.splice(i..=i + 1, [format!("-Ddata_dir={path}")]);
-    }
-    let mut props = Properties::with_defaults(&[
-        ("addr", "127.0.0.1:7878"),
-        ("mode", "sharded"),
-        ("workers", "4"),
-        ("shards", "0"),
-        ("queue", &DEFAULT_QUEUE_DEPTH.to_string()),
-        ("sf", &BENCH_SCALE_FACTOR.to_string()),
-        ("max_inflight", "0"),
-        ("max_conns", "0"),
-        ("deadline_ms", "0"),
-        ("data_dir", ""),
-        ("pool_mb", "64"),
-        ("evict", "lru"),
-    ]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect(
-            "arguments must be --smoke, --shards N, --max-inflight N, --deadline-ms N, \
-             --data-dir PATH, --pool-mb N, or -Dkey=value",
-        );
-    let addr = props.get("addr").expect("-Daddr").to_owned();
-    let workers = props
-        .get_u64("workers")
-        .expect("-Dworkers must be a number")
-        .unwrap_or(4)
-        .max(1) as usize;
-    let shards = props
-        .get_u64("shards")
-        .expect("-Dshards must be a number")
-        .unwrap_or(0) as usize;
-    let queue_depth = props
-        .get_u64("queue")
-        .expect("-Dqueue must be a number")
-        .unwrap_or(DEFAULT_QUEUE_DEPTH as u64)
-        .max(1) as usize;
-    let sf = props
-        .get_f64("sf")
-        .expect("-Dsf must be a number")
-        .unwrap_or(BENCH_SCALE_FACTOR);
-    let max_inflight = props
-        .get_u64("max_inflight")
-        .expect("-Dmax_inflight must be a number")
-        .unwrap_or(0) as usize;
-    let max_conns = props
-        .get_u64("max_conns")
-        .expect("-Dmax_conns must be a number")
-        .unwrap_or(0) as usize;
-    let deadline_ms = props
-        .get_u64("deadline_ms")
-        .expect("-Ddeadline_ms must be a number")
-        .unwrap_or(0) as u32;
+    let smoke = config.smoke();
+    let addr = config.str("addr");
+    let workers = config.get::<usize>("workers").max(1);
+    let sf = config.get::<f64>("sf");
+    let deadline_ms = config.get::<u32>("deadline_ms");
     let admission = Admission::default()
-        .max_inflight(max_inflight)
-        .max_conns(max_conns)
+        .max_inflight(config.get::<usize>("max_inflight"))
+        .max_conns(config.get::<usize>("max_conns"))
         .default_deadline_ms(deadline_ms);
-    let mode = match props.get("mode").expect("-Dmode") {
-        "threaded" => ServerMode::ThreadPerConn { workers },
-        "sharded" => match shards {
-            // -Dshards=0: let the builder pick from available cores.
-            0 => match ServerMode::default() {
-                ServerMode::Sharded { shards, .. } => ServerMode::Sharded {
-                    shards,
-                    queue_depth,
-                },
-                other => other,
-            },
-            n => ServerMode::Sharded {
-                shards: n,
-                queue_depth,
-            },
-        },
-        other => panic!("-Dmode must be 'sharded' or 'threaded', got '{other}'"),
-    };
+    let mode = server_mode(
+        config.str("mode"),
+        workers,
+        config.get::<usize>("shards"),
+        config.get::<usize>("queue").max(1),
+    )
+    .unwrap_or_else(|bad_mode| config.refuse(&bad_mode));
 
-    let data_dir = props.get("data_dir").unwrap_or("").to_owned();
-    let pool_mb = props
-        .get_u64("pool_mb")
-        .expect("-Dpool_mb must be a number")
-        .unwrap_or(64)
-        .max(1);
-    let evict: perfeval_store::Evict = props
-        .get("evict")
-        .unwrap_or("lru")
+    let data_dir = config.str("data_dir");
+    let pool_mb = config.get::<u64>("pool_mb").max(1);
+    let evict: perfeval_store::Evict = config
+        .str("evict")
         .parse()
         .expect("-Devict must be lru, clock, or 2q");
     let store_config = StoreConfig::default()
@@ -188,20 +123,9 @@ fn main() {
     let catalog = if data_dir.is_empty() {
         catalog_at(sf)
     } else {
-        let root = PathBuf::from(&data_dir);
-        if !root
-            .join(perfeval_store::manifest::CATALOG_MANIFEST)
-            .exists()
-        {
-            catalog_at(sf)
-                .persist(&root)
-                .expect("persist catalog into --data-dir");
-            println!("persisted sf={sf} catalog into {}", root.display());
-        }
-        let c = Catalog::open_with(&root, store_config.clone()).expect("open --data-dir");
+        let c = open_or_persist(Path::new(data_dir), sf, store_config.clone());
         println!(
-            "serving disk-backed from {} (pool {pool_mb} MiB, evict {})",
-            root.display(),
+            "serving disk-backed from {data_dir} (pool {pool_mb} MiB, evict {})",
             evict.as_str()
         );
         c
@@ -243,17 +167,13 @@ fn main() {
         let proof_dir = if data_dir.is_empty() {
             std::env::temp_dir().join(format!("minidb_serve_smoke_{}", std::process::id()))
         } else {
-            PathBuf::from(&data_dir)
+            PathBuf::from(data_dir)
         };
-        let mem = catalog_at(sf);
-        if !proof_dir
-            .join(perfeval_store::manifest::CATALOG_MANIFEST)
-            .exists()
-        {
-            mem.persist(&proof_dir).expect("smoke persist");
-        }
-        let disk = Catalog::open_with(&proof_dir, store_config.clone()).expect("smoke reopen");
-        let want = Session::new(mem).query(&queries::q6()).run().expect("mem");
+        let disk = open_or_persist(&proof_dir, sf, store_config.clone());
+        let want = Session::new(catalog_at(sf))
+            .query(&queries::q6())
+            .run()
+            .expect("mem");
         let got = Session::new(disk)
             .query(&queries::q6())
             .run()
@@ -365,7 +285,7 @@ fn main() {
         return;
     }
 
-    let (_server, local) = serve(mode, addr.as_str());
+    let (_server, local) = serve(mode, addr);
     println!(
         "listening on {local} ({}, sf={sf}, {}); one session per connection.",
         mode.describe(),
@@ -375,5 +295,20 @@ fn main() {
     // (Kill the process to stop; connections in flight finish their loop.)
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_defaults_are_the_library_constants() {
+        let config = Config::parse(KNOBS, FLAGS, &[]).expect("the empty command line");
+        assert_eq!(
+            config.get::<usize>("queue"),
+            minidb_net::DEFAULT_QUEUE_DEPTH
+        );
+        assert_eq!(config.get::<f64>("sf"), perfeval_bench::BENCH_SCALE_FACTOR);
     }
 }

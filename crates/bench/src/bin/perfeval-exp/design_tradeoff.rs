@@ -9,7 +9,7 @@
 //! * **2^(5−2) fractional** — screens five factors for the price of eight
 //!   runs, with the alias structure stating what it cannot see.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_core::alias::{AliasStructure, Generator};
 use perfeval_core::design::Design;
 use perfeval_core::effects::estimate_effects;
@@ -26,11 +26,7 @@ fn system(a: &Assignment) -> f64 {
     100.0 + 10.0 * xa + 5.0 * xb + 20.0 * xa * xb
 }
 
-fn main() {
-    banner(
-        "design trade-offs: simple vs full vs fractional",
-        "slides 56-66",
-    );
+pub fn run(_: &Ctx) {
     println!("true system: y = 100 + 10·xA + 5·xB + 20·xA·xB\n");
 
     // --- simple one-at-a-time design over A and B ---

@@ -7,8 +7,9 @@
 //! large-result query client-side terminal time far exceeds everything
 //! else, because *printing* dominates.
 
+use crate::Ctx;
 use minidb::{FileSink, NullSink, Session, TerminalSink};
-use perfeval_bench::{banner, bench_catalog, print_environment};
+use perfeval_bench::bench_catalog;
 use workload::queries;
 
 struct Row {
@@ -55,9 +56,7 @@ fn measure(session: &mut Session, name: &'static str, sql: &str) -> Row {
     }
 }
 
-fn main() {
-    banner("E1: what do you measure?", "slides 23-26");
-    print_environment();
+pub fn run(_: &Ctx) {
     let catalog = bench_catalog();
     let mut session = Session::new(catalog);
 

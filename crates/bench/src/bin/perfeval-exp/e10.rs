@@ -5,13 +5,11 @@
 //! "7 zero-sum columns … 3 orthogonal factor columns … all coefficients of
 //! interactions have been erased."
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_core::alias::{AliasStructure, Generator};
 use perfeval_core::twolevel::TwoLevelDesign;
 
-fn main() {
-    banner("E10: the 2^(7-4) fractional design", "slides 100-103");
-
+pub fn run(_: &Ctx) {
     let design = TwoLevelDesign::fractional(
         &["A", "B", "C", "D", "E", "F", "G"],
         &[

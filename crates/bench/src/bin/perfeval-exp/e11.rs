@@ -7,7 +7,7 @@
 //! C = ABCD` — and the verdict: *"D = ABC is preferred"* by the
 //! sparsity-of-effects principle.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_core::alias::{AliasStructure, Generator};
 use perfeval_core::twolevel::TwoLevelDesign;
 
@@ -24,9 +24,7 @@ fn mask(s: &str) -> u32 {
     s.chars().fold(0, |m, c| m | (1 << (c as u8 - b'A')))
 }
 
-fn main() {
-    banner("E11: D=ABC vs D=AB confounding", "slides 104-109");
-
+pub fn run(_: &Ctx) {
     let abc = structure("D=ABC");
     let ab = structure("D=AB");
 

@@ -7,13 +7,12 @@
 //! time and cardinality) for our two engines, whose time distributions
 //! differ exactly the way interpreted vs. vectorized engines do.
 
+use crate::Ctx;
 use minidb::ExecMode;
-use perfeval_bench::{banner, bench_catalog, print_environment, session_with_mode};
+use perfeval_bench::{bench_catalog, session_with_mode};
 use workload::queries;
 
-fn main() {
-    banner("E12: per-operator profile of Q1, two engines", "slide 54");
-    print_environment();
+pub fn run(_: &Ctx) {
     let catalog = bench_catalog();
     let sql = queries::q1();
 

@@ -9,15 +9,13 @@
 //! 3. slide 144: the same response-time sample binned at width 2 vs
 //!    width 6, and the ≥5-points-per-cell rule.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_harness::chartlint::{lint, ChartKind, ChartSpec};
 use perfeval_stats::histogram::Histogram;
 use perfeval_stats::rng::SplitMix64;
 use perfeval_stats::{compare_means, ComparisonVerdict};
 
-fn main() {
-    banner("E13: presentation pitfalls", "slides 138-145");
-
+pub fn run(_: &Ctx) {
     // --- 1. MINE vs YOURS ---
     println!("--- the truncated-axis trick (slide 138) ---");
     let dishonest = ChartSpec {

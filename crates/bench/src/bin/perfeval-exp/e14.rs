@@ -4,15 +4,13 @@
 //! beat pies — our own presentation chapter says so), plus the headline:
 //! 298 of 436 submissions provided code.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_harness::repeatability::{
     sigmod2008_populations, Checklist, RepeatOutcome, SIGMOD2008_PROVIDED_CODE,
     SIGMOD2008_SUBMISSIONS,
 };
 
-fn main() {
-    banner("E14: SIGMOD 2008 repeatability outcomes", "slides 218-220");
-
+pub fn run(_: &Ctx) {
     println!(
         "{SIGMOD2008_PROVIDED_CODE} of {SIGMOD2008_SUBMISSIONS} submissions provided code \
          ({:.0}%)\n",

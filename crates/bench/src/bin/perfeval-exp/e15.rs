@@ -5,19 +5,16 @@
 //! `plot-m1-n5.gnu` command file, and the full suite layout
 //! (`data/ res/ graphs/`) with recorded configuration and instructions.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_harness::csvio::read_csv;
 use perfeval_harness::suite::{ExperimentSuite, Instructions};
 use perfeval_harness::{GnuplotScript, Properties};
 
-fn main() {
-    banner("E15: automatic graph generation", "slides 202-205");
-
-    let root = std::env::var("PERFEVAL_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir().join("perfeval_e15"));
-    std::fs::create_dir_all(&root)
-        .unwrap_or_else(|e| panic!("cannot create PERFEVAL_OUT dir {}: {e}", root.display()));
+pub fn run(ctx: &Ctx) {
+    let root = ctx
+        .out
+        .clone()
+        .unwrap_or_else(|| std::env::temp_dir().join("perfeval_e15"));
     let suite = ExperimentSuite::create(&root, "m1-n5").expect("suite layout");
 
     // 1. The data file, exactly as on the slide.
@@ -54,7 +51,7 @@ fn main() {
             title: "m1-n5 scale-factor sweep".into(),
             requirements: "Rust 1.80+, gnuplot (optional, for rendering)".into(),
             extra_setup: String::new(),
-            command: "cargo run --release --bin exp_e15_gnuplot".into(),
+            command: "cargo run --release -p perfeval-bench --bin perfeval-exp -- e15".into(),
             output_location: "res/results-m1-n5.csv, graphs/plot-m1-n5.gnu".into(),
             duration: "< 1 s".into(),
         })

@@ -6,12 +6,10 @@
 //! with twenty hand-made graphs the corruption ships. The harness pipeline
 //! detects exactly this on read.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_harness::csvio::{parse_csv, validate_locale, CsvError};
 
-fn main() {
-    banner("E16: the locale copy-paste corruption", "slides 212-215");
-
+pub fn run(_: &Ctx) {
     let original = "run,avg_ms\n1,13.666\n2,15\n3,12.3333\n4,13\n";
     let pasted = "run,avg_ms\n1,13666\n2,15\n3,123333\n4,13\n";
 

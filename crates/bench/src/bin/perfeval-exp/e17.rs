@@ -7,15 +7,13 @@
 //! with all of them side by side and show the 10 ms timer erasing a
 //! fast query entirely.
 
+use crate::Ctx;
 use minidb::Session;
-use perfeval_bench::{banner, bench_catalog, print_environment};
+use perfeval_bench::bench_catalog;
 use perfeval_measure::{Clock, CpuClock, ManualClock, QuantizedClock, WallClock};
 use workload::queries;
 
-fn main() {
-    banner("E17: know your timer", "slides 27-29");
-    print_environment();
-
+pub fn run(_: &Ctx) {
     let mut session = Session::new(bench_catalog());
     let sql = queries::q6();
     session.query(&sql).run().expect("warmup");

@@ -17,9 +17,10 @@
 //! and validates the Chrome trace, and skips the (timing-noisy) overhead
 //! assertion — that mode is what CI runs.
 
-use perfeval_bench::{banner, bench_catalog, median, print_environment};
-use perfeval_harness::Properties;
-use perfeval_trace::{chrome_trace_json, validate_chrome, Tracer};
+use crate::Ctx;
+use perfeval_bench::knobs::Knob;
+use perfeval_bench::{bench_catalog, median};
+use perfeval_trace::Tracer;
 
 const SQL: &str = "SELECT SUM(l_extendedprice) FROM lineitem WHERE l_quantity < 24";
 
@@ -47,24 +48,12 @@ fn arm_median_ms(session: &mut minidb::Session, tracer: Option<&Tracer>, reps: u
     )
 }
 
-fn main() {
-    banner(
-        "E18: observer effect of span tracing",
-        "the 'what you measure' principle",
-    );
-    print_environment();
+pub const KNOBS: &[Knob] =
+    &[Knob::new("reps", "40", "timed runs per arm (median); at least 3").smoke("5")];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props = Properties::with_defaults(&[("reps", "40")]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let reps = if smoke {
-        5
-    } else {
-        props.get_u64("reps").expect("-Dreps").unwrap_or(40).max(3) as usize
-    };
+pub fn run(ctx: &Ctx) {
+    let smoke = ctx.smoke();
+    let reps = ctx.get::<usize>("reps").max(3);
 
     let catalog = bench_catalog();
     let mut session = minidb::Session::new(catalog);
@@ -105,22 +94,7 @@ fn main() {
     println!("  full       {full_ms:9.4}   {:+7.2}%", pct(full_ms));
 
     // Export + validate the full arm's trace: the observer's own record.
-    let trace = full.snapshot();
-    let json = chrome_trace_json(&trace);
-    let summary = validate_chrome(&json).expect("exported trace is well-formed");
-    let out = std::env::var("PERFEVAL_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir());
-    std::fs::create_dir_all(&out).expect("output dir");
-    let path = out.join("exp_e18_observer_effect.trace.json");
-    std::fs::write(&path, &json).expect("write trace");
-    println!(
-        "\nfull-arm trace: {} events, {} spans, {} dropped -> {}",
-        summary.events,
-        summary.spans,
-        summary.dropped,
-        path.display()
-    );
+    let summary = ctx.export_trace("\nfull-arm trace", &full.snapshot());
     assert!(summary.spans > 0, "full tracer recorded spans");
 
     let stats = sampled.stats();

@@ -18,13 +18,15 @@
 //! the speed-up assertion (shared CI runners make wall-clock promises a
 //! lottery).
 
+use crate::Ctx;
 use minidb::{Session, Value};
-use perfeval_bench::{banner, catalog_at, median};
+use perfeval_bench::knobs::Knob;
+use perfeval_bench::{catalog_at, median};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation_replicated;
 use perfeval_measure::Phase;
 use perfeval_stats::ci::mean_confidence_interval;
-use perfeval_trace::{chrome_trace_json, validate_chrome, Tracer};
+use perfeval_trace::Tracer;
 
 /// Scan-heavy arm: selective filter feeding a single-row aggregate, so the
 /// response is dominated by the morselized scan+filter work, not by
@@ -73,19 +75,14 @@ fn measure(session: &mut Session, sql: &str, reps: usize) -> Vec<f64> {
     (0..reps).map(|_| execute_wall_ms(session, sql)).collect()
 }
 
-fn main() {
-    banner(
-        "E19: morsel-parallel speed-up as a designed experiment",
-        "the paper's own method, applied to our new subsystem",
-    );
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("threads", "4", "the high level of the threads factor (the low level is 1)"),
+];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props = perfeval_harness::Properties::with_defaults(&[("threads", "4")]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let hi_threads = perfeval_bench::threads_knob(&props);
+pub fn run(ctx: &Ctx) {
+    let smoke = ctx.smoke();
+    let hi_threads = ctx.threads();
 
     let (sf, reps) = if smoke { (0.002, 3) } else { (0.02, 7) };
     let catalog = catalog_at(sf);
@@ -215,21 +212,8 @@ fn main() {
         .flat_map(|l| l.records.iter())
         .filter(|r| r.name.starts_with("morsel "))
         .count();
-    let json = chrome_trace_json(&trace);
-    let summary = validate_chrome(&json).expect("exported trace is well-formed");
-    let out = std::env::var("PERFEVAL_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir());
-    std::fs::create_dir_all(&out).expect("output dir");
-    let path = out.join("exp_e19_parallel_speedup.trace.json");
-    std::fs::write(&path, &json).expect("write trace");
-    println!(
-        "\ntraced run: {} spans ({} morsel spans) on {} lane(s) -> {}",
-        summary.spans,
-        morsel_spans,
-        summary.thread_names.len(),
-        path.display()
-    );
+    ctx.export_trace("\ntraced run", &trace);
+    println!("{morsel_spans} of the spans are morsels, on worker lanes.");
     assert!(
         morsel_spans > 0,
         "parallel run must record morsel spans on worker lanes"

@@ -19,17 +19,16 @@
 //! (`perfeval_bench::era_scan_io_ms`) and the simulated wait is added to
 //! the measured wall time here. For the measured version of this table — real segment
 //! files, a real buffer pool, counted (not modeled) hits and misses —
-//! see `exp_e26_hot_cold`.
+//! see `perfeval-exp e26`.
 
+use crate::Ctx;
 use memsim::{BufferPool, Disk};
 use minidb::{QueryResult, Session};
-use perfeval_bench::{banner, bench_catalog, era_scan_io_ms, print_environment};
+use perfeval_bench::{bench_catalog, era_scan_io_ms};
 use perfeval_measure::RunProtocol;
 use workload::queries;
 
-fn main() {
-    banner("E2: hot vs cold runs", "slides 33-36");
-    print_environment();
+pub fn run(_: &Ctx) {
     println!("protocol (cold): {}", RunProtocol::cold(1).describe());
     println!(
         "protocol (hot) : {}\n",

@@ -22,14 +22,15 @@
 //! rerun with the same `-Dfaultseed` and the same cells fail, on any
 //! thread count. `--smoke` shrinks replication for CI.
 
-use perfeval_bench::banner;
+use crate::Ctx;
+use perfeval_bench::knobs::Knob;
 use perfeval_core::effects::estimate_effects_replicated;
 use perfeval_core::runner::{two_level_assignments, Assignment, SyncExperiment};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_exec::{EnvFingerprint, ResultCache, RetryPolicy, RunPlan, Scheduler, UnitOutcome};
 use perfeval_fault::{FaultAction, FaultRegistry, TimeoutSignal, Trigger};
 use perfeval_measure::protocol::RunProtocol;
-use perfeval_trace::{chrome_trace_json, validate_chrome, Tracer};
+use perfeval_trace::Tracer;
 use std::sync::Arc;
 
 /// Root seed of every plan in this exhibit (recorded: the whole sweep
@@ -74,25 +75,18 @@ fn quiet_injected_panics() {
     }));
 }
 
-fn main() {
-    quiet_injected_panics();
-    banner(
-        "E20: fault injection and failure-contained execution",
-        "the repeatability discipline, extended to sweeps that fail",
-    );
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("threads", "4", "scheduler workers; the failing cells do not depend on it"),
+    Knob::new("faultseed", "1", "seed of the fault schedule: same seed, same cells fail"),
+];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props =
-        perfeval_harness::Properties::with_defaults(&[("threads", "4"), ("faultseed", "1")]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let threads = perfeval_bench::threads_knob(&props);
-    let faultseed = props
-        .get_u64("faultseed")
-        .expect("-Dfaultseed must be a number")
-        .unwrap_or(1);
+pub fn run(ctx: &Ctx) {
+    quiet_injected_panics();
+
+    let smoke = ctx.smoke();
+    let threads = ctx.threads();
+    let faultseed = ctx.get::<u64>("faultseed");
 
     let reps = if smoke { 2 } else { 4 };
     let design = TwoLevelDesign::full(&["B", "C", "V"]);
@@ -263,20 +257,7 @@ fn main() {
 
     // Export the traced hang for inspection — the watchdog lane and the
     // cancelled unit are visible in any Chrome-trace viewer.
-    let json = chrome_trace_json(&trace);
-    let summary = validate_chrome(&json).expect("exported trace is well-formed");
-    let out = std::env::var("PERFEVAL_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir());
-    std::fs::create_dir_all(&out).expect("output dir");
-    let path = out.join("exp_e20_fault_robustness.trace.json");
-    std::fs::write(&path, &json).expect("write trace");
-    println!(
-        "  trace: {} spans on {} lane(s) -> {}",
-        summary.spans,
-        summary.thread_names.len(),
-        path.display()
-    );
+    ctx.export_trace("  trace", &trace);
 
     println!(
         "\nverdict: panics and hangs are per-unit *outcomes*, not sweep killers; \

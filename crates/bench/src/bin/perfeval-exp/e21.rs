@@ -22,15 +22,16 @@
 //! arm — client-side printing and transfer can dominate what a naive
 //! "measure at the client" benchmark would report as query time.
 
+use crate::Ctx;
 use minidb::sink::{NullSink, TerminalSink};
 use minidb::Session;
 use minidb_net::{
     Client, LoopbackEndpoint, Server, ServerHandle, ServerMode, TcpEndpoint, TcpTransport,
 };
-use perfeval_bench::{banner, bench_catalog, median, print_environment};
+use perfeval_bench::knobs::Knob;
+use perfeval_bench::{bench_catalog, median};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation_replicated;
-use perfeval_harness::Properties;
 use workload::queries;
 
 /// Per-arm medians of every component the subsystem measures, in ms.
@@ -47,7 +48,12 @@ struct ArmMedians {
 
 /// One arm: `reps` queries through `client`, replicate responses =
 /// client real ms (the "what the user sees" response variable).
-fn run_arm(client: &mut Client, sql: &str, terminal: bool, reps: usize) -> (Vec<f64>, ArmMedians) {
+fn measure_arm(
+    client: &mut Client,
+    sql: &str,
+    terminal: bool,
+    reps: usize,
+) -> (Vec<f64>, ArmMedians) {
     let query = |client: &mut Client| {
         if terminal {
             let mut sink = TerminalSink::new();
@@ -74,24 +80,13 @@ fn run_arm(client: &mut Client, sql: &str, terminal: bool, reps: usize) -> (Vec<
     (results.iter().map(|r| r.client_real_ms).collect(), medians)
 }
 
-fn main() {
-    banner(
-        "E21: client vs server time over a real wire",
-        "slides 23-26, measured not simulated",
-    );
-    print_environment();
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("reps", "9", "replicates per arm; at least 3").smoke("3"),
+];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props = Properties::with_defaults(&[("reps", "9")]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let reps = if smoke {
-        3
-    } else {
-        props.get_u64("reps").expect("-Dreps").unwrap_or(9).max(3) as usize
-    };
+pub fn run(ctx: &Ctx) {
+    let reps = ctx.get::<usize>("reps").max(3);
 
     let catalog = bench_catalog();
 
@@ -143,7 +138,7 @@ fn main() {
             &mut loop_client
         };
         let sql = if large { &large_sql } else { &small_sql };
-        let (ys, m) = run_arm(client, sql, terminal, reps);
+        let (ys, m) = measure_arm(client, sql, terminal, reps);
         let label = format!(
             "{:<9}  {:<8}  {:<6}",
             if tcp { "tcp" } else { "loopback" },
@@ -220,7 +215,7 @@ fn main() {
     let ts = tcp_server.wait();
     assert_eq!(ls.disconnects + ts.disconnects, 0, "clean shutdown");
 
-    if smoke {
+    if ctx.smoke() {
         println!("\n--smoke: reduced replication; shares and allocation still computed.");
     }
     println!(

@@ -27,94 +27,31 @@
 
 use std::sync::Arc;
 
-use minidb::{Catalog, Session};
-use minidb_net::{LoopbackEndpoint, Server, ServerMode, Transport};
-use perfeval_bench::{banner, bench_catalog, catalog_at, print_environment, BENCH_SCALE_FACTOR};
+use crate::ctx::{run_arm, tail_line, Arm};
+use crate::Ctx;
+use perfeval_bench::knobs::Knob;
+use perfeval_bench::{bench_catalog, catalog_at, BENCH_SCALE_FACTOR};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation_replicated;
 use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
-use perfeval_harness::{Properties, Report, ResultTable};
-use perfeval_load::{expected_checksums, Arrival, Dialer, LoadReport, LoadRunner, LoadSpec};
-use perfeval_measure::{EnvSpec, SoftwareSpec};
+use perfeval_harness::ResultTable;
+use perfeval_load::{Arrival, LoadSpec};
 use workload::queries;
 
-/// Runs one load arm against a fresh loopback server (thread-per-
-/// connection: workers must cover every concurrent session, plus slack
-/// for reconnect churn).
-fn run_arm(
-    catalog: &Catalog,
-    spec: LoadSpec,
-    faults: Option<Arc<FaultRegistry>>,
-    reps: usize,
-) -> LoadReport {
-    let ep = LoopbackEndpoint::new();
-    let dial = ep.connector();
-    let server_catalog = catalog.clone();
-    let server = Server::builder()
-        .transport(ep)
-        .mode(ServerMode::ThreadPerConn {
-            workers: spec.clients + 2,
-        })
-        .serve(move || Session::new(server_catalog.clone()));
-    let dialer: Dialer = Arc::new(move || Ok(Box::new(dial.connect()?) as Box<dyn Transport>));
-    let mut runner = LoadRunner::new(spec.clone(), dialer)
-        .expecting(expected_checksums(catalog.clone(), &spec.mix));
-    if let Some(f) = faults {
-        runner = runner.with_faults(f);
-    }
-    let report = runner.run_replicated(reps);
-    server.shutdown();
-    report
-}
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("reps", "3", "replicated runs per arm (CIs are over runs); at least 2").smoke("2"),
+    Knob::new("requests", "1200", "requests per run; at least 100").smoke("120"),
+    Knob::new("think_ms", "1.0", "mean think time of a closed-loop client, ms"),
+    Knob::new("rate_per_client", "400", "open-loop offered q/s per client"),
+];
 
-fn tail_line(r: &LoadReport) -> String {
-    let ci = |i: usize| match r.tail_ci(i, 0.95) {
-        Ok(ci) => format!("{:.2} [{:.2},{:.2}]", ci.estimate, ci.lower, ci.upper),
-        Err(_) => "n/a".to_owned(),
-    };
-    format!("p50 {}  p99 {}  p99.9 {}", ci(0), ci(2), ci(3))
-}
-
-fn main() {
-    banner(
-        "E22: the load knee — arrival x concurrency x mix",
-        "ROADMAP item 1: production-like concurrency, honest tails",
-    );
-    print_environment();
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props = Properties::with_defaults(&[
-        ("reps", "3"),
-        ("requests", "1200"),
-        ("think_ms", "1.0"),
-        ("rate_per_client", "400"),
-    ]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let reps = if smoke {
-        2
-    } else {
-        props.get_u64("reps").expect("-Dreps").unwrap_or(3).max(2) as usize
-    };
-    let requests = if smoke {
-        120
-    } else {
-        props
-            .get_u64("requests")
-            .expect("-Drequests")
-            .unwrap_or(1200)
-            .max(100) as usize
-    };
-    let think_ms = props
-        .get_f64("think_ms")
-        .expect("-Dthink_ms")
-        .unwrap_or(1.0);
-    let rate_per_client = props
-        .get_f64("rate_per_client")
-        .expect("-Drate_per_client")
-        .unwrap_or(400.0);
+pub fn run(ctx: &Ctx) {
+    let smoke = ctx.smoke();
+    let reps = ctx.get::<usize>("reps").max(2);
+    let requests = ctx.get::<usize>("requests").max(100);
+    let think_ms = ctx.get::<f64>("think_ms");
+    let rate_per_client = ctx.get::<f64>("rate_per_client");
 
     // --smoke shrinks the catalog so the heavy arms stay CI-friendly even
     // on a single slow core; the knee is about queueing, not table size.
@@ -157,7 +94,7 @@ fn main() {
         } else {
             light.clone()
         });
-        let report = run_arm(&catalog, spec, None, reps);
+        let (report, _) = run_arm(&catalog, spec, Arm::threaded(clients), reps);
         assert!(
             report.is_complete(),
             "arm {name}: {} error(s), {} dropped, {} checksum mismatch(es)",
@@ -213,7 +150,7 @@ fn main() {
             };
             let name = format!("knee/{}/{clients}", if open { "open" } else { "closed" });
             let spec = LoadSpec::new(&name, clients, requests, arrival).mix(heavy.clone());
-            let report = run_arm(&catalog, spec, None, reps);
+            let (report, _) = run_arm(&catalog, spec, Arm::threaded(clients), reps);
             assert!(report.is_complete(), "knee arm {name} incomplete");
             let offered = report.offered_qps;
             println!(
@@ -263,7 +200,11 @@ fn main() {
         Arrival::Closed { think_ms },
     )
     .mix(light.clone());
-    let report = run_arm(&catalog, spec, Some(Arc::clone(&faults)), reps);
+    let arm = Arm {
+        client_faults: Some(Arc::clone(&faults)),
+        ..Arm::threaded(8)
+    };
+    let (report, _) = run_arm(&catalog, spec, arm, reps);
     println!("fault arm (flapping client 5, slow client 3):");
     for line in report.render_lines() {
         println!("  {line}");
@@ -282,41 +223,23 @@ fn main() {
     sections.push(report.to_section());
 
     // ---- the report: load arms under the same documentation contract ----
-    let mut full = Report::new(
-        "E22: the load knee",
-        "locate the throughput knee and quantify what arrival discipline, \
-         concurrency, and query mix do to tail latency",
-    )
-    .environment(EnvSpec::capture())
-    .software(SoftwareSpec::new(
-        "minidb + minidb-net + perfeval-load",
-        "0.1.0",
-        "this repository",
-        "release, OPT engine, loopback transport, thread-per-connection",
-    ))
-    .protocol(
-        "replicated runs per arm (fresh connections each), coordinated-omission-safe \
-         recording from the intended arrival schedule, results checksummed against \
-         serial execution",
-    )
-    .config(props)
-    .table(knee_table)
-    .conclusions(
-        "the open-loop tail diverges from the closed-loop tail past the knee; \
-         arrival discipline is a design factor, not a harness detail.",
-    );
-    for s in sections {
-        full = full.load(s);
-    }
-    let missing = full.missing_sections();
-    assert!(
-        missing.is_empty(),
-        "E22's own report fails the documentation contract: {missing:?}"
-    );
-    println!(
-        "report: {} load arm(s), documentation contract satisfied.",
-        full.loads.len()
-    );
+    let report = ctx
+        .report(
+            "locate the throughput knee and quantify what arrival discipline, \
+             concurrency, and query mix do to tail latency",
+            "release, OPT engine, loopback transport, thread-per-connection",
+        )
+        .protocol(
+            "replicated runs per arm (fresh connections each), coordinated-omission-safe \
+             recording from the intended arrival schedule, results checksummed against \
+             serial execution",
+        )
+        .table(knee_table)
+        .conclusions(
+            "the open-loop tail diverges from the closed-loop tail past the knee; \
+             arrival discipline is a design factor, not a harness detail.",
+        );
+    ctx.finish_report(report, sections);
 
     if smoke {
         println!("\n--smoke: reduced requests/reps; same arms, same assertions.");

@@ -21,115 +21,33 @@
 //! asserts the tentpole claim — at 100× connections the sharded core
 //! achieves at least thread-per-connection throughput.
 
-use std::sync::Arc;
-
-use minidb::{Catalog, Session};
-use minidb_net::{LoopbackEndpoint, Server, ServerMode, Transport, DEFAULT_QUEUE_DEPTH};
-use perfeval_bench::{banner, catalog_at, print_environment, BENCH_SCALE_FACTOR};
+use crate::ctx::{run_arm, tail_line, Arm};
+use crate::Ctx;
+use minidb_net::{ServerMode, DEFAULT_QUEUE_DEPTH};
+use perfeval_bench::knobs::Knob;
+use perfeval_bench::{catalog_at, BENCH_SCALE_FACTOR};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation_replicated;
-use perfeval_harness::{Properties, Report, ResultTable};
-use perfeval_load::{expected_checksums, Arrival, Dialer, LoadReport, LoadRunner, LoadSpec};
-use perfeval_measure::{EnvSpec, SoftwareSpec};
+use perfeval_harness::ResultTable;
+use perfeval_load::{Arrival, LoadSpec};
 use workload::queries;
 
-/// Telemetry the sharded core exposes that thread-per-conn cannot.
-struct ArmTelemetry {
-    steal_borrows: u64,
-    write_queue_peak: u64,
-    compat_conns: u64,
-}
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("reps", "3", "replicated runs per arm (CIs are over runs); at least 2").smoke("2"),
+    Knob::new("requests", "1200", "requests per run; at least 200 and 2 per client").smoke("240"),
+    Knob::new("base_clients", "4", "the 1x connection count"),
+    Knob::new("shards", "4", "readiness loops of the sharded core"),
+    Knob::new("think_ms", "0.5", "mean think time of a closed-loop client, ms"),
+];
 
-/// Runs one load arm against a fresh loopback server in `mode`.
-fn run_arm(
-    catalog: &Catalog,
-    spec: LoadSpec,
-    mode: ServerMode,
-    reps: usize,
-) -> (LoadReport, ArmTelemetry) {
-    let ep = LoopbackEndpoint::new();
-    let dial = ep.connector();
-    let server_catalog = catalog.clone();
-    let server = Server::builder()
-        .transport(ep)
-        .mode(mode)
-        .serve(move || Session::new(server_catalog.clone()));
-    let dialer: Dialer = Arc::new(move || Ok(Box::new(dial.connect()?) as Box<dyn Transport>));
-    let report = LoadRunner::new(spec.clone(), dialer)
-        .expecting(expected_checksums(catalog.clone(), &spec.mix))
-        .run_replicated(reps);
-    let telemetry = ArmTelemetry {
-        steal_borrows: server.steal_borrows(),
-        write_queue_peak: server.write_queue_peak(),
-        compat_conns: server.compat_conns(),
-    };
-    server.shutdown();
-    assert!(
-        report.is_complete(),
-        "arm {}: {} error(s), {} dropped, {} checksum mismatch(es)",
-        spec.name,
-        report.errors,
-        report.dropped_sessions,
-        report.checksum_mismatches
-    );
-    (report, telemetry)
-}
-
-fn tail_line(r: &LoadReport) -> String {
-    let ci = |i: usize| match r.tail_ci(i, 0.95) {
-        Ok(ci) => format!("{:.2} [{:.2},{:.2}]", ci.estimate, ci.lower, ci.upper),
-        Err(_) => "n/a".to_owned(),
-    };
-    format!("p50 {}  p99 {}  p99.9 {}", ci(0), ci(2), ci(3))
-}
-
-fn main() {
-    banner(
-        "E23: sharded server core vs thread-per-connection",
-        "ROADMAP: the server core as an experiment factor",
-    );
-    print_environment();
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props = Properties::with_defaults(&[
-        ("reps", "3"),
-        ("requests", "1200"),
-        ("base_clients", "4"),
-        ("shards", "4"),
-        ("think_ms", "0.5"),
-    ]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let reps = if smoke {
-        2
-    } else {
-        props.get_u64("reps").expect("-Dreps").unwrap_or(3).max(2) as usize
-    };
-    let requests = if smoke {
-        240
-    } else {
-        props
-            .get_u64("requests")
-            .expect("-Drequests")
-            .unwrap_or(1200)
-            .max(200) as usize
-    };
-    let base = props
-        .get_u64("base_clients")
-        .expect("-Dbase_clients")
-        .unwrap_or(4)
-        .max(1) as usize;
-    let shards = props
-        .get_u64("shards")
-        .expect("-Dshards")
-        .unwrap_or(4)
-        .max(1) as usize;
-    let think_ms = props
-        .get_f64("think_ms")
-        .expect("-Dthink_ms")
-        .unwrap_or(0.5);
+pub fn run(ctx: &Ctx) {
+    let smoke = ctx.smoke();
+    let reps = ctx.get::<usize>("reps").max(2);
+    let requests = ctx.get::<usize>("requests").max(200);
+    let base = ctx.get::<usize>("base_clients").max(1);
+    let shards = ctx.get::<usize>("shards").max(1);
+    let think_ms = ctx.get::<f64>("think_ms");
 
     // Light mix + small catalog: service time stays tiny, so the cost of
     // *holding and scheduling connections* is what the sweep measures.
@@ -178,23 +96,43 @@ fn main() {
                 Arrival::Closed { think_ms },
             )
             .mix(mix.clone());
-            let (report, tel) = run_arm(&catalog, spec, mode, reps);
+            let (report, server) = run_arm(
+                &catalog,
+                spec,
+                Arm {
+                    mode,
+                    ..Arm::default()
+                },
+                reps,
+            );
+            assert!(
+                report.is_complete(),
+                "arm {name}: {} error(s), {} dropped, {} checksum mismatch(es)",
+                report.errors,
+                report.dropped_sessions,
+                report.checksum_mismatches
+            );
             println!(
                 "  {name:<22} {clients:>5}  {:>12.1}  {}",
                 report.achieved_qps(),
                 tail_line(&report)
             );
+            // Telemetry the sharded core exposes that thread-per-conn cannot.
             if matches!(mode, ServerMode::Sharded { .. }) {
                 println!(
                     "  {:<22}        steal borrows {}, write-queue peak {}, compat conns {}",
-                    "", tel.steal_borrows, tel.write_queue_peak, tel.compat_conns
+                    "",
+                    server.steal_borrows(),
+                    server.write_queue_peak(),
+                    server.compat_conns()
                 );
                 assert_eq!(
-                    tel.compat_conns, 0,
+                    server.compat_conns(),
+                    0,
                     "loopback supports readiness; nothing should fall back"
                 );
                 assert!(
-                    tel.write_queue_peak <= (DEFAULT_QUEUE_DEPTH + 2) as u64,
+                    server.write_queue_peak() <= (DEFAULT_QUEUE_DEPTH + 2) as u64,
                     "write queues stay bounded under load"
                 );
             }
@@ -247,42 +185,24 @@ fn main() {
     }
 
     // ---- the report: same documentation contract as every experiment ----
-    let mut full = Report::new(
-        "E23: sharded server core vs thread-per-connection",
-        "measure what the connection-multiplexing strategy itself costs, \
-         with the server core as a controlled factor",
-    )
-    .environment(EnvSpec::capture())
-    .software(SoftwareSpec::new(
-        "minidb + minidb-net + perfeval-load",
-        "0.1.0",
-        "this repository",
-        "release, OPT engine, loopback transport, both server cores",
-    ))
-    .protocol(
-        "replicated closed-loop runs per arm (fresh connections each), \
-         coordinated-omission-safe recording, results checksummed against \
-         serial execution; identical client harness against both cores",
-    )
-    .config(props)
-    .table(table)
-    .conclusions(
-        "connection scale, not query weight, separates the cores: at 1x they \
-         tie, at 100x the thread-per-connection scheduler tax shows up in \
-         throughput and the p99 tail.",
-    );
-    for s in sections {
-        full = full.load(s);
-    }
-    let missing = full.missing_sections();
-    assert!(
-        missing.is_empty(),
-        "E23's own report fails the documentation contract: {missing:?}"
-    );
-    println!(
-        "report: {} load arm(s), documentation contract satisfied.",
-        full.loads.len()
-    );
+    let report = ctx
+        .report(
+            "measure what the connection-multiplexing strategy itself costs, \
+             with the server core as a controlled factor",
+            "release, OPT engine, loopback transport, both server cores",
+        )
+        .protocol(
+            "replicated closed-loop runs per arm (fresh connections each), \
+             coordinated-omission-safe recording, results checksummed against \
+             serial execution; identical client harness against both cores",
+        )
+        .table(table)
+        .conclusions(
+            "connection scale, not query weight, separates the cores: at 1x they \
+             tie, at 100x the thread-per-connection scheduler tax shows up in \
+             throughput and the p99 tail.",
+        );
+    ctx.finish_report(report, sections);
 
     if smoke {
         println!("\n--smoke: reduced scale/requests; same arms, same invariants.");

@@ -17,62 +17,24 @@
 //!   workload's result must be identical across all three engines — the
 //!   "same question, same answer" precondition for comparing their times.
 //!
-//! Knobs: `-Dsmoke=on` (small data, fewer replicates), `-Dreps=N`.
+//! `--smoke` shrinks the data and the replication; `-Dreps=N` sets the
+//! replication alone.
 
+use crate::Ctx;
+use perfeval_bench::knobs::Knob;
 use perfeval_bench::trajectory::{suite, ENGINES};
-use perfeval_bench::{
-    banner, bench_props, catalog_at, median, print_environment, session_with_mode,
-};
+use perfeval_bench::{catalog_at, median, session_with_mode};
+use perfeval_core::variation::allocate_variation_general;
 use perfeval_stats::effect_size_ci;
 
-/// Two-factor allocation of variation with replication, general levels.
-/// Returns (ss_a, ss_b, ss_ab, ss_err, ss_total) for responses indexed
-/// `y[a][b][r]`.
-fn allocate_variation_general(y: &[Vec<Vec<f64>>]) -> (f64, f64, f64, f64, f64) {
-    let a = y.len();
-    let b = y[0].len();
-    let r = y[0][0].len();
-    let grand: f64 = y.iter().flatten().flatten().sum::<f64>() / (a * b * r) as f64;
-    let cell_mean = |i: usize, j: usize| -> f64 { y[i][j].iter().sum::<f64>() / r as f64 };
-    let a_mean = |i: usize| -> f64 { (0..b).map(|j| cell_mean(i, j)).sum::<f64>() / b as f64 };
-    let b_mean = |j: usize| -> f64 { (0..a).map(|i| cell_mean(i, j)).sum::<f64>() / a as f64 };
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("reps", "11", "replicates per cell; at least 2").smoke("5"),
+];
 
-    let ss_a: f64 = (0..a)
-        .map(|i| (b * r) as f64 * (a_mean(i) - grand).powi(2))
-        .sum();
-    let ss_b: f64 = (0..b)
-        .map(|j| (a * r) as f64 * (b_mean(j) - grand).powi(2))
-        .sum();
-    let mut ss_ab = 0.0;
-    let mut ss_err = 0.0;
-    let mut ss_total = 0.0;
-    for (i, row) in y.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            let cm = cell_mean(i, j);
-            ss_ab += r as f64 * (cm - a_mean(i) - b_mean(j) + grand).powi(2);
-            for &v in cell {
-                ss_err += (v - cm).powi(2);
-                ss_total += (v - grand).powi(2);
-            }
-        }
-    }
-    (ss_a, ss_b, ss_ab, ss_err, ss_total)
-}
-
-fn main() {
-    banner(
-        "E24: engine as a three-level factor (DBG/OPT/SIMD)",
-        "extends slide 41's build factor",
-    );
-    print_environment();
-    let props = bench_props();
-    let smoke = props.get("smoke").map(|s| s == "on").unwrap_or(false);
-    let default_reps = if smoke { 5 } else { 11 };
-    let reps = props
-        .get_u64("reps")
-        .expect("-Dreps must be a number")
-        .map(|r| (r as usize).max(2))
-        .unwrap_or(default_reps);
+pub fn run(ctx: &Ctx) {
+    let smoke = ctx.smoke();
+    let reps = ctx.get::<usize>("reps").max(2);
     let sf = if smoke { 0.002 } else { 0.01 };
     println!("design: engine (3) x workload (4), r={reps} replicates, sf={sf}\n");
 
@@ -172,12 +134,13 @@ fn main() {
                 .collect()
         })
         .collect();
-    let (ss_e, ss_w, ss_int, ss_err, ss_t) = allocate_variation_general(&logs);
+    let v = allocate_variation_general(&logs).expect("every cell has `reps` replicates");
+    let (ss_e, ss_err, ss_t) = (v.ss_a, v.sse, v.sst);
     println!("\nallocation of variation (log ms):");
     for (name, ss) in [
         ("engine", ss_e),
-        ("workload", ss_w),
-        ("interaction", ss_int),
+        ("workload", v.ss_b),
+        ("interaction", v.ss_ab),
         ("replicates", ss_err),
     ] {
         println!("  {:<12} {:>6.1}%", name, 100.0 * ss / ss_t.max(1e-12));

@@ -52,54 +52,18 @@
 
 use std::sync::Arc;
 
-use minidb::{Catalog, Session};
-use minidb_net::{Admission, BackoffPolicy, LoopbackEndpoint, Server, ServerMode, Transport};
-use perfeval_bench::{banner, bench_catalog, catalog_at, print_environment, BENCH_SCALE_FACTOR};
+use crate::ctx::{run_arm, Arm};
+use crate::Ctx;
+use minidb_net::{Admission, BackoffPolicy};
+use perfeval_bench::knobs::Knob;
+use perfeval_bench::{bench_catalog, catalog_at, BENCH_SCALE_FACTOR};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation_replicated;
 use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
-use perfeval_harness::{Properties, Report, ResultTable};
-use perfeval_load::{expected_checksums, Arrival, Dialer, LoadReport, LoadRunner, LoadSpec};
-use perfeval_measure::{EnvSpec, SoftwareSpec};
+use perfeval_harness::ResultTable;
+use perfeval_load::{Arrival, LoadReport, LoadSpec};
 use perfeval_stats::mean_confidence_interval;
 use workload::queries;
-
-/// Runs one load arm against a fresh loopback server with the given
-/// admission policy and per-session engine faults.
-fn run_arm(
-    catalog: &Catalog,
-    spec: LoadSpec,
-    admission: Admission,
-    session_faults: Option<Arc<FaultRegistry>>,
-    server_faults: Option<Arc<FaultRegistry>>,
-    reps: usize,
-) -> LoadReport {
-    let ep = LoopbackEndpoint::new();
-    let dial = ep.connector();
-    let server_catalog = catalog.clone();
-    let mut builder = Server::builder()
-        .transport(ep)
-        .mode(ServerMode::ThreadPerConn {
-            workers: spec.clients + 2,
-        })
-        .admission(admission);
-    if let Some(f) = server_faults {
-        builder = builder.with_faults(f);
-    }
-    let server = builder.serve(move || {
-        let s = Session::new(server_catalog.clone());
-        match &session_faults {
-            Some(f) => s.with_faults(Arc::clone(f)),
-            None => s,
-        }
-    });
-    let dialer: Dialer = Arc::new(move || Ok(Box::new(dial.connect()?) as Box<dyn Transport>));
-    let runner = LoadRunner::new(spec.clone(), dialer)
-        .expecting(expected_checksums(catalog.clone(), &spec.mix));
-    let report = runner.run_replicated(reps);
-    server.shutdown();
-    report
-}
 
 fn ci_str(data: &[f64]) -> String {
     match mean_confidence_interval(data, 0.95) {
@@ -112,63 +76,28 @@ fn p999_runs(r: &LoadReport) -> Vec<f64> {
     r.runs.iter().map(|run| run.tail_ms[3]).collect()
 }
 
-fn main() {
-    banner(
-        "E25: overload protection — shedding x deadlines x backoff",
-        "robustness past the knee: shed fast, cancel cooperatively, back off",
-    );
-    print_environment();
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("reps", "3", "replicated runs per arm (the CIs are paired over runs); at least 2"),
+    Knob::new("requests", "1200", "requests per run; at least 200").smoke("480"),
+    Knob::new("clients", "16", "client sessions; at least 2"),
+    Knob::new("slow_every", "4", "every n-th statement of a session stalls; at least 2"),
+    Knob::new("slow_ms", "30", "the injected stall, ms: pins the knee"),
+    Knob::new("deadline_ms", "10", "the tight level of the deadline factor, ms"),
+    Knob::new("inflight", "8", "the shedding level's in-flight budget"),
+    Knob::new("faultseed", "20080408", "redraws the stall schedule and the backoff jitter"),
+];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut props = Properties::with_defaults(&[
-        ("reps", "3"),
-        ("requests", "1200"),
-        ("clients", "16"),
-        ("slow_every", "4"),
-        ("slow_ms", "30"),
-        ("deadline_ms", "10"),
-        ("inflight", "8"),
-        ("faultseed", "20080408"),
-    ]);
-    props
-        .apply_args(args.iter().filter(|a| *a != "--smoke").map(String::as_str))
-        .expect("arguments must be --smoke or -Dkey=value");
-    let reps = props.get_u64("reps").expect("-Dreps").unwrap_or(3).max(2) as usize;
-    let requests = if smoke {
-        480
-    } else {
-        props
-            .get_u64("requests")
-            .expect("-Drequests")
-            .unwrap_or(1200)
-            .max(200) as usize
-    };
-    let clients = props
-        .get_u64("clients")
-        .expect("-Dclients")
-        .unwrap_or(16)
-        .max(2) as usize;
-    let slow_every = props
-        .get_u64("slow_every")
-        .expect("-Dslow_every")
-        .unwrap_or(4)
-        .max(2);
-    let slow_ms = props.get_f64("slow_ms").expect("-Dslow_ms").unwrap_or(30.0);
-    let deadline_ms = props
-        .get_u64("deadline_ms")
-        .expect("-Ddeadline_ms")
-        .unwrap_or(10)
-        .max(1) as u32;
-    let inflight = props
-        .get_u64("inflight")
-        .expect("-Dinflight")
-        .unwrap_or(8)
-        .max(1) as usize;
-    let faultseed = props
-        .get_u64("faultseed")
-        .expect("-Dfaultseed")
-        .unwrap_or(20080408);
+pub fn run(ctx: &Ctx) {
+    let smoke = ctx.smoke();
+    let reps = ctx.get::<usize>("reps").max(2);
+    let requests = ctx.get::<usize>("requests").max(200);
+    let clients = ctx.get::<usize>("clients").max(2);
+    let slow_every = ctx.get::<u64>("slow_every").max(2);
+    let slow_ms = ctx.get::<f64>("slow_ms");
+    let deadline_ms = ctx.get::<u32>("deadline_ms").max(1);
+    let inflight = ctx.get::<usize>("inflight").max(1);
+    let faultseed = ctx.get::<u64>("faultseed");
 
     // Saturation is injected: the knee sits at a *designed* service time,
     // not at whatever this machine happens to sustain today.
@@ -249,14 +178,12 @@ fn main() {
         } else {
             Admission::default()
         };
-        let report = run_arm(
-            &catalog,
-            spec,
+        let arm = Arm {
             admission,
-            Some(Arc::clone(&session_faults)),
-            None,
-            reps,
-        );
+            session_faults: Some(Arc::clone(&session_faults)),
+            ..Arm::threaded(clients)
+        };
+        let (report, _) = run_arm(&catalog, spec, arm, reps);
         // The etiquette invariant: every designed request is accounted,
         // in every arm — completed, errored, or deliberately given up.
         assert_eq!(report.dropped_sessions, 0, "arm {name}: no session drops");
@@ -402,14 +329,12 @@ fn main() {
             .with_seed(faultseed),
     )
     .breaker(3, 10.0);
-    let report = run_arm(
-        &catalog,
-        spec,
-        Admission::default().retry_after_ms(1),
-        None,
-        Some(server_faults),
-        reps,
-    );
+    let arm = Arm {
+        admission: Admission::default().retry_after_ms(1),
+        server_faults: Some(server_faults),
+        ..Arm::threaded(4)
+    };
+    let (report, _) = run_arm(&catalog, spec, arm, reps);
     println!("breaker arm (every admission verdict forced to reject):");
     for line in report.render_lines() {
         println!("  {line}");
@@ -426,43 +351,25 @@ fn main() {
     sections.push(report.to_section());
 
     // ---- the report: same documentation contract as every experiment ----
-    let mut full = Report::new(
-        "E25: overload protection",
-        "show that admission control, query deadlines, and client backoff \
-         turn saturation from a latency collapse into bounded, typed shedding",
-    )
-    .environment(EnvSpec::capture())
-    .software(SoftwareSpec::new(
-        "minidb + minidb-net + perfeval-load",
-        "0.1.0",
-        "this repository",
-        "release, OPT engine, loopback transport, thread-per-connection, \
-         injected execute stalls pin the knee",
-    ))
-    .protocol(
-        "replicated 2^3 factorial (rate x shedding x deadline), open-loop \
-         Poisson arrivals, coordinated-omission-safe recording, paired \
-         Kalibera-Jones CIs over runs, every request accounted",
-    )
-    .config(props)
-    .table(goodput_table)
-    .conclusions(
-        "past the knee, admit-all collapses the intended-time tail while the \
-         shed arm holds goodput and a bounded p99.9; tight deadlines convert \
-         stalled statements into typed DeadlineExceeded rejections.",
-    );
-    for s in sections {
-        full = full.load(s);
-    }
-    let missing = full.missing_sections();
-    assert!(
-        missing.is_empty(),
-        "E25's own report fails the documentation contract: {missing:?}"
-    );
-    println!(
-        "report: {} load arm(s), documentation contract satisfied.",
-        full.loads.len()
-    );
+    let report = ctx
+        .report(
+            "show that admission control, query deadlines, and client backoff \
+             turn saturation from a latency collapse into bounded, typed shedding",
+            "release, OPT engine, loopback transport, thread-per-connection, \
+             injected execute stalls pin the knee",
+        )
+        .protocol(
+            "replicated 2^3 factorial (rate x shedding x deadline), open-loop \
+             Poisson arrivals, coordinated-omission-safe recording, paired \
+             Kalibera-Jones CIs over runs, every request accounted",
+        )
+        .table(goodput_table)
+        .conclusions(
+            "past the knee, admit-all collapses the intended-time tail while the \
+             shed arm holds goodput and a bounded p99.9; tight deadlines convert \
+             stalled statements into typed DeadlineExceeded rejections.",
+        );
+    ctx.finish_report(report, sections);
 
     if smoke {
         println!("\n--smoke: reduced requests; same arms, same assertions.");

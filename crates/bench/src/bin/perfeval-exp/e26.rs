@@ -20,48 +20,19 @@
 //!   and a two-factor allocation of variation (state × policy) over log
 //!   times.
 //!
-//! Knobs: `-Dsmoke=on`, `-Dreps=N`, `-Ddata_dir=PATH` (default: a
-//! process-scoped temp directory).
+//! `--smoke` shrinks the scale factors and the replication; `-Dreps=N`
+//! sets the replication alone, `-Ddata_dir=PATH` where the segment files go
+//! (default: a process-scoped temp directory).
 
+use crate::Ctx;
 use minidb::{Catalog, Session, StoreConfig};
-use perfeval_bench::{banner, bench_props, catalog_at, median, print_environment};
+use perfeval_bench::knobs::Knob;
+use perfeval_bench::{catalog_at, median};
+use perfeval_core::variation::allocate_variation_general;
 use perfeval_stats::effect_size_ci;
 use perfeval_store::Evict;
 use std::path::PathBuf;
 use workload::queries;
-
-/// Two-factor allocation of variation with replication (general levels),
-/// as in E24: responses indexed `y[a][b][r]`.
-fn allocate_variation_general(y: &[Vec<Vec<f64>>]) -> (f64, f64, f64, f64, f64) {
-    let a = y.len();
-    let b = y[0].len();
-    let r = y[0][0].len();
-    let grand: f64 = y.iter().flatten().flatten().sum::<f64>() / (a * b * r) as f64;
-    let cell_mean = |i: usize, j: usize| -> f64 { y[i][j].iter().sum::<f64>() / r as f64 };
-    let a_mean = |i: usize| -> f64 { (0..b).map(|j| cell_mean(i, j)).sum::<f64>() / b as f64 };
-    let b_mean = |j: usize| -> f64 { (0..a).map(|i| cell_mean(i, j)).sum::<f64>() / a as f64 };
-
-    let ss_a: f64 = (0..a)
-        .map(|i| (b * r) as f64 * (a_mean(i) - grand).powi(2))
-        .sum();
-    let ss_b: f64 = (0..b)
-        .map(|j| (a * r) as f64 * (b_mean(j) - grand).powi(2))
-        .sum();
-    let mut ss_ab = 0.0;
-    let mut ss_err = 0.0;
-    let mut ss_total = 0.0;
-    for (i, row) in y.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            let cm = cell_mean(i, j);
-            ss_ab += r as f64 * (cm - a_mean(i) - b_mean(j) + grand).powi(2);
-            for &v in cell {
-                ss_err += (v - cm).powi(2);
-                ss_total += (v - grand).powi(2);
-            }
-        }
-    }
-    (ss_a, ss_b, ss_ab, ss_err, ss_total)
-}
 
 /// Decoded size of a catalog's data, for sizing the pool budget.
 fn catalog_bytes(catalog: &Catalog) -> u64 {
@@ -83,23 +54,19 @@ fn persist_at(sf: f64, dir: &PathBuf, chunk_rows: usize) -> u64 {
     catalog_bytes(&mem)
 }
 
-fn main() {
-    banner(
-        "E26: hot vs cold on real storage (measured, not simulated)",
-        "slides 33-36, with real counters",
-    );
-    print_environment();
-    let props = bench_props();
-    let smoke = props.get("smoke").map(|s| s == "on").unwrap_or(false);
-    let reps = props
-        .get_u64("reps")
-        .expect("-Dreps must be a number")
-        .map(|r| (r as usize).max(2))
-        .unwrap_or(if smoke { 3 } else { 7 });
-    let root = props
-        .get("data_dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("exp_e26_{}", std::process::id())));
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    Knob::new("reps", "7", "replicates per cell; at least 2").smoke("3"),
+    Knob::new("data_dir", "", "where the segment files go (empty: a per-process temp directory)"),
+];
+
+pub fn run(ctx: &Ctx) {
+    let smoke = ctx.smoke();
+    let reps = ctx.get::<usize>("reps").max(2);
+    let root = match ctx.str("data_dir") {
+        "" => std::env::temp_dir().join(format!("perfeval_e26_{}", std::process::id())),
+        dir => PathBuf::from(dir),
+    };
     let (sf_fit, sf_over) = if smoke { (0.001, 0.004) } else { (0.005, 0.02) };
     let chunk_rows = 4096;
 
@@ -211,15 +178,15 @@ fn main() {
                 .collect()
         })
         .collect();
-    let (ss_state, ss_policy, ss_int, ss_err, ss_t) = allocate_variation_general(&logs);
+    let v = allocate_variation_general(&logs).expect("every cell has `reps` replicates");
     println!("\nallocation of variation (log ms):");
     for (name, ss) in [
-        ("state", ss_state),
-        ("policy", ss_policy),
-        ("interaction", ss_int),
-        ("replicates", ss_err),
+        ("state", v.ss_a),
+        ("policy", v.ss_b),
+        ("interaction", v.ss_ab),
+        ("replicates", v.sse),
     ] {
-        println!("  {:<12} {:>6.1}%", name, 100.0 * ss / ss_t.max(1e-12));
+        println!("  {:<12} {:>6.1}%", name, 100.0 * ss / v.sst.max(1e-12));
     }
 
     // Over-budget probe: the working set does not fit, so the pool must

@@ -9,20 +9,15 @@
 //!
 //! Also writes `dbg_opt.csv` + a gnuplot script if `PERFEVAL_OUT` is set.
 
+use crate::Ctx;
 use minidb::ExecMode;
-use perfeval_bench::{
-    banner, bench_catalog, bench_props, measure_user_ms, print_environment, session_with_mode,
-    threads_knob,
-};
+use perfeval_bench::{bench_catalog, measure_user_ms, session_with_mode};
 use perfeval_harness::{write_csv, GnuplotScript};
 use perfeval_stats::Summary;
 use workload::queries;
 
-fn main() {
-    banner("E3: DBG vs OPT across the query family", "slides 40-41");
-    print_environment();
-    let props = bench_props();
-    let threads = threads_knob(&props);
+pub fn run(ctx: &Ctx) {
+    let threads = ctx.threads();
     if threads > 1 {
         println!("running on {threads} worker threads (-Dthreads={threads})\n");
     }
@@ -73,10 +68,7 @@ fn main() {
         "ratio must vary per query"
     );
 
-    if let Ok(dir) = std::env::var("PERFEVAL_OUT") {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create PERFEVAL_OUT dir {}: {e}", dir.display()));
+    if let Some(dir) = &ctx.out {
         write_csv(&dir.join("dbg_opt.csv"), &["query", "ratio"], &rows).expect("write csv");
         GnuplotScript::new(
             "relative execution time: DBG/OPT",

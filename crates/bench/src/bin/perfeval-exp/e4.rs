@@ -7,12 +7,11 @@
 //! performance, because the memory component never shrinks. Slide 46 shows
 //! the puzzle (totals only); slide 51 the counter-assisted dissection.
 
+use crate::Ctx;
 use memsim::scan::memory_wall_series;
-use perfeval_bench::banner;
 use perfeval_harness::{write_csv, GnuplotScript};
 
-fn main() {
-    banner("E4: the memory wall", "slides 46 and 51");
+pub fn run(ctx: &Ctx) {
     let iterations = 200_000;
     println!("simulated scan: {iterations} iterations, 128-byte stride (row layout)\n");
 
@@ -104,10 +103,7 @@ fn main() {
         "Sun LX is still CPU-heavy"
     );
 
-    if let Ok(dir) = std::env::var("PERFEVAL_OUT") {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("cannot create PERFEVAL_OUT dir {}: {e}", dir.display()));
+    if let Some(dir) = &ctx.out {
         write_csv(
             &dir.join("memory_wall.csv"),
             &["year", "cpu_ns", "mem_ns", "total_ns"],

@@ -11,7 +11,7 @@
 //! (a) the effect of A is +2 regardless of B — no interaction;
 //! (b) the effect of A depends on B — interaction.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_core::effects::estimate_effects;
 use perfeval_core::interaction::TwoByTwo;
 use perfeval_core::twolevel::TwoLevelDesign;
@@ -40,8 +40,7 @@ fn show(name: &str, t: &TwoByTwo) {
     );
 }
 
-fn main() {
-    banner("E5: factor interaction", "slide 58");
+pub fn run(_: &Ctx) {
     let a = TwoByTwo {
         a1b1: 3.0,
         a2b1: 5.0,

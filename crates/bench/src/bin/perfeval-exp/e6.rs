@@ -4,20 +4,15 @@
 //! responses 15/45/25/75, solved to `y = 40 + 20·xA + 10·xB + 5·xA·xB`,
 //! then the allocation-of-variation formulas `SST = 2² Σ q²`.
 
-use perfeval_bench::{banner, bench_props, threads_knob};
+use crate::Ctx;
 use perfeval_core::effects::estimate_effects;
 use perfeval_core::runner::{Assignment, Runner};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation;
 use perfeval_exec::ParallelRunner;
-use perfeval_trace::{chrome_trace_json, validate_chrome, Tracer};
+use perfeval_trace::Tracer;
 
-fn main() {
-    banner(
-        "E6: 2^2 factorial design, sign-table method",
-        "slides 70-85",
-    );
-
+pub fn run(ctx: &Ctx) {
     println!("Performance in MIPS:");
     println!("  cache \\ memory   4MB   16MB");
     println!("  1KB               15     45");
@@ -67,7 +62,7 @@ fn main() {
     // Re-derive the table by *running* the fitted workstation model through
     // the scheduler (-Dthreads=N): parallel execution must reproduce the
     // paper's numbers bit-identically, or parallelism has become a factor.
-    let threads = threads_knob(&bench_props());
+    let threads = ctx.threads();
     let workstation = |a: &Assignment| {
         40.0 + 20.0 * a.num("A").unwrap()
             + 10.0 * a.num("B").unwrap()
@@ -101,27 +96,12 @@ fn main() {
         "tracing must not perturb results"
     );
 
-    let trace = tracer.snapshot();
-    let json = chrome_trace_json(&trace);
-    let summary = validate_chrome(&json).expect("exported trace is well-formed");
-    let out = std::env::var("PERFEVAL_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir());
-    std::fs::create_dir_all(&out).expect("output dir");
-    let path = out.join("exp_e6_twok.trace.json");
-    std::fs::write(&path, &json).expect("write trace");
-
+    let summary = ctx.export_trace("\ntraced re-run", &tracer.snapshot());
     let unit_lanes = summary
         .names_by_tid
         .values()
         .filter(|names| names.iter().any(|n| n.starts_with("unit ")))
         .count();
-    println!(
-        "\ntraced re-run: {} spans on {} lane(s) -> {}",
-        summary.spans,
-        summary.thread_names.len(),
-        path.display()
-    );
     if threads >= 2 {
         assert!(
             unit_lanes >= 2,

@@ -17,16 +17,11 @@
 //! printed responses and label factors so the published percentages come
 //! out (see EXPERIMENTS.md).
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation;
 
-fn main() {
-    banner(
-        "E8: allocation of variation, interconnection networks",
-        "slides 86-93",
-    );
-
+pub fn run(_: &Ctx) {
     // First (fast-toggling) factor: B = address pattern; second: A =
     // network type.
     let design = TwoLevelDesign::full(&["B", "A"]);

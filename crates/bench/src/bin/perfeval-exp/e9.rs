@@ -4,14 +4,12 @@
 //! level), 3 levels each except the CPU's 3 — covered in 9 experiments via
 //! a Latin-square assignment instead of the full 81.
 
-use perfeval_bench::banner;
+use crate::Ctx;
 use perfeval_core::design::Design;
 use perfeval_core::factor::Factor;
 use perfeval_core::mistakes::audit_design;
 
-fn main() {
-    banner("E9: fractional factorial via Latin squares", "slide 67");
-
+pub fn run(_: &Ctx) {
     let design = Design::latin_square_fraction(vec![
         Factor::categorical("CPU", &["68000", "Z80", "8086"]),
         Factor::categorical("Memory", &["512K", "2M", "8M"]),

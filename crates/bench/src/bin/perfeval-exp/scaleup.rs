@@ -4,23 +4,16 @@
 //! classifies the empirical scalability, and the full suite artifact
 //! (CSV + gnuplot + config + README) written when `PERFEVAL_OUT` is set.
 
+use crate::Ctx;
 use minidb::Session;
-use perfeval_bench::{
-    banner, bench_props, catalog_at, measure_user_ms, print_environment, threads_knob,
-};
+use perfeval_bench::{catalog_at, measure_user_ms};
 use perfeval_harness::suite::{ExperimentSuite, Instructions};
 use perfeval_harness::{AsciiChart, GnuplotScript, Properties};
 use perfeval_stats::regression::power_law_fit;
 use workload::queries;
 
-fn main() {
-    banner(
-        "scale-up sweep: execution time vs scale factor",
-        "slides 200-205",
-    );
-    print_environment();
-    let props = bench_props();
-    let threads = threads_knob(&props);
+pub fn run(ctx: &Ctx) {
+    let threads = ctx.threads();
     if threads > 1 {
         println!("running on {threads} worker threads (-Dthreads={threads})\n");
     }
@@ -74,11 +67,8 @@ fn main() {
     .series("Q6", q6_points.clone());
     println!("\n{}", chart.render());
 
-    if let Ok(dir) = std::env::var("PERFEVAL_OUT") {
-        let root = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&root)
-            .unwrap_or_else(|e| panic!("cannot create PERFEVAL_OUT dir {}: {e}", root.display()));
-        let suite = ExperimentSuite::create(&root, "scaleup").expect("suite");
+    if let Some(root) = &ctx.out {
+        let suite = ExperimentSuite::create(root, "scaleup").expect("suite");
         let rows: Vec<Vec<f64>> = q1_points
             .iter()
             .zip(&q6_points)
@@ -123,7 +113,7 @@ fn main() {
                 requirements: "Rust 1.80+".into(),
                 extra_setup: String::new(),
                 command:
-                    "PERFEVAL_OUT=out cargo run --release -p perfeval-bench --bin exp_scaleup_sweep"
+                    "PERFEVAL_OUT=out cargo run --release -p perfeval-bench --bin perfeval-exp -- scaleup"
                         .into(),
                 output_location: "res/scaleup.csv, graphs/scaleup.gnu".into(),
                 duration: "~1 min".into(),

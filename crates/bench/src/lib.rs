@@ -1,47 +1,31 @@
 //! # perfeval-bench
 //!
 //! The benchmark harness reproducing **every table and figure** of the
-//! paper's content. Each `exp_*` binary regenerates one exhibit and prints
-//! the same rows/series the slides show; `EXPERIMENTS.md` at the repository
-//! root records paper-vs-measured for each.
+//! paper's content. One binary, `perfeval-exp`, holds every exhibit behind a
+//! manifest: `perfeval-exp list` prints it (id, title, what it reproduces,
+//! knobs), `perfeval-exp <id> [--smoke] [-Dkey=value …]` regenerates one
+//! exhibit and prints the same rows/series the slides show, `perfeval-exp
+//! all [--smoke]` runs every one. `EXPERIMENTS.md` at the repository root
+//! records paper-vs-measured for each.
 //!
-//! | binary | exhibit |
-//! |--------|---------|
-//! | `exp_e1_what_to_measure` | slides 23–26: server/client, file/terminal table |
-//! | `exp_e2_hot_cold` | slides 33–36: hot vs cold × user vs real |
-//! | `exp_e3_dbg_opt` | slide 41: DBG/OPT ratio across 22 queries |
-//! | `exp_e4_memory_wall` | slides 46/51: scan ns/iteration, 5 machines |
-//! | `exp_e5_interaction` | slide 58: interaction tables (a) and (b) |
-//! | `exp_e6_twok` | slides 70–85: 2² design, sign table, allocation |
-//! | `exp_e8_networks` | slides 86–93: variation-explained table |
-//! | `exp_e9_latin` | slide 67: 9-run fractional design table |
-//! | `exp_e10_2_7_4` | slides 102–103: 2^(7−4) sign table |
-//! | `exp_e11_confounding` | slides 104–109: D=ABC vs D=AB |
-//! | `exp_e12_profile` | slide 54: per-operator profile trace |
-//! | `exp_e13_presentation` | slides 142/144: CI overlap + histogram cells |
-//! | `exp_e14_repeatability` | slides 218–220: SIGMOD 2008 outcomes |
-//! | `exp_e15_gnuplot` | slides 202–205: CSV → gnuplot automation |
-//! | `exp_e16_locale` | slides 212–215: the 13.666 → 13666 bug |
-//! | `exp_e17_timers` | slides 27–29: timers and their resolutions |
-//! | `exp_e18_observer_effect` | tracing overhead: off/disabled/sampled/full arms |
-//! | `exp_e19_parallel_speedup` | morsel-parallel speed-up as a 2³ designed experiment |
-//! | `exp_e20_fault_robustness` | injected panics/hangs: retries, quarantine, watchdog deadlines |
-//! | `exp_e21_client_server` | slides 23–26 measured over a real wire: transport × sink × result size |
-//! | `exp_e22_load_knee` | the throughput knee: arrival × concurrency × mix, coordinated-omission-safe tails |
-//! | `exp_e23_sharded_server` | sharded event loop vs thread-per-connection × connection scale |
-//! | `exp_e24_simd` | the engine as a 3-level factor (DBG/OPT/SIMD): effect CIs + allocation of variation |
-//! | `minidb-serve` | standalone TCP server for `minidb-net` clients (not an exhibit) |
-//! | `minidb-load` | multi-client load-generator CLI (not an exhibit) |
-//! | `minidb-bench` | perf-trajectory suite runner + the CI regression gate (not an exhibit) |
+//! Three more binaries are tools, not exhibits: `minidb-serve` (standalone
+//! TCP server for `minidb-net` clients), `minidb-load` (multi-client load
+//! generator) and `minidb-bench` (perf-trajectory suite runner + the CI
+//! regression gate). The first two and every experiment declare their
+//! command-line knobs through [`knobs`], which refuses what it does not
+//! know.
 //!
 //! Criterion benches under `benches/` measure the engine primitives and the
 //! ablations DESIGN.md calls out.
 
+pub mod knobs;
 pub mod trajectory;
 
+use std::path::Path;
+
 use memsim::BufferPool;
-use minidb::{Catalog, ExecMode, Plan, Session};
-use perfeval_harness::Properties;
+use minidb::{Catalog, ExecMode, Plan, Session, StoreConfig};
+use minidb_net::ServerMode;
 use workload::dbgen::{generate, GenConfig};
 
 /// The standard scale factor used by the experiment binaries: large enough
@@ -140,38 +124,74 @@ pub fn session_with_mode(catalog: &Catalog, mode: ExecMode) -> Session {
     Session::new(catalog.clone()).with_mode(mode)
 }
 
-/// The shared experiment knobs, defaults overridden by `-Dkey=value`
-/// command-line arguments (the slide-193 layering):
+/// The process's command-line arguments — the one place this crate's
+/// knob-driven binaries read them.
+pub fn cli_args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// The server core a `mode` knob names: `threaded` is thread-per-connection
+/// with `workers` acceptors, `sharded` the event-driven core with `shards`
+/// readiness loops (0 = one per core, the builder's choice) and
+/// `queue_depth` frames of write queue per connection.
 ///
-/// * `threads` — worker count for parallel sweeps (default 1, serial).
-/// * `cache` — `on`/`off`, the resumable result cache (default off here;
-///   experiments that use it honor `-Dcache=on`).
+/// # Errors
+/// Names the value when it is neither.
+pub fn server_mode(
+    mode: &str,
+    workers: usize,
+    shards: usize,
+    queue_depth: usize,
+) -> Result<ServerMode, String> {
+    match mode {
+        "threaded" => Ok(ServerMode::ThreadPerConn { workers }),
+        "sharded" => Ok(ServerMode::Sharded {
+            shards: match (shards, ServerMode::default()) {
+                (0, ServerMode::Sharded { shards, .. }) => shards,
+                (n, _) => n,
+            },
+            queue_depth,
+        }),
+        other => Err(format!(
+            "-Dmode must be 'sharded' or 'threaded', got '{other}'"
+        )),
+    }
+}
+
+/// Serves `data_dir` disk-backed: the standard catalog at `sf` is persisted
+/// there on first use (no manifest yet) and reopened through the
+/// `perfeval-store` buffer pool that `config` sizes.
 ///
 /// # Panics
-/// Panics with the malformed argument when a `-D` option does not parse.
-pub fn bench_props() -> Properties {
-    let mut props = Properties::with_defaults(&[("threads", "1"), ("cache", "off")]);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    props
-        .apply_args(args.iter().map(String::as_str))
-        .expect("arguments must be -Dkey=value");
-    props
+/// Panics when the directory can be neither written nor reopened.
+pub fn open_or_persist(data_dir: &Path, sf: f64, config: StoreConfig) -> Catalog {
+    if !data_dir
+        .join(perfeval_store::manifest::CATALOG_MANIFEST)
+        .exists()
+    {
+        catalog_at(sf)
+            .persist(data_dir)
+            .unwrap_or_else(|e| panic!("persist catalog into {}: {e}", data_dir.display()));
+        println!("persisted sf={sf} catalog into {}", data_dir.display());
+    }
+    Catalog::open_with(data_dir, config)
+        .unwrap_or_else(|e| panic!("open catalog in {}: {e}", data_dir.display()))
 }
 
-/// The `threads` knob of [`bench_props`], clamped to at least 1.
-pub fn threads_knob(props: &Properties) -> usize {
-    props
-        .get_u64("threads")
-        .expect("-Dthreads must be a number")
-        .unwrap_or(1)
-        .max(1) as usize
-}
-
-/// Prints a horizontal rule and a heading, the shared exhibit banner.
-pub fn banner(experiment: &str, slide: &str) {
+/// What every run of every binary opens with: the banner, the machine, the
+/// standard workload, and the configuration this run *actually* uses —
+/// "document what you do", written once.
+pub fn print_header(title: &str, reproduces: &str, config: &knobs::Config) {
     println!("{}", "=".repeat(72));
-    println!("{experiment}  (reproduces {slide})");
+    println!("{title}  (reproduces {reproduces})");
     println!("{}", "=".repeat(72));
+    println!("host: {}", perfeval_measure::EnvSpec::capture().render());
+    println!(
+        "workload: TPC-H-like, sf={BENCH_SCALE_FACTOR} unless the run states its own, \
+         seed={BENCH_SEED} (regenerates bit-identically)"
+    );
+    println!("config: {}", config.render());
+    println!();
 }
 
 /// The wire protocol a served experiment speaks — the client/driver
@@ -181,17 +201,6 @@ pub fn print_wire_protocol() {
         "wire protocol: version {} (results stream as ColumnBatch frames)",
         minidb_net::PROTOCOL_VERSION
     );
-}
-
-/// Environment line printed by every experiment: "document what you do".
-pub fn print_environment() {
-    let spec = perfeval_measure::EnvSpec::capture();
-    println!("host: {}", spec.render());
-    println!(
-        "workload: TPC-H-like, sf={BENCH_SCALE_FACTOR}, seed={BENCH_SEED} \
-         (regenerates bit-identically)"
-    );
-    println!();
 }
 
 #[cfg(test)]
@@ -250,11 +259,46 @@ mod tests {
     }
 
     #[test]
-    fn threads_knob_defaults_and_clamps() {
-        let props = Properties::with_defaults(&[("threads", "4")]);
-        assert_eq!(threads_knob(&props), 4);
-        let zero = Properties::with_defaults(&[("threads", "0")]);
-        assert_eq!(threads_knob(&zero), 1, "0 threads clamps to serial");
-        assert_eq!(threads_knob(&Properties::new()), 1, "default is serial");
+    fn one_mode_knob_names_both_server_cores() {
+        assert_eq!(
+            server_mode("threaded", 4, 9, 64),
+            Ok(ServerMode::ThreadPerConn { workers: 4 })
+        );
+        assert_eq!(
+            server_mode("sharded", 4, 3, 16),
+            Ok(ServerMode::Sharded {
+                shards: 3,
+                queue_depth: 16
+            })
+        );
+        // 0 shards: the builder's per-core default, with the asked depth.
+        let ServerMode::Sharded { shards, .. } = ServerMode::default() else {
+            panic!("the default core is sharded");
+        };
+        assert_eq!(
+            server_mode("sharded", 4, 0, 16),
+            Ok(ServerMode::Sharded {
+                shards,
+                queue_depth: 16
+            })
+        );
+        assert!(server_mode("evented", 4, 0, 16)
+            .unwrap_err()
+            .contains("evented"));
+    }
+
+    #[test]
+    fn open_or_persist_persists_once_then_reopens() {
+        let dir = std::env::temp_dir().join(format!("perfeval_bench_oop_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rows = |c: &Catalog| c.table("lineitem").unwrap().row_count();
+        let first = open_or_persist(&dir, 0.001, StoreConfig::default());
+        assert!(first.storage().is_some(), "served disk-backed");
+        // A second call finds the manifest and reopens what is there,
+        // whatever scale factor it is handed.
+        let second = open_or_persist(&dir, 0.002, StoreConfig::default());
+        assert_eq!(rows(&first), rows(&second));
+        assert_eq!(rows(&first), rows(&catalog_at(0.001)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

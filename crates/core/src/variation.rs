@@ -181,6 +181,76 @@ pub fn allocate_variation_replicated(
     Ok(table)
 }
 
+/// Sums of squares of a replicated two-factor experiment whose factors
+/// have any number of levels (the sign-table shortcut above covers two
+/// levels only): `sst = ss_a + ss_b + ss_ab + sse`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TwoFactorVariation {
+    /// Explained by the first factor's level means.
+    pub ss_a: f64,
+    /// Explained by the second factor's level means.
+    pub ss_b: f64,
+    /// Explained by their interaction (cell means beyond both main effects).
+    pub ss_ab: f64,
+    /// Within-cell spread: the replicates around their cell mean.
+    pub sse: f64,
+    /// Total variation around the grand mean.
+    pub sst: f64,
+}
+
+/// Allocation of variation for two factors with general level counts and
+/// equal replication, from cell means directly: responses are indexed
+/// `y[a][b][r]` (level of the first factor, level of the second, replicate).
+///
+/// # Errors
+/// `Invalid` when `y` is empty or not rectangular — every level of the
+/// first factor must list the same levels of the second, and every cell
+/// the same number of replicates.
+pub fn allocate_variation_general(y: &[Vec<Vec<f64>>]) -> Result<TwoFactorVariation, DesignError> {
+    let a = y.len();
+    let b = y.first().map_or(0, Vec::len);
+    let r = y.first().and_then(|row| row.first()).map_or(0, Vec::len);
+    if r == 0
+        || y.iter()
+            .any(|row| row.len() != b || row.iter().any(|cell| cell.len() != r))
+    {
+        return Err(DesignError::Invalid(
+            "general allocation requires a non-empty a x b x r table with equal replication".into(),
+        ));
+    }
+    let grand: f64 = y.iter().flatten().flatten().sum::<f64>() / (a * b * r) as f64;
+    let cell_mean = |i: usize, j: usize| -> f64 { y[i][j].iter().sum::<f64>() / r as f64 };
+    let a_mean = |i: usize| -> f64 { (0..b).map(|j| cell_mean(i, j)).sum::<f64>() / b as f64 };
+    let b_mean = |j: usize| -> f64 { (0..a).map(|i| cell_mean(i, j)).sum::<f64>() / a as f64 };
+
+    let ss_a: f64 = (0..a)
+        .map(|i| (b * r) as f64 * (a_mean(i) - grand).powi(2))
+        .sum();
+    let ss_b: f64 = (0..b)
+        .map(|j| (a * r) as f64 * (b_mean(j) - grand).powi(2))
+        .sum();
+    let mut ss_ab = 0.0;
+    let mut sse = 0.0;
+    let mut sst = 0.0;
+    for (i, row) in y.iter().enumerate() {
+        for (j, cell) in row.iter().enumerate() {
+            let cm = cell_mean(i, j);
+            ss_ab += r as f64 * (cm - a_mean(i) - b_mean(j) + grand).powi(2);
+            for &v in cell {
+                sse += (v - cm).powi(2);
+                sst += (v - grand).powi(2);
+            }
+        }
+    }
+    Ok(TwoFactorVariation {
+        ss_a,
+        ss_b,
+        ss_ab,
+        sse,
+        sst,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,5 +387,112 @@ mod tests {
         let table = allocate_variation(&d, &y).unwrap();
         let sum: f64 = table.shares.iter().map(|s| s.fraction).sum();
         assert!((sum - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn general_allocation_decomposes_sst_on_a_seeded_table() {
+        // 3 x 4 x 5, seeded: level effects, an interaction and noise.
+        let mut rng = perfeval_stats::rng::SplitMix64::new(20080408);
+        let y: Vec<Vec<Vec<f64>>> = (0..3)
+            .map(|i| {
+                (0..4)
+                    .map(|j| {
+                        (0..5)
+                            .map(|_| {
+                                10.0 * i as f64
+                                    + 3.0 * j as f64
+                                    + (i * j) as f64
+                                    + rng.next_range_f64(-2.0, 2.0)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let v = allocate_variation_general(&y).unwrap();
+        let parts = v.ss_a + v.ss_b + v.ss_ab + v.sse;
+        assert!(
+            ((parts - v.sst) / v.sst).abs() < 1e-9,
+            "SSA+SSB+SSAB+SSE = {parts}, SST = {}",
+            v.sst
+        );
+        assert!(v.ss_a > v.ss_b && v.ss_b > v.ss_ab && v.sse > 0.0);
+    }
+
+    #[test]
+    fn general_allocation_agrees_with_the_sign_table_on_two_levels() {
+        // The 2 x 2 x r table of `replicated_allocation_decomposes_sst`,
+        // indexed y[a][b][r]; the design's standard order is
+        // (-,-), (+,-), (-,+), (+,+) with A toggling fastest.
+        let y = vec![
+            vec![vec![9.0, 11.5, 10.0], vec![11.0, 9.0, 13.0]],
+            vec![vec![29.0, 31.0, 33.0], vec![36.0, 29.0, 31.0]],
+        ];
+        let d = TwoLevelDesign::full(&["A", "B"]);
+        let runs = vec![
+            y[0][0].clone(),
+            y[1][0].clone(),
+            y[0][1].clone(),
+            y[1][1].clone(),
+        ];
+        let table = allocate_variation_replicated(&d, &runs).unwrap();
+        let v = allocate_variation_general(&y).unwrap();
+        let ss = |factors: &[&str]| table.fraction_of(&d, factors).unwrap() * table.sst;
+        for (general, sign_table) in [
+            (v.ss_a, ss(&["A"])),
+            (v.ss_b, ss(&["B"])),
+            (v.ss_ab, ss(&["A", "B"])),
+            (v.sse, table.sse),
+            (v.sst, table.sst),
+        ] {
+            assert!(
+                (general - sign_table).abs() < 1e-9 * table.sst,
+                "{general} vs {sign_table}"
+            );
+        }
+    }
+
+    #[test]
+    fn general_allocation_worked_example() {
+        // 3 x 2 x 2, by hand. Cells (replicates -> mean):
+        //          b0            b1
+        //   a0   1, 3 -> 2     5, 7 -> 6       row mean 4
+        //   a1   4, 6 -> 5     8, 10 -> 9      row mean 7
+        //   a2   9, 11 -> 10   15, 17 -> 16    row mean 13
+        //   column means   17/3          31/3          grand 8
+        // SSA  = b*r * sum (row - grand)^2 = 4 * (16 + 1 + 25)        = 168
+        // SSB  = a*r * sum (col - grand)^2 = 6 * 2 * (7/3)^2          = 196/3
+        // SSAB = r * sum (cell - row - col + grand)^2:
+        //        the residuals are +-1/3 (a0, a1) and +-2/3 (a2),
+        //        2 * (4 * 1/9 + 2 * 4/9)                              = 8/3
+        // SSE  = every replicate sits 1 from its cell mean: 12 * 1    = 12
+        // SST  = 168 + 196/3 + 8/3 + 12                               = 248
+        //      = sum y^2 - n * grand^2 = 1016 - 12 * 64 (checked).
+        let y = vec![
+            vec![vec![1.0, 3.0], vec![5.0, 7.0]],
+            vec![vec![4.0, 6.0], vec![8.0, 10.0]],
+            vec![vec![9.0, 11.0], vec![15.0, 17.0]],
+        ];
+        let v = allocate_variation_general(&y).unwrap();
+        for (got, want) in [
+            (v.ss_a, 168.0),
+            (v.ss_b, 196.0 / 3.0),
+            (v.ss_ab, 8.0 / 3.0),
+            (v.sse, 12.0),
+            (v.sst, 248.0),
+        ] {
+            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn general_allocation_refuses_ragged_and_empty_tables() {
+        assert!(allocate_variation_general(&[]).is_err());
+        assert!(allocate_variation_general(&[vec![]]).is_err());
+        assert!(allocate_variation_general(&[vec![vec![]]]).is_err());
+        let ragged_cells = vec![vec![vec![1.0, 2.0], vec![1.0]]];
+        assert!(allocate_variation_general(&ragged_cells).is_err());
+        let ragged_rows = vec![vec![vec![1.0], vec![2.0]], vec![vec![3.0]]];
+        assert!(allocate_variation_general(&ragged_rows).is_err());
     }
 }

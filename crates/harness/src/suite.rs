@@ -272,7 +272,7 @@ mod tests {
             title: "E3: DBG/OPT sweep".into(),
             requirements: "Rust 1.80+".into(),
             extra_setup: String::new(),
-            command: "cargo run --release --bin exp_e3_dbg_opt".into(),
+            command: "cargo run --release -p perfeval-bench --bin perfeval-exp -- e3".into(),
             output_location: "res/dbg_opt.csv and graphs/dbg_opt.gnu".into(),
             duration: "~30 s".into(),
         };

@@ -37,7 +37,7 @@
 //! counterfactuals no amount of measuring can answer — "what would this
 //! scan cost on a 1992 Sun LX?", the era sweeps of E2/E4 — but any claim
 //! about *this* machine's hot-vs-cold behavior must come from the real
-//! pool's counters (see `exp_e26_hot_cold`, and `Session::flush_caches`,
+//! pool's counters (see `perfeval-exp e26`, and `Session::flush_caches`,
 //! which empties the real pool and the OS page cache rather than
 //! resetting a model). When a catalog is disk-backed, minidb's hit/miss
 //! span attributes and `QueryResult::store_physical_reads` already come

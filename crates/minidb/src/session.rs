@@ -47,7 +47,7 @@ pub struct QueryResult {
     /// the era-hardware what-if figure [`QueryResult::sim_client_real_ms`].
     /// For *measured* client-side cost — real serialization, transfer, and
     /// printing on the client's own clock — run the query over `minidb-net`
-    /// instead; the E21 experiment (`exp_e21_client_server`) shows the
+    /// instead; the E21 experiment (`perfeval-exp e21`) shows the
     /// difference.
     sim_print_ms: f64,
     /// Bytes the sink rendered.

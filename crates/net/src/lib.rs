@@ -48,7 +48,7 @@
 //!   bounded per-connection write queues; idle shards lend their cores to a
 //!   busy shard's query as extra morsel parallelism.
 //! * **ThreadPerConn** — the blocking thread-per-connection loop, kept as
-//!   an explicit experiment arm (`exp_e23_sharded_server`).
+//!   an explicit experiment arm (`perfeval-exp e23`).
 //!
 //! Guarantees the tests pin down:
 //!
@@ -83,7 +83,7 @@
 //!   [`ServerHandle::drain`] sheds new work while in-flight queries
 //!   finish. The client-side etiquette lives here too: [`BackoffPolicy`]
 //!   (seeded, jittered, bounded) and the per-connection
-//!   [`CircuitBreaker`]. `exp_e25_overload` is the designed saturation
+//!   [`CircuitBreaker`]. `perfeval-exp e25` is the designed saturation
 //!   experiment.
 
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //!
 //! * **TCP** ([`TcpEndpoint`] / `std::net::TcpStream`) — a real socket,
 //!   with real syscalls, kernel buffers, and Nagle disabled. This is the
-//!   transport `exp_e21_client_server` measures.
+//!   transport `perfeval-exp e21` measures.
 //! * **Loopback** ([`LoopbackEndpoint`]) — a zero-syscall in-process duplex
 //!   pipe: two bounded byte rings guarded by mutex + condvar. Deterministic
 //!   (no kernel scheduling in the data path), and its bounded capacity is

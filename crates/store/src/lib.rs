@@ -38,7 +38,7 @@
 //! `memsim` still exists for *era what-if* questions ("how would Q1
 //! behave on 1992 hardware?"). Its hit/miss numbers are a model; this
 //! crate's counters are measurements. Experiments must not mix the two
-//! — E26 (`exp_e26_hot_cold`) reads only these counters.
+//! — E26 (`perfeval-exp e26`) reads only these counters.
 
 #![warn(missing_docs)]
 

@@ -20,7 +20,7 @@
 //!   regression gate.
 //!
 //! The observer effect of the tracer itself is quantified by the
-//! `exp_e18_observer_effect` experiment in `crates/bench`; sampling
+//! `perfeval-exp e18` experiment in `crates/bench`; sampling
 //! ([`Tracer::set_sampling`]) is the knob that trades detail for overhead.
 //!
 //! ```

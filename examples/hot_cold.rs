@@ -6,7 +6,7 @@
 //! so the experiment is deterministic and runs anywhere. The engine never
 //! sees the modeled disk: `era_scan_io_ms` charges it beside each run from
 //! the plan's scanned tables. (For *measured* hot vs. cold — real segment
-//! files behind a real buffer pool — see `exp_e26_hot_cold`.)
+//! files behind a real buffer pool — see `perfeval-exp e26`.)
 //!
 //! Run with: `cargo run --release --example hot_cold`
 
