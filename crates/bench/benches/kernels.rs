@@ -1,13 +1,13 @@
 //! Criterion benchmarks of the SIMD kernel tier, measured end-to-end
-//! through the engine: each pinned trajectory workload swept across all
-//! three engines (DBG / OPT / SIMD), so the kernel speedups are observed
-//! exactly where the perf-trajectory gate measures them.
+//! through the engine: each pinned statement of `perfeval_bench::suite`
+//! swept across all three engines (DBG / OPT / SIMD), so the kernel
+//! speedups are observed on exactly the cells E24 measures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perfeval_bench::catalog_at;
-use perfeval_bench::trajectory::{suite, ENGINES};
+use perfeval_bench::suite::{suite, ENGINES};
 
-fn bench_trajectory_workloads(c: &mut Criterion) {
+fn bench_suite_workloads(c: &mut Criterion) {
     let catalog = catalog_at(0.002);
     for w in suite() {
         let mut group = c.benchmark_group(w.name);
@@ -24,5 +24,5 @@ fn bench_trajectory_workloads(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_trajectory_workloads);
+criterion_group!(benches, bench_suite_workloads);
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //!
 //! E3 (slide 41) treats the build as a two-level factor. This experiment
 //! extends it with the explicit-SIMD tier: engine (3 levels) × workload
-//! (the 4 pinned trajectory workloads), fully replicated, analyzed the
-//! paper's way —
+//! (the 4 pinned statements of `perfeval_bench::suite`), fully replicated,
+//! analyzed the paper's way —
 //!
 //! * **allocation of variation**: a two-factor ANOVA with replication
 //!   decomposes total variation into engine, workload, their interaction,
@@ -22,7 +22,7 @@
 
 use crate::Ctx;
 use perfeval_bench::knobs::Knob;
-use perfeval_bench::trajectory::{suite, ENGINES};
+use perfeval_bench::suite::{suite, ENGINES};
 use perfeval_bench::{catalog_at, median, session_with_mode};
 use perfeval_core::variation::allocate_variation_general;
 use perfeval_stats::effect_size_ci;

@@ -8,18 +8,19 @@
 //! all [--smoke]` runs every one. `EXPERIMENTS.md` at the repository root
 //! records paper-vs-measured for each.
 //!
-//! Three more binaries are tools, not exhibits: `minidb-serve` (standalone
-//! TCP server for `minidb-net` clients), `minidb-load` (multi-client load
-//! generator) and `minidb-bench` (perf-trajectory suite runner + the CI
-//! regression gate). The first two and every experiment declare their
-//! command-line knobs through [`knobs`], which refuses what it does not
-//! know.
+//! Two more binaries are tools, not exhibits: `minidb-serve` (standalone
+//! TCP server for `minidb-net` clients) and `minidb-load` (multi-client load
+//! generator). Both and every experiment declare their command-line knobs
+//! through [`knobs`], which refuses what it does not know. [`suite`] pins
+//! the four statements × three engine tiers that E24 and
+//! `benches/kernels.rs` measure in process; the served path is measured by
+//! `benchmark/` at the repository root.
 //!
 //! Criterion benches under `benches/` measure the engine primitives and the
 //! ablations DESIGN.md calls out.
 
 pub mod knobs;
-pub mod trajectory;
+pub mod suite;
 
 use std::path::Path;
 
@@ -53,11 +54,12 @@ pub fn catalog_at(scale_factor: f64) -> Catalog {
     })
 }
 
-/// Median of a sample (destructive order).
-pub fn median(mut values: Vec<f64>) -> f64 {
-    assert!(!values.is_empty(), "median of empty sample");
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    values[values.len() / 2]
+/// Median of a sample — `perfeval-stats`' median, so an even sample
+/// interpolates its two middle values like every other median printed here.
+pub fn median(values: Vec<f64>) -> f64 {
+    perfeval_stats::Summary::from_slice(&values)
+        .median()
+        .expect("median of empty sample")
 }
 
 /// Measures a query's server user time: one warmup run, then the median of
@@ -241,7 +243,7 @@ mod tests {
     fn median_behaviour() {
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(vec![5.0]), 5.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
     #[test]

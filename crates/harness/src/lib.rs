@@ -38,5 +38,5 @@ pub use asciichart::AsciiChart;
 pub use csvio::{read_csv, write_csv, CsvError, CsvTable};
 pub use gnuplot::GnuplotScript;
 pub use properties::Properties;
-pub use report::{BenchRow, BenchSection, LoadSection, LoadTailRow, Report, ResultTable};
+pub use report::{LoadSection, LoadTailRow, Report, ResultTable};
 pub use suite::ExperimentSuite;

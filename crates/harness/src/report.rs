@@ -187,85 +187,6 @@ impl LoadSection {
     }
 }
 
-/// One compared perf-trajectory cell: head vs a committed baseline, with
-/// the Kalibera–Jones interval on `head/baseline − 1` (positive = slower).
-#[derive(Debug, Clone)]
-pub struct BenchRow {
-    /// Cell id (`<workload>/<engine>`).
-    pub id: String,
-    /// Baseline median, ms.
-    pub baseline_ms: f64,
-    /// Head median, ms.
-    pub head_ms: f64,
-    /// Effect CI on `ratio − 1`, as fractions (0.1 = 10% slower).
-    pub effect: perfeval_stats::ConfidenceInterval,
-    /// Gate verdict ("ok", "REGRESSION", "improvement").
-    pub verdict: String,
-}
-
-/// The perf-trajectory section: the committed-baseline comparison the CI
-/// gate runs, carried in the report so "no regression" is a documented
-/// claim with intervals, not a green checkmark without provenance.
-#[derive(Debug, Clone, Default)]
-pub struct BenchSection {
-    /// Which baseline file the comparison ran against.
-    pub baseline: String,
-    /// Tolerance on the ratio−1 scale the verdicts used.
-    pub tolerance: f64,
-    /// Confidence level of the intervals.
-    pub level: f64,
-    /// Whether baseline and head were measured on the same host.
-    pub same_host: bool,
-    /// Compared cells.
-    pub rows: Vec<BenchRow>,
-    /// Baseline cells missing from head (gate failures).
-    pub missing: Vec<String>,
-}
-
-impl BenchSection {
-    /// True when no cell regressed and none went missing.
-    pub fn is_clean(&self) -> bool {
-        self.missing.is_empty() && self.rows.iter().all(|r| r.verdict != "REGRESSION")
-    }
-
-    /// Renders the section as Markdown.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "vs `{}` — tolerance {:.0}%, {:.0}% CIs{}\n\n",
-            self.baseline,
-            self.tolerance * 100.0,
-            self.level * 100.0,
-            if self.same_host {
-                ""
-            } else {
-                " — **different hosts** (ratios are cross-machine)"
-            }
-        );
-        out.push_str(
-            "| cell | base ms | head ms | effect (ratio−1) | verdict |\n|---|---|---|---|---|\n",
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "| {} | {:.3} | {:.3} | {:+.1}% [{:+.1}%, {:+.1}%] | {} |\n",
-                r.id,
-                r.baseline_ms,
-                r.head_ms,
-                r.effect.estimate * 100.0,
-                r.effect.lower * 100.0,
-                r.effect.upper * 100.0,
-                r.verdict
-            ));
-        }
-        for id in &self.missing {
-            out.push_str(&format!(
-                "| {id} | — | — | MISSING from head | gate fails |\n"
-            ));
-        }
-        out.push('\n');
-        out
-    }
-}
-
 /// A complete experiment report.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -289,9 +210,6 @@ pub struct Report {
     /// Load-harness arms (offered vs achieved, tails, session accounting),
     /// when the experiment drove the server through `perfeval-load`.
     pub loads: Vec<LoadSection>,
-    /// The perf-trajectory comparison, when the run gated against a
-    /// committed baseline.
-    pub bench: Option<BenchSection>,
     /// Rendered span-tree of the run, when it was traced.
     pub trace: Option<String>,
     /// Free-form analysis / conclusions.
@@ -354,14 +272,6 @@ impl Report {
         self
     }
 
-    /// Attaches the perf-trajectory comparison. A regression or a missing
-    /// cell flags the whole report, the same honesty rule as partial
-    /// sweeps and dropped load sessions.
-    pub fn bench(mut self, section: BenchSection) -> Self {
-        self.bench = Some(section);
-        self
-    }
-
     /// Attaches a recorded span timeline. The report embeds the
     /// plain-text tree rendering, so the where-did-the-time-go record
     /// travels with the numbers it explains.
@@ -411,11 +321,6 @@ impl Report {
         if !self.loads.iter().all(LoadSection::is_complete) {
             missing.push("complete-load");
         }
-        // And for the perf gate: a report carrying a regressed or
-        // incomplete trajectory comparison must say so.
-        if self.bench.as_ref().is_some_and(|b| !b.is_clean()) {
-            missing.push("clean-bench");
-        }
         missing
     }
 
@@ -461,10 +366,6 @@ impl Report {
             for section in &self.loads {
                 out.push_str(&section.render());
             }
-        }
-        if let Some(bench) = &self.bench {
-            out.push_str("## Perf trajectory\n\n");
-            out.push_str(&bench.render());
         }
         if let Some(tree) = &self.trace {
             out.push_str("## Trace\n\n```\n");
@@ -708,58 +609,6 @@ mod tests {
         assert!(text.contains("## Trace"));
         assert!(text.contains("experiment"));
         assert!(text.contains("measure"));
-    }
-
-    fn bench_section() -> BenchSection {
-        BenchSection {
-            baseline: "BENCH_8.json".into(),
-            tolerance: 0.10,
-            level: 0.95,
-            same_host: true,
-            rows: vec![BenchRow {
-                id: "agg-heavy/SIMD".into(),
-                baseline_ms: 1.5,
-                head_ms: 1.48,
-                effect: perfeval_stats::ConfidenceInterval {
-                    estimate: -0.013,
-                    lower: -0.05,
-                    upper: 0.02,
-                    level: 0.95,
-                },
-                verdict: "ok".into(),
-            }],
-            missing: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn bench_section_renders_the_gate_table() {
-        let r = full_report().bench(bench_section());
-        assert!(r.missing_sections().is_empty());
-        let text = r.render();
-        assert!(text.contains("## Perf trajectory"));
-        assert!(text.contains("vs `BENCH_8.json`"));
-        assert!(text.contains("| agg-heavy/SIMD |"));
-        assert!(text.contains("tolerance 10%"));
-    }
-
-    #[test]
-    fn regressed_bench_flags_the_report() {
-        let mut section = bench_section();
-        section.rows[0].verdict = "REGRESSION".into();
-        assert!(!section.is_clean());
-        let r = full_report().bench(section);
-        assert!(r.missing_sections().contains(&"clean-bench"));
-        assert!(r.render().contains("incomplete report"));
-    }
-
-    #[test]
-    fn missing_bench_cells_flag_the_report() {
-        let mut section = bench_section();
-        section.missing.push("join-heavy/OPT".into());
-        let r = full_report().bench(section);
-        assert!(r.missing_sections().contains(&"clean-bench"));
-        assert!(r.render().contains("MISSING from head"));
     }
 
     #[test]

@@ -283,11 +283,12 @@ impl DiskBacking {
 
     /// One physical read, made with no lock held: `pread`, header and
     /// checksum verification, decode, and the refusal of a segment that
-    /// does not hold the rows the manifest promised or whose dictionary
-    /// repeats a value. Fires `store.read` once.
+    /// does not hold the rows or the type the manifest promised or whose
+    /// dictionary repeats a value. Fires `store.read` once.
     fn read_chunk(&self, ci: usize, chunk: usize) -> ReadAhead {
         let key = read_fault_key(self.seg_key(ci, chunk));
-        let chunk = &self.manifest.columns[ci].chunks[chunk];
+        let column = &self.manifest.columns[ci];
+        let chunk = &column.chunks[chunk];
         let path = self.dir.join(&chunk.file);
         let data = read_segment(&path, self.store.faults.as_deref(), key).map_err(store_err)?;
         if data.rows() as u64 != chunk.rows {
@@ -296,6 +297,14 @@ impl DiskBacking {
                 path.display(),
                 data.rows(),
                 chunk.rows
+            )));
+        }
+        if data.type_tag() != column.tag {
+            return Err(DbError::Io(format!(
+                "{}: segment holds {} values, manifest says {}",
+                path.display(),
+                data.type_tag().as_str(),
+                column.tag.as_str()
             )));
         }
         let bytes = data.heap_bytes();

@@ -942,3 +942,52 @@ fn untiled_manifests_and_short_segments_are_refused() {
     assert_eq!(ok.unwrap().rows, vec![vec![Value::Int(100)]]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A segment's type tag is outside its checksum, and `I64` and `F64` share
+/// the Plain layout: with that one byte flipped the file still decodes — to
+/// a column of the wrong type. It is refused against the manifest like a
+/// segment of the wrong length, in every tier, and never reaches the pool.
+#[test]
+fn a_segment_of_the_wrong_type_is_refused_and_never_admitted() {
+    let dir = temp_dir("wrong_type");
+    build_catalog(100)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(25))
+        .unwrap();
+    // Chunk 1 of 4 of `probe.id`.
+    let seg = dir.join("probe").join("g1_c0_k1.seg");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    assert_eq!(bytes[6..8], [0, 0], "an I64 Plain segment");
+    bytes[6] ^= 1;
+    std::fs::write(&seg, &bytes).unwrap();
+    let as_read = perfeval_store::read_segment(&seg, None, 0).expect("the decoder has no quarrel");
+    assert_eq!(as_read.type_tag(), perfeval_store::TypeTag::F64);
+
+    let disk = Catalog::open(&dir).unwrap();
+    for mode in [ExecMode::Debug, ExecMode::Optimized, ExecMode::Simd] {
+        let mut session = Session::new(disk.clone()).with_mode(mode);
+        let storage = disk.storage().unwrap();
+        for sql in [
+            "SELECT SUM(id) FROM probe WHERE id >= 0",
+            "SELECT id FROM probe ORDER BY id LIMIT 1",
+        ] {
+            let mut attempt = || {
+                let err = session.query(sql).run().unwrap_err();
+                assert!(
+                    matches!(&err, DbError::Io(m) if m.contains("holds f64 values, manifest says i64")),
+                    "{mode}: {sql}: {err}"
+                );
+                (storage.resident_bytes(), storage.counters().physical_reads)
+            };
+            // Whatever the first attempt admitted (the chunks before the
+            // damaged one) the second finds resident; the refused chunk is
+            // read from its file again, because it was never admitted.
+            let (resident, reads) = attempt();
+            let (resident_again, reads_again) = attempt();
+            assert_eq!(resident_again, resident, "{mode}: {sql}");
+            assert_eq!(reads_again, reads + 1, "{mode}: {sql}");
+        }
+        let ok = session.query("SELECT k FROM aside").run().unwrap();
+        assert_eq!(ok.rows, vec![vec![Value::Int(42)]], "{mode}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -16,8 +16,8 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`segment`] | one-file-per-column-chunk format: 32-byte checksummed header, Plain / RLE / dictionary encodings chosen per column, floats stored as [`f64::to_bits`] for bit-identity |
-//! | [`pool`] | [`BufferPool`]: frame table, pin counts, dirty tracking, [`Evict::{Lru, Clock, TwoQ}`](Evict), real logical/physical read counters, `drop_all()` for honest cold runs |
+//! | [`segment`] | one-file-per-column-chunk format: 32-byte header (checked before it is believed) over a checksummed payload, Plain / RLE / dictionary encodings chosen per column, floats stored as [`f64::to_bits`] for bit-identity |
+//! | [`pool`] | [`BufferPool`]: frame table, [`Evict::{Lru, Clock, TwoQ}`](Evict), real logical/physical read counters, `drop_all()` for honest cold runs |
 //! | [`manifest`] | table/catalog manifests committed temp-then-rename (crash safety), quarantine of unreferenced files — counted, never silent — and a best-effort `posix_fadvise(DONTNEED)` page-cache drop |
 //!
 //! ## Crash safety

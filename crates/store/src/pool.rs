@@ -1,6 +1,5 @@
-//! A real buffer pool: frame table, pin counts, dirty tracking, and an
-//! eviction policy that is a **design factor**, not an implementation
-//! accident.
+//! A real buffer pool: a frame table and an eviction policy that is a
+//! **design factor**, not an implementation accident.
 //!
 //! The pool caches *decoded* chunks (`Arc<T>`), charged at their
 //! in-memory size against a byte budget. Because frames hand out
@@ -12,9 +11,9 @@
 //!
 //! ## Invariants
 //!
-//! - A **pinned** frame (`pins > 0`) is never evicted. minidb's scans pin
-//!   nothing: a reader holds the chunks it is working on by `Arc`, so a
-//!   scan larger than the budget evicts its own head instead of
+//! - **Nothing is pinned**, and nothing is written back: backed tables are
+//!   read-only, and a reader holds the chunks it is working on by `Arc`, so
+//!   a scan larger than the budget evicts its own head instead of
 //!   over-committing, and what is alive outside the budget is what readers
 //!   hold at that moment — for a chunk-at-a-time sweep at most
 //!   `threads × projected columns` chunks, counting a chunk from when its
@@ -30,13 +29,10 @@
 //!   is dropped, and the caller reports it with
 //!   [`BufferPool::count_discarded_read`]: `physical_reads` is segment
 //!   reads made, admitted or not.
-//! - A **dirty** frame is never evicted until [`BufferPool::take_dirty`]
-//!   collects it for write-back — losing unwritten bytes is not an
-//!   eviction policy.
-//! - When every frame is pinned or dirty the pool **over-commits**
-//!   rather than failing the query, and counts it
-//!   ([`PoolCounters::overcommits`]) — running a scale factor that
-//!   exceeds the budget completes, honestly accounted.
+//! - An admission never evicts its own chunk, so a chunk larger than the
+//!   whole budget **over-commits** the pool rather than failing the query,
+//!   and is counted ([`PoolCounters::overcommits`]) — a budget smaller than
+//!   one chunk completes, honestly accounted.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -47,12 +43,12 @@ pub type SegKey = (u32, u32, u32);
 /// Eviction policy — a design factor (E26 measures it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Evict {
-    /// Least-recently-used: victim is the unpinned frame with the
-    /// oldest access stamp.
+    /// Least-recently-used: victim is the frame with the oldest access
+    /// stamp.
     #[default]
     Lru,
     /// Clock (second chance): a hand sweeps a ring of frames, clearing
-    /// reference bits until it finds an unreferenced, unpinned frame.
+    /// reference bits until it finds an unreferenced frame.
     Clock,
     /// 2Q: first-time pages sit in a probationary FIFO (`A1`); a second
     /// access promotes to the protected LRU (`Am`). Scans that touch
@@ -105,9 +101,9 @@ pub struct PoolCounters {
     pub physical_reads: u64,
     /// Frames evicted to stay within budget.
     pub evictions: u64,
-    /// Loads admitted *over* budget because every frame was pinned or
-    /// dirty. Nonzero means the budget was too small for the working
-    /// set — reported, never hidden.
+    /// Loads admitted *over* budget because the chunk alone is larger than
+    /// it (an admission never evicts its own chunk). Nonzero means the
+    /// budget was too small for one chunk — reported, never hidden.
     pub overcommits: u64,
 }
 
@@ -141,8 +137,6 @@ impl PoolCounters {
 struct Frame<T> {
     value: Arc<T>,
     bytes: u64,
-    pins: u32,
-    dirty: bool,
     /// LRU access stamp.
     stamp: u64,
     /// Clock reference bit.
@@ -199,11 +193,6 @@ impl<T> BufferPool<T> {
         self.resident_bytes
     }
 
-    /// Number of cached frames.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Whether a chunk is resident.
     pub fn contains(&self, key: SegKey) -> bool {
         self.frames.contains_key(&key)
@@ -214,16 +203,11 @@ impl<T> BufferPool<T> {
         self.counters
     }
 
-    /// Zeroes the counters (resident frames stay).
-    pub fn reset_counters(&mut self) {
-        self.counters = PoolCounters::default();
-    }
-
     /// Returns the cached chunk, or loads it with `load` on a miss.
     ///
     /// `load` returns the value plus its byte charge. On a miss the new
-    /// frame is admitted and unpinned victims are evicted until the
-    /// pool is back within budget (or nothing more can go).
+    /// frame is admitted and victims are evicted until the pool is back
+    /// within budget (or nothing but the new frame is left).
     pub fn get_or_load<E>(
         &mut self,
         key: SegKey,
@@ -259,8 +243,6 @@ impl<T> BufferPool<T> {
             Frame {
                 value: Arc::clone(&value),
                 bytes,
-                pins: 0,
-                dirty: false,
                 stamp: self.tick,
                 referenced: false,
                 hot: false,
@@ -287,61 +269,7 @@ impl<T> BufferPool<T> {
         self.counters.physical_reads += 1;
     }
 
-    /// Pins a resident frame (it cannot be evicted until unpinned).
-    /// Returns false if the chunk is not resident.
-    pub fn pin(&mut self, key: SegKey) -> bool {
-        match self.frames.get_mut(&key) {
-            Some(f) => {
-                f.pins += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Releases one pin.
-    pub fn unpin(&mut self, key: SegKey) {
-        if let Some(f) = self.frames.get_mut(&key) {
-            f.pins = f.pins.saturating_sub(1);
-        }
-    }
-
-    /// Current pin count of a frame (0 if absent).
-    pub fn pins(&self, key: SegKey) -> u32 {
-        self.frames.get(&key).map_or(0, |f| f.pins)
-    }
-
-    /// Marks a resident frame dirty (it will not be evicted until
-    /// collected by [`take_dirty`](Self::take_dirty)). Returns false if
-    /// absent.
-    pub fn mark_dirty(&mut self, key: SegKey) -> bool {
-        match self.frames.get_mut(&key) {
-            Some(f) => {
-                f.dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Collects and clears all dirty marks — the write-back hook. The
-    /// caller persists the returned chunks; only then may they be
-    /// evicted again.
-    pub fn take_dirty(&mut self) -> Vec<(SegKey, Arc<T>)> {
-        let mut out: Vec<(SegKey, Arc<T>)> = self
-            .frames
-            .iter_mut()
-            .filter(|(_, f)| f.dirty)
-            .map(|(k, f)| {
-                f.dirty = false;
-                (*k, Arc::clone(&f.value))
-            })
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Drops **everything** — frames, policy state, pins — modelling a
+    /// Drops **everything** — frames and policy state — modelling a
     /// process restart for honest cold runs. Counters survive (they are
     /// the experiment's record). Returns the number of frames dropped.
     pub fn drop_all(&mut self) -> usize {
@@ -366,20 +294,12 @@ impl<T> BufferPool<T> {
         true
     }
 
-    fn evictable(&self, key: SegKey, exclude: Option<SegKey>) -> bool {
-        exclude != Some(key)
-            && self
-                .frames
-                .get(&key)
-                .is_some_and(|f| f.pins == 0 && !f.dirty)
-    }
-
     fn pick_victim(&mut self, exclude: Option<SegKey>) -> Option<SegKey> {
         match self.evict {
             Evict::Lru => self
                 .frames
                 .iter()
-                .filter(|(k, f)| exclude != Some(**k) && f.pins == 0 && !f.dirty)
+                .filter(|(k, _)| exclude != Some(**k))
                 .min_by_key(|(k, f)| (f.stamp, **k))
                 .map(|(k, _)| *k),
             Evict::Clock => {
@@ -387,7 +307,7 @@ impl<T> BufferPool<T> {
                 // bits; a frame seen twice unreferenced is the victim.
                 for _ in 0..self.ring.len() * 2 {
                     let key = *self.ring.front()?;
-                    if !self.evictable(key, exclude) {
+                    if exclude == Some(key) {
                         self.ring.rotate_left(1);
                         continue;
                     }
@@ -403,24 +323,13 @@ impl<T> BufferPool<T> {
             }
             Evict::TwoQ => {
                 // Probationary pages first, then the protected LRU.
-                self.a1
-                    .iter()
-                    .copied()
-                    .find(|&k| self.evictable(k, exclude))
-                    .or_else(|| {
-                        self.am
-                            .iter()
-                            .copied()
-                            .find(|&k| self.evictable(k, exclude))
-                    })
+                (self.a1.iter().chain(&self.am).copied()).find(|&k| exclude != Some(k))
             }
         }
     }
 
     fn evict_frame(&mut self, key: SegKey) {
         if let Some(f) = self.frames.remove(&key) {
-            debug_assert_eq!(f.pins, 0, "must not evict a pinned frame");
-            debug_assert!(!f.dirty, "must not evict a dirty frame");
             self.resident_bytes -= f.bytes;
             self.counters.evictions += 1;
         }
@@ -455,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_oldest_unpinned() {
+    fn lru_evicts_the_oldest() {
         let mut p: BufferPool<i64> = BufferPool::new(250, Evict::Lru);
         for i in 0..3 {
             p.get_or_load(key(i), load(i64::from(i), 100)).unwrap();
@@ -471,40 +380,23 @@ mod tests {
     }
 
     #[test]
-    fn pinned_frames_survive_and_overcommit_is_counted() {
-        let mut p: BufferPool<i64> = BufferPool::new(250, Evict::Lru);
-        p.get_or_load(key(0), load(0, 100)).unwrap();
-        assert!(p.pin(key(0)));
-        p.get_or_load(key(1), load(1, 100)).unwrap();
-        assert!(p.pin(key(1)));
-        // Both pinned, third load must overcommit, not fail or evict.
-        p.get_or_load(key(2), load(2, 100)).unwrap();
-        assert!(p.contains(key(0)) && p.contains(key(1)));
-        assert_eq!(p.counters().overcommits, 1);
-        assert!(p.resident_bytes() > p.capacity_bytes());
-        // Unpin: the next pressure evicts normally again.
-        p.unpin(key(0));
-        p.unpin(key(1));
-        p.get_or_load(key(3), load(3, 100)).unwrap();
-        assert!(p.resident_bytes() <= p.capacity_bytes());
-    }
-
-    #[test]
-    fn dirty_frames_are_not_evicted_until_taken() {
-        let mut p: BufferPool<i64> = BufferPool::new(150, Evict::Lru);
-        p.get_or_load(key(0), load(7, 100)).unwrap();
-        assert!(p.mark_dirty(key(0)));
-        p.get_or_load(key(1), load(8, 100)).unwrap();
-        assert!(p.contains(key(0)), "dirty frame must survive pressure");
-        let dirty = p.take_dirty();
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(*dirty[0].1, 7);
-        p.get_or_load(key(2), load(9, 100)).unwrap();
-        assert!(
-            p.resident_bytes() <= p.capacity_bytes(),
-            "after write-back the frame is evictable"
-        );
-        assert!(p.take_dirty().is_empty(), "marks are cleared once taken");
+    fn an_oversized_chunk_overcommits_and_is_counted() {
+        for evict in Evict::all() {
+            let mut p: BufferPool<i64> = BufferPool::new(250, evict);
+            p.get_or_load(key(0), load(0, 100)).unwrap();
+            // Larger than the whole budget: everything else goes, the new
+            // chunk stays (it is in use), and the load neither fails nor
+            // passes uncounted.
+            assert_eq!(*p.get_or_load(key(1), load(1, 300)).unwrap(), 1);
+            assert!(!p.contains(key(0)) && p.contains(key(1)), "{evict}");
+            assert_eq!(p.counters().overcommits, 1, "{evict}");
+            assert!(p.resident_bytes() > p.capacity_bytes());
+            // The next pressure evicts normally again.
+            p.get_or_load(key(2), load(2, 100)).unwrap();
+            assert!(!p.contains(key(1)), "{evict}");
+            assert!(p.resident_bytes() <= p.capacity_bytes());
+            assert_eq!(p.counters().overcommits, 1, "{evict}");
+        }
     }
 
     #[test]
@@ -554,7 +446,7 @@ mod tests {
         let before = p.counters();
         assert_eq!(p.drop_all(), 4);
         assert_eq!(p.resident_bytes(), 0);
-        assert_eq!(p.frame_count(), 0);
+        assert!(!p.contains(key(0)));
         assert_eq!(p.counters(), before, "counters survive the restart");
         // Everything is a miss again.
         p.get_or_load(key(0), load(0, 100)).unwrap();

@@ -25,6 +25,15 @@
 //! the header first, then exactly `payload_len` bytes at offset 32. A
 //! short read or checksum mismatch is [`StoreError::Corrupt`] — a torn
 //! segment is *detected*, never silently half-decoded.
+//!
+//! The checksum covers the payload only, so the header is **checked before
+//! it is believed**: every count the decoder meets — the header's row
+//! count, a run count, a dictionary size, an entry length — is compared
+//! with the payload bytes that have to back it before anything is reserved
+//! on its word, and run lengths must tile the row count exactly. A header
+//! that lies is `Corrupt`, or (a flipped type tag over a layout both types
+//! share) decodes to a column of another type, which the caller refuses
+//! against its manifest.
 
 use crate::{fnv1a64, StoreError};
 use perfeval_fault::FaultRegistry;
@@ -260,8 +269,21 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn i64(&mut self) -> Result<i64, StoreError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// `n` items of `width` bytes each. The product is checked against the
+    /// bytes left before the caller can reserve anything for it.
+    fn items(
+        &mut self,
+        n: usize,
+        width: usize,
+    ) -> Result<std::slice::ChunksExact<'a, u8>, StoreError> {
+        let len = n.checked_mul(width).ok_or_else(|| {
+            StoreError::Corrupt(format!("payload truncated: {n} x {width} bytes claimed"))
+        })?;
+        Ok(self.take(len)?.chunks_exact(width))
     }
 
     fn done(&self) -> Result<(), StoreError> {
@@ -458,24 +480,89 @@ fn encode_segment_with(data: &ColumnData) -> (Encoding, Vec<u8>) {
 // decoding
 // ---------------------------------------------------------------------
 
-fn decode_u64s(cur: &mut Cursor, encoding: Encoding, rows: usize) -> Result<Vec<u64>, StoreError> {
+/// A count read from outside, as the index type — refused, not truncated,
+/// where `usize` is narrower than the format's `u64`.
+fn count(v: u64, what: &str) -> Result<usize, StoreError> {
+    usize::try_from(v)
+        .map_err(|_| StoreError::Corrupt(format!("{what} {v} exceeds the address space")))
+}
+
+/// A fixed-width little-endian value of a Plain or RLE stream.
+trait Word: Copy {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    /// Reads one value from exactly `WIDTH` bytes.
+    fn read(bytes: &[u8]) -> Self;
+}
+
+impl Word for i64 {
+    const WIDTH: usize = 8;
+    fn read(bytes: &[u8]) -> Self {
+        i64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+    }
+}
+
+impl Word for f64 {
+    const WIDTH: usize = 8;
+    fn read(bytes: &[u8]) -> Self {
+        f64::from_bits(u64::from_le_bytes(
+            bytes.try_into().expect("an 8-byte word"),
+        ))
+    }
+}
+
+impl Word for u32 {
+    const WIDTH: usize = 4;
+    fn read(bytes: &[u8]) -> Self {
+        u32::from_le_bytes(bytes.try_into().expect("a 4-byte word"))
+    }
+}
+
+impl Word for bool {
+    const WIDTH: usize = 1;
+    fn read(bytes: &[u8]) -> Self {
+        bytes[0] != 0
+    }
+}
+
+/// The Plain and RLE streams of every type. Either ends its payload; bytes
+/// it leaves over are refused by the caller's `Cursor::done`.
+fn decode_words<T: Word>(
+    cur: &mut Cursor,
+    encoding: Encoding,
+    rows: usize,
+) -> Result<Vec<T>, StoreError> {
     match encoding {
-        Encoding::Plain => (0..rows).map(|_| cur.u64()).collect(),
+        // `rows` words were found, so collecting reserves exactly what the
+        // payload backs.
+        Encoding::Plain => Ok(cur.items(rows, T::WIDTH)?.map(T::read).collect()),
         Encoding::Rle => {
-            let nruns = cur.u64()? as usize;
-            let mut out = Vec::with_capacity(rows);
-            for _ in 0..nruns {
-                let v = cur.u64()?;
-                let n = cur.u64()? as usize;
-                if out.len() + n > rows {
-                    return Err(StoreError::Corrupt("RLE runs exceed row count".into()));
-                }
-                out.extend(std::iter::repeat_n(v, n));
+            // Each run is a word and a `u64` length.
+            let nruns = count(cur.u64()?, "run count")?;
+            let runs = cur.items(nruns, T::WIDTH + 8)?.map(|run| {
+                let (word, len) = run.split_at(T::WIDTH);
+                (
+                    word,
+                    u64::from_le_bytes(len.try_into().expect("a u64 ends a run")),
+                )
+            });
+            // The runs are under the checksum, `rows` is not: `rows` is
+            // reserved only once the runs are seen to fill it exactly.
+            let mut unfilled = rows as u64;
+            for (_, len) in runs.clone() {
+                unfilled = unfilled
+                    .checked_sub(len)
+                    .ok_or_else(|| StoreError::Corrupt("RLE runs exceed row count".into()))?;
             }
-            if out.len() != rows {
+            if unfilled != 0 {
                 return Err(StoreError::Corrupt(
                     "RLE runs fall short of row count".into(),
                 ));
+            }
+            let mut out = Vec::with_capacity(rows);
+            for (word, len) in runs {
+                // No run is longer than `rows`, a `usize`.
+                out.extend(std::iter::repeat_n(T::read(word), len as usize));
             }
             Ok(out)
         }
@@ -483,70 +570,22 @@ fn decode_u64s(cur: &mut Cursor, encoding: Encoding, rows: usize) -> Result<Vec<
     }
 }
 
-fn decode_i64s(cur: &mut Cursor, encoding: Encoding, rows: usize) -> Result<Vec<i64>, StoreError> {
-    match encoding {
-        Encoding::Plain => (0..rows).map(|_| cur.i64()).collect(),
-        Encoding::Rle => {
-            let nruns = cur.u64()? as usize;
-            let mut out = Vec::with_capacity(rows);
-            for _ in 0..nruns {
-                let v = cur.i64()?;
-                let n = cur.u64()? as usize;
-                if out.len() + n > rows {
-                    return Err(StoreError::Corrupt("RLE runs exceed row count".into()));
-                }
-                out.extend(std::iter::repeat_n(v, n));
-            }
-            if out.len() != rows {
-                return Err(StoreError::Corrupt(
-                    "RLE runs fall short of row count".into(),
-                ));
-            }
-            Ok(out)
-        }
-        Encoding::Dict => {
-            let dlen = cur.u32()? as usize;
-            let mut dict = Vec::with_capacity(dlen);
-            for _ in 0..dlen {
-                dict.push(cur.i64()?);
-            }
-            let mut out = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let code = cur.u32()? as usize;
-                out.push(*dict.get(code).ok_or_else(|| {
-                    StoreError::Corrupt(format!("dict code {code} out of range {dlen}"))
-                })?);
-            }
-            Ok(out)
-        }
+/// An integer column's Dict stream: `u32` size, the distinct values, then
+/// one `u32` code per row.
+fn decode_i64_dict(cur: &mut Cursor, rows: usize) -> Result<Vec<i64>, StoreError> {
+    let dlen = cur.u32()? as usize;
+    let dict: Vec<i64> = cur.items(dlen, 8)?.map(i64::read).collect();
+    let codes = cur.items(rows, 4)?;
+    let mut out = Vec::with_capacity(rows);
+    for code in codes {
+        let code = u32::read(code) as usize;
+        out.push(
+            *dict.get(code).ok_or_else(|| {
+                StoreError::Corrupt(format!("dict code {code} out of range {dlen}"))
+            })?,
+        );
     }
-}
-
-fn decode_codes(cur: &mut Cursor, encoding: Encoding, rows: usize) -> Result<Vec<u32>, StoreError> {
-    match encoding {
-        Encoding::Plain => (0..rows).map(|_| cur.u32()).collect(),
-        Encoding::Rle => {
-            let nruns = cur.u64()? as usize;
-            let mut out = Vec::with_capacity(rows);
-            for _ in 0..nruns {
-                let v = cur.u32()?;
-                let n = cur.u64()? as usize;
-                if out.len() + n > rows {
-                    return Err(StoreError::Corrupt("RLE runs exceed row count".into()));
-                }
-                out.extend(std::iter::repeat_n(v, n));
-            }
-            if out.len() != rows {
-                return Err(StoreError::Corrupt(
-                    "RLE runs fall short of row count".into(),
-                ));
-            }
-            Ok(out)
-        }
-        Encoding::Dict => Err(StoreError::Corrupt(
-            "Dict encoding invalid for codes".into(),
-        )),
-    }
+    Ok(out)
 }
 
 /// Decodes a full in-memory segment (as produced by [`encode_segment`]),
@@ -570,10 +609,13 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ColumnData, StoreError> {
     }
     let tag = TypeTag::from_u8(header[6])?;
     let encoding = Encoding::from_u8(header[7])?;
-    let rows = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-    let payload_len = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
+    let rows = count(
+        u64::from_le_bytes(header[8..16].try_into().unwrap()),
+        "row count",
+    )?;
+    let payload_len = u64::from_le_bytes(header[16..24].try_into().unwrap());
     let checksum = u64::from_le_bytes(header[24..32].try_into().unwrap());
-    if payload.len() != payload_len {
+    if payload.len() as u64 != payload_len {
         return Err(StoreError::Corrupt(format!(
             "payload length mismatch: header says {payload_len}, file has {}",
             payload.len()
@@ -584,15 +626,20 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ColumnData, StoreError> {
     }
     let mut cur = Cursor::new(payload);
     let data = match tag {
-        TypeTag::I64 => ColumnData::I64(decode_i64s(&mut cur, encoding, rows)?),
-        TypeTag::F64 => ColumnData::F64(
-            decode_u64s(&mut cur, encoding, rows)?
-                .into_iter()
-                .map(f64::from_bits)
-                .collect(),
-        ),
+        TypeTag::I64 => ColumnData::I64(match encoding {
+            Encoding::Dict => decode_i64_dict(&mut cur, rows)?,
+            other => decode_words(&mut cur, other, rows)?,
+        }),
+        TypeTag::F64 => ColumnData::F64(decode_words(&mut cur, encoding, rows)?),
         TypeTag::Str => {
             let dlen = cur.u32()? as usize;
+            // Four length bytes per entry at the least.
+            if dlen > cur.left() / 4 {
+                return Err(StoreError::Corrupt(format!(
+                    "{dlen} dictionary entries claimed, {} byte(s) left",
+                    cur.left()
+                )));
+            }
             let mut dict = Vec::with_capacity(dlen);
             for _ in 0..dlen {
                 let len = cur.u32()? as usize;
@@ -602,7 +649,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ColumnData, StoreError> {
                         .map_err(|_| StoreError::Corrupt("dictionary entry is not UTF-8".into()))?,
                 );
             }
-            let codes = decode_codes(&mut cur, encoding, rows)?;
+            let codes: Vec<u32> = decode_words(&mut cur, encoding, rows)?;
             if let Some(&bad) = codes.iter().find(|&&c| c as usize >= dlen) {
                 return Err(StoreError::Corrupt(format!(
                     "string code {bad} out of range {dlen}"
@@ -610,33 +657,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ColumnData, StoreError> {
             }
             ColumnData::Str { dict, codes }
         }
-        TypeTag::Bool => match encoding {
-            Encoding::Plain => {
-                let raw = cur.take(rows)?;
-                ColumnData::Bool(raw.iter().map(|&b| b != 0).collect())
-            }
-            Encoding::Rle => {
-                let nruns = cur.u64()? as usize;
-                let mut out = Vec::with_capacity(rows);
-                for _ in 0..nruns {
-                    let v = cur.take(1)?[0] != 0;
-                    let n = cur.u64()? as usize;
-                    if out.len() + n > rows {
-                        return Err(StoreError::Corrupt("RLE runs exceed row count".into()));
-                    }
-                    out.extend(std::iter::repeat_n(v, n));
-                }
-                if out.len() != rows {
-                    return Err(StoreError::Corrupt(
-                        "RLE runs fall short of row count".into(),
-                    ));
-                }
-                ColumnData::Bool(out)
-            }
-            Encoding::Dict => {
-                return Err(StoreError::Corrupt("Dict encoding invalid for bool".into()))
-            }
-        },
+        TypeTag::Bool => ColumnData::Bool(decode_words(&mut cur, encoding, rows)?),
     };
     cur.done()?;
     Ok(data)
@@ -730,16 +751,14 @@ pub fn read_segment(
     let payload_len = u64::from_le_bytes(header[16..24].try_into().unwrap());
     // Sanity-bound the allocation before trusting the header: a segment
     // can't claim more payload than the file holds.
-    let file_len = file.metadata()?.len();
-    if HEADER_LEN as u64 + payload_len > file_len {
+    let present = file.metadata()?.len().saturating_sub(HEADER_LEN as u64);
+    if payload_len > present {
         return Err(StoreError::Corrupt(format!(
-            "{}: truncated payload ({} of {} byte(s) present)",
+            "{}: truncated payload ({present} of {payload_len} byte(s) present)",
             path.display(),
-            file_len.saturating_sub(HEADER_LEN as u64),
-            payload_len
         )));
     }
-    let mut bytes = vec![0u8; HEADER_LEN + payload_len as usize];
+    let mut bytes = vec![0u8; HEADER_LEN + count(payload_len, "payload length")?];
     bytes[..HEADER_LEN].copy_from_slice(&header);
     pread_exact(&file, &mut bytes[HEADER_LEN..], HEADER_LEN as u64).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {

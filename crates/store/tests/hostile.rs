@@ -1,0 +1,374 @@
+//! Hostile bytes at the segment reader: the header of a segment is outside
+//! its checksum, so whatever a flipped bit or a short file makes it say, the
+//! decoder answers `StoreError::Corrupt` — or, where a flipped type tag
+//! names a type with the same layout, a column of *another* type, which
+//! minidb refuses against its manifest (`minidb/tests/persist.rs`). Never a
+//! panic, never an abort, and no allocation sized by a count the bytes
+//! cannot back. The segment reader's part of the hostile-bytes harness
+//! (ROADMAP item 5), modelled on `crates/net/tests/hostile.rs`.
+//!
+//! The allocation bound is measured, not argued: this binary's allocator
+//! records the largest request a thread makes while it is watched.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+
+use perfeval_store::segment::{FORMAT_VERSION, HEADER_LEN, MAGIC};
+use perfeval_store::{
+    decode_segment, encode_segment, fnv1a64, read_segment, ColumnData, StoreError, TypeTag,
+};
+
+thread_local! {
+    /// Largest single allocation this thread has asked for since the last
+    /// reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Watching;
+
+fn note(size: usize) {
+    // `try_with`: an allocation made while the thread's locals are being
+    // torn down is simply not recorded.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every request is passed to `System` unchanged and its answer
+// returned unchanged; the only addition is a thread-local store of the
+// requested size, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watching = Watching;
+
+/// Runs `read` and returns its answer with the largest single allocation it
+/// made.
+fn watched<T>(read: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let got = read();
+    (got, LARGEST.with(Cell::get))
+}
+
+/// The most one read of `seg` may ask the allocator for at once, whatever
+/// its header says: six times the larger of the file and what it honestly
+/// decodes to, plus an error message. Six is the decoder's worst ratio of
+/// memory to the bytes that back it — a string dictionary's 24-byte `String`
+/// against the four length bytes an entry takes at the least; words, runs
+/// and codes are checked one for one.
+fn bound(seg: &[u8], honest: &ColumnData) -> usize {
+    6 * seg.len().max(honest.heap_bytes() as usize) + 512
+}
+
+/// `bytes` through both entry points — the in-memory decoder and the file
+/// reader, which parses the header's payload length on its own: each one's
+/// answer and the largest single allocation it made.
+fn read_both(
+    bytes: &[u8],
+    scratch: &Scratch,
+) -> [(&'static str, Result<ColumnData, StoreError>, usize); 2] {
+    std::fs::write(&scratch.0, bytes).expect("write the hostile segment");
+    let (decoded, decode_largest) = watched(|| decode_segment(bytes));
+    let (read, read_largest) = watched(|| read_segment(&scratch.0, None, 0));
+    [
+        ("decode_segment", decoded, decode_largest),
+        ("read_segment", read, read_largest),
+    ]
+}
+
+/// `bytes` is refused as `Corrupt` by both entry points — or, for a mutated
+/// copy of a segment that honestly holds `honest` values, decodes to a
+/// column of another type — and nothing beyond `limit` is allocated at once.
+fn assert_refused(
+    bytes: &[u8],
+    honest: Option<TypeTag>,
+    limit: usize,
+    scratch: &Scratch,
+    what: &str,
+) {
+    for (entry, got, largest) in read_both(bytes, scratch) {
+        match got {
+            Err(StoreError::Corrupt(_)) => {}
+            Ok(data) if honest.is_some_and(|tag| tag != data.type_tag()) => {}
+            other => panic!("{what}: {entry} answered {other:?}"),
+        }
+        assert!(
+            largest <= limit,
+            "{what}: {entry} allocated {largest} bytes at once for a {}-byte segment (limit {limit})",
+            bytes.len()
+        );
+    }
+}
+
+/// A mutated copy of `honest`'s segment `seg`, within [`bound`].
+fn assert_contained(bytes: &[u8], seg: &[u8], honest: &ColumnData, scratch: &Scratch, what: &str) {
+    let limit = bound(seg, honest);
+    assert_refused(bytes, Some(honest.type_tag()), limit, scratch, what);
+}
+
+/// A segment no honest writer made: `Corrupt`, within the bound of its own
+/// length.
+fn assert_corrupt(bytes: &[u8], scratch: &Scratch, what: &str) {
+    assert_refused(bytes, None, 6 * bytes.len() + 512, scratch, what);
+}
+
+/// A scratch file of this test's own, removed when the test ends.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Self {
+        Scratch(
+            std::env::temp_dir().join(format!("pseg-hostile-{test}-{}.seg", std::process::id())),
+        )
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+const TAG_AT: usize = 6;
+const ENCODING_AT: usize = 7;
+const PLAIN: u8 = 0;
+const RLE: u8 = 1;
+const DICT: u8 = 2;
+
+fn strs(codes: Vec<u32>) -> ColumnData {
+    ColumnData::Str {
+        dict: vec!["lo".into(), "mid".into(), "naïve".into()],
+        codes,
+    }
+}
+
+/// One valid segment of every type × encoding the writer can choose.
+fn every_layout() -> Vec<(&'static str, ColumnData, u8)> {
+    vec![
+        (
+            "i64 plain",
+            ColumnData::I64((0..200).map(|i| i * 17 - 5).collect()),
+            PLAIN,
+        ),
+        ("i64 rle", ColumnData::I64(vec![7; 1000]), RLE),
+        (
+            "i64 dict",
+            ColumnData::I64((0..400).map(|i| (i % 7) * 1000).collect()),
+            DICT,
+        ),
+        (
+            "f64 plain",
+            ColumnData::F64((0..200).map(|i| f64::from(i) * 0.37).collect()),
+            PLAIN,
+        ),
+        ("f64 rle", ColumnData::F64(vec![1.5; 600]), RLE),
+        (
+            "str plain codes",
+            strs((0..200).map(|i| i % 3).collect()),
+            PLAIN,
+        ),
+        (
+            "str rle codes",
+            strs((0..600).map(|i| i / 300).collect()),
+            RLE,
+        ),
+        (
+            "bool plain",
+            ColumnData::Bool((0..300).map(|i| i % 2 == 0).collect()),
+            PLAIN,
+        ),
+        ("bool rle", ColumnData::Bool(vec![true; 500]), RLE),
+    ]
+}
+
+#[test]
+fn the_layouts_under_test_are_the_ones_the_writer_chooses() {
+    for (name, data, encoding) in every_layout() {
+        let seg = encode_segment(&data);
+        assert_eq!(seg[TAG_AT], data.type_tag().as_u8(), "{name}");
+        assert_eq!(seg[ENCODING_AT], encoding, "{name}");
+        let (back, largest) = watched(|| decode_segment(&seg));
+        assert!(back.expect("the honest segment").bit_eq(&data), "{name}");
+        assert!(largest <= bound(&seg, &data), "{name}: {largest}");
+    }
+}
+
+#[test]
+fn no_flipped_header_bit_is_believed() {
+    let scratch = Scratch::new("flip");
+    for (name, data, _) in every_layout() {
+        let seg = encode_segment(&data);
+        for byte in 0..HEADER_LEN {
+            for bit in 0..8 {
+                let mut bad = seg.clone();
+                bad[byte] ^= 1 << bit;
+                let what = format!("{name}: header byte {byte} bit {bit} flipped");
+                assert_contained(&bad, &seg, &data, &scratch, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_segment_cut_short_anywhere_is_corrupt() {
+    let scratch = Scratch::new("cut");
+    for (name, data, _) in every_layout() {
+        let seg = encode_segment(&data);
+        for len in 0..seg.len() {
+            let what = format!("{name} cut to {len} of {} bytes", seg.len());
+            assert_contained(&seg[..len], &seg, &data, &scratch, &what);
+        }
+        // A byte too many is refused in memory; a file is read up to the
+        // length its header states, so there it is the honest segment.
+        let mut long = seg.clone();
+        long.push(0);
+        let (got, largest) = watched(|| decode_segment(&long));
+        assert!(
+            matches!(got, Err(StoreError::Corrupt(_))),
+            "{name}: {got:?}"
+        );
+        assert!(largest <= bound(&seg, &data), "{name}: {largest}");
+    }
+}
+
+/// A segment whose header and checksum are consistent with `payload`: what
+/// a bit flip cannot produce but a buggy or hostile writer can.
+fn forged(tag: TypeTag, encoding: u8, rows: u64, payload: &[u8]) -> Vec<u8> {
+    let mut seg = Vec::new();
+    seg.extend_from_slice(&MAGIC);
+    seg.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    seg.push(tag.as_u8());
+    seg.push(encoding);
+    seg.extend_from_slice(&rows.to_le_bytes());
+    seg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    seg.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    seg.extend_from_slice(payload);
+    seg
+}
+
+fn words(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+/// The three ways the parent's decoder died, by name.
+#[test]
+fn the_reproductions_of_the_issue_are_corrupt_not_deaths() {
+    let scratch = Scratch::new("named");
+
+    // rows |= 2^36 on a one-run RLE column: `Vec::with_capacity(rows)` asked
+    // for 512 GiB and the process aborted; rows |= 2^61: capacity overflow.
+    let honest = ColumnData::I64(vec![7; 1000]);
+    let seg = encode_segment(&honest);
+    for (byte, value) in [(12, 0x10), (15, 0x20)] {
+        let mut bad = seg.clone();
+        bad[byte] = value;
+        let what = format!("rle i64 with header byte {byte} = {value:#x}");
+        assert_contained(&bad, &seg, &honest, &scratch, &what);
+    }
+
+    // Plain words 2, 5, 1, 9, -1 read as RLE: two runs, the second of
+    // 2^64 - 1 rows; `out.len() + n` wrapped and the extend overflowed.
+    let honest = ColumnData::I64(vec![2, 5, 1, 9, -1]);
+    let seg = encode_segment(&honest);
+    assert_eq!(seg[ENCODING_AT], PLAIN);
+    let mut bad = seg.clone();
+    bad[ENCODING_AT] = RLE;
+    assert_contained(&bad, &seg, &honest, &scratch, "plain read as rle");
+
+    // A dictionary size nothing backs, integer and string: `dlen` entries
+    // were reserved on the payload's word. Forged, since the size is under
+    // the checksum.
+    let huge = u32::MAX.to_le_bytes();
+    for (what, tag, encoding) in [
+        ("i64 dict of u32::MAX entries", TypeTag::I64, DICT),
+        ("str dict of u32::MAX entries", TypeTag::Str, PLAIN),
+    ] {
+        let mut payload = huge.to_vec();
+        payload.extend_from_slice(&[0; 12]);
+        assert_corrupt(&forged(tag, encoding, 3, &payload), &scratch, what);
+    }
+}
+
+/// Counts under the checksum that still lie: only a writer can make these,
+/// and the decoder believes none of them further than the bytes go.
+#[test]
+fn forged_counts_are_checked_against_the_bytes_left() {
+    let scratch = Scratch::new("forged");
+    let check = |what: &str, bad: Vec<u8>| assert_corrupt(&bad, &scratch, what);
+    for tag in [TypeTag::I64, TypeTag::F64, TypeTag::Str, TypeTag::Bool] {
+        let what = |case: &str| format!("{}: {case}", tag.as_str());
+        // A string payload opens with its (here empty) dictionary.
+        let open: &[u8] = if tag == TypeTag::Str { &[0; 4] } else { &[] };
+        let with = |rest: Vec<u8>| [open, &rest[..]].concat();
+
+        check(
+            &what("rows nothing backs"),
+            forged(tag, PLAIN, 1 << 40, &with(vec![0; 16])),
+        );
+        check(
+            &what("u64::MAX rows"),
+            forged(tag, PLAIN, u64::MAX, &with(vec![0; 16])),
+        );
+        check(
+            &what("u64::MAX runs"),
+            forged(tag, RLE, 4, &with(words(&[u64::MAX, 0, 4]))),
+        );
+        check(
+            &what("2^60 runs"),
+            forged(tag, RLE, 4, &with(words(&[1 << 60, 0, 4]))),
+        );
+        check(
+            &what("empty rle stream"),
+            forged(tag, RLE, 4, &with(vec![])),
+        );
+    }
+    // Run lengths that overflow a sum, overshoot, or fall short (8-byte
+    // words: one run is 16 bytes).
+    for (what, rows, runs) in [
+        ("a run of u64::MAX", 5, vec![2, 5, 1, 9, u64::MAX]),
+        (
+            "runs that wrap to the row count",
+            4,
+            vec![2, 5, u64::MAX, 9, 5],
+        ),
+        ("a run past the row count", 4, vec![1, 5, 5]),
+        ("runs short of the row count", 4, vec![1, 5, 3]),
+        ("rows without runs", 4, vec![0]),
+    ] {
+        check(what, forged(TypeTag::I64, RLE, rows, &words(&runs)));
+        check(what, forged(TypeTag::F64, RLE, rows, &words(&runs)));
+    }
+    // A string entry longer than the payload, and a code past the dictionary.
+    let mut entry = 1u32.to_le_bytes().to_vec();
+    entry.extend_from_slice(&u32::MAX.to_le_bytes());
+    entry.extend_from_slice(b"abcd");
+    check(
+        "a dictionary entry of u32::MAX bytes",
+        forged(TypeTag::Str, PLAIN, 1, &entry),
+    );
+    let mut code = 1u32.to_le_bytes().to_vec();
+    code.extend_from_slice(&1u32.to_le_bytes());
+    code.extend_from_slice(b"a");
+    code.extend_from_slice(&1u32.to_le_bytes());
+    check("string code 1 of 1", forged(TypeTag::Str, PLAIN, 1, &code));
+    let mut dict = 1u32.to_le_bytes().to_vec();
+    dict.extend_from_slice(&words(&[42]));
+    dict.extend_from_slice(&1u32.to_le_bytes());
+    check("integer code 1 of 1", forged(TypeTag::I64, DICT, 1, &dict));
+}
