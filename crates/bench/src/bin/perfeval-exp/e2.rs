@@ -1,4 +1,7 @@
-//! E2 — hot vs. cold × user vs. real time (slides 33–36).
+//! E2 — hot vs. cold × user vs. real time (slides 33–36); it stays beside
+//! E26 because its shape — cold real ≫ cold user, a gap over 2× — needs a
+//! disk slower than this host's page cache, which E26 cannot produce: on
+//! tmpfs its cold is pool-cold only, so E26 asserts counters, never seconds.
 //!
 //! Paper's table (Pentium M laptop, TPC-H sf 1, Q1):
 //!

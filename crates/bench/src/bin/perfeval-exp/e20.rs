@@ -27,7 +27,7 @@ use perfeval_bench::knobs::Knob;
 use perfeval_core::effects::estimate_effects_replicated;
 use perfeval_core::runner::{two_level_assignments, Assignment, SyncExperiment};
 use perfeval_core::twolevel::TwoLevelDesign;
-use perfeval_exec::{EnvFingerprint, ResultCache, RetryPolicy, RunPlan, Scheduler, UnitOutcome};
+use perfeval_exec::{RetryPolicy, RunPlan, Scheduler, UnitOutcome};
 use perfeval_fault::{FaultAction, FaultRegistry, TimeoutSignal, Trigger};
 use perfeval_measure::protocol::RunProtocol;
 use perfeval_trace::Tracer;
@@ -95,7 +95,6 @@ pub fn run(ctx: &Ctx) {
         RunProtocol::hot(0, reps),
         ROOT_SEED,
     );
-    let env = EnvFingerprint::simulated("e20-fault-robustness");
     println!(
         "design: 2^3 (B, C, V), {} — threads={threads}, faultseed={faultseed}{}\n",
         plan.describe(),
@@ -106,8 +105,6 @@ pub fn run(ctx: &Ctx) {
     let clean = Scheduler::new(threads).execute_contained(
         &plan,
         &Synthetic,
-        &ResultCache::disabled(),
-        &env,
         None,
     );
     assert!(clean.is_complete(), "clean sweep completes");
@@ -133,7 +130,7 @@ pub fn run(ctx: &Ctx) {
     let recovered = Scheduler::new(threads)
         .with_policy(RetryPolicy::retries(2))
         .with_faults(Arc::clone(&transient))
-        .execute_contained(&plan, &Synthetic, &ResultCache::disabled(), &env, None);
+        .execute_contained(&plan, &Synthetic, None);
     assert!(recovered.is_complete(), "retries absorb transient faults");
     let recovered_table = recovered.table.as_ref().expect("recovered table assembles");
     assert_eq!(
@@ -173,7 +170,7 @@ pub fn run(ctx: &Ctx) {
     let partial = Scheduler::new(threads)
         .with_policy(RetryPolicy::retries(1))
         .with_faults(persistent)
-        .execute_contained(&plan, &Synthetic, &ResultCache::disabled(), &env, None);
+        .execute_contained(&plan, &Synthetic, None);
     assert!(
         !partial.is_complete(),
         "persistent faults cannot be retried away"
@@ -224,8 +221,6 @@ pub fn run(ctx: &Ctx) {
         .execute_contained_traced(
             &hang_plan,
             &OneFactor,
-            &ResultCache::disabled(),
-            &env,
             None,
             Some(&tracer),
         );

@@ -95,6 +95,8 @@ manifest![
         "robustness past the knee: shed fast, cancel cooperatively, back off", e25::KNOBS),
     (e26, "e26", "E26: hot vs cold on real storage (measured, not simulated)",
         "slides 33-36, with real counters", e26::KNOBS),
+    (ablations, "ablations", "ablations: each optimizer rule as a two-level factor",
+        "slide 42: DBMS configuration and tuning => factor x", &[]),
     (design_tradeoff, "design-tradeoff", "design trade-offs: simple vs full vs fractional",
         "slides 56-66", &[]),
     (scaleup, "scaleup", "scale-up sweep: execution time vs scale factor",

@@ -12,12 +12,8 @@
 //! TCP server for `minidb-net` clients) and `minidb-load` (multi-client load
 //! generator). Both and every experiment declare their command-line knobs
 //! through [`knobs`], which refuses what it does not know. [`suite`] pins
-//! the four statements × three engine tiers that E24 and
-//! `benches/kernels.rs` measure in process; the served path is measured by
-//! `benchmark/` at the repository root.
-//!
-//! Criterion benches under `benches/` measure the engine primitives and the
-//! ablations DESIGN.md calls out.
+//! the four statements × three engine tiers that E24 measures in process;
+//! the served path is measured by `benchmark/` at the repository root.
 
 pub mod knobs;
 pub mod suite;

@@ -2,10 +2,9 @@
 //!
 //! E24 (`perfeval-exp e24`) is the designed experiment over these twelve
 //! cells — bit-identity gate first, interleaved replicates, Kalibera–Jones
-//! intervals, shape assertions — and `benches/kernels.rs` sweeps the same
-//! cells under criterion. Each statement leans on one part of the batch
-//! engine, so a kernel-tier change has a cell where it should show and
-//! three where it should not.
+//! intervals, shape assertions. Each statement leans on one part of the
+//! batch engine, so a kernel-tier change has a cell where it should show
+//! and three where it should not.
 
 use minidb::ExecMode;
 

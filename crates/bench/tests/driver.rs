@@ -60,12 +60,12 @@ fn config_line(args: &[&str]) -> String {
 }
 
 #[test]
-fn list_names_twenty_seven_unique_ids() {
+fn list_names_every_experiment_once() {
     let ids = ids();
-    assert_eq!(ids.len(), 27, "{ids:?}");
+    assert_eq!(ids.len(), 28, "{ids:?}");
     let unique: std::collections::BTreeSet<_> = ids.iter().collect();
-    assert_eq!(unique.len(), 27, "{ids:?}");
-    for id in ["e1", "e26", "design-tradeoff", "scaleup"] {
+    assert_eq!(unique.len(), 28, "{ids:?}");
+    for id in ["e1", "e26", "ablations", "design-tradeoff", "scaleup"] {
         assert!(ids.iter().any(|i| i == id), "{id} is listed");
     }
 }
@@ -79,6 +79,7 @@ fn what_is_not_understood_is_refused_by_name() {
         (&["e19", "-Dsmoke=on"], "smoke"),
         (&["e18", "--smoke", "quickly"], "quickly"),
         (&["e18", "-Dreps"], "-Dreps"),
+        (&["ablations", "-Dreps=3"], "reps"),
         (&["all", "-Dreps=3"], "all -Dreps=3"),
         (&[], "usage"),
     ] {

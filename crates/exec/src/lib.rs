@@ -18,10 +18,6 @@
 //!   lands in which design row.
 //! * [`pool`] — a dependency-free worker pool (`std::thread::scope` + an
 //!   atomic work cursor); results land in slots addressed by unit index.
-//! * [`cache`] — a content-addressed on-disk result cache keyed by
-//!   (assignment, protocol, seed, environment fingerprint), so interrupted
-//!   sweeps resume without re-measuring. Disable with
-//!   [`cache::ResultCache::disabled`] (the `--no-cache` escape hatch).
 //! * [`progress`] — per-unit progress snapshots (completed/total,
 //!   throughput, ETA) and an end-of-sweep [`progress::ExecReport`] with
 //!   per-worker counters, straggler flags, and the per-unit failure
@@ -55,7 +51,6 @@
 //! ```
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod order;
 pub mod outcome;
 pub mod plan;
@@ -64,7 +59,6 @@ pub mod progress;
 pub mod runner_ext;
 pub mod scheduler;
 
-pub use cache::{cache_key, EnvFingerprint, ResultCache};
 pub use order::OrderPolicy;
 pub use outcome::{RetryPolicy, SweepResult, UnitOutcome, UnitReport};
 pub use plan::{RunPlan, RunUnit};

@@ -16,8 +16,6 @@ use perfeval_core::runner::ResponseTable;
 pub enum UnitOutcome {
     /// Freshly measured successfully.
     Measured,
-    /// Served from the result cache (no measurement this execution).
-    Cached,
     /// The final attempt panicked; the message is recorded.
     Panicked(String),
     /// The final attempt exceeded the per-unit deadline (watchdog-cancelled
@@ -28,14 +26,13 @@ pub enum UnitOutcome {
 impl UnitOutcome {
     /// True if the unit produced a usable response.
     pub fn is_ok(&self) -> bool {
-        matches!(self, UnitOutcome::Measured | UnitOutcome::Cached)
+        matches!(self, UnitOutcome::Measured)
     }
 
     /// Stable lowercase label, used for trace attributes and reports.
     pub fn label(&self) -> &'static str {
         match self {
             UnitOutcome::Measured => "measured",
-            UnitOutcome::Cached => "cached",
             UnitOutcome::Panicked(_) => "panicked",
             UnitOutcome::TimedOut => "timed_out",
         }
@@ -55,8 +52,8 @@ pub struct UnitReport {
     pub replicate: usize,
     /// Final outcome.
     pub outcome: UnitOutcome,
-    /// Measurement attempts made (0 for cache hits, 1 for a clean first
-    /// try, more when retries happened).
+    /// Measurement attempts made (1 for a clean first try, more when
+    /// retries happened).
     pub attempts: u32,
     /// True if the unit failed on every allowed attempt and was given up
     /// on — its cell is missing from the response table.
@@ -134,12 +131,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the base backoff.
-    pub fn with_backoff_ms(mut self, ms: f64) -> Self {
-        self.backoff_ms = ms.max(0.0);
-        self
-    }
-
     /// One-line description for reports.
     pub fn describe(&self) -> String {
         format!(
@@ -210,7 +201,6 @@ mod tests {
     #[test]
     fn outcome_classification() {
         assert!(UnitOutcome::Measured.is_ok());
-        assert!(UnitOutcome::Cached.is_ok());
         assert!(!UnitOutcome::Panicked("x".into()).is_ok());
         assert!(!UnitOutcome::TimedOut.is_ok());
         assert_eq!(UnitOutcome::TimedOut.label(), "timed_out");

@@ -4,8 +4,8 @@
 //! hung one, and a straggling worker silently stretches wall time. The
 //! scheduler emits [`ProgressSnapshot`]s through a caller-supplied hook and
 //! summarizes the whole execution as an [`ExecReport`] — completed/total,
-//! per-worker throughput, cache hits, and straggler flags — that
-//! `perfeval-harness` renders alongside the scientific results.
+//! per-worker throughput, and straggler flags — that `perfeval-harness`
+//! renders alongside the scientific results.
 
 use crate::outcome::{UnitOutcome, UnitReport};
 use crate::pool::WorkerStats;
@@ -13,7 +13,7 @@ use crate::pool::WorkerStats;
 /// A point-in-time view of a running sweep, handed to progress hooks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressSnapshot {
-    /// Units finished so far (executed or served from cache).
+    /// Units finished so far (measured or given up on).
     pub completed: usize,
     /// Total units in the plan.
     pub total: usize,
@@ -79,8 +79,6 @@ pub struct ExecReport {
     pub total_units: usize,
     /// Units actually measured this execution.
     pub executed: usize,
-    /// Units served from the result cache.
-    pub from_cache: usize,
     /// Extra measurement attempts beyond each unit's first (the retry
     /// bill of the sweep).
     pub retries: usize,
@@ -161,7 +159,7 @@ impl ExecReport {
     /// Aggregate units per second of wall-clock time.
     pub fn throughput(&self) -> f64 {
         if self.wall_secs > 0.0 {
-            (self.executed + self.from_cache) as f64 / self.wall_secs
+            self.executed as f64 / self.wall_secs
         } else {
             0.0
         }
@@ -179,10 +177,6 @@ impl ExecReport {
                 self.threads,
                 self.wall_secs,
                 self.throughput()
-            ),
-            format!(
-                "cache: {} executed, {} resumed from cache",
-                self.executed, self.from_cache
             ),
         ];
         // Failure taxonomy: rendered only when something went wrong, but
@@ -267,7 +261,6 @@ mod tests {
             threads: busy.len(),
             total_units: 10,
             executed: 10,
-            from_cache: 0,
             retries: 0,
             quarantined: Vec::new(),
             units: Vec::new(),
@@ -294,13 +287,11 @@ mod tests {
 
     #[test]
     fn render_lines_cover_the_story() {
-        let mut r = report(&[1.0, 1.1, 0.9, 4.0]);
-        r.from_cache = 3;
-        r.executed = 7;
+        let r = report(&[1.0, 1.1, 0.9, 4.0]);
         let text = r.render_lines().join("\n");
         assert!(text.contains("test plan"));
         assert!(text.contains("as-designed"));
-        assert!(text.contains("7 executed, 3 resumed"));
+        assert!(text.contains("10 units on 4 thread(s)"));
         assert!(text.contains("worker 0"));
         assert!(text.contains("stragglers"));
         assert!(

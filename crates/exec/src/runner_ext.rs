@@ -6,7 +6,6 @@
 //! bit-identical to the corresponding `run_*_sync` calls (the property the
 //! workspace proptests assert).
 
-use crate::cache::{EnvFingerprint, ResultCache};
 use crate::order::OrderPolicy;
 use crate::outcome::{RetryPolicy, SweepResult};
 use crate::plan::RunPlan;
@@ -176,13 +175,7 @@ impl ParallelRunner for Runner {
         Scheduler::new(threads)
             .with_order(OrderPolicy::AsDesigned)
             .with_policy(policy)
-            .execute_contained(
-                &plan,
-                experiment,
-                &ResultCache::disabled(),
-                &EnvFingerprint::simulated("run_parallel"),
-                None,
-            )
+            .execute_contained(&plan, experiment, None)
     }
 }
 
@@ -203,14 +196,7 @@ fn run_assignments<E: SyncExperiment>(
     );
     Scheduler::new(threads)
         .with_order(OrderPolicy::AsDesigned)
-        .execute_traced(
-            &plan,
-            experiment,
-            &ResultCache::disabled(),
-            &EnvFingerprint::simulated("run_parallel"),
-            None,
-            tracer,
-        )
+        .execute_traced(&plan, experiment, None, tracer)
         .0
 }
 

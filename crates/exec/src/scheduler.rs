@@ -1,12 +1,11 @@
 //! The scheduler: executes a [`RunPlan`] across the worker pool.
 //!
 //! Responsibilities, in order: permute the units per the
-//! [`OrderPolicy`], consult the [`ResultCache`] before measuring, execute
-//! misses through the worker pool, scatter results back into canonical
-//! slots, and assemble the [`ResponseTable`]. The determinism argument
-//! lives in the scatter step: position `p` of the execution order maps to
-//! canonical unit `order[p]`, so the assembled table is invariant under
-//! the order policy and thread count.
+//! [`OrderPolicy`], execute them through the worker pool, scatter results
+//! back into canonical slots, and assemble the [`ResponseTable`]. The
+//! determinism argument lives in the scatter step: position `p` of the
+//! execution order maps to canonical unit `order[p]`, so the assembled
+//! table is invariant under the order policy and thread count.
 //!
 //! Failure containment (the [`RetryPolicy`] path): every measurement
 //! attempt runs under `catch_unwind`, so a panicking unit yields
@@ -18,7 +17,6 @@
 //! every attempt are quarantined. The [`SweepResult`] reports every cell
 //! either way — a partial sweep never silently assembles into a table.
 
-use crate::cache::{cache_key, EnvFingerprint, ResultCache};
 use crate::order::OrderPolicy;
 use crate::outcome::{RetryPolicy, SweepResult, UnitOutcome, UnitReport};
 use crate::plan::{RunPlan, RunUnit};
@@ -122,8 +120,8 @@ impl Scheduler {
         self
     }
 
-    /// Executes `plan` against `experiment`, serving repeats from `cache`
-    /// and reporting progress through `progress` (if given).
+    /// Executes `plan` against `experiment`, reporting progress through
+    /// `progress` (if given).
     ///
     /// Returns the assembled [`ResponseTable`] — bit-identical regardless
     /// of `threads` and `order` — plus an [`ExecReport`] describing how
@@ -137,11 +135,9 @@ impl Scheduler {
         &self,
         plan: &RunPlan,
         experiment: &E,
-        cache: &ResultCache,
-        env: &EnvFingerprint,
         progress: Option<ProgressHook<'_>>,
     ) -> (ResponseTable, ExecReport) {
-        self.execute_contained_traced(plan, experiment, cache, env, progress, None)
+        self.execute_contained_traced(plan, experiment, progress, None)
             .expect_complete()
     }
 
@@ -150,10 +146,9 @@ impl Scheduler {
     /// The sweep records one `sweep` root span on the calling thread and,
     /// per unit, a `unit <n>` span on whichever worker lane ran it. Each
     /// unit span starts when its worker became free, so it decomposes into
-    /// a `queue-wait` child (dispatch + cache lookup) and — on a cache
-    /// miss — a `run` child per measurement attempt; cache hits have no
-    /// `run` child. Unit spans carry `cache`, `queued_ms`, `outcome`, and
-    /// `attempts` attributes.
+    /// a `queue-wait` child (dispatch) and a `run` child per measurement
+    /// attempt. Unit spans carry `queued_ms`, `outcome`, and `attempts`
+    /// attributes.
     ///
     /// # Panics
     /// Like [`Scheduler::execute`], panics if any unit was quarantined.
@@ -161,12 +156,10 @@ impl Scheduler {
         &self,
         plan: &RunPlan,
         experiment: &E,
-        cache: &ResultCache,
-        env: &EnvFingerprint,
         progress: Option<ProgressHook<'_>>,
         tracer: Option<&Tracer>,
     ) -> (ResponseTable, ExecReport) {
-        self.execute_contained_traced(plan, experiment, cache, env, progress, tracer)
+        self.execute_contained_traced(plan, experiment, progress, tracer)
             .expect_complete()
     }
 
@@ -177,11 +170,9 @@ impl Scheduler {
         &self,
         plan: &RunPlan,
         experiment: &E,
-        cache: &ResultCache,
-        env: &EnvFingerprint,
         progress: Option<ProgressHook<'_>>,
     ) -> SweepResult {
-        self.execute_contained_traced(plan, experiment, cache, env, progress, None)
+        self.execute_contained_traced(plan, experiment, progress, None)
     }
 
     /// [`Scheduler::execute_contained`] with an optional tracer. When a
@@ -191,15 +182,12 @@ impl Scheduler {
         &self,
         plan: &RunPlan,
         experiment: &E,
-        cache: &ResultCache,
-        env: &EnvFingerprint,
         progress: Option<ProgressHook<'_>>,
         tracer: Option<&Tracer>,
     ) -> SweepResult {
         let order = self.order.order(plan);
         let total = order.len();
         let executed = AtomicUsize::new(0);
-        let from_cache = AtomicUsize::new(0);
         let retries = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
         let t0 = Instant::now();
@@ -235,101 +223,83 @@ impl Scheduler {
                     .attr("replicate", unit.replicate)
                     .attr("queued_ms", pickup.saturating_sub(anchor) as f64 / 1e6);
             }
-            let queue_wait = tracer.map(|t| t.span_at("queue-wait", anchor_ns.unwrap_or(0)));
+            drop(tracer.map(|t| t.span_at("queue-wait", anchor_ns.unwrap_or(0))));
 
-            let key = cache_key(assignment, &plan.protocol, unit.replicate, unit.seed, env);
-            let (value, outcome, attempts) = match cache.lookup(key) {
-                Some(v) => {
-                    drop(queue_wait);
-                    if let Some(g) = unit_span.as_mut() {
-                        g.attr("cache", "hit");
-                    }
-                    from_cache.fetch_add(1, Ordering::Relaxed);
-                    (Some(v), UnitOutcome::Cached, 0u32)
-                }
-                None => {
-                    drop(queue_wait);
-                    if let Some(g) = unit_span.as_mut() {
-                        g.attr("cache", "miss");
-                    }
-                    let mut attempt = 0u32;
-                    loop {
-                        attempt += 1;
-                        if attempt > 1 {
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            let wait = backoff_ms(self.policy.backoff_ms, unit.seed, attempt);
-                            if wait > 0.0 {
-                                let mut bspan = tracer.map(|t| t.span("backoff"));
-                                if let Some(g) = bspan.as_mut() {
-                                    g.attr("attempt", attempt as usize);
-                                }
-                                std::thread::sleep(Duration::from_secs_f64(wait / 1e3));
-                            }
-                        }
-
-                        let cancel = Arc::new(AtomicBool::new(false));
-                        let started = Instant::now();
-                        if let Some(deadline) = self.policy.deadline_ms {
-                            board.lock().unwrap_or_else(PoisonError::into_inner).insert(
-                                canonical,
-                                (
-                                    started + Duration::from_secs_f64(deadline / 1e3),
-                                    Arc::clone(&cancel),
-                                ),
-                            );
-                        }
-                        set_cancel_token(Some(Arc::clone(&cancel)));
-                        let mut run_span = tracer.map(|t| t.span("run"));
-                        if let Some(g) = run_span.as_mut() {
+            let mut attempt = 0u32;
+            let (value, outcome, attempts) = loop {
+                attempt += 1;
+                if attempt > 1 {
+                    retries.fetch_add(1, Ordering::Relaxed);
+                    let wait = backoff_ms(self.policy.backoff_ms, unit.seed, attempt);
+                    if wait > 0.0 {
+                        let mut bspan = tracer.map(|t| t.span("backoff"));
+                        if let Some(g) = bspan.as_mut() {
                             g.attr("attempt", attempt as usize);
                         }
-                        // AssertUnwindSafe: the attempt writes nothing the
-                        // sweep reads after a failure — its only output is
-                        // the caught return value.
-                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(faults) = &self.faults {
-                                faults.fire("exec.unit.run", canonical as u64, attempt);
-                            }
-                            experiment.prepare(assignment);
-                            experiment.respond_unit(assignment, unit)
-                        }));
-                        drop(run_span);
-                        set_cancel_token(None);
-                        if self.policy.deadline_ms.is_some() {
-                            board
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .remove(&canonical);
-                        }
+                        std::thread::sleep(Duration::from_secs_f64(wait / 1e3));
+                    }
+                }
 
-                        let failure = match result {
-                            Ok(v) => {
-                                // A value computed past the deadline is a
-                                // measurement the policy already declared
-                                // invalid — classify, don't keep it.
-                                let late = self.policy.deadline_ms.is_some_and(|d| {
-                                    cancel.load(Ordering::Relaxed)
-                                        || started.elapsed().as_secs_f64() * 1e3 > d
-                                });
-                                if !late {
-                                    executed.fetch_add(1, Ordering::Relaxed);
-                                    cache.store(key, v);
-                                    break (Some(v), UnitOutcome::Measured, attempt);
-                                }
-                                UnitOutcome::TimedOut
-                            }
-                            Err(payload) => {
-                                if payload.downcast_ref::<TimeoutSignal>().is_some() {
-                                    UnitOutcome::TimedOut
-                                } else {
-                                    UnitOutcome::Panicked(panic_message(payload.as_ref()))
-                                }
-                            }
-                        };
-                        if attempt >= self.policy.max_attempts {
-                            break (None, failure, attempt);
+                let cancel = Arc::new(AtomicBool::new(false));
+                let started = Instant::now();
+                if let Some(deadline) = self.policy.deadline_ms {
+                    board.lock().unwrap_or_else(PoisonError::into_inner).insert(
+                        canonical,
+                        (
+                            started + Duration::from_secs_f64(deadline / 1e3),
+                            Arc::clone(&cancel),
+                        ),
+                    );
+                }
+                set_cancel_token(Some(Arc::clone(&cancel)));
+                let mut run_span = tracer.map(|t| t.span("run"));
+                if let Some(g) = run_span.as_mut() {
+                    g.attr("attempt", attempt as usize);
+                }
+                // AssertUnwindSafe: the attempt writes nothing the sweep
+                // reads after a failure — its only output is the caught
+                // return value.
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(faults) = &self.faults {
+                        faults.fire("exec.unit.run", canonical as u64, attempt);
+                    }
+                    experiment.prepare(assignment);
+                    experiment.respond_unit(assignment, unit)
+                }));
+                drop(run_span);
+                set_cancel_token(None);
+                if self.policy.deadline_ms.is_some() {
+                    board
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .remove(&canonical);
+                }
+
+                let failure = match result {
+                    Ok(v) => {
+                        // A value computed past the deadline is a measurement
+                        // the policy already declared invalid — classify,
+                        // don't keep it.
+                        let late = self.policy.deadline_ms.is_some_and(|d| {
+                            cancel.load(Ordering::Relaxed)
+                                || started.elapsed().as_secs_f64() * 1e3 > d
+                        });
+                        if !late {
+                            executed.fetch_add(1, Ordering::Relaxed);
+                            break (Some(v), UnitOutcome::Measured, attempt);
+                        }
+                        UnitOutcome::TimedOut
+                    }
+                    Err(payload) => {
+                        if payload.downcast_ref::<TimeoutSignal>().is_some() {
+                            UnitOutcome::TimedOut
+                        } else {
+                            UnitOutcome::Panicked(panic_message(payload.as_ref()))
                         }
                     }
+                };
+                if attempt >= self.policy.max_attempts {
+                    break (None, failure, attempt);
                 }
             };
 
@@ -451,7 +421,6 @@ impl Scheduler {
             threads: self.threads,
             total_units: total,
             executed: executed.into_inner(),
-            from_cache: from_cache.into_inner(),
             retries: retries.into_inner(),
             quarantined,
             units,
@@ -497,11 +466,8 @@ mod tests {
     #[test]
     fn identical_across_threads_and_orders() {
         let p = plan(5, 3, 42);
-        let env = EnvFingerprint::simulated("sched-test");
         let exp = experiment();
-        let baseline = Scheduler::new(1)
-            .execute(&p, &exp, &ResultCache::disabled(), &env, None)
-            .0;
+        let baseline = Scheduler::new(1).execute(&p, &exp, None).0;
         for threads in [2, 4] {
             for order in [
                 OrderPolicy::AsDesigned,
@@ -510,7 +476,7 @@ mod tests {
             ] {
                 let table = Scheduler::new(threads)
                     .with_order(order)
-                    .execute(&p, &exp, &ResultCache::disabled(), &env, None)
+                    .execute(&p, &exp, None)
                     .0;
                 assert_eq!(table, baseline, "threads={threads} order={order:?}");
             }
@@ -518,37 +484,8 @@ mod tests {
     }
 
     #[test]
-    fn resumed_sweep_executes_zero_new_measurements() {
-        let dir =
-            std::env::temp_dir().join(format!("perfeval-exec-sched-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let env = EnvFingerprint::simulated("resume-test");
-        let p = plan(4, 2, 7);
-        let exp = experiment();
-
-        let (first, report1) = Scheduler::new(2).execute(&p, &exp, &cache, &env, None);
-        assert_eq!(report1.executed, 8);
-        assert_eq!(report1.from_cache, 0);
-
-        let (second, report2) = Scheduler::new(2).execute(&p, &exp, &cache, &env, None);
-        assert_eq!(
-            report2.executed, 0,
-            "fully cached sweep re-measures nothing"
-        );
-        assert_eq!(report2.from_cache, 8);
-        assert!(report2
-            .units
-            .iter()
-            .all(|u| u.outcome == UnitOutcome::Cached && u.attempts == 0));
-        assert_eq!(first, second, "cached results identical to measured ones");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn progress_hook_fires_once_per_unit() {
         let p = plan(3, 2, 0);
-        let env = EnvFingerprint::simulated("progress-test");
         let calls = AtomicUsize::new(0);
         let hook = |s: ProgressSnapshot| {
             assert_eq!(s.total, 6);
@@ -556,23 +493,21 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
         };
         let exp = experiment();
-        Scheduler::new(2).execute(&p, &exp, &ResultCache::disabled(), &env, Some(&hook));
+        Scheduler::new(2).execute(&p, &exp, Some(&hook));
         assert_eq!(calls.into_inner(), 6);
     }
 
     #[test]
     fn closure_experiments_work_via_blanket_impls() {
         let p = plan(2, 2, 0);
-        let env = EnvFingerprint::simulated("closure-test");
         let exp = |a: &Assignment| a.num("x").unwrap() + 1.0;
-        let (table, _) = Scheduler::new(1).execute(&p, &exp, &ResultCache::disabled(), &env, None);
+        let (table, _) = Scheduler::new(1).execute(&p, &exp, None);
         assert_eq!(table.means(), vec![1.0, 2.0]);
     }
 
     #[test]
     fn traced_sweep_records_units_across_worker_lanes() {
         let p = plan(4, 4, 1);
-        let env = EnvFingerprint::simulated("trace-test");
         let exp = |a: &Assignment| {
             // Enough work per unit that both workers demonstrably run some.
             let mut acc = a.num("x").unwrap() as u64;
@@ -582,18 +517,9 @@ mod tests {
             (acc % 97) as f64
         };
         let tracer = Tracer::new();
-        let untraced = Scheduler::new(2)
-            .execute(&p, &exp, &ResultCache::disabled(), &env, None)
-            .0;
+        let untraced = Scheduler::new(2).execute(&p, &exp, None).0;
         let traced = Scheduler::new(2)
-            .execute_traced(
-                &p,
-                &exp,
-                &ResultCache::disabled(),
-                &env,
-                None,
-                Some(&tracer),
-            )
+            .execute_traced(&p, &exp, None, Some(&tracer))
             .0;
         assert_eq!(traced, untraced, "tracing must not perturb results");
 
@@ -620,8 +546,7 @@ mod tests {
             "{lanes_with_units:?}"
         );
 
-        // 16 units, cache disabled: every unit span is a miss with a
-        // queue-wait child and a run child.
+        // 16 units: every unit span has a queue-wait child and a run child.
         let units: Vec<_> = trace
             .lanes
             .iter()
@@ -630,7 +555,6 @@ mod tests {
             .collect();
         assert_eq!(units.len(), 16);
         for u in &units {
-            assert_eq!(u.attr("cache"), Some(&"miss".into()));
             assert!(u.attr("queued_ms").is_some());
             assert_eq!(u.attr("outcome"), Some(&"measured".into()));
             assert_eq!(u.attr("attempts"), Some(&1u64.into()));
@@ -640,48 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_cache_hits_have_no_run_child() {
-        let dir = std::env::temp_dir().join(format!(
-            "perfeval-exec-sched-trace-hit-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let env = EnvFingerprint::simulated("trace-hit-test");
-        let p = plan(3, 2, 11);
-        let exp = experiment();
-        Scheduler::new(1).execute(&p, &exp, &cache, &env, None);
-
-        let tracer = Tracer::new();
-        Scheduler::new(1).execute_traced(&p, &exp, &cache, &env, None, Some(&tracer));
-        let trace = tracer.snapshot();
-        let hits = trace
-            .lanes
-            .iter()
-            .flat_map(|l| l.records.iter())
-            .filter(|s| s.name.starts_with("unit "))
-            .filter(|s| s.attr("cache") == Some(&"hit".into()))
-            .count();
-        assert_eq!(hits, 6, "every unit served from cache");
-        assert_eq!(trace.find("run").count(), 0, "cache hits never run");
-        assert_eq!(trace.find("queue-wait").count(), 6);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn serial_traced_sweep_nests_units_under_sweep() {
         let p = plan(2, 2, 3);
-        let env = EnvFingerprint::simulated("trace-serial-test");
         let exp = experiment();
         let tracer = Tracer::new();
-        Scheduler::new(1).execute_traced(
-            &p,
-            &exp,
-            &ResultCache::disabled(),
-            &env,
-            None,
-            Some(&tracer),
-        );
+        Scheduler::new(1).execute_traced(&p, &exp, None, Some(&tracer));
         let trace = tracer.snapshot();
         assert_eq!(trace.lanes.len(), 1, "serial sweep uses one lane");
         let sweep = trace.find("sweep").next().expect("sweep recorded").clone();
@@ -710,13 +597,10 @@ mod tests {
             }
         }
         let p = plan(2, 1, 5);
-        let env = EnvFingerprint::simulated("seeded-test");
-        let serial = Scheduler::new(1)
-            .execute(&p, &Seeded, &ResultCache::disabled(), &env, None)
-            .0;
+        let serial = Scheduler::new(1).execute(&p, &Seeded, None).0;
         let parallel = Scheduler::new(4)
             .with_order(OrderPolicy::Shuffled(3))
-            .execute(&p, &Seeded, &ResultCache::disabled(), &env, None)
+            .execute(&p, &Seeded, None)
             .0;
         assert_eq!(serial, parallel, "seeds are order-independent");
     }
@@ -735,12 +619,11 @@ mod tests {
     #[test]
     fn panicking_units_are_contained_and_reported() {
         let p = plan(3, 2, 42);
-        let env = EnvFingerprint::simulated("contain-test");
         let exp = experiment();
         for threads in [1, 4] {
             let sweep = Scheduler::new(threads)
                 .with_faults(persistent_panics())
-                .execute_contained(&p, &exp, &ResultCache::disabled(), &env, None);
+                .execute_contained(&p, &exp, None);
             assert!(!sweep.is_complete());
             assert!(sweep.table.is_none(), "partial sweep never assembles");
             assert_eq!(sweep.report.quarantined, vec![2, 5]);
@@ -761,11 +644,8 @@ mod tests {
     #[test]
     fn transient_faults_recover_via_retries_bit_identically() {
         let p = plan(4, 2, 9);
-        let env = EnvFingerprint::simulated("retry-test");
         let exp = experiment();
-        let clean = Scheduler::new(1)
-            .execute(&p, &exp, &ResultCache::disabled(), &env, None)
-            .0;
+        let clean = Scheduler::new(1).execute(&p, &exp, None).0;
         // Every unit panics on attempts 1-2, succeeds on attempt 3.
         let faults = || {
             Arc::new(FaultRegistry::new(1).armed_transient(
@@ -779,7 +659,7 @@ mod tests {
             let sweep = Scheduler::new(threads)
                 .with_policy(RetryPolicy::retries(2))
                 .with_faults(faults())
-                .execute_contained(&p, &exp, &ResultCache::disabled(), &env, None);
+                .execute_contained(&p, &exp, None);
             assert!(sweep.is_complete(), "threads={threads}");
             assert_eq!(
                 sweep.table.as_ref().unwrap(),
@@ -798,7 +678,6 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_with_final_outcome() {
         let p = plan(2, 1, 3);
-        let env = EnvFingerprint::simulated("quarantine-test");
         let exp = experiment();
         let faults = Arc::new(FaultRegistry::new(0).armed_always(
             "exec.unit.run",
@@ -808,7 +687,7 @@ mod tests {
         let sweep = Scheduler::new(1)
             .with_policy(RetryPolicy::retries(1))
             .with_faults(faults)
-            .execute_contained(&p, &exp, &ResultCache::disabled(), &env, None);
+            .execute_contained(&p, &exp, None);
         assert_eq!(sweep.report.quarantined, vec![0]);
         let failed = &sweep.report.units[0];
         assert_eq!(failed.attempts, 2, "both attempts consumed");
@@ -819,7 +698,6 @@ mod tests {
     #[test]
     fn hung_units_time_out_via_watchdog() {
         let p = plan(2, 1, 8);
-        let env = EnvFingerprint::simulated("watchdog-test");
         let exp = experiment();
         // Unit 1 hangs for 30s (far past the deadline); the watchdog must
         // cancel it, and unit 0 must still measure.
@@ -832,7 +710,7 @@ mod tests {
         let sweep = Scheduler::new(2)
             .with_policy(RetryPolicy::default().with_deadline_ms(40.0))
             .with_faults(faults)
-            .execute_contained(&p, &exp, &ResultCache::disabled(), &env, None);
+            .execute_contained(&p, &exp, None);
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "watchdog cancelled the hang"
@@ -846,7 +724,6 @@ mod tests {
     #[test]
     fn traced_watchdog_lane_records_cancellations() {
         let p = plan(1, 1, 0);
-        let env = EnvFingerprint::simulated("watchdog-trace-test");
         let exp = experiment();
         let faults = Arc::new(FaultRegistry::new(0).armed_always(
             "exec.unit.run",
@@ -857,14 +734,7 @@ mod tests {
         let sweep = Scheduler::new(1)
             .with_policy(RetryPolicy::default().with_deadline_ms(30.0))
             .with_faults(faults)
-            .execute_contained_traced(
-                &p,
-                &exp,
-                &ResultCache::disabled(),
-                &env,
-                None,
-                Some(&tracer),
-            );
+            .execute_contained_traced(&p, &exp, None, Some(&tracer));
         assert_eq!(sweep.report.units[0].outcome, UnitOutcome::TimedOut);
         let trace = tracer.snapshot();
         assert!(
@@ -889,21 +759,15 @@ mod tests {
     #[should_panic(expected = "sweep incomplete")]
     fn legacy_execute_panics_with_taxonomy_on_quarantine() {
         let p = plan(3, 2, 42);
-        let env = EnvFingerprint::simulated("legacy-test");
         let exp = experiment();
-        let _ = Scheduler::new(1).with_faults(persistent_panics()).execute(
-            &p,
-            &exp,
-            &ResultCache::disabled(),
-            &env,
-            None,
-        );
+        let _ = Scheduler::new(1)
+            .with_faults(persistent_panics())
+            .execute(&p, &exp, None);
     }
 
     #[test]
     fn failure_report_is_invariant_under_threads_and_order() {
         let p = plan(4, 3, 13);
-        let env = EnvFingerprint::simulated("invariant-test");
         let exp = experiment();
         let faults = || {
             Arc::new(
@@ -922,14 +786,14 @@ mod tests {
         let baseline = Scheduler::new(1)
             .with_policy(RetryPolicy::retries(1))
             .with_faults(faults())
-            .execute_contained(&p, &exp, &ResultCache::disabled(), &env, None);
+            .execute_contained(&p, &exp, None);
         for threads in [2, 4] {
             for order in [OrderPolicy::Shuffled(3), OrderPolicy::Blocked] {
                 let sweep = Scheduler::new(threads)
                     .with_order(order)
                     .with_policy(RetryPolicy::retries(1))
                     .with_faults(faults())
-                    .execute_contained(&p, &exp, &ResultCache::disabled(), &env, None);
+                    .execute_contained(&p, &exp, None);
                 assert_eq!(sweep.report.units, baseline.report.units);
                 assert_eq!(sweep.report.quarantined, baseline.report.quarantined);
                 assert_eq!(sweep.report.retries, baseline.report.retries);

@@ -204,7 +204,7 @@ pub struct Report {
     pub config: Option<Properties>,
     /// Result tables.
     pub tables: Vec<ResultTable>,
-    /// How the sweep executed (threads, cache hits, stragglers), when it
+    /// How the sweep executed (threads, failures, stragglers), when it
     /// ran through the `perfeval-exec` scheduler.
     pub execution: Option<ExecReport>,
     /// Load-harness arms (offered vs achieved, tails, session accounting),
@@ -257,8 +257,8 @@ impl Report {
     }
 
     /// Attaches the scheduler's execution summary. Parallel execution is
-    /// part of the protocol — thread count and cache reuse belong in the
-    /// record just like hot/cold and replication counts.
+    /// part of the protocol — the thread count belongs in the record just
+    /// like hot/cold and replication counts.
     pub fn execution(mut self, report: ExecReport) -> Self {
         self.execution = Some(report);
         self
@@ -460,8 +460,7 @@ mod tests {
         let exec = ExecReport {
             threads: 4,
             total_units: 24,
-            executed: 20,
-            from_cache: 4,
+            executed: 24,
             retries: 0,
             quarantined: Vec::new(),
             units: Vec::new(),
@@ -472,8 +471,7 @@ mod tests {
         };
         let text = full_report().execution(exec).render();
         assert!(text.contains("## Execution"));
-        assert!(text.contains("4 thread(s)"));
-        assert!(text.contains("20 executed, 4 resumed from cache"));
+        assert!(text.contains("24 units on 4 thread(s)"));
         assert!(text.contains("shuffled order (seed 7)"));
         assert!(
             !text.contains("complete-execution"),
@@ -488,7 +486,6 @@ mod tests {
             threads: 2,
             total_units: 6,
             executed: 4,
-            from_cache: 0,
             retries: 3,
             quarantined: vec![1, 4],
             units: vec![

@@ -53,11 +53,6 @@ impl ExperimentSuite {
         self.root.join("graphs").join(file)
     }
 
-    /// Path under `data/` for an input artifact.
-    pub fn data_path(&self, file: &str) -> PathBuf {
-        self.root.join("data").join(file)
-    }
-
     /// Records the exact configuration used (the repeatability contract:
     /// `seed=… sf=…` next to the results).
     pub fn record_config(&self, props: &Properties) -> std::io::Result<()> {

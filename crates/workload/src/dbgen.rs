@@ -181,7 +181,7 @@ enum Piece {
 /// a single value. `threads <= 1` is the serial path.
 pub fn generate_parallel(config: &GenConfig, threads: usize) -> Catalog {
     let chunks = config.order_chunks();
-    let pieces = perfeval_exec::parallel_map(4 + chunks, threads, |i| match i {
+    let pieces = perfeval_pool::parallel_map(4 + chunks, threads, |i| match i {
         0 => Piece::Table(gen_supplier(config)),
         1 => Piece::Table(gen_customer(config)),
         2 => Piece::Table(gen_part(config)),

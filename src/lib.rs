@@ -18,9 +18,9 @@
 //! | [`workload`] | TPC-H-like data generator, Q1/Q6/Q16-like queries, the 22-query DBG/OPT family, micro-benchmarks |
 //! | [`memsim`] | cache-hierarchy / disk / buffer-pool simulator with 1992–2008 machine presets (era what-ifs; measured I/O lives in `store`) |
 //! | [`store`] (`perfeval-store`) | persistent columnar storage: checksummed segment files (RLE/dictionary encoded), a real buffer pool with LRU/Clock/2Q eviction and counted hits/misses, crash-safe temp-then-rename manifests, OS page-cache dropping for honest cold runs |
-//! | [`exec`] (`perfeval-exec`) | deterministic parallel experiment scheduler: run plans, order policies, worker pool, resumable result cache, failure-contained execution |
+//! | [`exec`] (`perfeval-exec`) | deterministic parallel experiment scheduler: run plans, order policies, worker pool, failure-contained execution |
 //! | [`trace`] (`perfeval-trace`) | span-based observability: per-thread ring-buffer recorder, Chrome/Perfetto + flamegraph + tree exporters |
-//! | [`fault`] (`perfeval-fault`) | seeded deterministic fault injection: failpoints that panic, delay, hang, skew clocks, and fail cache I/O |
+//! | [`fault`] (`perfeval-fault`) | seeded deterministic fault injection: failpoints that panic, delay, hang, skew clocks, and fail I/O |
 //! | [`load`] (`perfeval-load`) | multi-client load harness over `minidb-net`: open/closed-loop arrival, coordinated-omission-safe tail latencies, offered-vs-achieved throughput, checksummed results |
 //!
 //! ## Quickstart: design, run, analyze
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use perfeval_core::twolevel::TwoLevelDesign;
     pub use perfeval_core::variation::allocate_variation;
     pub use perfeval_exec::{
-        OrderPolicy, ParallelRunner, ResultCache, RetryPolicy, Scheduler, SweepResult, UnitOutcome,
+        OrderPolicy, ParallelRunner, RetryPolicy, Scheduler, SweepResult, UnitOutcome,
     };
     pub use perfeval_fault::{Failpoint, FaultAction, FaultRegistry, Trigger};
     pub use perfeval_harness::{ExperimentSuite, GnuplotScript, Properties};

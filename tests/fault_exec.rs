@@ -8,7 +8,7 @@
 //! property machinery, because wall clocks need wide margins.
 
 use perfeval::core::two_level_assignments;
-use perfeval::exec::{EnvFingerprint, RunPlan};
+use perfeval::exec::RunPlan;
 use perfeval::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -88,7 +88,6 @@ proptest! {
     ) {
         quiet_injected_panics();
         let plan = plan_for(seed, reps);
-        let env = EnvFingerprint::simulated("fault-replay");
         let faults = || {
             Arc::new(FaultRegistry::new(faultseed).armed_transient(
                 "exec.unit.run",
@@ -102,7 +101,7 @@ proptest! {
                 .with_order(order)
                 .with_policy(fast_retries(3))
                 .with_faults(faults())
-                .execute_contained(&plan, &Surface, &ResultCache::disabled(), &env, None)
+                .execute_contained(&plan, &Surface, None)
         };
 
         let baseline = sweep(1, OrderPolicy::AsDesigned);
@@ -124,7 +123,7 @@ proptest! {
 
         // Recovery is a re-measurement, not a different experiment.
         let clean = Scheduler::new(1)
-            .execute(&plan, &Surface, &ResultCache::disabled(), &env, None)
+            .execute(&plan, &Surface, None)
             .0;
         prop_assert_eq!(baseline.table.as_ref().expect("complete"), &clean);
     }
@@ -142,7 +141,6 @@ proptest! {
     ) {
         quiet_injected_panics();
         let plan = plan_for(seed, reps);
-        let env = EnvFingerprint::simulated("fault-quarantine");
         let remainder = faultseed % modulus;
         let faults = || {
             Arc::new(FaultRegistry::new(faultseed).armed_always(
@@ -158,7 +156,7 @@ proptest! {
         let baseline = Scheduler::new(1)
             .with_policy(fast_retries(2))
             .with_faults(faults())
-            .execute_contained(&plan, &Surface, &ResultCache::disabled(), &env, None);
+            .execute_contained(&plan, &Surface, None);
         prop_assert_eq!(&baseline.report.quarantined, &expected);
         prop_assert!(baseline.table.is_none(), "partial sweeps never assemble");
         prop_assert_eq!(baseline.report.units.len(), plan.unit_count());
@@ -167,14 +165,14 @@ proptest! {
             .with_order(OrderPolicy::Shuffled(seed))
             .with_policy(fast_retries(2))
             .with_faults(faults())
-            .execute_contained(&plan, &Surface, &ResultCache::disabled(), &env, None);
+            .execute_contained(&plan, &Surface, None);
         prop_assert_eq!(&parallel.report.units, &baseline.report.units);
         prop_assert_eq!(&parallel.report.quarantined, &baseline.report.quarantined);
         prop_assert_eq!(&parallel.responses, &baseline.responses);
 
         // Every surviving cell measured its fault-free value.
         let clean = Scheduler::new(1)
-            .execute_contained(&plan, &Surface, &ResultCache::disabled(), &env, None);
+            .execute_contained(&plan, &Surface, None);
         for u in 0..plan.unit_count() {
             if expected.contains(&u) {
                 prop_assert!(baseline.responses[u].is_none());
@@ -192,7 +190,6 @@ proptest! {
 fn hang_timeouts_are_deterministic_outcomes() {
     quiet_injected_panics();
     let plan = plan_for(99, 1);
-    let env = EnvFingerprint::simulated("fault-timeout");
     let run = || {
         let faults = Arc::new(FaultRegistry::new(0).armed_always(
             "exec.unit.run",
@@ -203,7 +200,7 @@ fn hang_timeouts_are_deterministic_outcomes() {
         let sweep = Scheduler::new(4)
             .with_policy(RetryPolicy::default().with_deadline_ms(25.0))
             .with_faults(faults)
-            .execute_contained(&plan, &Surface, &ResultCache::disabled(), &env, None);
+            .execute_contained(&plan, &Surface, None);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(8),
             "watchdog must cancel 10 s hangs well before they finish"

@@ -17,7 +17,7 @@
 use std::sync::{Arc, OnceLock};
 
 use perfeval::core::two_level_assignments;
-use perfeval::exec::{EnvFingerprint, RunPlan, RunUnit, UnitExperiment};
+use perfeval::exec::{RunPlan, RunUnit, UnitExperiment};
 use perfeval::net::{LoopbackConnector, LoopbackEndpoint, Server};
 use perfeval::prelude::*;
 use perfeval::workload::dbgen::{generate, GenConfig};
@@ -115,13 +115,7 @@ fn sweep(
             backoff_ms: 0.0,
             deadline_ms: None,
         })
-        .execute_contained(
-            &plan(),
-            &experiment,
-            &ResultCache::disabled(),
-            &EnvFingerprint::simulated("net-exec"),
-            None,
-        );
+        .execute_contained(&plan(), &experiment, None);
 
     // The server must have survived the dropped connection: a fresh
     // client on the same listener still gets real answers.

@@ -1,10 +1,10 @@
 //! Integration tests for the `perfeval-exec` scheduler: the determinism
 //! contract (parallel ≡ serial, bit for bit, whatever the thread count or
-//! run-order policy) and the resumable result cache.
+//! run-order policy).
 
 use perfeval::core::runner::ResponseTable;
 use perfeval::core::two_level_assignments;
-use perfeval::exec::{EnvFingerprint, ResultCache, RunPlan, Scheduler};
+use perfeval::exec::RunPlan;
 use perfeval::prelude::*;
 use proptest::prelude::*;
 
@@ -71,67 +71,14 @@ proptest! {
             RunProtocol::hot(0, reps),
             seed,
         );
-        let env = EnvFingerprint::simulated("order-policy");
         let run = |order: OrderPolicy| -> ResponseTable {
             Scheduler::new(threads)
                 .with_order(order)
-                .execute(&plan, &experiment, &ResultCache::disabled(), &env, None)
+                .execute(&plan, &experiment, None)
                 .0
         };
         let as_designed = run(OrderPolicy::AsDesigned);
         prop_assert_eq!(run(OrderPolicy::Shuffled(seed)), as_designed.clone());
         prop_assert_eq!(run(OrderPolicy::Blocked), as_designed);
     }
-}
-
-/// Counts real measurements so the cache test can prove a resumed sweep
-/// performs none.
-#[derive(Default)]
-struct CountingExperiment(std::sync::atomic::AtomicUsize);
-
-impl CountingExperiment {
-    fn measurements(&self) -> usize {
-        self.0.load(std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
-impl SyncExperiment for CountingExperiment {
-    fn respond(&self, a: &Assignment, replicate: usize) -> f64 {
-        self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        a.num("A").unwrap() * 5.0 + a.num("B").unwrap() + replicate as f64
-    }
-}
-
-/// The cache acceptance criterion end to end: re-running a completed sweep
-/// against the same cache directory (through a fresh handle, as a new
-/// process would) executes zero new measurements and reproduces the table.
-#[test]
-fn resumed_sweep_executes_zero_new_measurements() {
-    let dir = std::env::temp_dir().join(format!("perfeval-resume-it-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let design = TwoLevelDesign::full(&["A", "B"]);
-    let plan = RunPlan::expand(two_level_assignments(&design), RunProtocol::hot(0, 3), 42);
-    let units = plan.unit_count();
-    let experiment = CountingExperiment::default();
-    let env = EnvFingerprint::simulated("resume-integration");
-    let scheduler = Scheduler::new(4);
-
-    let cache = ResultCache::open(&dir).expect("cache dir");
-    let (first, report) = scheduler.execute(&plan, &experiment, &cache, &env, None);
-    assert_eq!(report.executed, units);
-    assert_eq!(experiment.measurements(), units);
-
-    let reopened = ResultCache::open(&dir).expect("cache dir");
-    let (second, resumed) = scheduler.execute(&plan, &experiment, &reopened, &env, None);
-    assert_eq!(resumed.executed, 0, "resume must execute nothing");
-    assert_eq!(resumed.from_cache, units);
-    assert_eq!(
-        experiment.measurements(),
-        units,
-        "no new measurements on resume"
-    );
-    assert_eq!(second, first);
-
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

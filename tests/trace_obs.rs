@@ -2,7 +2,7 @@
 //! the real engine and scheduler, and the exporters' format contracts
 //! checked property-style.
 
-use perfeval::exec::{parallel_map_traced, EnvFingerprint, OrderPolicy, ResultCache, Scheduler};
+use perfeval::exec::{parallel_map_traced, OrderPolicy, Scheduler};
 use perfeval::measure::AtomicClock;
 use perfeval::minidb::Session;
 use perfeval::trace::{chrome_trace_json, folded_stacks, render_tree, validate_chrome, Tracer};
@@ -43,14 +43,7 @@ fn traced_query_and_sweep_stitch_into_one_timeline() {
     let exp = |a: &perfeval::core::runner::Assignment| a.num("x").unwrap();
     Scheduler::new(2)
         .with_order(OrderPolicy::AsDesigned)
-        .execute_traced(
-            &plan,
-            &exp,
-            &ResultCache::disabled(),
-            &EnvFingerprint::simulated("trace-obs"),
-            None,
-            Some(&tracer),
-        );
+        .execute_traced(&plan, &exp, None, Some(&tracer));
 
     let trace = tracer.snapshot();
     assert!(trace.lanes.len() >= 2, "coordinator + worker lanes");
