@@ -10,7 +10,7 @@
 //! ("this scan on a 1996 disk") — that is all. For measured hot-vs-cold
 //! claims on the machine actually running, use `perfeval-store`'s real
 //! buffer pool, whose hits, misses, and evictions are counters over real
-//! `pread` calls (experiment `perfeval-exp e26`). E2 keeps using this
+//! file reads (experiment `perfeval-exp e26`). E2 keeps using this
 //! model deliberately: its exhibit is the *shape* of the era table, not a
 //! measurement of the host.
 

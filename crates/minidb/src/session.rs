@@ -59,7 +59,7 @@ pub struct QueryResult {
     /// model.
     pub store_logical_reads: u64,
     /// Chunk requests that missed the pool and hit disk with a real
-    /// `pread` (0 unless the catalog is disk-backed).
+    /// file read (0 unless the catalog is disk-backed).
     pub store_physical_reads: u64,
 }
 

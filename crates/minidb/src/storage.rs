@@ -6,7 +6,7 @@
 //! [`Catalog::open`](crate::Catalog::open) reopens a directory as a
 //! catalog of **disk-backed** tables whose scans pull `Arc<Column>`
 //! chunks through one shared [`BufferPool`] — zero-copy once resident,
-//! real `pread(2)` on a miss. The pool's hit/miss counters are
+//! real file read on a miss. The pool's hit/miss counters are
 //! measurements, which is what makes hot-vs-cold a controlled design
 //! factor (E26) instead of a model.
 //!
@@ -22,7 +22,7 @@
 //! [`Table::column_arc_io`](crate::Table::column_arc_io).
 //!
 //! A logical read is two steps. **Read**: peek which chunks the pool does
-//! not hold (uncounted) and `pread` + verify + decode those with *no lock
+//! not hold (uncounted) and read + verify + decode those with *no lock
 //! held* — a chunk read this way is alive before it is admitted, and is
 //! one of the `threads × projected columns` above. **Admit**: one
 //! `get_or_load` under the pool mutex, whose loader hands the value (or
@@ -281,7 +281,7 @@ impl DiskBacking {
         (self.table_id, ci as u32, chunk as u32)
     }
 
-    /// One physical read, made with no lock held: `pread`, header and
+    /// One physical read, made with no lock held: one file read, header and
     /// checksum verification, decode, and the refusal of a segment that
     /// does not hold the rows or the type the manifest promised or whose
     /// dictionary repeats a value. Fires `store.read` once.
@@ -318,7 +318,7 @@ impl DiskBacking {
     }
 
     /// The read step for chunk `chunk` of columns `cols`: one uncounted
-    /// peek at the pool, then a `pread` + decode, with no lock held, of
+    /// peek at the pool, then a file read + decode, with no lock held, of
     /// each column it does not hold. `None` is a column that was resident
     /// — or that comes after a failed read: the unit will surface that
     /// error first and never look the later columns up, as a scan that

@@ -109,7 +109,7 @@ impl Table {
     ///
     /// In-memory tables return their resident `Arc` (free). Disk-backed
     /// tables pull every chunk of the column through the buffer pool —
-    /// an `Arc` clone when resident, a real `pread` on a miss — and
+    /// an `Arc` clone when resident, a real file read on a miss — and
     /// return [`DbError::Io`] when a segment is unreadable (including
     /// injected `store.read` faults). A single-chunk column *is* its
     /// pooled chunk (zero-copy); a multi-chunk column is a fresh copy of

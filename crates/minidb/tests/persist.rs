@@ -943,10 +943,19 @@ fn untiled_manifests_and_short_segments_are_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A segment's type tag is outside its checksum, and `I64` and `F64` share
-/// the Plain layout: with that one byte flipped the file still decodes — to
-/// a column of the wrong type. It is refused against the manifest like a
-/// segment of the wrong length, in every tier, and never reaches the pool.
+/// Seals `bytes` the way the segment writer does: bytes 24..32 become the
+/// checksum of whatever the header and the payload now say.
+fn reseal(bytes: &mut [u8]) {
+    let (header, payload) = bytes.split_at(32);
+    let sum = perfeval_store::segment_checksum(header[..24].try_into().unwrap(), payload);
+    bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// A segment's type tag is under its checksum, so a flipped tag is corrupt;
+/// but `I64` and `F64` share the Plain layout, and a writer that seals the
+/// wrong tag leaves a file that decodes — to a column of the wrong type. It
+/// is refused against the manifest like a segment of the wrong length, in
+/// every tier, and never reaches the pool.
 #[test]
 fn a_segment_of_the_wrong_type_is_refused_and_never_admitted() {
     let dir = temp_dir("wrong_type");
@@ -958,6 +967,12 @@ fn a_segment_of_the_wrong_type_is_refused_and_never_admitted() {
     let mut bytes = std::fs::read(&seg).unwrap();
     assert_eq!(bytes[6..8], [0, 0], "an I64 Plain segment");
     bytes[6] ^= 1;
+    std::fs::write(&seg, &bytes).unwrap();
+    assert!(matches!(
+        perfeval_store::read_segment(&seg, None, 0),
+        Err(perfeval_store::StoreError::Corrupt(_))
+    ));
+    reseal(&mut bytes);
     std::fs::write(&seg, &bytes).unwrap();
     let as_read = perfeval_store::read_segment(&seg, None, 0).expect("the decoder has no quarrel");
     assert_eq!(as_read.type_tag(), perfeval_store::TypeTag::F64);
@@ -989,5 +1004,35 @@ fn a_segment_of_the_wrong_type_is_refused_and_never_admitted() {
         let ok = session.query("SELECT k FROM aside").run().unwrap();
         assert_eq!(ok.rows, vec![vec![Value::Int(42)]], "{mode}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file of segment format version 1 (FNV-1a-64 of the payload alone at
+/// bytes 24..32) under a manifest of today: the statement that reads it gets
+/// a typed error naming the version, and the session goes on.
+#[test]
+fn a_version_1_segment_is_a_typed_error_and_the_session_survives() {
+    let dir = temp_dir("version_1");
+    build_catalog(100)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(25))
+        .unwrap();
+    let seg = dir.join("probe").join("g1_c0_k1.seg");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let sum = perfeval_store::fnv1a64(&bytes[32..]);
+    bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&seg, &bytes).unwrap();
+
+    let mut session = Session::new(Catalog::open(&dir).unwrap());
+    let err = session
+        .query("SELECT SUM(id) FROM probe WHERE id >= 0")
+        .run()
+        .unwrap_err();
+    assert!(
+        matches!(&err, DbError::Io(m) if m.contains("unsupported format version 1")),
+        "{err}"
+    );
+    let ok = session.query("SELECT k FROM aside").run().unwrap();
+    assert_eq!(ok.rows, vec![vec![Value::Int(42)]]);
     let _ = std::fs::remove_dir_all(&dir);
 }

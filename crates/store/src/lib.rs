@@ -9,14 +9,14 @@
 //! results. Until this crate existed, every buffer-pool hit/miss number
 //! in the workspace came from `memsim`'s *modeled* disk. Here the bytes
 //! are real: columns are written to disk as checksummed, compressed
-//! segment files, read back with `pread(2)`, and cached in a buffer
-//! pool whose eviction policy is a design factor.
+//! segment files, read back whole with one `read(2)`, and cached in a
+//! buffer pool whose eviction policy is a design factor.
 //!
 //! ## Layers
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`segment`] | one-file-per-column-chunk format: 32-byte header (checked before it is believed) over a checksummed payload, Plain / RLE / dictionary encodings chosen per column, floats stored as [`f64::to_bits`] for bit-identity |
+//! | [`segment`] | one-file-per-column-chunk format: 32-byte header and payload under one word-at-a-time checksum (format version 2), every count still checked against the bytes that back it, Plain / RLE / dictionary encodings chosen per column, floats stored as [`f64::to_bits`] for bit-identity |
 //! | [`pool`] | [`BufferPool`]: frame table, [`Evict::{Lru, Clock, TwoQ}`](Evict), real logical/physical read counters, `drop_all()` for honest cold runs |
 //! | [`manifest`] | table/catalog manifests committed temp-then-rename (crash safety), quarantine of unreferenced files — counted, never silent — and a best-effort `posix_fadvise(DONTNEED)` page-cache drop |
 //!
@@ -52,8 +52,8 @@ pub use manifest::{
 };
 pub use pool::{BufferPool, Evict, PoolCounters, SegKey};
 pub use segment::{
-    decode_segment, encode_segment, read_segment, write_segment, ColumnData, Encoding, SegmentInfo,
-    TypeTag,
+    decode_segment, encode_segment, read_segment, segment_checksum, write_segment, ColumnData,
+    Encoding, SegmentInfo, TypeTag,
 };
 
 use std::fmt;
@@ -88,7 +88,8 @@ impl From<std::io::Error> for StoreError {
 }
 
 /// FNV-1a 64-bit — the workspace's stable, dependency-free hash, used
-/// here as the segment payload checksum. Not cryptographic; it detects
+/// here as the trailer of the two manifests (a few hundred bytes each;
+/// segments carry [`segment_checksum`]). Not cryptographic; it detects
 /// torn writes and bit rot, not adversaries.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -105,7 +106,7 @@ mod tests {
 
     #[test]
     fn fnv_is_stable() {
-        // Pinned so on-disk checksums stay valid across refactors.
+        // Pinned so manifest trailers stay valid across refactors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));

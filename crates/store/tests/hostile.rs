@@ -1,7 +1,9 @@
-//! Hostile bytes at the segment reader: the header of a segment is outside
-//! its checksum, so whatever a flipped bit or a short file makes it say, the
-//! decoder answers `StoreError::Corrupt` — or, where a flipped type tag
-//! names a type with the same layout, a column of *another* type, which
+//! Hostile bytes at the segment reader. Format version 2 puts the header
+//! under the checksum, so a flipped bit anywhere in a segment and a file of
+//! any other length are `StoreError::Corrupt`, strictly. What a bit flip
+//! cannot produce a writer can — a *forged* segment whose checksum is
+//! consistent with its lies: that one is `Corrupt` too, or (a type tag over
+//! a layout two types share) decodes to a column of *another* type, which
 //! minidb refuses against its manifest (`minidb/tests/persist.rs`). Never a
 //! panic, never an abort, and no allocation sized by a count the bytes
 //! cannot back. The segment reader's part of the hostile-bytes harness
@@ -14,9 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use perfeval_store::segment::{FORMAT_VERSION, HEADER_LEN, MAGIC};
+use perfeval_store::segment::{CHECKED_HEADER_LEN, FORMAT_VERSION, HEADER_LEN, MAGIC};
 use perfeval_store::{
-    decode_segment, encode_segment, fnv1a64, read_segment, ColumnData, StoreError, TypeTag,
+    decode_segment, encode_segment, fnv1a64, read_segment, segment_checksum, ColumnData,
+    StoreError, TypeTag,
 };
 
 thread_local! {
@@ -77,7 +80,7 @@ fn bound(seg: &[u8], honest: &ColumnData) -> usize {
 }
 
 /// `bytes` through both entry points — the in-memory decoder and the file
-/// reader, which parses the header's payload length on its own: each one's
+/// reader, which sizes its one read by the file's own length: each one's
 /// answer and the largest single allocation it made.
 fn read_both(
     bytes: &[u8],
@@ -92,7 +95,7 @@ fn read_both(
     ]
 }
 
-/// `bytes` is refused as `Corrupt` by both entry points — or, for a mutated
+/// `bytes` is refused as `Corrupt` by both entry points — or, for a forged
 /// copy of a segment that honestly holds `honest` values, decodes to a
 /// column of another type — and nothing beyond `limit` is allocated at once.
 fn assert_refused(
@@ -116,7 +119,14 @@ fn assert_refused(
     }
 }
 
-/// A mutated copy of `honest`'s segment `seg`, within [`bound`].
+/// A damaged copy of `honest`'s segment `seg` — bits flipped, bytes missing
+/// or added, nothing resealed: strictly `Corrupt`, within [`bound`].
+fn assert_damaged(bytes: &[u8], seg: &[u8], honest: &ColumnData, scratch: &Scratch, what: &str) {
+    assert_refused(bytes, None, bound(seg, honest), scratch, what);
+}
+
+/// A [`resealed`] copy of `honest`'s segment `seg`, within [`bound`]: the
+/// checksum has no quarrel with it, so the decoder has to.
 fn assert_contained(bytes: &[u8], seg: &[u8], honest: &ColumnData, scratch: &Scratch, what: &str) {
     let limit = bound(seg, honest);
     assert_refused(bytes, Some(honest.type_tag()), limit, scratch, what);
@@ -209,20 +219,35 @@ fn the_layouts_under_test_are_the_ones_the_writer_chooses() {
     }
 }
 
-#[test]
-fn no_flipped_header_bit_is_believed() {
-    let scratch = Scratch::new("flip");
+/// Every bit of the header, or of the payload, of every layout flipped, one
+/// at a time and nothing resealed.
+fn flip_each_bit(of_header: bool, scratch: &Scratch) {
     for (name, data, _) in every_layout() {
         let seg = encode_segment(&data);
-        for byte in 0..HEADER_LEN {
+        let bytes = if of_header {
+            0..HEADER_LEN
+        } else {
+            HEADER_LEN..seg.len()
+        };
+        for byte in bytes {
             for bit in 0..8 {
                 let mut bad = seg.clone();
                 bad[byte] ^= 1 << bit;
-                let what = format!("{name}: header byte {byte} bit {bit} flipped");
-                assert_contained(&bad, &seg, &data, &scratch, &what);
+                let what = format!("{name}: byte {byte} bit {bit} flipped");
+                assert_damaged(&bad, &seg, &data, scratch, &what);
             }
         }
     }
+}
+
+#[test]
+fn no_flipped_header_bit_is_believed() {
+    flip_each_bit(true, &Scratch::new("flip"));
+}
+
+#[test]
+fn no_flipped_payload_bit_is_believed() {
+    flip_each_bit(false, &Scratch::new("flip-payload"));
 }
 
 #[test]
@@ -232,23 +257,27 @@ fn a_segment_cut_short_anywhere_is_corrupt() {
         let seg = encode_segment(&data);
         for len in 0..seg.len() {
             let what = format!("{name} cut to {len} of {} bytes", seg.len());
-            assert_contained(&seg[..len], &seg, &data, &scratch, &what);
+            assert_damaged(&seg[..len], &seg, &data, &scratch, &what);
         }
-        // A byte too many is refused in memory; a file is read up to the
-        // length its header states, so there it is the honest segment.
+        // The reader takes the whole file, so a byte too many is refused on
+        // disk as it is in memory.
         let mut long = seg.clone();
         long.push(0);
-        let (got, largest) = watched(|| decode_segment(&long));
-        assert!(
-            matches!(got, Err(StoreError::Corrupt(_))),
-            "{name}: {got:?}"
-        );
-        assert!(largest <= bound(&seg, &data), "{name}: {largest}");
+        assert_damaged(&long, &seg, &data, &scratch, &format!("{name} and a byte"));
     }
 }
 
-/// A segment whose header and checksum are consistent with `payload`: what
-/// a bit flip cannot produce but a buggy or hostile writer can.
+/// `seg` with a checksum consistent with whatever its header and payload now
+/// say: what a bit flip cannot produce but a buggy or hostile writer can.
+fn resealed(mut seg: Vec<u8>) -> Vec<u8> {
+    let (header, payload) = seg.split_at(HEADER_LEN);
+    let checked = header[..CHECKED_HEADER_LEN].try_into().unwrap();
+    let sum = segment_checksum(checked, payload);
+    seg[CHECKED_HEADER_LEN..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    seg
+}
+
+/// A sealed segment of this format around any header fields and payload.
 fn forged(tag: TypeTag, encoding: u8, rows: u64, payload: &[u8]) -> Vec<u8> {
     let mut seg = Vec::new();
     seg.extend_from_slice(&MAGIC);
@@ -257,16 +286,58 @@ fn forged(tag: TypeTag, encoding: u8, rows: u64, payload: &[u8]) -> Vec<u8> {
     seg.push(encoding);
     seg.extend_from_slice(&rows.to_le_bytes());
     seg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    seg.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    seg.extend_from_slice(&[0; HEADER_LEN - CHECKED_HEADER_LEN]);
     seg.extend_from_slice(payload);
-    seg
+    resealed(seg)
+}
+
+/// The checksum vouches for the header a writer sealed, not for its truth:
+/// with any bit of it flipped *before* sealing, the decoder still believes
+/// no count further than the bytes go.
+#[test]
+fn no_forged_header_bit_is_believed() {
+    let scratch = Scratch::new("forged-flip");
+    for (name, data, _) in every_layout() {
+        let seg = encode_segment(&data);
+        assert_eq!(
+            resealed(seg.clone()),
+            seg,
+            "{name}: sealed as the writer seals"
+        );
+        for bit in 0..8 * CHECKED_HEADER_LEN {
+            let mut bad = seg.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let what = format!("{name}: header bit {bit} flipped and resealed");
+            assert_contained(&resealed(bad), &seg, &data, &scratch, &what);
+        }
+    }
+}
+
+/// A version-1 segment — the same 32-byte header, FNV-1a-64 of the payload
+/// alone at bytes 24..32 — is refused by name; nothing reads it.
+#[test]
+fn a_version_1_segment_is_corrupt() {
+    let scratch = Scratch::new("v1");
+    let payload = words(&[2, 5, 1, 9]);
+    let now = forged(TypeTag::I64, PLAIN, 4, &payload);
+    assert_eq!(now, encode_segment(&ColumnData::I64(vec![2, 5, 1, 9])));
+    let mut seg = now;
+    seg[4..6].copy_from_slice(&1u16.to_le_bytes());
+    seg[CHECKED_HEADER_LEN..HEADER_LEN].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
+    for (entry, got, _) in read_both(&seg, &scratch) {
+        assert!(
+            matches!(&got, Err(StoreError::Corrupt(m)) if m.contains("unsupported format version 1")),
+            "{entry}: {got:?}"
+        );
+    }
 }
 
 fn words(words: &[u64]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
-/// The three ways the parent's decoder died, by name.
+/// The three ways the decoder once died, by name — resealed, or the
+/// checksum would refuse them before the decoder is asked.
 #[test]
 fn the_reproductions_of_the_issue_are_corrupt_not_deaths() {
     let scratch = Scratch::new("named");
@@ -279,7 +350,7 @@ fn the_reproductions_of_the_issue_are_corrupt_not_deaths() {
         let mut bad = seg.clone();
         bad[byte] = value;
         let what = format!("rle i64 with header byte {byte} = {value:#x}");
-        assert_contained(&bad, &seg, &honest, &scratch, &what);
+        assert_contained(&resealed(bad), &seg, &honest, &scratch, &what);
     }
 
     // Plain words 2, 5, 1, 9, -1 read as RLE: two runs, the second of
@@ -289,11 +360,10 @@ fn the_reproductions_of_the_issue_are_corrupt_not_deaths() {
     assert_eq!(seg[ENCODING_AT], PLAIN);
     let mut bad = seg.clone();
     bad[ENCODING_AT] = RLE;
-    assert_contained(&bad, &seg, &honest, &scratch, "plain read as rle");
+    assert_contained(&resealed(bad), &seg, &honest, &scratch, "plain read as rle");
 
     // A dictionary size nothing backs, integer and string: `dlen` entries
-    // were reserved on the payload's word. Forged, since the size is under
-    // the checksum.
+    // were reserved on the payload's word.
     let huge = u32::MAX.to_le_bytes();
     for (what, tag, encoding) in [
         ("i64 dict of u32::MAX entries", TypeTag::I64, DICT),
