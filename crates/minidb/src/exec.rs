@@ -9,7 +9,8 @@
 //!   (the `--enable-debug --enable-assert` build).
 //! * [`ExecMode::Optimized`] — a column-at-a-time engine with
 //!   type-specialized kernels, selection vectors, and dictionary-code
-//!   comparisons (the `-O6` build).
+//!   comparisons (the `-O6` build). What no kernel covers it evaluates one
+//!   boxed row at a time, and counts: [`rows_boxed`].
 //!
 //! Both produce identical results (tested); they differ only in speed — by
 //! roughly the factor the tutorial's DBG/OPT figure shows, growing with how
@@ -29,6 +30,7 @@ use crate::storage::ScanIo;
 use crate::table::Table;
 use crate::types::{DataType, Value};
 use perfeval_trace::{SpanGuard, Tracer};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -110,6 +112,20 @@ static ROWS_TRANSPOSED: AtomicU64 = AtomicU64::new(0);
 /// columns go to the socket as they are.
 pub fn rows_transposed() -> u64 {
     ROWS_TRANSPOSED.load(Ordering::Relaxed)
+}
+
+/// Rows the batch engine's row-at-a-time fallback has boxed since process
+/// start.
+static ROWS_BOXED: AtomicU64 = AtomicU64::new(0);
+
+/// Total rows the batch engine has evaluated one boxed [`Value`] row at a
+/// time: the fallback of expression evaluation and of the filter for what no
+/// typed kernel covers (Int arithmetic, string expressions, disjunctions).
+/// Process-global and monotone, like [`rows_transposed`]; a statement whose
+/// expressions all have a kernel — every shape of the served benchmark —
+/// leaves it alone.
+pub fn rows_boxed() -> u64 {
+    ROWS_BOXED.load(Ordering::Relaxed)
 }
 
 /// A result as the engine left it, before anyone asked for rows.
@@ -403,6 +419,14 @@ fn type_zero(dt: DataType) -> Value {
     }
 }
 
+/// What a NULL becomes where a typed column has to hold it.
+fn null_sentinel(dt: DataType) -> Value {
+    match dt {
+        DataType::Float => Value::Float(f64::NAN),
+        other => type_zero(other),
+    }
+}
+
 impl AggState {
     pub(crate) fn new(func: AggFunc, arg_type: DataType) -> AggState {
         match func {
@@ -421,117 +445,6 @@ impl AggState {
                 slot: None,
                 arg_type,
             },
-        }
-    }
-
-    /// Typed update straight off a column — bitwise the same accumulation
-    /// as `update(&col.get(i))` (same f64 additions in the same order)
-    /// without boxing a [`Value`] per row. Used by both the single-pass and
-    /// the two-phase aggregate, which keeps them bit-identical.
-    pub(crate) fn update_from_col(&mut self, col: &Column, i: usize) {
-        match (self, col) {
-            (AggState::Sum { acc, .. }, Column::Int(v)) => *acc += v[i] as f64,
-            (AggState::Sum { acc, .. }, Column::Float(v)) => *acc += v[i],
-            (AggState::Avg { sum, n }, Column::Int(v)) => {
-                *sum += v[i] as f64;
-                *n += 1;
-            }
-            (AggState::Avg { sum, n }, Column::Float(v)) => {
-                *sum += v[i];
-                *n += 1;
-            }
-            // Columns are NULL-free, so COUNT counts every row.
-            (AggState::Count(n), _) => *n += 1,
-            (state, col) => state.update(&col.get(i)),
-        }
-    }
-
-    /// [`AggState::update_from_col`] over `rows` in order — the same
-    /// additions in the same sequence, with the type dispatch hoisted out
-    /// of the row loop. The two-phase aggregate replays each group's rows
-    /// through it.
-    pub(crate) fn update_rows(&mut self, col: &Column, rows: &[u32]) {
-        match (&mut *self, col) {
-            (AggState::Sum { acc, .. }, Column::Int(v)) => {
-                rows.iter().for_each(|&r| *acc += v[r as usize] as f64)
-            }
-            (AggState::Sum { acc, .. }, Column::Float(v)) => {
-                rows.iter().for_each(|&r| *acc += v[r as usize])
-            }
-            (AggState::Avg { sum, n }, Column::Int(v)) => {
-                rows.iter().for_each(|&r| *sum += v[r as usize] as f64);
-                *n += rows.len() as i64;
-            }
-            (AggState::Avg { sum, n }, Column::Float(v)) => {
-                rows.iter().for_each(|&r| *sum += v[r as usize]);
-                *n += rows.len() as i64;
-            }
-            // Columns are NULL-free, so COUNT counts every row.
-            (AggState::Count(n), _) => *n += rows.len() as i64,
-            (state, col) => rows
-                .iter()
-                .for_each(|&r| state.update(&col.get(r as usize))),
-        }
-    }
-
-    /// Folds an entire column into this accumulator with the lane kernels,
-    /// returning `false` when no kernel can prove bit-identity with the
-    /// serial per-row fold (the caller must then replay `update_from_col`).
-    ///
-    /// Only integer folds qualify: `sum_i64_exact` proves every serial f64
-    /// prefix sum exact before answering, COUNT is order-free, and integer
-    /// MIN/MAX are order-free. Float folds always return `false` — f64
-    /// addition is non-associative and the engine's contract is bitwise
-    /// equality, not approximate equality.
-    pub(crate) fn update_bulk(&mut self, col: &Column) -> bool {
-        match (&mut *self, col) {
-            (AggState::Sum { acc, .. }, Column::Int(v)) => match kernels::sum_i64_exact(v) {
-                Some(total) => {
-                    *acc += total as f64;
-                    true
-                }
-                None => false,
-            },
-            (AggState::Avg { sum, n }, Column::Int(v)) => match kernels::sum_i64_exact(v) {
-                Some(total) => {
-                    *sum += total as f64;
-                    *n += v.len() as i64;
-                    true
-                }
-                None => false,
-            },
-            // Columns are NULL-free, so COUNT counts every row.
-            (AggState::Count(n), col) => {
-                *n += col.len() as i64;
-                true
-            }
-            (AggState::Min { slot, .. }, Column::Int(v)) => {
-                if let Some(m) = kernels::min_i64(v) {
-                    let replace = match slot {
-                        None => true,
-                        Some(Value::Int(cur)) => m < *cur,
-                        Some(_) => false,
-                    };
-                    if replace {
-                        *slot = Some(Value::Int(m));
-                    }
-                }
-                true
-            }
-            (AggState::Max { slot, .. }, Column::Int(v)) => {
-                if let Some(m) = kernels::max_i64(v) {
-                    let replace = match slot {
-                        None => true,
-                        Some(Value::Int(cur)) => m > *cur,
-                        Some(_) => false,
-                    };
-                    if replace {
-                        *slot = Some(Value::Int(m));
-                    }
-                }
-                true
-            }
-            _ => false,
         }
     }
 
@@ -1079,19 +992,10 @@ impl<'a> Executor<'a> {
                 let c0 = Instant::now();
                 let input_batch = self.run_batch(input, depth + 1)?;
                 child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let mut seen = std::collections::HashSet::new();
-                let mut selection = Vec::new();
-                for i in 0..input_batch.row_count() {
-                    let key: Vec<Option<Key>> = input_batch
-                        .cols
-                        .iter()
-                        .map(|c| value_key(&c.get(i)))
-                        .collect();
-                    if seen.insert(key) {
-                        selection.push(i);
-                    }
-                }
-                input_batch.take(&selection)
+                // A row is kept when it is the first of its group.
+                let (_, firsts) = kernels::group_ids(&input_batch.cols, 0..input_batch.row_count());
+                let firsts: Vec<usize> = firsts.into_iter().map(|r| r as usize).collect();
+                input_batch.take(&firsts)
             }
             Plan::TopN { input, keys, n } => {
                 let c0 = Instant::now();
@@ -1303,31 +1207,39 @@ fn apply_conjunct(
     // differ only in the kernel, never in allocator behavior.
     let mut out = vec![0usize; selection.len()];
     let mut k = 0usize;
-    let width = batch.cols.len();
-    let mut row: Vec<Value> = Vec::with_capacity(width);
-    let keep = |row: &mut Vec<Value>, i: usize| -> Result<bool, DbError> {
-        row.clear();
-        for c in &batch.cols {
-            row.push(c.get(i));
-        }
-        Ok(pred.eval(row)? == Value::Bool(true))
+    let mut eval = boxed_eval(batch, pred, selection.len());
+    let mut keep = |i: usize| -> Result<(), DbError> {
+        out[k] = i;
+        k += (eval(i)? == Value::Bool(true)) as usize;
+        Ok(())
     };
     match selection {
-        Sel::Dense(r) => {
-            for i in r.clone() {
-                out[k] = i;
-                k += keep(&mut row, i)? as usize;
-            }
-        }
-        Sel::Sparse(sel) => {
-            for &i in sel {
-                out[k] = i;
-                k += keep(&mut row, i)? as usize;
-            }
-        }
+        Sel::Dense(r) => r.clone().try_for_each(&mut keep)?,
+        Sel::Sparse(sel) => sel.iter().copied().try_for_each(&mut keep)?,
     }
     out.truncate(k);
     Ok(out)
+}
+
+/// The row-at-a-time fallback both [`vectorized_eval`] and the filter end
+/// in: evaluates bound `expr` at one row of `batch` per call, boxing only
+/// the columns the expression names, and charges the `rows` the caller is
+/// about to ask for to [`rows_boxed`].
+fn boxed_eval<'b>(
+    batch: &'b Batch,
+    expr: &'b Expr,
+    rows: usize,
+) -> impl FnMut(usize) -> Result<Value, DbError> + 'b {
+    ROWS_BOXED.fetch_add(rows as u64, Ordering::Relaxed);
+    let mut named = Vec::new();
+    expr.referenced_columns(&mut named);
+    let mut row = vec![Value::Null; batch.cols.len()];
+    move |i| {
+        for &c in &named {
+            row[c] = batch.cols[c].get(i);
+        }
+        expr.eval(&row)
+    }
 }
 
 fn flip_cmp(op: BinOp) -> BinOp {
@@ -1387,108 +1299,97 @@ pub(crate) fn vectorized_eval(
     expr: &Expr,
     schema: &[(String, DataType)],
 ) -> Result<Arc<Column>, DbError> {
+    Ok(eval_with_nulls(batch, expr, schema)?.0)
+}
+
+/// [`vectorized_eval`] plus the ascending rows at which the expression was
+/// NULL. Columns cannot hold NULL, so those rows carry a type-appropriate
+/// sentinel; an aggregate skips them by position. Only the row-at-a-time
+/// fallback can see a NULL (Int division by zero): base tables and the
+/// typed kernels' f64 arithmetic produce none.
+pub(crate) fn eval_with_nulls(
+    batch: &Batch,
+    expr: &Expr,
+    schema: &[(String, DataType)],
+) -> Result<(Arc<Column>, Vec<u32>), DbError> {
     // Identity fast path: share the input column, zero-copy.
     if let Expr::ColumnIdx(i) = expr {
-        return Ok(Arc::clone(&batch.cols[*i]));
+        return Ok((Arc::clone(&batch.cols[*i]), Vec::new()));
     }
-    let n = batch.row_count();
     let dt = expr.data_type(schema)?;
     // Arithmetic fast path on numeric columns. Only valid when the static
     // result type is Float: the kernel computes in f64, so Int-typed
     // expressions (e.g. `qty + 1`) must take the exact integer path below.
     if dt == DataType::Float {
         if let Expr::Binary { op, left, right } = expr {
-            if !op.is_comparison() && !matches!(op, BinOp::And | BinOp::Or) {
-                if let Some(col) = typed_arith(batch, *op, left, right) {
-                    return Ok(Arc::new(col));
-                }
+            if let Some(data) = typed_arith(batch, *op, left, right) {
+                return Ok((Arc::new(Column::Float(data)), Vec::new()));
             }
         }
     }
     // Generic fallback.
+    let n = batch.row_count();
     let mut out = Column::new(dt);
-    let mut row: Vec<Value> = Vec::with_capacity(batch.cols.len());
+    let mut nulls = Vec::new();
+    let mut eval = boxed_eval(batch, expr, n);
     for i in 0..n {
-        row.clear();
-        for c in &batch.cols {
-            row.push(c.get(i));
-        }
-        let v = expr.eval(&row)?;
-        // NULL results (e.g. division by zero) are stored as a sentinel —
-        // base tables are NULL-free, so only computed columns can produce
-        // them, and we fold them to a type-appropriate default.
-        let v = match v {
-            Value::Null => match dt {
-                DataType::Int => Value::Int(0),
-                DataType::Float => Value::Float(f64::NAN),
-                DataType::Str => Value::Str(String::new()),
-                DataType::Bool => Value::Bool(false),
-            },
-            other => other,
+        let v = match eval(i)? {
+            Value::Null => {
+                nulls.push(i as u32);
+                null_sentinel(dt)
+            }
+            v => v,
         };
         out.push(v)?;
     }
-    Ok(Arc::new(out))
+    Ok((Arc::new(out), nulls))
 }
 
-/// Fast arithmetic kernels for `col op col` and `col op lit` on f64 data.
-fn typed_arith(batch: &Batch, op: BinOp, left: &Expr, right: &Expr) -> Option<Column> {
-    let fetch = |e: &Expr| -> Option<FloatOperand> {
+/// Fast arithmetic kernels for `col op col` and `col op lit` on f64 data,
+/// chained arithmetic like `l_extendedprice * (1 - l_discount)` included.
+/// A Float column operand is borrowed, never copied; `None` when an
+/// operand is neither numeric column, numeric literal nor arithmetic.
+fn typed_arith<'b>(batch: &'b Batch, op: BinOp, left: &Expr, right: &Expr) -> Option<Vec<f64>> {
+    /// One side of the operation.
+    enum Operand<'b> {
+        Col(Cow<'b, [f64]>),
+        Scalar(f64),
+    }
+    let fetch = |e: &Expr| -> Option<Operand<'b>> {
         match e {
             Expr::ColumnIdx(i) => match &*batch.cols[*i] {
-                Column::Float(v) => Some(FloatOperand::Col(v.clone())),
-                Column::Int(v) => Some(FloatOperand::Col(v.iter().map(|&x| x as f64).collect())),
+                Column::Float(v) => Some(Operand::Col(Cow::Borrowed(v))),
+                Column::Int(v) => Some(Operand::Col(v.iter().map(|&x| x as f64).collect())),
                 _ => None,
             },
-            Expr::Literal(v) => v.as_f64().map(FloatOperand::Scalar),
+            Expr::Literal(v) => v.as_f64().map(Operand::Scalar),
             Expr::Binary { op, left, right } => {
-                // Recurse so chained arithmetic like l_extendedprice *
-                // (1 - l_discount) stays vectorized.
-                let col = typed_arith(batch, *op, left, right)?;
-                match col {
-                    Column::Float(v) => Some(FloatOperand::Col(v)),
-                    Column::Int(v) => {
-                        Some(FloatOperand::Col(v.iter().map(|&x| x as f64).collect()))
-                    }
-                    _ => None,
-                }
+                typed_arith(batch, *op, left, right).map(|v| Operand::Col(v.into()))
             }
             _ => None,
         }
     };
-    if op.is_comparison() || matches!(op, BinOp::And | BinOp::Or) {
+    // One monomorphic loop per operator, so each one vectorizes.
+    fn combine(l: Operand, r: Operand, n: usize, f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+        match (l, r) {
+            (Operand::Col(a), Operand::Col(b)) => {
+                a.iter().zip(&*b).map(|(&x, &y)| f(x, y)).collect()
+            }
+            (Operand::Col(a), Operand::Scalar(s)) => a.iter().map(|&x| f(x, s)).collect(),
+            (Operand::Scalar(s), Operand::Col(b)) => b.iter().map(|&y| f(s, y)).collect(),
+            (Operand::Scalar(a), Operand::Scalar(b)) => vec![f(a, b); n],
+        }
+    }
+    if !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) {
         return None;
     }
-    let l = fetch(left)?;
-    let r = fetch(right)?;
-    let n = batch.row_count();
-    let apply = |a: f64, b: f64| match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        _ => unreachable!(),
-    };
-    let data: Vec<f64> = match (&l, &r) {
-        (FloatOperand::Col(a), FloatOperand::Col(b)) => {
-            a.iter().zip(b).map(|(&x, &y)| apply(x, y)).collect()
-        }
-        (FloatOperand::Col(a), FloatOperand::Scalar(s)) => {
-            a.iter().map(|&x| apply(x, *s)).collect()
-        }
-        (FloatOperand::Scalar(s), FloatOperand::Col(b)) => {
-            b.iter().map(|&y| apply(*s, y)).collect()
-        }
-        (FloatOperand::Scalar(a), FloatOperand::Scalar(b)) => {
-            vec![apply(*a, *b); n]
-        }
-    };
-    Some(Column::Float(data))
-}
-
-enum FloatOperand {
-    Col(Vec<f64>),
-    Scalar(f64),
+    let (l, r, n) = (fetch(left)?, fetch(right)?, batch.row_count());
+    Some(match op {
+        BinOp::Add => combine(l, r, n, |a, b| a + b),
+        BinOp::Sub => combine(l, r, n, |a, b| a - b),
+        BinOp::Mul => combine(l, r, n, |a, b| a * b),
+        _ => combine(l, r, n, |a, b| a / b),
+    })
 }
 
 /// Which join input the hash table was built on.
@@ -1626,113 +1527,8 @@ pub(crate) fn canonicalize_join_pairs(
     }
 }
 
-/// Single-pass hash aggregation over `n` rows of evaluated columns:
-/// `group_cols` are the grouping keys, `agg_cols[i]` the argument of the
-/// aggregate `agg_meta[i]` describes.
-pub(crate) fn vectorized_aggregate(
-    catalog: &Catalog,
-    plan: &Plan,
-    group_cols: &[Arc<Column>],
-    agg_cols: &[Arc<Column>],
-    agg_meta: &[(AggFunc, DataType)],
-    n: usize,
-    engine: Engine,
-) -> Result<Batch, DbError> {
-    let new_states = || -> Vec<AggState> {
-        agg_meta
-            .iter()
-            .map(|(f, dt)| AggState::new(*f, *dt))
-            .collect()
-    };
-
-    // SIMD tier, single Int group key: dense first-seen group ids through
-    // the lane-mixed open table, then per-group state updates in the same
-    // ascending row order the HashMap path applies. Int columns are
-    // NULL-free, so no rows drop — the group set, per-group states, and
-    // (post-sort) output are bit-identical to the scalar directory.
-    if engine == Engine::Simd && group_cols.len() == 1 {
-        if let Some(keys) = group_cols[0].as_int() {
-            let (gids, first_rows) = kernels::group_ids_i64(keys);
-            let mut per_group: Vec<Vec<AggState>> =
-                (0..first_rows.len()).map(|_| new_states()).collect();
-            for (i, &g) in gids.iter().enumerate() {
-                for (col, state) in agg_cols.iter().zip(&mut per_group[g as usize]) {
-                    state.update_from_col(col, i);
-                }
-            }
-            let rows: Vec<Vec<Value>> = per_group
-                .into_iter()
-                .zip(&first_rows)
-                .map(|(states, &first)| {
-                    let mut row = vec![group_cols[0].get(first as usize)];
-                    row.extend(states.into_iter().map(AggState::finish));
-                    row
-                })
-                .collect();
-            return finish_aggregate_batch(catalog, plan, rows);
-        }
-    }
-
-    let mut groups: HashMap<Vec<Key>, (usize, Vec<AggState>)> = HashMap::new();
-    let mut group_order: Vec<Vec<Value>> = Vec::new();
-    if group_cols.is_empty() {
-        // Global aggregate: one group, no per-row key hashing.
-        let mut states = new_states();
-        if engine == Engine::Simd {
-            // Column-at-a-time lane folds where the kernels prove
-            // exactness; serial replay (identical to the scalar loop)
-            // otherwise. States are independent, so folding one state over
-            // the whole column before the next is the same accumulation.
-            for (col, state) in agg_cols.iter().zip(&mut states) {
-                if !state.update_bulk(col) {
-                    for i in 0..n {
-                        state.update_from_col(col, i);
-                    }
-                }
-            }
-        } else {
-            for i in 0..n {
-                for (col, state) in agg_cols.iter().zip(&mut states) {
-                    state.update_from_col(col, i);
-                }
-            }
-        }
-        groups.insert(Vec::new(), (0, states));
-        group_order.push(Vec::new());
-    } else {
-        'rows: for i in 0..n {
-            let mut key = Vec::with_capacity(group_cols.len());
-            for c in group_cols {
-                match value_key(&c.get(i)) {
-                    Some(k) => key.push(k),
-                    None => continue 'rows, // NULL group keys drop the row
-                }
-            }
-            let next_id = group_order.len();
-            let entry = groups.entry(key).or_insert_with(|| {
-                group_order.push(group_cols.iter().map(|c| c.get(i)).collect());
-                (next_id, new_states())
-            });
-            for (col, state) in agg_cols.iter().zip(&mut entry.1) {
-                state.update_from_col(col, i);
-            }
-        }
-    }
-    // Assemble rows then sort deterministically.
-    let rows: Vec<Vec<Value>> = groups
-        .into_values()
-        .map(|(id, states)| {
-            let mut row = group_order[id].clone();
-            row.extend(states.into_iter().map(AggState::finish));
-            row
-        })
-        .collect();
-    finish_aggregate_batch(catalog, plan, rows)
-}
-
 /// Sorts assembled aggregate rows deterministically and materializes the
-/// output batch — shared by the single-pass and two-phase aggregates so
-/// their final steps are literally the same code.
+/// output batch.
 pub(crate) fn finish_aggregate_batch(
     catalog: &Catalog,
     plan: &Plan,
@@ -1743,16 +1539,10 @@ pub(crate) fn finish_aggregate_batch(
     let mut cols: Vec<Column> = out_schema.iter().map(|(_, dt)| Column::new(*dt)).collect();
     for row in &rows {
         for (col, v) in cols.iter_mut().zip(row) {
-            let v = match v {
-                Value::Null => match col.data_type() {
-                    DataType::Int => Value::Int(0),
-                    DataType::Float => Value::Float(f64::NAN),
-                    DataType::Str => Value::Str(String::new()),
-                    DataType::Bool => Value::Bool(false),
-                },
+            col.push(match v {
+                Value::Null => null_sentinel(col.data_type()),
                 other => other.clone(),
-            };
-            col.push(v)?;
+            })?;
         }
     }
     Ok(Batch {

@@ -13,8 +13,8 @@
 //! 3. **hash-key mixing** — the workspace-shared SplitMix64 finalizer
 //!    ([`perfeval_stats::mix64`]) applied lane-parallel over key columns,
 //!    feeding an open-addressed, insertion-ordered join/group index,
-//! 4. **aggregate folds** — lane-accumulated sum/min/max/count over Int
-//!    columns, merged in a fixed lane order.
+//! 4. **aggregate folds** — lane-accumulated sum/min/max over Int columns
+//!    of the ungrouped aggregate, merged in a fixed lane order.
 //!
 //! `std::simd` is nightly-only, so the SIMD paths are written as
 //! fixed-width ([`LANES`]) chunked loops the compiler autovectorizes: the
@@ -31,9 +31,9 @@
 //! * Selection kernels are exact by construction (the surviving indices of
 //!   a predicate do not depend on evaluation strategy).
 //! * The hash index replays insertion order (per-key chains are built in
-//!   row order and probed probe-major), so join pairs and group
-//!   directories match the scalar `HashMap` path exactly, even though the
-//!   hash function and table layout differ.
+//!   row order and probed probe-major), so join pairs match the scalar
+//!   `HashMap` path exactly, even though the hash function and table
+//!   layout differ. Grouping is tier-independent: [`group_ids`].
 //! * Integer folds use `i64` lane accumulators — associative, so any lane
 //!   split is exact — but the scalar engine accumulates Int sums in `f64`,
 //!   which rounds once a partial sum leaves `±2^53`. [`sum_i64_exact`]
@@ -46,9 +46,12 @@
 //!   sum/avg/min/max deliberately take the scalar path in every engine.
 //!   This is the contract, not a TODO.
 
+use crate::column::Column;
 use crate::expr::BinOp;
 use perfeval_stats::mix64;
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Fixed lane width of the chunked kernels: 8 × 64-bit lanes (one AVX-512
 /// register, two AVX2 registers, four NEON registers).
@@ -416,6 +419,101 @@ pub(crate) fn group_ids_i64(keys: &[i64]) -> (Vec<u32>, Vec<u32>) {
         gids.push(gid);
     }
     (gids, first_rows)
+}
+
+/// Dense first-seen group ids for rows `range` of the evaluated grouping
+/// columns: one id per row of the range plus each group's first row (a row
+/// of the columns, not of the range), ids in first-seen order — the
+/// vocabulary of [`group_ids_i64`]. Which table backs it is chosen from
+/// what the columns are:
+///
+/// * every key a dictionary-coded string or a bool, the product of their
+///   cardinalities at most 2^16 (no key at all — the global aggregate — is
+///   the empty product): the keys' codes pack into one small number that
+///   indexes a direct table. No hash, nothing allocated per row;
+/// * a single Int key: the open-addressed [`group_ids_i64`];
+/// * anything else: a hash on the rows' key words (strings by code, floats
+///   by bits).
+pub(crate) fn group_ids(group_cols: &[Arc<Column>], range: Range<usize>) -> (Vec<u32>, Vec<u32>) {
+    assert!(range.end < NONE32 as usize, "group ids are u32");
+    let start = range.start;
+    if let Some(cardinality) = packed_cardinality(group_cols) {
+        // Pack the codes column by column, into what becomes the ids.
+        let mut gids = vec![0u32; range.len()];
+        for col in group_cols {
+            match &**col {
+                Column::Str { dict, codes } => {
+                    let card = dict.values().len() as u32;
+                    (gids.iter_mut().zip(&codes[range.clone()]))
+                        .for_each(|(g, &c)| *g = *g * card + c)
+                }
+                Column::Bool(v) => (gids.iter_mut().zip(&v[range.clone()]))
+                    .for_each(|(g, &b)| *g = *g * 2 + u32::from(b)),
+                _ => unreachable!("packed keys are strings and bools"),
+            }
+        }
+        let mut table = vec![NONE32; cardinality];
+        let mut first_rows = Vec::new();
+        for (j, g) in gids.iter_mut().enumerate() {
+            let slot = &mut table[*g as usize];
+            if *slot == NONE32 {
+                *slot = first_rows.len() as u32;
+                first_rows.push((start + j) as u32);
+            }
+            *g = *slot;
+        }
+        return (gids, first_rows);
+    }
+    if let Some(keys) = match group_cols {
+        [col] => col.as_int(),
+        _ => None,
+    } {
+        let (gids, mut first_rows) = group_ids_i64(&keys[range]);
+        first_rows.iter_mut().for_each(|r| *r += start as u32);
+        return (gids, first_rows);
+    }
+    let mut map: HashMap<Vec<u64>, u32> = HashMap::new();
+    let mut first_rows = Vec::new();
+    let mut words = Vec::with_capacity(group_cols.len());
+    let gids = range
+        .map(|i| {
+            words.clear();
+            words.extend(group_cols.iter().map(|c| key_word(c, i)));
+            if let Some(&g) = map.get(words.as_slice()) {
+                return g;
+            }
+            first_rows.push(i as u32);
+            map.insert(words.clone(), first_rows.len() as u32 - 1);
+            first_rows.len() as u32 - 1
+        })
+        .collect();
+    (gids, first_rows)
+}
+
+/// The size of the direct table when every key is a dictionary-coded
+/// string or a bool and the product of their cardinalities is at most
+/// 2^16; a dictionary may well hold values no row of the range uses.
+fn packed_cardinality(group_cols: &[Arc<Column>]) -> Option<usize> {
+    group_cols.iter().try_fold(1usize, |product, col| {
+        let card = match &**col {
+            Column::Str { dict, .. } => dict.values().len(),
+            Column::Bool(_) => 2,
+            _ => return None,
+        };
+        Some(product * card).filter(|&p| p <= 1 << 16)
+    })
+}
+
+/// Row `i` of `col` as one word, equal for two rows of the same column
+/// exactly when their values are (strings by dictionary code, floats by
+/// bits): a group key that costs no allocation per row.
+fn key_word(col: &Column, i: usize) -> u64 {
+    match col {
+        Column::Int(v) => v[i] as u64,
+        Column::Float(v) => v[i].to_bits(),
+        Column::Str { codes, .. } => u64::from(codes[i]),
+        Column::Bool(v) => u64::from(v[i]),
+    }
 }
 
 // --------------------------------------------------------------------

@@ -36,13 +36,13 @@
 //!   per part, with the selection vector kept part-local and lazy; the
 //!   parts' outputs are stitched back together in part order;
 //! * **hash aggregation** — the chain beneath the aggregate is fused into
-//!   the same sweep. One part folds single-pass ([`vectorized_aggregate`]);
-//!   several each bucket their rows by group locally, and an
-//!   [`OrderedFold`] takes the parts in part order as they come in
-//!   (preserving first-seen group order), replaying each local group's
-//!   rows into its global accumulators in ascending original order — so
-//!   float accumulators see exactly the single-pass addition sequence —
-//!   and drops a part's columns once folded;
+//!   the same sweep. Each part gives its rows dense group ids
+//!   ([`group_ids`]), and an [`OrderedFold`] takes the parts in part order
+//!   as they come in (preserving first-seen group order), makes the ids
+//!   global, and sweeps each aggregate's argument column once into one
+//!   accumulator slot per group — so a float accumulator sees exactly the
+//!   single-pass addition sequence — then drops the part's columns. One
+//!   part or many, it is the same fold;
 //! * **hash joins** — build on the smaller input on the calling thread,
 //!   probe the other in a sweep, concatenate matched pairs in part order
 //!   and canonicalize so the output is independent of the build side.
@@ -59,13 +59,13 @@ use crate::cancel::CancelToken;
 use crate::column::Column;
 use crate::error::DbError;
 use crate::exec::{
-    bind_join_keys, canonicalize_join_pairs, choose_build_side, finish_aggregate_batch, plan_label,
-    projected_columns, scan_span_attrs, value_key, vectorized_aggregate, vectorized_eval,
-    vectorized_filter, vectorized_filter_range, AggState, Batch, BuildSide, Executor, JoinBuild,
-    Key, ProfileEntry,
+    bind_join_keys, canonicalize_join_pairs, choose_build_side, eval_with_nulls,
+    finish_aggregate_batch, plan_label, projected_columns, scan_span_attrs, value_key,
+    vectorized_eval, vectorized_filter, vectorized_filter_range, AggState, Batch, BuildSide,
+    Executor, JoinBuild, Key, ProfileEntry,
 };
 use crate::expr::{AggFunc, Expr};
-use crate::kernels::{Engine, Sel};
+use crate::kernels::{self, group_ids, Engine, Sel};
 use crate::plan::Plan;
 use crate::storage::{DiskBacking, ScanIo};
 use crate::types::{DataType, Value};
@@ -653,89 +653,172 @@ pub(crate) fn pipeline(
 }
 
 // --------------------------------------------------------------------
-// Hash aggregation: single pass over one unit, or local grouping per
-// unit folded into the global groups in unit order.
+// Hash aggregation: dense group ids per part, folded into the global
+// groups in part order, one column sweep per aggregate.
 // --------------------------------------------------------------------
 
-/// One unit's evaluated grouping/argument columns, the rows of them it
-/// covers, and what computing them cost. With several units the columns
-/// move on into the [`OrderedFold`] and only the accounting comes back.
+/// What one part of the aggregate's sweep cost.
 #[derive(Default)]
 struct AggPart {
-    group_cols: Vec<Arc<Column>>,
-    agg_cols: Vec<Arc<Column>>,
-    range: Range<usize>,
     /// What the fused chain did on the way here.
     chain: StageStats,
     agg_secs: f64,
 }
 
-/// One unit's rows bucketed by group.
+/// One part's rows grouped: the evaluated columns, the rows of them the
+/// part covers, and [`group_ids`]' dense local ids for those rows.
 struct LocalGroups {
     group_cols: Vec<Arc<Column>>,
-    agg_cols: Vec<Arc<Column>>,
-    /// Local group keys in first-seen order.
-    keys: Vec<Vec<Key>>,
-    /// Rows of each group, ascending; the first one yields the group's
-    /// values.
-    rows: Vec<Vec<u32>>,
+    args: Vec<AggArg>,
+    range: Range<usize>,
+    /// Empty when nothing is grouped by: every row is in the one group.
+    gids: Vec<u32>,
+    first_rows: Vec<u32>,
 }
 
-/// Row `i` of `col` as one word, equal for two rows of the same column
-/// exactly when their values are (strings by dictionary code, floats by
-/// bits): a group key that costs no allocation per row.
-fn key_word(col: &Column, i: usize) -> u64 {
-    match col {
-        Column::Int(v) => v[i] as u64,
-        Column::Float(v) => v[i].to_bits(),
-        Column::Str { codes, .. } => u64::from(codes[i]),
-        Column::Bool(v) => u64::from(v[i]),
+/// One aggregate's argument, evaluated for a part.
+#[derive(Clone)]
+enum AggArg {
+    /// A literal — `COUNT(*)` arrives as `COUNT(1)` — which touches no
+    /// batch: every row contributes this value (typed, so never NULL).
+    Const(Value),
+    /// The evaluated column and the ascending rows of it at which the
+    /// expression was NULL ([`eval_with_nulls`]), which accumulators skip
+    /// exactly as [`AggState::update`] skips a NULL.
+    Col(Arc<Column>, Arc<[u32]>),
+}
+
+impl AggArg {
+    /// The rows of `range` at which the argument is NULL.
+    fn nulls_in(&self, range: &Range<usize>) -> &[u32] {
+        match self {
+            AggArg::Const(_) => &[],
+            AggArg::Col(_, nulls) => {
+                let at = |row: usize| nulls.partition_point(|&r| (r as usize) < row);
+                &nulls[at(range.start)..at(range.end)]
+            }
+        }
     }
 }
 
-impl LocalGroups {
-    /// Buckets rows `range` of the evaluated columns. Columns are
-    /// NULL-free, so every row lands in a group, exactly as in the
-    /// single-pass aggregate. Rows are matched on their key words; a real
-    /// [`Key`] is built once per local group, for the fold across units.
-    fn of(part: &mut AggPart) -> LocalGroups {
-        let mut local = LocalGroups {
-            group_cols: std::mem::take(&mut part.group_cols),
-            agg_cols: std::mem::take(&mut part.agg_cols),
-            keys: Vec::new(),
-            rows: Vec::new(),
-        };
-        if local.group_cols.is_empty() {
-            // Global aggregate: one group holding every row.
-            if !part.range.is_empty() {
-                local.keys.push(Vec::new());
-                local
-                    .rows
-                    .push(part.range.clone().map(|i| i as u32).collect());
+/// The rows of `range` that are not in `nulls` (ascending row positions).
+fn live_rows(range: Range<usize>, nulls: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    let mut nulls = nulls.iter().map(|&r| r as usize).peekable();
+    range.filter(move |&i| {
+        while nulls.next_if(|&r| r < i).is_some() {}
+        nulls.peek() != Some(&i)
+    })
+}
+
+/// One aggregate's accumulators, a slot per global group.
+enum Accs {
+    /// `COUNT`: the group's row count less its NULL arguments — no state.
+    Count,
+    /// `SUM` of a numeric argument: the running sums.
+    Sum(Vec<f64>),
+    /// `AVG` of a numeric argument: the running sums; the divisor is what
+    /// `COUNT` reads.
+    Avg(Vec<f64>),
+    /// Everything else (`MIN`, `MAX`, `COUNT(DISTINCT)`, a non-numeric
+    /// argument): a boxed accumulator per group.
+    Boxed(Vec<AggState>),
+}
+
+impl Accs {
+    fn new(func: AggFunc, arg_type: DataType) -> Accs {
+        let numeric = matches!(arg_type, DataType::Int | DataType::Float);
+        match func {
+            AggFunc::Count => Accs::Count,
+            AggFunc::Sum if numeric => Accs::Sum(Vec::new()),
+            AggFunc::Avg if numeric => Accs::Avg(Vec::new()),
+            _ => Accs::Boxed(Vec::new()),
+        }
+    }
+
+    /// Makes room for `groups` groups.
+    fn grow(&mut self, groups: usize, (func, arg_type): (AggFunc, DataType)) {
+        match self {
+            Accs::Count => {}
+            Accs::Sum(acc) | Accs::Avg(acc) => acc.resize(groups, 0.0),
+            Accs::Boxed(states) => states.resize_with(groups, || AggState::new(func, arg_type)),
+        }
+    }
+
+    /// The SIMD tier's fold of a whole NULL-free Int column into the one
+    /// group's slot, where a lane kernel is bit-identical to the serial
+    /// fold: `sum_i64_exact` proves every serial f64 prefix sum exact
+    /// before answering, COUNT reads no column, integer MIN/MAX are
+    /// order-free. Float folds never qualify — f64 addition does not
+    /// associate. `false`: sweep the rows.
+    fn bulk(&mut self, col: &Column) -> bool {
+        match (self, col) {
+            (Accs::Count, _) => true,
+            (Accs::Sum(acc) | Accs::Avg(acc), Column::Int(v)) => kernels::sum_i64_exact(v)
+                .map(|total| acc[0] += total as f64)
+                .is_some(),
+            (Accs::Boxed(states), Column::Int(v)) => {
+                let folded = match states[0] {
+                    AggState::Min { .. } => kernels::min_i64(v),
+                    AggState::Max { .. } => kernels::max_i64(v),
+                    _ => return false,
+                };
+                folded
+                    .into_iter()
+                    .for_each(|m| states[0].update(&Value::Int(m)));
+                true
             }
-            return local;
+            _ => false,
         }
-        let mut map: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut words = Vec::with_capacity(local.group_cols.len());
-        for i in part.range.clone() {
-            words.clear();
-            words.extend(local.group_cols.iter().map(|c| key_word(c, i)));
-            let id = match map.get(words.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    let id = local.keys.len();
-                    map.insert(words.clone(), id);
-                    let key = local.group_cols.iter().map(|c| value_key(&c.get(i)));
-                    local
-                        .keys
-                        .push(key.map(|k| k.expect("NULL-free column")).collect());
-                    local.rows.push(Vec::new());
-                    id
-                }
-            };
-            local.rows[id].push(i as u32);
+    }
+
+    /// One pass over `rows` (ascending) of the argument, each into the slot
+    /// of its group, `gids[row - start]` (no ids: slot 0), with the type
+    /// dispatch outside the loop: every accumulator sees its group's rows
+    /// in ascending original position.
+    fn sweep(
+        &mut self,
+        gids: &[u32],
+        start: usize,
+        arg: &AggArg,
+        rows: impl Iterator<Item = usize>,
+    ) {
+        let at = |i: usize| slot(gids, i - start);
+        match (self, arg) {
+            (Accs::Count, _) => {}
+            (Accs::Sum(acc) | Accs::Avg(acc), AggArg::Col(col, _)) => match &**col {
+                Column::Float(v) => add(acc, gids, start, rows, |i| v[i]),
+                Column::Int(v) => add(acc, gids, start, rows, |i| v[i] as f64),
+                _ => unreachable!("numeric by construction"),
+            },
+            (Accs::Sum(acc) | Accs::Avg(acc), AggArg::Const(v)) => {
+                let v = v.as_f64().expect("numeric by construction");
+                add(acc, gids, start, rows, |_| v)
+            }
+            (Accs::Boxed(states), AggArg::Col(col, _)) => {
+                rows.for_each(|i| states[at(i)].update(&col.get(i)))
+            }
+            (Accs::Boxed(states), AggArg::Const(v)) => rows.for_each(|i| states[at(i)].update(v)),
         }
-        local
+    }
+}
+
+/// The group of a part's `j`th row; with no ids, the one group.
+fn slot(gids: &[u32], j: usize) -> usize {
+    gids.get(j).map_or(0, |&g| g as usize)
+}
+
+/// `acc[gids[i - start]] += v(i)` for `i` in `rows`, in order.
+fn add(
+    acc: &mut [f64],
+    gids: &[u32],
+    start: usize,
+    rows: impl Iterator<Item = usize>,
+    v: impl Fn(usize) -> f64,
+) {
+    match gids {
+        // One group: its sum stays in a register.
+        [] => acc[0] = rows.fold(acc[0], |sum, i| sum + v(i)),
+        _ => rows.for_each(|i| acc[gids[i - start] as usize] += v(i)),
     }
 }
 
@@ -743,50 +826,84 @@ impl LocalGroups {
 /// groups are folded into the global ones in *part* order — by whichever
 /// thread closes the gap, nobody waits — and a part's columns are dropped
 /// as soon as they are folded. Global groups therefore appear in
-/// single-pass first-seen order, and each accumulator replays its group's
-/// rows in ascending original order: float sums see exactly the
-/// single-pass addition sequence, and are never merged as partial sums.
+/// single-pass first-seen order, and each aggregate sweeps a part's
+/// argument column once, adding row `j` into the slot of `j`'s group: an
+/// accumulator sees its group's rows in ascending original order, so float
+/// sums are exactly the single-pass addition sequence, and are never
+/// merged as partial sums. One part is a fold that ends after it.
 struct OrderedFold<'m> {
     agg_meta: &'m [(AggFunc, DataType)],
+    /// The SIMD tier's ungrouped aggregate of one part: [`Accs::bulk`]
+    /// may take an argument column whole.
+    bulk: bool,
     /// Parts `0..next` are folded.
     next: usize,
     /// Finished parts still waiting for an earlier one.
     parked: HashMap<usize, LocalGroups>,
-    ids: HashMap<Vec<Key>, usize>,
-    /// Per global group: its values and its accumulators.
-    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+    ids: HashMap<Vec<Key>, u32>,
+    /// Per global group: its key values and its row count.
+    groups: Vec<(Vec<Value>, i64)>,
+    /// Per aggregate: its accumulators and, per group, how many of the
+    /// group's rows had a NULL argument (left empty until one does).
+    accs: Vec<(Accs, Vec<i64>)>,
 }
 
 impl OrderedFold<'_> {
-    fn new_states(&self) -> Vec<AggState> {
-        self.agg_meta
-            .iter()
-            .map(|(f, dt)| AggState::new(*f, *dt))
-            .collect()
-    }
-
     /// Hands in part `part`'s local groups and folds every part that is
     /// now next in line.
     fn push(&mut self, part: usize, local: LocalGroups) {
         self.parked.insert(part, local);
         while let Some(local) = self.parked.remove(&self.next) {
-            for (key, rows) in local.keys.iter().zip(&local.rows) {
-                let id = match self.ids.get(key) {
-                    Some(&id) => id,
-                    None => {
-                        let id = self.groups.len();
-                        let first = rows[0] as usize;
-                        let values = local.group_cols.iter().map(|c| c.get(first)).collect();
-                        self.groups.push((values, self.new_states()));
-                        self.ids.insert(key.clone(), id);
-                        id
-                    }
-                };
-                for (state, col) in self.groups[id].1.iter_mut().zip(&local.agg_cols) {
-                    state.update_rows(col, rows);
-                }
-            }
+            self.fold(local);
             self.next += 1;
+        }
+    }
+
+    fn fold(&mut self, mut local: LocalGroups) {
+        if local.range.is_empty() {
+            return;
+        }
+        // Local ids become global ones, once per part; a group nobody has
+        // seen takes the next id and its values from its first row.
+        let global: Vec<u32> = (local.first_rows.iter())
+            .map(|&first| {
+                let value = |c: &Arc<Column>| c.get(first as usize);
+                let key = local.group_cols.iter().map(|c| value_key(&value(c)));
+                let next = self.groups.len() as u32;
+                *(self.ids)
+                    .entry(key.map(|k| k.expect("NULL-free column")).collect())
+                    .or_insert_with(|| {
+                        let values = local.group_cols.iter().map(value).collect();
+                        self.groups.push((values, 0));
+                        next
+                    })
+            })
+            .collect();
+        for g in &mut local.gids {
+            *g = global[*g as usize];
+            self.groups[*g as usize].1 += 1;
+        }
+        if local.gids.is_empty() {
+            self.groups[global[0] as usize].1 += local.range.len() as i64;
+        }
+        let (gids, range, groups) = (&local.gids, local.range, self.groups.len());
+        for (((accs, null_counts), arg), meta) in
+            (self.accs.iter_mut().zip(&local.args)).zip(self.agg_meta)
+        {
+            accs.grow(groups, *meta);
+            let nulls = arg.nulls_in(&range);
+            if nulls.is_empty() {
+                match arg {
+                    AggArg::Col(col, _) if self.bulk && accs.bulk(col) => {}
+                    _ => accs.sweep(gids, range.start, arg, range.clone()),
+                }
+                continue;
+            }
+            null_counts.resize(groups, 0);
+            for &r in nulls {
+                null_counts[slot(gids, r as usize - range.start)] += 1;
+            }
+            accs.sweep(gids, range.start, arg, live_rows(range.clone(), nulls));
         }
     }
 
@@ -794,15 +911,29 @@ impl OrderedFold<'_> {
     fn finish(mut self, grouped: bool) -> Vec<Vec<Value>> {
         if self.groups.is_empty() && !grouped {
             // Global aggregate over an empty input still yields one row.
-            self.groups.push((Vec::new(), self.new_states()));
+            self.groups.push((Vec::new(), 0));
         }
-        self.groups
-            .into_iter()
-            .map(|(mut row, states)| {
-                row.extend(states.into_iter().map(AggState::finish));
-                row
-            })
-            .collect()
+        let (mut rows, counts): (Vec<Vec<Value>>, Vec<i64>) = self.groups.into_iter().unzip();
+        for ((mut accs, null_counts), meta) in self.accs.into_iter().zip(self.agg_meta) {
+            accs.grow(rows.len(), *meta);
+            let n = |g: usize| counts[g] - null_counts.get(g).copied().unwrap_or(0);
+            let is_int = meta.1 == DataType::Int;
+            // One definition of what an accumulator yields: `AggState`'s.
+            let states: Vec<AggState> = match accs {
+                Accs::Count => (0..rows.len()).map(|g| AggState::Count(n(g))).collect(),
+                Accs::Sum(acc) => (acc.into_iter())
+                    .map(|acc| AggState::Sum { acc, is_int })
+                    .collect(),
+                Accs::Avg(acc) => (acc.into_iter().enumerate())
+                    .map(|(g, sum)| AggState::Avg { sum, n: n(g) })
+                    .collect(),
+                Accs::Boxed(states) => states,
+            };
+            for (row, state) in rows.iter_mut().zip(states) {
+                row.push(state.finish());
+            }
+        }
+        rows
     }
 }
 
@@ -811,7 +942,8 @@ impl OrderedFold<'_> {
 /// its grouping in one pass without materializing the full intermediate
 /// batch; with no chain over a shared batch (the input is, say, a join)
 /// the argument columns are evaluated once and its morsels share them.
-/// Returns the batch and the aggregate's own milliseconds.
+/// Every part goes through the [`OrderedFold`]. Returns the batch and the
+/// aggregate's own milliseconds.
 pub(crate) fn aggregate(
     ex: &mut Executor<'_>,
     plan: &Plan,
@@ -839,15 +971,16 @@ pub(crate) fn aggregate(
         .iter()
         .map(|(f, e, _)| Ok((*f, e.data_type(schema)?)))
         .collect::<Result<_, DbError>>()?;
-    #[allow(clippy::type_complexity)]
-    let eval_cols = |b: &Batch| -> Result<(Vec<Arc<Column>>, Vec<Arc<Column>>), DbError> {
-        let eval = |exprs: &[Expr]| {
-            exprs
-                .iter()
-                .map(|e| vectorized_eval(b, e, schema))
-                .collect::<Result<Vec<_>, _>>()
-        };
-        Ok((eval(&g_bound)?, eval(&a_bound)?))
+    let eval_cols = |b: &Batch| -> Result<(Vec<Arc<Column>>, Vec<AggArg>), DbError> {
+        let group_cols = g_bound.iter().map(|e| vectorized_eval(b, e, schema));
+        let args = a_bound.iter().map(|e| match e {
+            Expr::Literal(v) => Ok(AggArg::Const(v.clone())),
+            e => eval_with_nulls(b, e, schema).map(|(col, nulls)| AggArg::Col(col, nulls.into())),
+        });
+        Ok((
+            group_cols.collect::<Result<_, _>>()?,
+            args.collect::<Result<_, _>>()?,
+        ))
     };
 
     let t_shared = Instant::now();
@@ -857,40 +990,47 @@ pub(crate) fn aggregate(
     };
     let shared_secs = t_shared.elapsed().as_secs_f64();
     let engine = ex.engine;
-    let split = unit_count(ex, &input) >= 2;
+    let grouped = !group_by.is_empty();
     let fold = Mutex::new(OrderedFold {
         agg_meta: &agg_meta,
+        bulk: engine == Engine::Simd && !grouped && unit_count(ex, &input) < 2,
         next: 0,
         parked: HashMap::new(),
         ids: HashMap::new(),
         groups: Vec::new(),
+        accs: (agg_meta
+            .iter()
+            .map(|(f, dt)| (Accs::new(*f, *dt), Vec::new())))
+        .collect(),
     });
-    let mut parts = sweep(ex, &input, |p, base, range| {
+    let parts = sweep(ex, &input, |p, base, range| {
         let mut part = AggPart::default();
-        let t_agg;
-        match &shared {
-            Some((group_cols, agg_cols)) => {
-                t_agg = Instant::now();
-                (part.group_cols, part.agg_cols) = (group_cols.clone(), agg_cols.clone());
-                part.range = range;
-            }
+        let (t_agg, (group_cols, args), range) = match &shared {
+            Some(cols) => (Instant::now(), cols.clone(), range),
             None => {
                 let out = run_chain(base, &stages, range, engine)?;
-                t_agg = Instant::now();
-                (part.group_cols, part.agg_cols) = eval_cols(&out.batch)?;
-                part.range = 0..out.batch.row_count();
                 part.chain = out.stats;
+                let rows = out.batch.row_count();
+                (Instant::now(), eval_cols(&out.batch)?, 0..rows)
             }
-        }
-        if split {
-            let local = LocalGroups::of(&mut part);
-            fold.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(p, local);
-        }
+        };
+        let rows = range.len();
+        let (gids, first_rows) = match grouped {
+            true => group_ids(&group_cols, range.clone()),
+            false => (Vec::new(), vec![range.start as u32]),
+        };
+        let local = LocalGroups {
+            group_cols,
+            args,
+            range,
+            gids,
+            first_rows,
+        };
+        fold.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(p, local);
         part.agg_secs = t_agg.elapsed().as_secs_f64();
-        let rows_out = part.range.len();
-        Ok((part, rows_out))
+        Ok((part, rows))
     })?;
     close_source(ex, source, depth + 1 + n, &input, source_span);
     let total = StageStats::total(n, parts.iter().map(|p| &p.chain));
@@ -899,21 +1039,9 @@ pub(crate) fn aggregate(
 
     let t_finish = Instant::now();
     record_sweep(ex, span, "parallel", &input);
-    let batch = if split {
-        let fold = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
-        finish_aggregate_batch(ex.catalog, plan, fold.finish(!group_by.is_empty()))?
-    } else {
-        let p = parts.pop().expect("one range");
-        vectorized_aggregate(
-            ex.catalog,
-            plan,
-            &p.group_cols,
-            &p.agg_cols,
-            &agg_meta,
-            p.range.len(),
-            engine,
-        )?
-    };
+    let fold = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let rows = fold.finish(grouped);
+    let batch = finish_aggregate_batch(ex.catalog, plan, rows)?;
     let own_secs = shared_secs + agg_secs + t_finish.elapsed().as_secs_f64();
     Ok((batch, own_secs * 1e3))
 }

@@ -222,11 +222,6 @@ impl Session {
         &self.catalog
     }
 
-    /// Mutable catalog access (loading data).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Flushes the buffer pool — the cold-run "reboot" of slide 32. No-op
     /// unless the catalog is disk-backed.
     ///

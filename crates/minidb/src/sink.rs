@@ -128,15 +128,6 @@ impl TerminalSink {
             byte_latency_ns: 20.0,
         }
     }
-
-    /// Overrides the latency model (for ablations).
-    pub fn with_latency(line_latency_us: f64, byte_latency_ns: f64) -> Self {
-        TerminalSink {
-            rendered: String::new(),
-            line_latency_us,
-            byte_latency_ns,
-        }
-    }
 }
 
 impl ResultSink for TerminalSink {

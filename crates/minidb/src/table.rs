@@ -95,16 +95,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Shared handle to a column by index (zero-copy scans).
-    ///
-    /// # Panics
-    /// For disk-backed tables this performs real I/O and panics if it
-    /// fails; fallible callers use [`Table::column_arc_io`].
-    pub fn column_arc(&self, idx: usize) -> Arc<Column> {
-        self.column_arc_io(idx)
-            .expect("disk-backed column fetch failed")
-    }
-
     /// Shared handle to a whole column by index, surfacing storage errors.
     ///
     /// In-memory tables return their resident `Arc` (free). Disk-backed
