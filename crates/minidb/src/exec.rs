@@ -1322,7 +1322,7 @@ pub(crate) fn eval_with_nulls(
     // expressions (e.g. `qty + 1`) must take the exact integer path below.
     if dt == DataType::Float {
         if let Expr::Binary { op, left, right } = expr {
-            if let Some(data) = typed_arith(batch, *op, left, right) {
+            if let Some(data) = typed_arith(batch, schema, *op, left, right) {
                 return Ok((Arc::new(Column::Float(data)), Vec::new()));
             }
         }
@@ -1348,8 +1348,16 @@ pub(crate) fn eval_with_nulls(
 /// Fast arithmetic kernels for `col op col` and `col op lit` on f64 data,
 /// chained arithmetic like `l_extendedprice * (1 - l_discount)` included.
 /// A Float column operand is borrowed, never copied; `None` when an
-/// operand is neither numeric column, numeric literal nor arithmetic.
-fn typed_arith<'b>(batch: &'b Batch, op: BinOp, left: &Expr, right: &Expr) -> Option<Vec<f64>> {
+/// operand is neither numeric column, numeric literal nor Float-typed
+/// arithmetic — `(v / 2) * 1.5` with `v` Int is left to the fallback, which
+/// divides integers as the interpreter does.
+fn typed_arith<'b>(
+    batch: &'b Batch,
+    schema: &[(String, DataType)],
+    op: BinOp,
+    left: &Expr,
+    right: &Expr,
+) -> Option<Vec<f64>> {
     /// One side of the operation.
     enum Operand<'b> {
         Col(Cow<'b, [f64]>),
@@ -1363,8 +1371,8 @@ fn typed_arith<'b>(batch: &'b Batch, op: BinOp, left: &Expr, right: &Expr) -> Op
                 _ => None,
             },
             Expr::Literal(v) => v.as_f64().map(Operand::Scalar),
-            Expr::Binary { op, left, right } => {
-                typed_arith(batch, *op, left, right).map(|v| Operand::Col(v.into()))
+            Expr::Binary { op, left, right } if e.data_type(schema) == Ok(DataType::Float) => {
+                typed_arith(batch, schema, *op, left, right).map(|v| Operand::Col(v.into()))
             }
             _ => None,
         }

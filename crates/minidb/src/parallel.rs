@@ -228,10 +228,13 @@ fn unit_count(ex: &Executor<'_>, input: &Input<'_>) -> usize {
 /// gaps. `work` yields its output plus the rows it produced (recorded on
 /// the unit span). One output means a shared batch ran as one range on the
 /// calling thread; more means chunks or morsels, polled for cancellation
-/// unit by unit.
+/// unit by unit. A traced sweep over several workers says on the operator's
+/// `span` how many units each ran (`units_by_worker`, worker 0 first): a
+/// helper that did nothing reads `0`.
 fn sweep<T: Send>(
     ex: &Executor<'_>,
     input: &Input<'_>,
+    span: &mut Option<SpanGuard<'_>>,
     work: impl Fn(usize, &Batch, Range<usize>) -> Result<(T, usize), DbError> + Sync,
 ) -> Result<Vec<T>, DbError> {
     let units = unit_count(ex, input);
@@ -244,7 +247,7 @@ fn sweep<T: Send>(
     let cancel = ex.cancel.as_ref();
     let morsel_rows = ex.parallel.morsel_rows;
     let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-    let (results, _workers) = parallel_map_traced(units, threads, tracer, |u| {
+    let (results, workers) = parallel_map_traced(units, threads, tracer, |u| {
         let mut span = unit_span(tracer, input.unit_name(), u, sweep_start_ns);
         let chunk;
         let (batch, range, first_part) = match input {
@@ -285,6 +288,10 @@ fn sweep<T: Send>(
         }
         Ok(outs)
     });
+    if let (Some(g), Some(_)) = (span.as_mut(), tracer) {
+        let units: Vec<_> = workers.iter().map(|w| w.units.to_string()).collect();
+        g.attr("units_by_worker", units.join(","));
+    }
     let parts: Vec<Vec<T>> = results.into_iter().collect::<Result<_, DbError>>()?;
     Ok(parts.into_iter().flatten().collect())
 }
@@ -632,7 +639,7 @@ pub(crate) fn pipeline(
     let (input, source_span) = open_source(ex, source, depth + n)?;
     let (stages, out_schema) = bind_chain(&nodes, input.schema())?;
     let engine = ex.engine;
-    let mut outs = sweep(ex, &input, |_, base, range| {
+    let mut outs = sweep(ex, &input, span, |_, base, range| {
         let out = run_chain(base, &stages, range, engine)?;
         let rows_out = out.batch.row_count();
         Ok((out, rows_out))
@@ -1003,7 +1010,7 @@ pub(crate) fn aggregate(
             .map(|(f, dt)| (Accs::new(*f, *dt), Vec::new())))
         .collect(),
     });
-    let parts = sweep(ex, &input, |p, base, range| {
+    let parts = sweep(ex, &input, span, |p, base, range| {
         let mut part = AggPart::default();
         let (t_agg, (group_cols, args), range) = match &shared {
             Some(cols) => (Instant::now(), cols.clone(), range),
@@ -1081,7 +1088,7 @@ pub(crate) fn join(
         names: vec!["key".to_owned()],
         cols: vec![Arc::clone(probe_col)],
     });
-    let mut pairs = sweep(ex, &probe_keys, |_, keys, range| {
+    let mut pairs = sweep(ex, &probe_keys, span, |_, keys, range| {
         let pairs = build.probe_range(&keys.cols[0], range);
         let rows_out = pairs.0.len();
         Ok((pairs, rows_out))

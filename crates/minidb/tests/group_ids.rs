@@ -239,6 +239,53 @@ fn aggregates_skip_a_null_argument_as_the_interpreter_does() {
     );
 }
 
+/// Int division nested in Float arithmetic divides integers: `(7 / 2) * 1.5`
+/// is 4.5, not 5.25. The typed f64 kernels decline an operand expression
+/// with no Float beneath it and the fallback evaluates it.
+#[test]
+fn int_division_under_float_arithmetic_divides_integers() {
+    let mut mem = Catalog::new();
+    mem.register(table(
+        "t",
+        400,
+        &[
+            ("id", DataType::Int, &Value::Int),
+            ("k", DataType::Int, &|i| Value::Int((i * 5) % 4)),
+            ("v", DataType::Int, &|i| Value::Int(i * 31 % 97 - 40)),
+            ("y", DataType::Float, &|i| Value::Float(i as f64 / 8.0)),
+            ("s", DataType::Str, &|i| s("g", (i / 7) % 3)),
+        ],
+    ))
+    .unwrap();
+    let aggs = "SUM((v / 2) * 1.5), AVG((v / k) + 0.5), SUM(((v / 2) + y) * 1.5), \
+                SUM((v + k) * 0.5), COUNT(*)";
+    let statements = [
+        format!("SELECT {aggs} FROM t"),
+        format!("SELECT s, {aggs} FROM t GROUP BY s ORDER BY s"),
+        "SELECT id, (v / 2) * 1.5, (v / k) + 0.5, y * (v / 3) FROM t WHERE k > 0 ORDER BY id"
+            .to_owned(),
+    ];
+    battery(&mem, "intdiv", &[64], &statements);
+
+    // The answer itself, on the six rows of the report: 40.5, where
+    // dividing in f64 gave 42.75.
+    let mut six = Catalog::new();
+    six.register(table(
+        "t",
+        6,
+        &[("v", DataType::Int, &|i| Value::Int(i + 7))],
+    ))
+    .unwrap();
+    for mode in MODES {
+        let sum = Session::new(six.clone())
+            .with_mode(mode)
+            .query("SELECT SUM((v / 2) * 1.5) FROM t")
+            .run()
+            .unwrap();
+        assert_eq!(sum.rows, vec![vec![Value::Float(40.5)]], "{mode}");
+    }
+}
+
 /// SplitMix64, seeded by the proptest shim.
 struct Rng(u64);
 

@@ -876,6 +876,46 @@ fn chunk_units_split_their_fetch_into_read_and_turn() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The operator's span says whether the borrowed worker paid:
+/// `units_by_worker` is what each worker's lane shows, worker 0 first. One
+/// thread borrows nothing and says nothing.
+#[test]
+fn the_operators_span_counts_each_workers_units() {
+    let dir = temp_dir("sweep_units_by_worker");
+    sweep_catalog(800)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(100))
+        .unwrap();
+    let disk = Catalog::open(&dir).unwrap();
+    for threads in [1, 2] {
+        let mut session = Session::new(disk.clone()).with_parallelism(threads);
+        let tracer = perfeval_trace::Tracer::new();
+        session
+            .query("SELECT SUM(x) FROM fact WHERE id >= 0")
+            .traced(&tracer)
+            .run()
+            .unwrap();
+        let trace = tracer.snapshot();
+        let said: Vec<_> = (trace.lanes.iter().flat_map(|l| &l.records))
+            .filter_map(|r| r.attr("units_by_worker"))
+            .collect();
+        if threads == 1 {
+            assert!(said.is_empty(), "{said:?}");
+            continue;
+        }
+        let on_lane = |label: &str| {
+            let lane = trace.lanes.iter().find(|l| l.label == label);
+            lane.map_or(0, |l| {
+                (l.records.iter().filter(|r| r.name.starts_with("chunk "))).count()
+            })
+        };
+        let caller = trace.lanes[0].label.clone();
+        let expect = format!("{},{}", on_lane(&caller), on_lane("worker-1"));
+        assert_eq!(said, [&expect.as_str().into()], "one sweep, one attribute");
+        assert_eq!(on_lane(&caller) + on_lane("worker-1"), 8);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Rewrites a committed manifest's body with a consistent checksum, the
 /// way a buggy writer (not a torn write) would leave it.
 fn edit_manifest(table_dir: &std::path::Path, edit: fn(&str) -> String) {

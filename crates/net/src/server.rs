@@ -377,9 +377,10 @@ impl ServerBuilder {
                 let join = std::thread::Builder::new()
                     .name("minidb-serve".to_owned())
                     .spawn(move || {
-                        // The pool is scoped (blocks until every worker
-                        // exits), so it lives on this supervisor thread;
-                        // workers exit when the listener shuts down.
+                        // The map blocks until every worker exits, so it
+                        // lives on this supervisor thread — worker 0 — and
+                        // holds its helpers until the listener shuts down,
+                        // when they go back to the pool's parked list.
                         let tracer = shared.tracer.clone();
                         parallel_map_traced(workers, workers, tracer.as_ref(), |_w| {
                             while let Some((conn_id, transport)) = shared.accept_conn() {
@@ -492,7 +493,11 @@ impl ServerHandle {
     }
 
     /// Queries that ran with parallelism borrowed from idle shards
-    /// (sharded mode; 0 otherwise).
+    /// (sharded mode; 0 otherwise). It counts *intent*: the statement was
+    /// given `parallelism > 1`, whether or not a sweep of it had units for
+    /// a second worker or the helper got to run one. The witness that a
+    /// borrow paid is the `units_by_worker` attribute on the sweeping
+    /// operator's span (`"3,2"`: the shard ran three units, the helper two).
     pub fn steal_borrows(&self) -> u64 {
         self.telemetry
             .as_ref()

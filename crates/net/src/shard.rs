@@ -37,10 +37,16 @@
 //! engine's morsel-parallel operators. PR 3 guarantees parallel OPT is
 //! bit-identical to serial for any thread count, so stealing changes tail
 //! latency, never answers. The shard thread itself is worker 0 of such a
-//! sweep and stays on its pinned core; a helper spawned from it would
-//! inherit that one-CPU mask and queue up behind it, so the pool moves
-//! each helper to the process's CPUs minus the shard's before it takes
-//! work ([`perfeval_pool::affinity`]) — the borrowed core is another core.
+//! sweep and stays on its pinned core; its helper is a thread the pool
+//! keeps parked on the process's CPUs minus the shard's
+//! ([`perfeval_pool::affinity`]), pinned there once, when the shard's
+//! first borrow spawned it, and woken per sweep — so the borrowed core is
+//! another core from a sweep's first unit on. (A helper forked per sweep
+//! inherited the shard's one-CPU mask and had to wait out the shard, 1–2 ms,
+//! before it could move itself: for any statement shorter than that the
+//! borrow was counted and did nothing.) `steal_borrows` counts the intent;
+//! the sweeping operator's `units_by_worker` span attribute says what the
+//! helper ran.
 //!
 //! Transports that cannot signal readiness ([`EventSource::Blocking`])
 //! fall back to a dedicated thread running the blocking scheduler of

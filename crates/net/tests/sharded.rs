@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use minidb::{Catalog, DataType, Session, TableBuilder, Value};
+use minidb::{Catalog, DataType, Session, StoreConfig, TableBuilder, Value};
 use minidb_net::{Client, Frame, FramedIo, LoopbackEndpoint, Server, ServerMode, PROTOCOL_VERSION};
 use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
 
@@ -195,10 +195,12 @@ fn work_stealing_changes_timing_never_answers() {
         server.wait();
         rows
     };
-    let with = run(4);
-    let without = run(1);
-    assert_eq!(with.len(), without.len());
-    for (a, b) in with.iter().zip(&without) {
+    assert_rows_bit_identical(&run(4), &run(1));
+}
+
+fn assert_rows_bit_identical(got: &[Vec<Value>], want: &[Vec<Value>]) {
+    assert_eq!(got.len(), want.len());
+    for (a, b) in got.iter().zip(want) {
         for (x, y) in a.iter().zip(b) {
             match (x, y) {
                 (Value::Float(f), Value::Float(g)) => assert_eq!(f.to_bits(), g.to_bits()),
@@ -206,6 +208,67 @@ fn work_stealing_changes_timing_never_answers() {
             }
         }
     }
+}
+
+/// The borrowed core works from a sweep's first units on: one connection on
+/// two pinned shards, a multi-chunk disk-backed scan — some `chunk k` unit
+/// runs on the `worker-1` lane, the operator's span counts it, and the
+/// answer is the one-thread answer by bits.
+#[test]
+fn a_lone_connections_sweep_runs_units_on_the_borrowed_core() {
+    use perfeval_pool::affinity::CpuSet;
+    if CpuSet::of_process().map_or(0, |p| p.count()) < 2 {
+        println!("borrowed core: skipped (the process has fewer than two CPUs)");
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("minidb_net_borrowed_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    catalog(64_000)
+        .persist_with(&dir, &StoreConfig::default().chunk_rows(1000))
+        .unwrap();
+    let disk = Catalog::open(&dir).unwrap();
+    let sql = "SELECT SUM(y), MAX(x), COUNT(*) FROM nums WHERE x >= 0";
+    let want = Session::new(disk.clone()).query(sql).run().unwrap().rows;
+
+    let tracer = perfeval_trace::Tracer::new();
+    let ep = LoopbackEndpoint::new();
+    let dial = ep.connector();
+    let server = Server::builder()
+        .transport(ep)
+        .mode(ServerMode::Sharded {
+            shards: 2,
+            queue_depth: 16,
+        })
+        .traced(&tracer)
+        .serve(move || Session::new(disk.clone()));
+    let mut c = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
+    for _ in 0..5 {
+        assert_rows_bit_identical(&c.query(sql).unwrap().rows, &want);
+    }
+    c.close().unwrap();
+    // The first statement can arrive before the other shard has gone idle.
+    let lent = server.steal_borrows();
+    assert!(
+        (4..=5).contains(&lent),
+        "{lent} of 5 statements were lent a core"
+    );
+    server.wait();
+
+    let trace = tracer.snapshot();
+    let on_helper = (trace.lanes.iter().filter(|l| l.label == "worker-1"))
+        .flat_map(|l| &l.records)
+        .filter(|r| r.name.starts_with("chunk "))
+        .count();
+    let said: Vec<_> = (trace.lanes.iter().flat_map(|l| &l.records))
+        .filter_map(|r| r.attr("units_by_worker"))
+        .collect();
+    println!("borrowed core: {on_helper} of 320 chunk units on worker-1; {said:?}");
+    assert!(
+        on_helper > 0,
+        "the helper ran no unit of five 64-chunk sweeps"
+    );
+    assert_eq!(said.len() as u64, lent, "one sweep a statement lent a core");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fault parity across the cores: `net.write` is keyed by connection and

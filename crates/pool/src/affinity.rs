@@ -72,10 +72,13 @@ impl CpuSet {
     }
 }
 
-/// The mask a helper spawned by the calling thread should move to before
-/// taking work — see [`CpuSet::helper_mask`]. `None` off Linux.
+/// The mask the calling thread's helpers should have: what
+/// [`CpuSet::helper_mask`] says for a pinned caller, else the caller's own
+/// — what a thread forked from it would inherit. `None` off Linux.
 pub(crate) fn helper_mask_of_caller() -> Option<CpuSet> {
-    CpuSet::of_current_thread()?.helper_mask(&CpuSet::of_process()?)
+    let own = CpuSet::of_current_thread()?;
+    let moved = CpuSet::of_process().and_then(|process| own.helper_mask(&process));
+    Some(moved.unwrap_or(own))
 }
 
 #[cfg(target_os = "linux")]

@@ -352,7 +352,9 @@ impl Tracer {
                 }
             }
             let strong = self.register_lane();
-            cache.retain(|(tid, _)| *tid != id);
+            // A pool helper outlives the tracers it has recorded for: drop
+            // the entries of tracers that are gone along with a stale own.
+            cache.retain(|(tid, lane)| *tid != id && lane.strong_count() > 0);
             cache.push((id, Arc::downgrade(&strong)));
             strong
         })
