@@ -39,7 +39,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use minidb::{Session, StoreConfig};
+use minidb::{ExecMode, Session, StoreConfig};
 use minidb_net::{
     BackoffPolicy, Server, TcpEndpoint, TcpTransport, Transport, DEFAULT_QUEUE_DEPTH,
 };
@@ -64,14 +64,14 @@ fn dial(addr: &str) -> Dialer {
     Arc::new(move || Ok(Box::new(TcpTransport::connect(target.as_str())?) as Box<dyn Transport>))
 }
 
-fn run(spec: LoadSpec, addr: &str, sf: f64, verify: bool, reps: usize) {
+fn run(spec: LoadSpec, addr: &str, engine: Option<ExecMode>, sf: f64, verify: bool, reps: usize) {
     let mut runner = LoadRunner::new(spec.clone(), dial(addr));
     if verify {
         runner = runner.expecting(expected_checksums(catalog_at(sf), &spec.mix));
     }
     let report = runner.run_replicated(reps);
     println!();
-    print_wire_protocol();
+    print_wire_protocol(engine);
     for line in report.render_lines() {
         println!("{line}");
     }
@@ -186,19 +186,24 @@ fn main() {
             println!("serving disk-backed segments from {}", root.display());
             disk
         };
+        let new_session = move || Session::new(catalog.clone());
+        let engine = new_session().mode();
         let server = Server::builder()
             .transport(endpoint)
             .mode(hosted_mode)
-            .serve(move || Session::new(catalog.clone()));
+            .serve(new_session);
         println!(
             "self-hosted server on {local} ({}, sf={sf}).",
             hosted_mode.describe()
         );
-        Some((server, local.to_string()))
+        Some((server, local.to_string(), engine))
     } else {
         None
     };
-    let target = hosted.as_ref().map_or(addr.to_owned(), |(_, a)| a.clone());
+    let target = hosted
+        .as_ref()
+        .map_or(addr.to_owned(), |(_, a, _)| a.clone());
+    let engine = hosted.as_ref().map(|&(_, _, engine)| engine);
 
     if smoke {
         // Two tiny arms — one per arrival family — with full verification.
@@ -207,7 +212,7 @@ fn main() {
         // path is untouched by either.
         let closed = LoadSpec::new("smoke/closed/8", 8, 120, Arrival::Closed { think_ms: 0.5 })
             .mix(mix_named("light"));
-        run(closed, &target, sf, true, 2);
+        run(closed, &target, engine, sf, true, 2);
         let open = LoadSpec::new(
             "smoke/open/4",
             4,
@@ -217,13 +222,13 @@ fn main() {
         .mix(mix_named("light"))
         .retry(retry_policy)
         .deadline_ms(deadline_ms.max(250));
-        run(open, &target, sf, true, 2);
+        run(open, &target, engine, sf, true, 2);
 
         // Overload etiquette end to end: drain the hosted server so every
         // query is shed `ShuttingDown`, and prove the client side retries,
         // trips its breaker, and gives up — no hangs, no protocol errors,
         // no dropped sessions, nothing folded into latency.
-        let (server, _) = hosted.expect("--smoke always self-hosts");
+        let (server, _, _) = hosted.expect("--smoke always self-hosts");
         server.drain();
         let drained = LoadSpec::new("smoke/drain/4", 4, 40, Arrival::Closed { think_ms: 0.2 })
             .mix(mix_named("light"))
@@ -266,8 +271,8 @@ fn main() {
         .mix(mix)
         .retry(retry_policy)
         .deadline_ms(deadline_ms);
-    run(spec, &target, sf, verify, reps);
-    if let Some((server, _)) = hosted {
+    run(spec, &target, engine, sf, verify, reps);
+    if let Some((server, _, _)) = hosted {
         let stats = server.wait();
         println!(
             "\nserver saw {} connection(s), {} query(ies).",

@@ -87,8 +87,6 @@ fn main() {
         "the E21/E23/E25 substrate",
         &config,
     );
-    print_wire_protocol();
-    println!();
 
     let smoke = config.smoke();
     let addr = config.str("addr");
@@ -130,15 +128,21 @@ fn main() {
         );
         c
     };
+    // What every connection gets; the banner reads its tier off one.
+    let new_session = {
+        let catalog = catalog.clone();
+        move || Session::new(catalog.clone())
+    };
+    print_wire_protocol(Some(new_session().mode()));
+    println!();
     let serve = |mode: ServerMode, bind: &str| {
         let endpoint = TcpEndpoint::bind(bind).expect("bind listener");
         let local = endpoint.local_addr().expect("local addr");
-        let catalog = catalog.clone();
         let server = Server::builder()
             .transport(endpoint)
             .mode(mode)
             .admission(admission)
-            .serve(move || Session::new(catalog.clone()));
+            .serve(new_session.clone());
         (server, local)
     };
 

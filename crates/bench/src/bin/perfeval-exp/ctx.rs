@@ -80,8 +80,9 @@ impl Ctx {
 
     /// The sections of a load experiment's report that are the same
     /// everywhere: this machine, this repository's served stack as built
-    /// (`build` says which engine, transport and server core), and the
-    /// effective configuration. The body adds protocol, table, conclusions.
+    /// (the engine tier a served `Session::new` runs, then `build`:
+    /// transport and server core), and the effective configuration, the
+    /// tier included. The body adds protocol, table, conclusions.
     pub fn report(&self, goal: &str, build: &str) -> Report {
         // A smoke run is sized by more than its knobs (catalog scale,
         // connection ladder): the configuration section has to say so.
@@ -89,10 +90,13 @@ impl Ctx {
         if self.smoke() {
             config.set("--smoke", "given");
         }
+        let engine = Session::new(Catalog::new()).mode();
+        config.set("engine", &engine.to_string());
+        let build = format!("release, {engine} engine, {build}");
         let stack = "minidb + minidb-net + perfeval-load";
         Report::new(self.title, goal)
             .environment(EnvSpec::capture())
-            .software(SoftwareSpec::new(stack, "0.1.0", "this repository", build))
+            .software(SoftwareSpec::new(stack, "0.1.0", "this repository", &build))
             .config(config)
     }
 

@@ -59,6 +59,7 @@ fn measure(session: &mut Session, name: &'static str, sql: &str) -> Row {
 pub fn run(_: &Ctx) {
     let catalog = bench_catalog();
     let mut session = Session::new(catalog);
+    println!("engine: {} (Session::new's tier)\n", session.mode());
 
     let rows = vec![
         measure(&mut session, "Q1", &queries::q1()),

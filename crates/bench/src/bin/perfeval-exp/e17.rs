@@ -15,6 +15,7 @@ use workload::queries;
 
 pub fn run(_: &Ctx) {
     let mut session = Session::new(bench_catalog());
+    println!("engine: {} (Session::new's tier)\n", session.mode());
     let sql = queries::q6();
     session.query(&sql).run().expect("warmup");
 

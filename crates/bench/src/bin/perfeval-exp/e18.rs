@@ -57,6 +57,7 @@ pub fn run(ctx: &Ctx) {
 
     let catalog = bench_catalog();
     let mut session = minidb::Session::new(catalog);
+    println!("engine: {} (Session::new's tier)\n", session.mode());
 
     let disabled = Tracer::disabled();
     let sampled = Tracer::new();

@@ -136,7 +136,8 @@ pub fn run(ctx: &Ctx) {
     let lineitem_rows = catalog.table("lineitem").expect("lineitem").row_count();
     println!(
         "scale factor {sf} ({lineitem_rows} lineitem rows), {reps} replicates/run, \
-         threads high level = {hi_threads}{}",
+         threads high level = {hi_threads}, engine {}{}",
+        Session::new(catalog.clone()).mode(),
         if smoke { ", --smoke" } else { "" }
     );
 

@@ -39,6 +39,7 @@ pub fn run(_: &Ctx) {
     );
 
     let mut session = Session::new(bench_catalog());
+    println!("engine: {} (Session::new's tier)\n", session.mode());
     let mut pool = BufferPool::new(Disk::laptop_5400rpm(), 100_000);
     let sql = queries::q1();
     // One run: the measured result plus the simulated era-disk wait.

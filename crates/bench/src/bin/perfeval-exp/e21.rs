@@ -88,25 +88,24 @@ pub const KNOBS: &[Knob] = &[
 pub fn run(ctx: &Ctx) {
     let reps = ctx.get::<usize>("reps").max(3);
 
-    let catalog = bench_catalog();
-
     // Two live servers, one per transport level — both serve sessions over
     // the same catalog, so the only difference between transport arms is
     // the wire itself.
+    let catalog = bench_catalog();
+    let new_session = move || Session::new(catalog.clone());
+    println!("engine: {} (every served session's tier)", new_session().mode());
     let loop_ep = LoopbackEndpoint::new();
     let loop_dial = loop_ep.connector();
-    let loop_catalog = catalog.clone();
     let loop_server: ServerHandle = Server::builder()
         .transport(loop_ep)
         .mode(ServerMode::ThreadPerConn { workers: 1 })
-        .serve(move || Session::new(loop_catalog.clone()));
+        .serve(new_session.clone());
     let tcp_ep = TcpEndpoint::bind("127.0.0.1:0").expect("bind");
     let tcp_addr = tcp_ep.local_addr().expect("local addr");
-    let tcp_catalog = catalog.clone();
     let tcp_server: ServerHandle = Server::builder()
         .transport(tcp_ep)
         .mode(ServerMode::ThreadPerConn { workers: 1 })
-        .serve(move || Session::new(tcp_catalog.clone()));
+        .serve(new_session);
 
     let mut loop_client =
         Client::connect(Box::new(loop_dial.connect().expect("loopback dial"))).expect("handshake");

@@ -227,7 +227,7 @@ pub fn run(ctx: &Ctx) {
         .report(
             "locate the throughput knee and quantify what arrival discipline, \
              concurrency, and query mix do to tail latency",
-            "release, OPT engine, loopback transport, thread-per-connection",
+            "loopback transport, thread-per-connection",
         )
         .protocol(
             "replicated runs per arm (fresh connections each), coordinated-omission-safe \

@@ -23,6 +23,7 @@
 
 use crate::ctx::{run_arm, tail_line, Arm};
 use crate::Ctx;
+use minidb::Session;
 use minidb_net::{ServerMode, DEFAULT_QUEUE_DEPTH};
 use perfeval_bench::knobs::Knob;
 use perfeval_bench::{catalog_at, BENCH_SCALE_FACTOR};
@@ -56,6 +57,10 @@ pub fn run(ctx: &Ctx) {
     } else {
         BENCH_SCALE_FACTOR
     });
+    println!(
+        "engine: {} (every served session's tier)",
+        Session::new(catalog.clone()).mode()
+    );
     let mix = vec![queries::q6(), queries::family(4)];
     // 100× thread-per-conn means `base * 100` OS threads; --smoke halves
     // the top scale to stay friendly to small CI runners.
@@ -189,7 +194,7 @@ pub fn run(ctx: &Ctx) {
         .report(
             "measure what the connection-multiplexing strategy itself costs, \
              with the server core as a controlled factor",
-            "release, OPT engine, loopback transport, both server cores",
+            "loopback transport, both server cores",
         )
         .protocol(
             "replicated closed-loop runs per arm (fresh connections each), \

@@ -355,7 +355,7 @@ pub fn run(ctx: &Ctx) {
         .report(
             "show that admission control, query deadlines, and client backoff \
              turn saturation from a latency collapse into bounded, typed shedding",
-            "release, OPT engine, loopback transport, thread-per-connection, \
+            "loopback transport, thread-per-connection, \
              injected execute stalls pin the knee",
         )
         .protocol(

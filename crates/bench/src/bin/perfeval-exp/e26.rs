@@ -25,7 +25,7 @@
 //! (default: a process-scoped temp directory).
 
 use crate::Ctx;
-use minidb::{Catalog, Session, StoreConfig};
+use minidb::{Catalog, ExecMode, Session, StoreConfig};
 use perfeval_bench::knobs::Knob;
 use perfeval_bench::{catalog_at, median};
 use perfeval_core::variation::allocate_variation_general;
@@ -92,6 +92,7 @@ pub fn run(ctx: &Ctx) {
 
     let sql = queries::q1();
     let policies = Evict::all();
+    println!("engine: {} (Session::new's tier)\n", ExecMode::default());
 
     // y[state][policy][rep], state 0 = cold, 1 = hot. Counters checked
     // per replicate; times kept for the analysis.

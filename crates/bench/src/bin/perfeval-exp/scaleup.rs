@@ -5,7 +5,7 @@
 //! (CSV + gnuplot + config + README) written when `PERFEVAL_OUT` is set.
 
 use crate::Ctx;
-use minidb::Session;
+use minidb::{ExecMode, Session};
 use perfeval_bench::{catalog_at, measure_user_ms};
 use perfeval_harness::suite::{ExperimentSuite, Instructions};
 use perfeval_harness::{AsciiChart, GnuplotScript, Properties};
@@ -27,6 +27,7 @@ pub fn run(ctx: &Ctx) {
     let catalogs = perfeval_exec::parallel_map(sfs.len(), threads, |i| catalog_at(sfs[i])).0;
     let mut q1_points = Vec::new();
     let mut q6_points = Vec::new();
+    println!("engine: {} (Session::new's tier)\n", ExecMode::default());
     println!("   sf      Q1 (ms)    Q6 (ms)");
     for (&sf, catalog) in sfs.iter().zip(catalogs) {
         let mut session = Session::new(catalog);
@@ -106,6 +107,7 @@ pub fn run(ctx: &Ctx) {
         conf.set("sfs", "0.002,0.004,0.008,0.016,0.032");
         conf.set("replications", "3");
         conf.set("threads", &threads.to_string());
+        conf.set("engine", &ExecMode::default().to_string());
         suite.record_config(&conf).expect("config");
         suite
             .write_instructions(&Instructions {

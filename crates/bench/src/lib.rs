@@ -192,13 +192,20 @@ pub fn print_header(title: &str, reproduces: &str, config: &knobs::Config) {
     println!();
 }
 
-/// The wire protocol a served experiment speaks — the client/driver
-/// configuration is part of what a report must state.
-pub fn print_wire_protocol() {
+/// The wire protocol a served run speaks and the engine tier its sessions
+/// execute — the client/driver configuration and the build are part of
+/// what a report must state. `engine` is read off a served session
+/// ([`Session::mode`]), never named, so the banner cannot outlive a change
+/// of `ExecMode`'s default; `None` when the server is another process.
+pub fn print_wire_protocol(engine: Option<ExecMode>) {
     println!(
         "wire protocol: version {} (results stream as ColumnBatch frames)",
         minidb_net::PROTOCOL_VERSION
     );
+    match engine {
+        Some(mode) => println!("engine: {mode}"),
+        None => println!("engine: the remote server's (its banner names it)"),
+    }
 }
 
 #[cfg(test)]

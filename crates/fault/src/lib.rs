@@ -7,14 +7,14 @@
 //! went wrong *silently* — an interrupted measurement, a perturbed clock, a
 //! half-written result file. Kalibera & Jones and Touati both show that one
 //! undetected bad run corrupts an effect estimate; the only way to trust
-//! the recovery machinery (retries, deadlines, quarantine, cache
-//! re-measurement) is to *test it*, and the only way to test it repeatably
+//! the recovery machinery (retries, deadlines, quarantine, crash-safe
+//! persistence) is to *test it*, and the only way to test it repeatably
 //! is to make the faults themselves deterministic.
 //!
 //! A [`FaultRegistry`] holds a set of [`Failpoint`]s. Production code is
-//! threaded with named **sites** (`"exec.unit.run"`, `"cache.store"`,
+//! threaded with named **sites** (`"exec.unit.run"`, `"store.write"`,
 //! `"minidb.execute"`, …); each site call carries a **key** — a stable
-//! coordinate such as a run-plan unit index or a cache key — and an
+//! coordinate such as a run-plan unit index or a statement ordinal — and an
 //! **attempt** number. Whether a failpoint fires is a pure function of
 //! `(site, key, attempt, seed)`, never of arrival order, so the same fault
 //! schedule replays identically across thread counts, run-order policies,
@@ -33,8 +33,9 @@
 //! * [`FaultAction::SkewClockNs`] — perturbs an attached
 //!   [`AtomicClock`](perfeval_measure::AtomicClock), the "someone touched
 //!   the clock mid-experiment" scenario.
-//! * [`FaultAction::FailIo`] — reported to I/O call sites (the result
-//!   cache) which degrade to a miss / skipped write.
+//! * [`FaultAction::FailIo`] — reported to I/O call sites (`store.write`,
+//!   `net.read`, …), which fail that one call with an I/O error instead of
+//!   performing it.
 //!
 //! A registry with no armed failpoints is inert and cheap: every site
 //! checks one boolean.
@@ -500,12 +501,12 @@ mod tests {
     #[test]
     fn io_failures_are_reported_not_performed() {
         let r =
-            FaultRegistry::new(0).armed_always("cache.store", Trigger::Key(8), FaultAction::FailIo);
-        assert!(r.io_fails("cache.store", 8));
-        assert!(!r.io_fails("cache.store", 9));
+            FaultRegistry::new(0).armed_always("store.write", Trigger::Key(8), FaultAction::FailIo);
+        assert!(r.io_fails("store.write", 8));
+        assert!(!r.io_fails("store.write", 9));
         // fire() ignores FailIo arms entirely.
-        r.fire("cache.store", 8, 1);
-        assert_eq!(r.fired("cache.store"), 1);
+        r.fire("store.write", 8, 1);
+        assert_eq!(r.fired("store.write"), 1);
     }
 
     #[test]

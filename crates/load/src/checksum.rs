@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use minidb::{Catalog, Session, Value};
+use minidb::{Catalog, ExecMode, Session, Value};
 
 /// FNV-1a over a canonical encoding of the result rows. Order-sensitive:
 /// the queries in a load mix are `ORDER BY`-stable or single-row, so row
@@ -52,11 +52,15 @@ pub fn result_checksum(rows: &[Vec<Value>]) -> u64 {
 /// Runs every query of `mix` once, serially, in process, and returns the
 /// SQL → checksum map the load runner verifies against.
 ///
+/// The oracle runs the reference tier (OPT), not `Session::new`'s: against
+/// a default server, which serves SIMD, every verified answer of a load arm
+/// is then also a SIMD ≡ OPT check.
+///
 /// # Panics
 /// Panics if a mix query fails serially — a load arm over a broken query
 /// is a design error, caught before any client connects.
 pub fn expected_checksums(catalog: Catalog, mix: &[String]) -> HashMap<String, u64> {
-    let mut session = Session::new(catalog);
+    let mut session = Session::new(catalog).with_mode(ExecMode::Optimized);
     mix.iter()
         .map(|sql| {
             let result = session

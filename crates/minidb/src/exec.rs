@@ -7,14 +7,19 @@
 //! * [`ExecMode::Debug`] — a row-at-a-time interpreter: every value is boxed
 //!   into a [`Value`], every row materialized, invariants re-checked per row
 //!   (the `--enable-debug --enable-assert` build).
-//! * [`ExecMode::Optimized`] — a column-at-a-time engine with
-//!   type-specialized kernels, selection vectors, and dictionary-code
-//!   comparisons (the `-O6` build). What no kernel covers it evaluates one
-//!   boxed row at a time, and counts: [`rows_boxed`].
+//! * the batch engine — a column-at-a-time engine with type-specialized
+//!   kernels, selection vectors, and dictionary-code comparisons (the `-O6`
+//!   build), at two kernel tiers: [`ExecMode::Optimized`] runs scalar inner
+//!   loops, [`ExecMode::Simd`] the chunked branchless ones of
+//!   [`crate::kernels`]. SIMD is the default and the served tier; OPT is the
+//!   reference level of the DBG/OPT and OPT/SIMD exhibits. What no kernel
+//!   covers either tier evaluates one boxed row at a time, and counts:
+//!   [`rows_boxed`].
 //!
-//! Both produce identical results (tested); they differ only in speed — by
-//! roughly the factor the tutorial's DBG/OPT figure shows, growing with how
-//! much tight-loop work the query does.
+//! All three produce identical results (tested, floats by bits); they
+//! differ only in speed — DBG against the batch engine by roughly the
+//! factor the tutorial's DBG/OPT figure shows, growing with how much
+//! tight-loop work the query does.
 //!
 //! The executor also produces the per-operator **profile trace** of
 //! experiment E12 (slide 54): exclusive time and output cardinality per
@@ -36,17 +41,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which engine executes the plan.
+/// Which engine executes the plan. The default — what [`Session::new`]
+/// gives and therefore what `minidb-serve` serves — is [`ExecMode::Simd`],
+/// the fastest of the three tiers that answer bit-identically.
+///
+/// [`Session::new`]: crate::Session::new
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Row-at-a-time interpreter with per-row checks (a "debug build").
+    /// Row-at-a-time interpreter with per-row checks (a "debug build"): the
+    /// oracle the batteries compare the other two against.
     Debug,
-    /// Vectorized column-at-a-time engine (an "optimized build").
-    #[default]
+    /// Vectorized column-at-a-time engine with scalar inner loops (an
+    /// optimized build, the `-O6` level of the DBG/OPT exhibit): the
+    /// reference level E3 and E24 measure SIMD against. Served by nothing
+    /// unless a caller asks for it.
     Optimized,
     /// The optimized engine with the explicit chunked SIMD kernels from
     /// [`crate::kernels`]: same operators, same selection vectors, same
-    /// results bit-for-bit — only the inner loops differ.
+    /// results bit-for-bit — only the inner loops differ. The served tier.
+    #[default]
     Simd,
 }
 

@@ -1,5 +1,5 @@
 //! The SIMD kernel boundary: every data-parallel inner loop of the
-//! optimized engine, in one module, behind one `Engine` switch.
+//! batch engine, in one module, behind one `Engine` switch.
 //!
 //! `ExecMode::Optimized` ("OPT") and `ExecMode::Simd` ("SIMD") execute the
 //! *same* operators over the *same* selection vectors; they differ only in
@@ -15,6 +15,11 @@
 //!    feeding an open-addressed, insertion-ordered join/group index,
 //! 4. **aggregate folds** — lane-accumulated sum/min/max over Int columns
 //!    of the ungrouped aggregate, merged in a fixed lane order.
+//!
+//! SIMD is `ExecMode`'s default, so it is what `Session::new` and every
+//! served statement run. OPT's scalar loops are the reference level that
+//! E3 and E24 measure against; a caller reaches them only through
+//! `Session::with_mode`.
 //!
 //! `std::simd` is nightly-only, so the SIMD paths are written as
 //! fixed-width ([`LANES`]) chunked loops the compiler autovectorizes: the

@@ -156,12 +156,13 @@ const _: () = {
 };
 
 impl Session {
-    /// Creates a session over a catalog with the optimized engine, all
-    /// optimizer rules on.
+    /// Creates a session over a catalog with the default engine tier
+    /// ([`ExecMode::default`], the served SIMD tier), all optimizer rules on.
+    /// A caller that means another tier says so with [`Session::with_mode`].
     pub fn new(catalog: Catalog) -> Self {
         Session {
             catalog,
-            mode: ExecMode::Optimized,
+            mode: ExecMode::default(),
             optimizer: OptimizerConfig::all(),
             parallelism: 1,
             morsel_rows: crate::exec::DEFAULT_MORSEL_ROWS,
@@ -631,6 +632,14 @@ mod tests {
         }
         assert!(r.server_user_ms() >= 0.0);
         assert_eq!(r.store_physical_reads, 0, "in-memory catalog");
+    }
+
+    /// The served tier has one source of truth: `Session::new` takes the
+    /// enum's default, and the default is the fastest bit-identical tier.
+    #[test]
+    fn a_new_session_runs_the_default_tier_which_is_simd() {
+        assert_eq!(ExecMode::default(), ExecMode::Simd);
+        assert_eq!(session().mode(), ExecMode::default());
     }
 
     #[test]

@@ -139,14 +139,6 @@ pub struct LaneSnapshot {
     pub dropped: u64,
 }
 
-impl LaneSnapshot {
-    /// Records whose parent is absent from this lane (true roots, or spans
-    /// whose parent was evicted), in `(start_ns, id)` order.
-    pub fn root_indices(&self) -> Vec<usize> {
-        lane_tree(&self.records).0
-    }
-}
-
 /// An immutable snapshot of every lane a tracer has registered.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {

@@ -28,7 +28,8 @@ fn main() {
         session.query(&sql).run().unwrap().server_user_ms()
     });
     println!(
-        "adaptive measurement: {} runs, mean {} (converged: {})",
+        "adaptive measurement, engine {}: {} runs, mean {} (converged: {})",
+        session.mode(),
         adaptive.runs(),
         adaptive.interval,
         adaptive.converged

@@ -34,7 +34,10 @@ fn main() {
             queue_depth: 64,
         })
         .serve(move || Session::new(catalog.clone()));
-    println!("server listening on {addr}");
+    println!(
+        "server listening on {addr} (engine {})",
+        ExecMode::default()
+    );
 
     // Client: its own connection, its own stopwatch.
     let mut client =

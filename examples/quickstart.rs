@@ -20,10 +20,15 @@ fn main() {
         catalog.table("lineitem").unwrap().row_count()
     );
 
-    // 2. Run Q1 with per-phase timing — know what you measure.
+    // 2. Run Q1 with per-phase timing — know what you measure, including
+    //    which engine tier: `Session::new` runs the default, SIMD (the one
+    //    `minidb-serve` serves); `with_mode` picks another.
     let mut session = Session::new(catalog.clone());
     let result = session.query(&queries::q1()).run().unwrap();
-    println!("\nQ1 phase breakdown (mclient -t style):");
+    println!(
+        "\nQ1 phase breakdown (mclient -t style), engine {}:",
+        session.mode()
+    );
     print!("{}", result.phases.render());
     println!("rows: {}", result.row_count());
 
