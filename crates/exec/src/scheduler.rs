@@ -24,7 +24,7 @@ use crate::pool::parallel_map_caught;
 use crate::progress::{ExecReport, ProgressSnapshot};
 use perfeval_core::runner::{Assignment, ResponseTable, SyncExperiment};
 use perfeval_fault::{panic_message, set_cancel_token, FaultRegistry, TimeoutSignal};
-use perfeval_stats::rng::SplitMix64;
+use perfeval_stats::backoff_ms;
 use perfeval_trace::Tracer;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -55,19 +55,6 @@ impl<E: SyncExperiment> UnitExperiment for E {
 
 /// Progress hook type: called after every completed unit.
 pub type ProgressHook<'a> = &'a (dyn Fn(ProgressSnapshot) + Sync);
-
-/// Seeded, bounded backoff before retry `attempt` (2-based): base doubles
-/// per retry (capped) plus up to one base of seeded jitter, never more
-/// than 250 ms. Deterministic in its *choice* — the same unit seed and
-/// attempt always picks the same backoff, like every other plan decision.
-fn backoff_ms(base: f64, seed: u64, attempt: u32) -> f64 {
-    if base <= 0.0 {
-        return 0.0;
-    }
-    let exponent = attempt.saturating_sub(2).min(6);
-    let jitter = SplitMix64::split(seed, attempt as u64).next_f64() * base;
-    (base * (1u64 << exponent) as f64 + jitter).min(250.0)
-}
 
 /// The watchdog lane's cancel board: canonical unit index → (deadline,
 /// cancel flag). Workers register an entry per attempt; the watchdog trips
@@ -230,7 +217,8 @@ impl Scheduler {
                 attempt += 1;
                 if attempt > 1 {
                     retries.fetch_add(1, Ordering::Relaxed);
-                    let wait = backoff_ms(self.policy.backoff_ms, unit.seed, attempt);
+                    // At most 250 ms, and the same for a unit seed and attempt.
+                    let wait = backoff_ms(self.policy.backoff_ms, 250.0, unit.seed, attempt);
                     if wait > 0.0 {
                         let mut bspan = tracer.map(|t| t.span("backoff"));
                         if let Some(g) = bspan.as_mut() {

@@ -52,15 +52,16 @@ pub fn result_checksum(rows: &[Vec<Value>]) -> u64 {
 /// Runs every query of `mix` once, serially, in process, and returns the
 /// SQL → checksum map the load runner verifies against.
 ///
-/// The oracle runs the reference tier (OPT), not `Session::new`'s: against
-/// a default server, which serves SIMD, every verified answer of a load arm
-/// is then also a SIMD ≡ OPT check.
+/// The oracle runs the row-at-a-time debug interpreter (DBG), which shares
+/// no operator with the batch tiers a server runs: against a default
+/// server, which serves SIMD, every verified answer of a load arm is then
+/// an independent SIMD ≡ DBG check.
 ///
 /// # Panics
 /// Panics if a mix query fails serially — a load arm over a broken query
 /// is a design error, caught before any client connects.
 pub fn expected_checksums(catalog: Catalog, mix: &[String]) -> HashMap<String, u64> {
-    let mut session = Session::new(catalog).with_mode(ExecMode::Optimized);
+    let mut session = Session::new(catalog).with_mode(ExecMode::Debug);
     mix.iter()
         .map(|sql| {
             let result = session

@@ -52,6 +52,10 @@
 //! connection, and the client should back off and may retry. Its code
 //! byte decodes unknown values to [`RejectCode::Unknown`] instead of
 //! erroring, so an old client survives a newer server's reject reasons.
+//!
+//! Framing is this file's alone: every connection, client or server, runs
+//! one [`FramedIo`], blocking (`recv` / `send`) or readiness-driven (`fill`,
+//! `next_buffered`, `stage`: the sharded core, which keeps the scheduling).
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -947,11 +951,11 @@ impl Frame {
     }
 }
 
-/// A transport wrapped with framing, fault sites, and byte accounting.
-///
-/// Every read passes the `net.read` failpoint and every write the
-/// `net.write` failpoint (key = connection id, attempt = frame ordinal), so
-/// perfeval-fault can drop, delay, or hang a connection deterministically.
+/// A transport wrapped with framing, fault sites, and byte accounting: the
+/// one wire of every connection. Every read passes the `net.read` failpoint
+/// and every write the `net.write` failpoint (key = connection id, attempt =
+/// frame ordinal), so perfeval-fault can drop, delay, or hang a connection
+/// deterministically, whichever half — blocking or readiness — drives it.
 pub struct FramedIo {
     io: Box<dyn Transport>,
     faults: Arc<FaultRegistry>,
@@ -1017,46 +1021,98 @@ impl FramedIo {
     /// # Errors
     /// Transport errors, or an injected `net.write` failure.
     pub fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        self.frames_written += 1;
-        let (conn, ordinal) = (self.conn_id, self.frames_written);
-        // Delay/jitter/hang/panic actions first, then the I/O verdict.
-        self.faults.fire("net.write", conn, ordinal);
-        if self.faults.io_fails_at("net.write", conn, ordinal) {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "injected net.write failure",
-            ));
-        }
-        let bytes = frame.encode();
+        let bytes = self.stage(frame)?;
         self.io.write_all(&bytes)?;
-        self.io.flush()?;
-        self.bytes_written += bytes.len() as u64;
-        Ok(())
+        self.io.flush()
     }
 
-    /// Receives one frame, blocking until it arrives.
+    /// Receives one frame, blocking until it arrives. The `net.read` gate
+    /// fires before the read blocks.
     ///
     /// # Errors
     /// `UnexpectedEof` if the peer closed, `InvalidData` on protocol
     /// corruption, or an injected `net.read` failure.
     pub fn recv(&mut self) -> io::Result<Frame> {
-        self.frames_read += 1;
-        let (conn, ordinal) = (self.conn_id, self.frames_read);
-        self.faults.fire("net.read", conn, ordinal);
-        if self.faults.io_fails_at("net.read", conn, ordinal) {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "injected net.read failure",
-            ));
-        }
+        self.read_gate()?;
         self.buffer(4)?;
+        let total = self.frame_total()?;
+        self.buffer(total)?;
+        self.cut(total)
+    }
+
+    /// Buffers what the transport holds without blocking; `Ok(true)` if it
+    /// reported end of stream (what came before stays buffered).
+    pub(crate) fn fill(&mut self) -> io::Result<bool> {
+        self.compact();
+        loop {
+            self.make_room();
+            match self.io.try_read(&mut self.inbuf[self.in_end..]) {
+                Ok(0) => return Ok(true),
+                Ok(n) => self.in_end += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The next buffered frame, `None` while bytes are missing. A bad length
+    /// prefix fails once it is in; the `net.read` gate fires once the frame is.
+    pub(crate) fn next_buffered(&mut self) -> io::Result<Option<Frame>> {
+        if self.in_end - self.in_start < 4 {
+            return Ok(None);
+        }
+        let total = self.frame_total()?;
+        if self.in_end - self.in_start < total {
+            return Ok(None);
+        }
+        self.read_gate()?;
+        self.cut(total).map(Some)
+    }
+
+    /// Counts, gates (`net.write`) and encodes one outbound frame.
+    pub(crate) fn stage(&mut self, frame: &Frame) -> io::Result<Vec<u8>> {
+        self.frames_written += 1;
+        self.gate("net.write", self.frames_written)?;
+        let bytes = frame.encode();
+        self.bytes_written += bytes.len() as u64;
+        Ok(bytes)
+    }
+
+    /// Nonblocking write of staged bytes (see [`Transport::try_write`]).
+    pub(crate) fn try_write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.io.try_write(bytes)
+    }
+
+    /// Counts the next inbound frame and passes it through `net.read`.
+    fn read_gate(&mut self) -> io::Result<()> {
+        self.frames_read += 1;
+        self.gate("net.read", self.frames_read)
+    }
+
+    /// Fault site `site` at this frame: delay/jitter/hang/panic actions
+    /// first, then the I/O verdict.
+    fn gate(&self, site: &str, ordinal: u32) -> io::Result<()> {
+        self.faults.fire(site, self.conn_id, ordinal);
+        if self.faults.io_fails_at(site, self.conn_id, ordinal) {
+            let injected = format!("injected {site} failure");
+            return Err(io::Error::new(io::ErrorKind::ConnectionReset, injected));
+        }
+        Ok(())
+    }
+
+    /// Checks the buffered length prefix: the frame's bytes, prefix included.
+    fn frame_total(&self) -> io::Result<usize> {
         let prefix = &self.inbuf[self.in_start..self.in_start + 4];
         let len = u32::from_le_bytes(prefix.try_into().expect("four bytes"));
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(corrupt(&format!("bad frame length {len}")));
         }
-        let total = 4 + len as usize;
-        self.buffer(total)?;
+        Ok(4 + len as usize)
+    }
+
+    /// Decodes the buffered frame of `total` bytes and drops it.
+    fn cut(&mut self, total: usize) -> io::Result<Frame> {
         let body = &self.inbuf[self.in_start + 4..self.in_start + total];
         self.in_start += total;
         self.bytes_read += total as u64;
@@ -1070,16 +1126,9 @@ impl FramedIo {
         if self.in_end - self.in_start >= need {
             return Ok(());
         }
-        // What is left of the last read moves to the front, so the frame
-        // being assembled is never split by the end of the buffer.
-        self.inbuf.copy_within(self.in_start..self.in_end, 0);
-        self.in_end -= self.in_start;
-        self.in_start = 0;
+        self.compact();
         while self.in_end < need {
-            if self.in_end == self.inbuf.len() {
-                let grown = (2 * self.inbuf.len()).max(READ_BUF_BYTES);
-                self.inbuf.resize(grown, 0);
-            }
+            self.make_room();
             match self.io.read(&mut self.inbuf[self.in_end..]) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
                 Ok(n) => self.in_end += n,
@@ -1088,6 +1137,22 @@ impl FramedIo {
             }
         }
         Ok(())
+    }
+
+    /// Moves what is left of the last read to the front, so the frame
+    /// being assembled is never split by the end of the buffer.
+    fn compact(&mut self) {
+        self.inbuf.copy_within(self.in_start..self.in_end, 0);
+        self.in_end -= self.in_start;
+        self.in_start = 0;
+    }
+
+    /// Doubles the buffer if arrived bytes filled it.
+    fn make_room(&mut self) {
+        if self.in_end == self.inbuf.len() {
+            let grown = (2 * self.inbuf.len()).max(READ_BUF_BYTES);
+            self.inbuf.resize(grown, 0);
+        }
     }
 }
 

@@ -37,11 +37,12 @@
 //! # server.wait();
 //! ```
 //!
-//! One conversation, two schedulers ([`ServerMode`]): handshake, admission,
-//! statement execution and response framing are written once; a scheduler
-//! supplies only the load admission is judged against, a statement's
-//! parallelism, the deadline left when it reaches the engine, and the
-//! frames' way to the transport.
+//! One conversation, one wire, two schedulers ([`ServerMode`]): handshake,
+//! admission, statement execution and response framing are written once,
+//! and every connection frames its bytes through one [`FramedIo`]; a
+//! scheduler supplies only the load admission is judged against, a
+//! statement's parallelism, the deadline left when it reaches the engine,
+//! and the frames' way to the transport.
 //!
 //! * **Sharded** (default) — event-driven and shared-nothing: a readiness
 //!   loop ([`poll`]) multiplexes connections onto N core-pinned shards with
@@ -60,7 +61,8 @@
 //!   server builds no row — `minidb::exec::rows_transposed()` stays put
 //!   across a served statement — and the client builds each row once, as
 //!   its batch arrives. What arrives where a batch should be is checked
-//!   before it is believed (`tests/hostile.rs`).
+//!   before it is believed, and a frame a live server's wire refuses costs
+//!   that connection alone, on either core (`tests/hostile.rs`).
 //! * **Backpressure.** Outgoing buffers are bounded; a slow reader blocks
 //!   the writer instead of growing a queue ([`transport`] tests).
 //! * **Span stitching.** The client's `net.query` span id rides the frame

@@ -21,10 +21,10 @@
 //! (retries, rejects, give-ups, breaker opens) are first-class report
 //! fields — a shed request is *accounted*, never silently dropped.
 
-use perfeval_stats::SplitMix64;
+use perfeval_stats::backoff_ms;
 
-/// Seeded, jittered, bounded exponential backoff — the client-side twin
-/// of `perfeval-exec`'s scheduler backoff.
+/// Seeded, jittered, bounded exponential backoff: `perfeval-exec`'s
+/// scheduler backoff ([`backoff_ms`]), seeded per caller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// Total attempts per request (first try + retries). `1` disables
@@ -93,12 +93,7 @@ impl BackoffPolicy {
     /// of `(seed, key, attempt)` — deterministic per caller, decorrelated
     /// across callers.
     pub fn delay_ms(&self, key: u64, attempt: u32) -> f64 {
-        if self.base_ms <= 0.0 {
-            return 0.0;
-        }
-        let exponent = attempt.saturating_sub(2).min(6);
-        let jitter = SplitMix64::split(self.seed ^ key, attempt as u64).next_f64() * self.base_ms;
-        (self.base_ms * (1u64 << exponent) as f64 + jitter).min(self.cap_ms)
+        backoff_ms(self.base_ms, self.cap_ms, self.seed ^ key, attempt)
     }
 
     /// Human-readable description for reports.

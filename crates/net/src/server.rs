@@ -275,7 +275,6 @@ pub struct ServerBuilder {
     mode: ServerMode,
     tracer: Option<Tracer>,
     faults: Arc<FaultRegistry>,
-    placement_seed: u64,
     pin_cores: bool,
     admission: Admission,
 }
@@ -287,7 +286,6 @@ impl ServerBuilder {
             mode: ServerMode::default(),
             tracer: None,
             faults: Arc::new(FaultRegistry::disabled()),
-            placement_seed: 0,
             pin_cores: true,
             admission: Admission::default(),
         }
@@ -329,13 +327,6 @@ impl ServerBuilder {
     /// which admits everything).
     pub fn admission(mut self, admission: Admission) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// Seed for the deterministic conn→shard placement hash (sharded mode).
-    /// Same seed ⇒ same map, independent of arrival timing.
-    pub fn placement_seed(mut self, seed: u64) -> Self {
-        self.placement_seed = seed;
         self
     }
 
@@ -400,7 +391,6 @@ impl ServerBuilder {
                 let cfg = ShardConfig {
                     shards,
                     queue_depth,
-                    placement_seed: self.placement_seed,
                     pin_cores: self.pin_cores,
                 };
                 let tel = Arc::new(ShardTelemetry::new(shards));

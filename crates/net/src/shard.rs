@@ -3,21 +3,21 @@
 //! One conversation, two schedulers: what a connection *says* — handshake,
 //! admission, statement execution, response framing — is
 //! [`crate::conversation`], shared line for line with the thread-per-conn
-//! core. This file is the other half: placement, readiness I/O and the run
-//! queue. Of the four things a scheduler supplies it gives `admitted_now` =
-//! the shard's run-queue length, `parallelism` = `1 + idle shards`, the
-//! deadline left after the wait in the run queue, and frames to the
-//! transport through a bounded queue.
+//! core; framing and the `net.*` fault gates are [`FramedIo`]'s. This file
+//! is the scheduling: placement, readiness I/O and the run queue. Of the
+//! four things a scheduler supplies it gives `admitted_now` = the shard's
+//! run-queue length, `parallelism` = `1 + idle shards`, the deadline left
+//! after the wait in the run queue, and frames to the transport through a
+//! bounded queue.
 //!
 //! One acceptor (the supervisor thread) places each connection on a shard
-//! by a **pure function** of `(placement_seed, conn_id)` — see
-//! [`crate::poll::shard_for`] — so the conn→shard map is a declared design
-//! factor, reproducible across runs regardless of arrival timing. Each
-//! shard worker owns its connections outright: conversations (and their
-//! sessions), read buffers, and write queues are single-threaded state
-//! touched only by that shard, so there is no lock on the query path
-//! (shared-nothing by construction, the property the thread-per-connection
-//! mode only approximates statistically).
+//! by a **pure function** of its ordinal — [`crate::poll::shard_for`] at
+//! seed 0 — so the conn→shard map is reproducible across runs regardless
+//! of arrival timing. Each shard worker owns its connections outright:
+//! conversations (and their sessions), wires, and write queues are
+//! single-threaded state touched only by that shard, so there is no lock
+//! on the query path (shared-nothing by construction, the property the
+//! thread-per-connection mode only approximates statistically).
 //!
 //! A shard multiplexes its connections with a [`Poll`] readiness loop:
 //! kernel sockets via epoll, loopback pipes via the zero-syscall shim.
@@ -57,11 +57,11 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::conversation::{spent, Conversation, Response, Statement, Step};
-use crate::frame::{Frame, MAX_FRAME_LEN};
+use crate::frame::{Frame, FramedIo};
 use crate::poll::{pin_current_thread, shard_for, Interest, Poll, RawFd};
 use crate::server::Shared;
 use crate::transport::{EventSource, Transport};
@@ -71,7 +71,6 @@ use crate::transport::{EventSource, Transport};
 pub(crate) struct ShardConfig {
     pub shards: usize,
     pub queue_depth: usize,
-    pub placement_seed: u64,
     pub pin_cores: bool,
 }
 
@@ -158,7 +157,7 @@ fn accept_into_shards(
     queues: &[ShardQueue],
 ) {
     while let Some((conn_id, transport)) = shared.accept_conn() {
-        let shard = shard_for(cfg.placement_seed, conn_id, cfg.shards);
+        let shard = shard_for(0, conn_id, cfg.shards);
         tel.per_shard_conns[shard].fetch_add(1, Ordering::Relaxed);
         queues[shard]
             .inject
@@ -243,13 +242,9 @@ struct Queued {
 }
 
 struct ShardConn<'t> {
-    conn_id: u64,
-    transport: Box<dyn Transport>,
+    io: FramedIo,
     fd: Option<RawFd>,
     conv: Conversation,
-    inbuf: VecDeque<u8>,
-    frames_read: u32,
-    frames_written: u32,
     write_q: VecDeque<Vec<u8>>,
     front_pos: usize,
     /// A response not yet fully handed to the transport. What it still
@@ -335,13 +330,9 @@ impl<'env> ShardCore<'env> {
         self.conns.insert(
             token,
             ShardConn {
-                conn_id,
-                transport,
+                io: FramedIo::new(transport, Arc::clone(&self.shared.faults), conn_id),
                 fd,
                 conv: Conversation::new(conn_id),
-                inbuf: VecDeque::new(),
-                frames_read: 0,
-                frames_written: 0,
                 write_q: VecDeque::new(),
                 front_pos: 0,
                 pending: None,
@@ -397,33 +388,30 @@ impl<'env> ShardCore<'env> {
         }
     }
 
+    /// Buffers what arrived and dispatches the complete frames, stopping
+    /// while a response is in flight. A frame the wire refuses costs the
+    /// connection.
     fn on_readable(&mut self, token: usize) {
-        let mut saw_eof = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.reads_paused() {
-                return; // stale event; reads resume when the response drains
-            }
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                match conn.transport.try_read(&mut chunk) {
-                    Ok(0) => {
-                        saw_eof = true;
-                        break;
-                    }
-                    Ok(n) => conn.inbuf.extend(&chunk[..n]),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.drop_conn(token, false);
-                        return;
-                    }
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if conn.reads_paused() {
+            return; // stale event; reads resume when the response drains
+        }
+        let Ok(saw_eof) = conn.io.fill() else {
+            self.drop_conn(token, false);
+            return;
+        };
+        while let Some(conn) = self.conns.get_mut(&token).filter(|c| !c.reads_paused()) {
+            match conn.io.next_buffered() {
+                Ok(Some(frame)) => self.dispatch(token, frame),
+                Ok(None) => break,
+                Err(_) => {
+                    self.drop_conn(token, false);
+                    return;
                 }
             }
         }
-        self.process_frames(token);
         // EOF with no response in flight: the peer is gone. (EOF is sticky;
         // with a response pending it resurfaces on the post-drain poke.)
         if saw_eof {
@@ -445,53 +433,6 @@ impl<'env> ShardCore<'env> {
             self.pump_response(token);
             self.update_interest(token);
         }
-    }
-
-    /// Parses and dispatches complete frames from the input buffer,
-    /// stopping while a response is in flight.
-    fn process_frames(&mut self, token: usize) {
-        loop {
-            let (conn_id, ordinal, body) = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                if conn.reads_paused() || conn.inbuf.len() < 4 {
-                    break;
-                }
-                let mut len_buf = [0u8; 4];
-                for (slot, b) in len_buf.iter_mut().zip(conn.inbuf.iter()) {
-                    *slot = *b;
-                }
-                let len = u32::from_le_bytes(len_buf);
-                if len == 0 || len > MAX_FRAME_LEN {
-                    self.drop_conn(token, false);
-                    return;
-                }
-                let total = 4 + len as usize;
-                if conn.inbuf.len() < total {
-                    break;
-                }
-                let body: Vec<u8> = conn.inbuf.drain(..total).skip(4).collect();
-                conn.frames_read += 1;
-                (conn.conn_id, conn.frames_read, body)
-            };
-            // Fault parity with `FramedIo::recv`: 1-based frame ordinal,
-            // fired before the frame is acted on.
-            self.shared.faults.fire("net.read", conn_id, ordinal);
-            if self.shared.faults.io_fails_at("net.read", conn_id, ordinal) {
-                self.drop_conn(token, false);
-                return;
-            }
-            let frame = match Frame::decode(&body) {
-                Ok(f) => f,
-                Err(_) => {
-                    self.drop_conn(token, false);
-                    return;
-                }
-            };
-            self.dispatch(token, frame);
-        }
-        self.update_interest(token);
     }
 
     /// Hands one frame to the connection's conversation. Admission happens
@@ -633,22 +574,19 @@ impl<'env> ShardCore<'env> {
         }
     }
 
-    /// Appends one encoded frame to the bounded write queue, with
-    /// `FramedIo::send` fault parity. Returns false if the connection died.
+    /// Stages one frame on the wire and appends it to the bounded write
+    /// queue. Returns false if the connection died.
     fn enqueue_frame(&mut self, token: usize, frame: &Frame) -> bool {
-        let faults = &self.shared.faults;
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        conn.frames_written += 1;
-        faults.fire("net.write", conn.conn_id, conn.frames_written);
-        if faults.io_fails_at("net.write", conn.conn_id, conn.frames_written) {
+        let Ok(bytes) = conn.io.stage(frame) else {
             // The failure is this frame's alone: what is queued ahead of it
             // counts as written, as it would be under blocking writes.
             self.close_after_flush(token);
             return false;
-        }
-        conn.write_q.push_back(frame.encode());
+        };
+        conn.write_q.push_back(bytes);
         let queued = conn.write_q.len() as u64;
         self.tel
             .write_queue_peak
@@ -666,7 +604,7 @@ impl<'env> ShardCore<'env> {
             };
             'queue: while let Some(front) = conn.write_q.pop_front() {
                 loop {
-                    match conn.transport.try_write(&front[conn.front_pos..]) {
+                    match conn.io.try_write(&front[conn.front_pos..]) {
                         Ok(0) => {
                             dead = true;
                             break 'queue;

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::poll::{RawFd, ShimHandle};
 
@@ -624,6 +624,13 @@ impl Listener for LoopbackEndpoint {
     }
 
     fn shutdown(&self) {
+        // Under the queue lock, or an `accept` between its `closed` check and
+        // its wait misses the wake-up. Poison-tolerant: `Drop` calls this.
+        let _queue = self
+            .shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         self.shared.closed.store(true, Ordering::Release);
         self.shared.pending.notify_all();
     }

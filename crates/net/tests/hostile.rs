@@ -1,9 +1,9 @@
 //! Hostile bytes at the wire's result frame: whatever arrives where a
 //! `ColumnBatch` should be, the decoder answers `InvalidData` and the client
 //! a typed error — no panic, no hang, and no allocation sized by a count the
-//! frame's own length cannot back. The first cases of the hostile-bytes
-//! harness (ROADMAP item 5); the segment reader and `Catalog::open` are to
-//! follow.
+//! frame's own length cannot back. And hostile bytes at a live server, on
+//! both cores: a connection the wire refuses is closed and counted, and
+//! nobody else notices.
 //!
 //! The allocation bound is measured, not argued: this binary's allocator
 //! records the largest request a thread makes while it is watched.
@@ -12,11 +12,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{self, Write};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use minidb::exec::ResultData;
-use minidb::{Column, DataType, Value};
+use minidb::{Catalog, Column, DataType, Session, TableBuilder, Value};
 use minidb_net::{
-    Client, ColumnBatch, Footer, Frame, FramedIo, LoopbackConn, NetError, PROTOCOL_VERSION,
+    Client, ColumnBatch, Footer, Frame, FramedIo, Listener, LoopbackConn, LoopbackEndpoint,
+    NetError, Server, ServerMode, TcpEndpoint, TcpTransport, Transport, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 use perfeval_fault::FaultRegistry;
 
@@ -304,5 +307,136 @@ fn the_client_checks_a_batch_against_header_and_footer_before_it_believes_it() {
             other => panic!("{what}: {other:?}"),
         }
         assert!(!client.is_alive(), "{what}: the connection is given up");
+    }
+}
+
+fn nums() -> Catalog {
+    let mut catalog = Catalog::new();
+    let mut t = TableBuilder::new("nums")
+        .column("x", DataType::Int)
+        .column("y", DataType::Float)
+        .build();
+    for i in 0..1_000 {
+        t.push_row(vec![Value::Int(i), Value::Float(i as f64 / 3.0)])
+            .unwrap();
+    }
+    catalog.register(t).unwrap();
+    catalog
+}
+
+/// Asks `client` what an in-process session answers and compares by bits.
+fn assert_answers_as_in_process(client: &mut Client, what: &str) {
+    let sql = "SELECT SUM(y), MAX(x), COUNT(*) FROM nums WHERE x >= 10";
+    let want = Session::new(nums()).query(sql).run().unwrap().rows;
+    let got = client.query(sql).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let bits = |rows: &[Vec<Value>]| -> Vec<Vec<String>> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => format!("{:#x}", f.to_bits()),
+            v => format!("{v:?}"),
+        };
+        rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+    };
+    assert_eq!(bits(&got.rows), bits(&want), "{what}");
+}
+
+/// Opens a raw connection to the server under test.
+type Dial = Box<dyn Fn() -> Box<dyn Transport>>;
+
+/// Hostile bytes at a live server, on both cores and over both transports:
+/// a raw peer opens with a zero length prefix, a prefix past
+/// `MAX_FRAME_LEN`, a frame of an unknown type, a `Hello` then a `Query`
+/// with a trailing byte, or a prefix promising more than it sends before it
+/// closes. Each costs the server that one connection — the server closes
+/// it while the peer holds it open, counts one disconnect and no panic —
+/// and a well-behaved client on the same server keeps its answers.
+#[test]
+fn hostile_bytes_cost_a_live_server_one_connection_in_both_cores() {
+    let prefixed = |body: &[u8]| [&(body.len() as u32).to_le_bytes()[..], body].concat();
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+    }
+    .encode();
+    let query = Frame::Query {
+        trace_parent: 0,
+        deadline_ms: 0,
+        sql: "SELECT COUNT(*) FROM nums".into(),
+    }
+    .encode();
+    let openings: [(&str, Vec<u8>, bool); 5] = [
+        ("a zero length prefix", 0u32.to_le_bytes().to_vec(), false),
+        (
+            "a prefix past MAX_FRAME_LEN",
+            (MAX_FRAME_LEN + 1).to_le_bytes().to_vec(),
+            false,
+        ),
+        ("an unknown frame type", prefixed(&[0xEE, 1, 2, 3]), false),
+        (
+            "a Query with a trailing byte",
+            [hello, prefixed(&[&query[4..], &[0]].concat())].concat(),
+            false,
+        ),
+        (
+            "a prefix promising more than comes, then a close",
+            [&100u32.to_le_bytes()[..], &[3; 10]].concat(),
+            true,
+        ),
+    ];
+    let modes = [
+        ServerMode::Sharded {
+            shards: 2,
+            queue_depth: 16,
+        },
+        ServerMode::ThreadPerConn { workers: 2 },
+    ];
+    for mode in modes {
+        for tcp in [false, true] {
+            let (listener, dial): (Arc<dyn Listener>, Dial) = if tcp {
+                let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+                let addr = ep.local_addr().unwrap();
+                (
+                    ep,
+                    Box::new(move || Box::new(TcpTransport::connect(addr).unwrap())),
+                )
+            } else {
+                let ep = LoopbackEndpoint::new();
+                let connector = ep.connector();
+                (ep, Box::new(move || Box::new(connector.connect().unwrap())))
+            };
+            let server = Server::builder()
+                .transport(listener)
+                .mode(mode)
+                .serve(|| Session::new(nums()));
+            let on = if tcp { "tcp" } else { "loopback" };
+            let mut good = Client::connect(dial()).unwrap();
+            assert_answers_as_in_process(&mut good, &format!("{mode:?} {on}: before"));
+            for (n, (what, bytes, close)) in openings.iter().enumerate() {
+                let what = format!("{mode:?} {on}: {what}");
+                let mut raw = dial();
+                raw.write_all(bytes).unwrap();
+                let held = (!close).then_some(raw);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while server.stats().disconnects < n as u64 + 1 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{what}: the server kept the connection"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                drop(held);
+                let stats = server.stats();
+                assert_eq!(stats.disconnects, n as u64 + 1, "{what}");
+                assert_eq!(stats.worker_panics, 0, "{what}");
+                assert_answers_as_in_process(&mut good, &what);
+            }
+            good.close().unwrap();
+            let stats = server.wait();
+            assert_eq!(
+                stats.connections,
+                1 + openings.len() as u64,
+                "{mode:?} {on}"
+            );
+            assert_eq!(stats.disconnects, openings.len() as u64, "{mode:?} {on}");
+            assert_eq!(stats.worker_panics, 0, "{mode:?} {on}");
+        }
     }
 }

@@ -7,7 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use minidb::{Catalog, DataType, Session, StoreConfig, TableBuilder, Value};
-use minidb_net::{Client, Frame, FramedIo, LoopbackEndpoint, Server, ServerMode, PROTOCOL_VERSION};
+use minidb_net::{
+    shard_for, Client, Frame, FramedIo, LoopbackEndpoint, Server, ServerMode, PROTOCOL_VERSION,
+};
 use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
 
 fn catalog(rows: i64) -> Catalog {
@@ -122,13 +124,14 @@ fn slow_reader_backpressure_is_bounded_and_charged_to_serialize() {
     assert!(peak >= 1, "the squeezed response must have queued at all");
 }
 
-/// Same seed ⇒ same connection→shard map, run after run. Placement is a
-/// pure function of (seed, connection ordinal, shard count) — never of
-/// timing — so a sweep's shard assignment is reproducible.
+/// The same connection→shard map, run after run: placement is
+/// `shard_for(0, connection ordinal, shard count)` — never a function of
+/// timing — so a sweep's shard assignment is reproducible, and the
+/// benchmark can compute it. (`shard_for`'s own tests cover its seed.)
 #[test]
 fn shard_placement_is_deterministic_under_a_seed() {
     const CONNS: usize = 32;
-    let run = |seed: u64| -> Vec<u64> {
+    let run = || -> Vec<u64> {
         let ep = LoopbackEndpoint::new();
         let dial = ep.connector();
         let server = Server::builder()
@@ -137,7 +140,6 @@ fn shard_placement_is_deterministic_under_a_seed() {
                 shards: 4,
                 queue_depth: 16,
             })
-            .placement_seed(seed)
             .serve(|| Session::new(catalog(100)));
         // Sequential dials: connection ordinals are assigned in accept
         // order, so the placement vector is comparable across runs.
@@ -153,12 +155,15 @@ fn shard_placement_is_deterministic_under_a_seed() {
         placement
     };
 
-    let a = run(42);
-    let b = run(42);
-    let c = run(7);
+    let a = run();
+    let b = run();
+    let mut want = vec![0u64; 4];
+    for k in 0..CONNS as u64 {
+        want[shard_for(0, k, 4)] += 1;
+    }
     assert_eq!(a.iter().sum::<u64>(), CONNS as u64);
-    assert_eq!(a, b, "same seed, same map");
-    assert_ne!(a, c, "a different seed reshuffles placement");
+    assert_eq!(a, b, "same ordinals, same map");
+    assert_eq!(a, want, "the map is shard_for at seed 0");
     assert!(
         a.iter().all(|&n| n > 0),
         "32 conns over 4 shards should touch every shard: {a:?}"
@@ -358,6 +363,78 @@ fn injected_write_failure_cuts_the_stream_at_the_same_frame_in_both_cores() {
         bystander.close().unwrap();
         let stats = server.wait();
         assert_eq!(stats.connections, 2, "{mode:?}");
+        assert_eq!(stats.disconnects, 1, "{mode:?}: only the cut connection");
+        assert_eq!(stats.worker_panics, 0, "{mode:?}");
+    }
+}
+
+/// The read-side twin: `net.read` is keyed the same way on both cores, so a
+/// `FailIo` armed at one connection's second inbound frame — its first
+/// `Query` — ends that connection right after the `HelloOk`, with no
+/// statement run, one disconnect, and the other connection untouched.
+#[test]
+fn injected_read_failure_ends_the_connection_at_the_same_frame_in_both_cores() {
+    const ROWS: i64 = 1_000;
+    let modes = [
+        ServerMode::ThreadPerConn { workers: 2 },
+        ServerMode::Sharded {
+            shards: 1,
+            queue_depth: 64,
+        },
+        ServerMode::Sharded {
+            shards: 4,
+            queue_depth: 64,
+        },
+    ];
+    for mode in modes {
+        let faults = Arc::new(FaultRegistry::new(1).armed_always(
+            "net.read",
+            Trigger::KeyAttempt { key: 1, attempt: 2 },
+            FaultAction::FailIo,
+        ));
+        let ep = LoopbackEndpoint::new();
+        let dial = ep.connector();
+        let server = Server::builder()
+            .transport(ep)
+            .mode(mode)
+            .with_faults(faults)
+            .serve(|| Session::new(catalog(ROWS)));
+
+        // Sequential dials: the bystander is connection 0, the victim 1.
+        let mut bystander = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
+        let mut victim = FramedIo::new(
+            Box::new(dial.connect().unwrap()),
+            Arc::new(FaultRegistry::disabled()),
+            1,
+        );
+        victim
+            .send(&Frame::Hello {
+                version: PROTOCOL_VERSION,
+            })
+            .unwrap();
+        assert!(
+            matches!(victim.recv(), Ok(Frame::HelloOk { .. })),
+            "{mode:?}: frame 1, the Hello, is answered"
+        );
+        // The blocking core gates frame 2 before it reads, so it may have
+        // hung up before this write lands: its outcome is not the point.
+        let _ = victim.send(&Frame::Query {
+            trace_parent: 0,
+            deadline_ms: 0,
+            sql: "SELECT COUNT(*) FROM nums".into(),
+        });
+        let after: Vec<Frame> = std::iter::from_fn(|| victim.recv().ok()).collect();
+        assert!(
+            after.is_empty(),
+            "{mode:?}: frame 2, the Query, ends the stream: {after:?}"
+        );
+
+        let r = bystander.query("SELECT COUNT(*) FROM nums").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(ROWS)]], "{mode:?}");
+        bystander.close().unwrap();
+        let stats = server.wait();
+        assert_eq!(stats.connections, 2, "{mode:?}");
+        assert_eq!(stats.queries, 1, "{mode:?}: the cut Query never ran");
         assert_eq!(stats.disconnects, 1, "{mode:?}: only the cut connection");
         assert_eq!(stats.worker_panics, 0, "{mode:?}");
     }

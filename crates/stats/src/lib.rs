@@ -58,7 +58,7 @@ pub use descriptive::Summary;
 pub use histogram::Histogram;
 pub use loghist::LogHistogram;
 pub use regression::LinearFit;
-pub use rng::{mix64, SplitMix64};
+pub use rng::{backoff_ms, mix64, SplitMix64};
 
 /// Errors produced by statistical routines.
 #[derive(Debug, Clone, PartialEq, Eq)]

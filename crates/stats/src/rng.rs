@@ -148,6 +148,21 @@ impl SplitMix64 {
     }
 }
 
+/// The workspace's one retry backoff, in ms, before retry `attempt`
+/// (2-based: attempt 2 is the first retry): `base` doubles per retry with
+/// the exponent capped at 6, plus up to one `base` of jitter drawn from
+/// `SplitMix64::split(seed, attempt)`, never more than `cap`; `0` for a
+/// non-positive `base`. A pure function of its arguments, so the same
+/// caller retrying the same attempt always waits the same time.
+pub fn backoff_ms(base: f64, cap: f64, seed: u64, attempt: u32) -> f64 {
+    if base <= 0.0 {
+        return 0.0;
+    }
+    let exponent = attempt.saturating_sub(2).min(6);
+    let jitter = SplitMix64::split(seed, attempt as u64).next_f64() * base;
+    (base * (1u64 << exponent) as f64 + jitter).min(cap)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,5 +354,20 @@ mod tests {
         }
         let avg = total as f64 / trials as f64;
         assert!((avg - 32.0).abs() < 2.0, "avalanche avg={avg}");
+    }
+
+    #[test]
+    fn backoff_pins_the_formula_both_retry_loops_ran() {
+        // Reference bits from an independent transcription of the formula:
+        // first retry, a doubled one, the cap, and the exponent's ceiling.
+        for (base, cap, seed, attempt, bits) in [
+            (1.0, 250.0, 7, 2, 0x3ffc_705a_1c7e_1894u64),
+            (2.0, 250.0, 42 ^ 7, 5, 0x4030_723d_18f2_f6dd),
+            (10.0, 250.0, 3, 9, 0x406f_4000_0000_0000),
+            (1.0, 1e9, 1, 30, 0x4050_2fe4_5add_d3be),
+        ] {
+            assert_eq!(backoff_ms(base, cap, seed, attempt).to_bits(), bits);
+        }
+        assert_eq!(backoff_ms(0.0, 250.0, 7, 2), 0.0);
     }
 }
