@@ -1002,10 +1002,21 @@ fn a_segment_of_the_wrong_type_is_refused_and_never_admitted() {
     build_catalog(100)
         .persist_with(&dir, &StoreConfig::default().chunk_rows(25))
         .unwrap();
-    // Chunk 1 of 4 of `probe.id`.
+    // Chunk 1 of 4 of `probe.id`, ids 25..50. The writer stores them as FOR,
+    // which no float shares; they are rewritten as the Plain segment of the
+    // same ids, which the format reads alike.
     let seg = dir.join("probe").join("g1_c0_k1.seg");
     let mut bytes = std::fs::read(&seg).unwrap();
-    assert_eq!(bytes[6..8], [0, 0], "an I64 Plain segment");
+    assert_eq!(bytes[6..8], [0, 3], "an I64 FOR segment");
+    let ids: Vec<u8> = (25..50_i64).flat_map(i64::to_le_bytes).collect();
+    bytes[7] = 0;
+    bytes.truncate(32);
+    bytes[16..24].copy_from_slice(&(ids.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&ids);
+    reseal(&mut bytes);
+    std::fs::write(&seg, &bytes).unwrap();
+    let plain = perfeval_store::read_segment(&seg, None, 0).unwrap();
+    assert_eq!(plain, perfeval_store::ColumnData::I64((25..50).collect()));
     bytes[6] ^= 1;
     std::fs::write(&seg, &bytes).unwrap();
     assert!(matches!(
@@ -1047,20 +1058,18 @@ fn a_segment_of_the_wrong_type_is_refused_and_never_admitted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A file of segment format version 1 (FNV-1a-64 of the payload alone at
-/// bytes 24..32) under a manifest of today: the statement that reads it gets
-/// a typed error naming the version, and the session goes on.
-#[test]
-fn a_version_1_segment_is_a_typed_error_and_the_session_survives() {
-    let dir = temp_dir("version_1");
+/// Persists the probe catalog, lets `age` rewrite one segment's bytes into
+/// an older format, and runs a statement that reads it: the statement gets a
+/// typed error naming `version`, and the session goes on.
+fn an_old_segment_is_a_typed_error(name: &str, version: u16, age: impl Fn(&mut Vec<u8>)) {
+    let dir = temp_dir(name);
     build_catalog(100)
         .persist_with(&dir, &StoreConfig::default().chunk_rows(25))
         .unwrap();
     let seg = dir.join("probe").join("g1_c0_k1.seg");
     let mut bytes = std::fs::read(&seg).unwrap();
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-    let sum = perfeval_store::fnv1a64(&bytes[32..]);
-    bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+    bytes[4..6].copy_from_slice(&version.to_le_bytes());
+    age(&mut bytes);
     std::fs::write(&seg, &bytes).unwrap();
 
     let mut session = Session::new(Catalog::open(&dir).unwrap());
@@ -1068,11 +1077,33 @@ fn a_version_1_segment_is_a_typed_error_and_the_session_survives() {
         .query("SELECT SUM(id) FROM probe WHERE id >= 0")
         .run()
         .unwrap_err();
+    let named = format!("unsupported format version {version}");
     assert!(
-        matches!(&err, DbError::Io(m) if m.contains("unsupported format version 1")),
+        matches!(&err, DbError::Io(m) if m.contains(&named)),
         "{err}"
     );
     let ok = session.query("SELECT k FROM aside").run().unwrap();
     assert_eq!(ok.rows, vec![vec![Value::Int(42)]]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file of segment format version 1 (FNV-1a-64 of the payload alone at
+/// bytes 24..32) under a manifest of today.
+#[test]
+fn a_version_1_segment_is_a_typed_error_and_the_session_survives() {
+    an_old_segment_is_a_typed_error("version_1", 1, |bytes| {
+        let sum = perfeval_store::fnv1a64(&bytes[32..]);
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+    });
+}
+
+/// A file of segment format version 2 (today's header and checksum, 4-byte
+/// codes, no FOR) under a manifest of today.
+#[test]
+fn a_version_2_segment_is_a_typed_error_and_the_session_survives() {
+    an_old_segment_is_a_typed_error("version_2", 2, |bytes| {
+        let header = bytes[..24].try_into().unwrap();
+        let sum = perfeval_store::segment_checksum(header, &bytes[32..]);
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+    });
 }

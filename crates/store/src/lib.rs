@@ -16,7 +16,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`segment`] | one-file-per-column-chunk format: 32-byte header and payload under one word-at-a-time checksum (format version 2), every count still checked against the bytes that back it, Plain / RLE / dictionary encodings chosen per column, floats stored as [`f64::to_bits`] for bit-identity |
+//! | [`segment`] | one-file-per-column-chunk format: 32-byte header and payload under one word-at-a-time checksum (format version 3), every count still checked against the bytes that back it, Plain / RLE / dictionary / frame-of-reference encodings chosen per column chunk by exact size, codes at 1, 2 or 4 bytes checked once and decoded in one loop per width, floats stored as [`f64::to_bits`] for bit-identity |
 //! | [`pool`] | [`BufferPool`]: frame table, [`Evict::{Lru, Clock, TwoQ}`](Evict), real logical/physical read counters, `drop_all()` for honest cold runs |
 //! | [`manifest`] | table/catalog manifests committed temp-then-rename (crash safety), quarantine of unreferenced files — counted, never silent — and a best-effort `posix_fadvise(DONTNEED)` page-cache drop |
 //!

@@ -1,25 +1,39 @@
 //! On-disk columnar segments: one file per column chunk.
 //!
-//! ## Format (version 2)
+//! ## Format (version 3)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"PSEG"
-//! 4       2     format version (LE u16, = 2)
+//! 4       2     format version (LE u16, = 3)
 //! 6       1     type tag   (0 = I64, 1 = F64, 2 = Str, 3 = Bool)
-//! 7       1     encoding   (0 = Plain, 1 = RLE, 2 = Dict)
+//! 7       1     encoding   (0 = Plain, 1 = RLE, 2 = Dict, 3 = FOR)
 //! 8       8     row count  (LE u64)
 //! 16      8     payload length in bytes (LE u64)
 //! 24      8     segment_checksum(bytes 0..24, payload) (LE u64)
 //! 32      ...   payload
 //! ```
 //!
-//! The encoding is chosen **per column chunk** by exact encoded-size
-//! comparison (deterministic — no heuristics), so run-heavy columns get
-//! RLE, low-cardinality integer columns get a dictionary, and
-//! high-entropy data stays Plain. Floats are persisted as
-//! [`f64::to_bits`] and compared the same way, so NaN payloads and the
-//! sign of zero survive a round trip bit-identically.
+//! The payloads, all little-endian:
+//!
+//! | encoding | types | payload |
+//! |----------|-------|---------|
+//! | Plain | I64, F64, Bool | one 8-byte word (1-byte bool) per row |
+//! | RLE | I64, F64, Bool | `u64` run count, then per run the word and a `u64` length |
+//! | Dict | I64, F64 | `u32` entry count, the 8-byte entries, then a code stream |
+//! | FOR | I64 | the chunk's minimum (8 bytes), then a code stream of offsets from it |
+//! | Plain / RLE | Str | `u32` entry count, per entry a `u32` length and its UTF-8; then a code stream (Plain) or runs of a `u32` code and a `u64` length (RLE) |
+//!
+//! A *code stream* is one width byte — 1, 2 or 4 — then one code of that
+//! many bytes per row. A dictionary's codes take the narrowest width its
+//! size allows; frame-of-reference (FOR) offsets the narrowest that holds
+//! the chunk's range. The encoding is chosen **per column chunk** by exact
+//! encoded-size comparison (deterministic — no heuristics; a tie goes to the
+//! cheaper decode, Plain, FOR, Dict, RLE in that order), so run-heavy columns
+//! get RLE, narrow-range integer columns FOR, low-cardinality integer and
+//! float columns a dictionary, and high-entropy data stays Plain. Floats are
+//! persisted and keyed as [`f64::to_bits`], so NaN payloads and the sign of
+//! zero survive a round trip bit-identically.
 //!
 //! A file is read whole, in one read sized by its own length, and handed to
 //! [`decode_segment`]: a file shorter *or longer* than its header says, or
@@ -31,13 +45,17 @@
 //! believed. It is a checksum against torn writes and bit rot, not against
 //! a writer: a *forged* segment carries a checksum consistent with its lies,
 //! so every count the decoder meets — the header's row count, a run count, a
-//! dictionary size, an entry length — is still compared with the payload
-//! bytes that have to back it before anything is reserved on its word, and
-//! run lengths must tile the row count exactly.
+//! dictionary size, an entry length, rows × code width — is still compared
+//! with the payload bytes that have to back it before anything is reserved
+//! on its word, run lengths must tile the row count exactly, and a code
+//! stream's width byte and its largest code are checked once, before the
+//! one loop that widens or gathers it.
 
 use crate::StoreError;
 use perfeval_fault::FaultRegistry;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::fs::File;
+use std::hash::{BuildHasher, Hasher};
 use std::io::Write;
 use std::path::Path;
 
@@ -48,7 +66,7 @@ pub const CHECKED_HEADER_LEN: usize = 24;
 /// Magic bytes opening every segment file.
 pub const MAGIC: [u8; 4] = *b"PSEG";
 /// On-disk format version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Fault site fired once per segment written; a `FailIo` arm produces a
 /// **torn write**: the file is truncated mid-payload while its header
@@ -189,10 +207,14 @@ pub enum Encoding {
     Plain,
     /// Run-length encoding: `(value, run_length)` pairs.
     Rle,
-    /// Dictionary encoding: distinct-value table + per-row `u32` codes
-    /// (integer columns; string columns are inherently dictionary-coded
-    /// and use this byte for their *code* stream's encoding).
+    /// Dictionary encoding: distinct-value table + per-row codes of 1, 2
+    /// or 4 bytes (integer and float columns; string columns are
+    /// inherently dictionary-coded and use this byte for their *code*
+    /// stream's encoding).
     Dict,
+    /// Frame of reference (integer columns): the chunk's minimum + per-row
+    /// unsigned offsets of 1, 2 or 4 bytes.
+    For,
 }
 
 impl Encoding {
@@ -201,6 +223,7 @@ impl Encoding {
             Encoding::Plain => 0,
             Encoding::Rle => 1,
             Encoding::Dict => 2,
+            Encoding::For => 3,
         }
     }
 
@@ -209,6 +232,7 @@ impl Encoding {
             0 => Ok(Encoding::Plain),
             1 => Ok(Encoding::Rle),
             2 => Ok(Encoding::Dict),
+            3 => Ok(Encoding::For),
             other => Err(StoreError::Corrupt(format!("unknown encoding {other}"))),
         }
     }
@@ -235,6 +259,32 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// The narrowest code width — 1, 2 or 4 bytes — that holds `max`.
+fn width_of(max: u64) -> Option<usize> {
+    match max {
+        0..=0xff => Some(1),
+        0x100..=0xffff => Some(2),
+        0x1_0000..=0xffff_ffff => Some(4),
+        _ => None,
+    }
+}
+
+/// The width of the codes of a dictionary of `entries` entries.
+fn code_width(entries: usize) -> usize {
+    width_of(entries.saturating_sub(1) as u64).unwrap_or(4)
+}
+
+/// A code stream: the width byte, then each code at `width` bytes. Every
+/// code fits `width` (the caller sized it to the largest).
+fn put_codes(out: &mut Vec<u8>, width: usize, codes: impl Iterator<Item = u32>) {
+    out.push(width as u8);
+    match width {
+        1 => out.extend(codes.map(|c| c as u8)),
+        2 => codes.for_each(|c| out.extend_from_slice(&(c as u16).to_le_bytes())),
+        _ => codes.for_each(|c| out.extend_from_slice(&c.to_le_bytes())),
+    }
 }
 
 struct Cursor<'a> {
@@ -288,6 +338,25 @@ impl<'a> Cursor<'a> {
         Ok(self.take(len)?.chunks_exact(width))
     }
 
+    /// A code stream of `rows` codes, which ends the payload: its width
+    /// byte must say 1, 2 or 4, and rows × width must be the bytes left.
+    fn codes(&mut self, rows: usize) -> Result<Codes<'a>, StoreError> {
+        let width = usize::from(self.take(1)?[0]);
+        if !matches!(width, 1 | 2 | 4) {
+            return Err(StoreError::Corrupt(format!(
+                "code width {width} is not 1, 2 or 4"
+            )));
+        }
+        if rows.checked_mul(width) != Some(self.left()) {
+            return Err(StoreError::Corrupt(format!(
+                "{rows} x {width}-byte codes claimed, {} byte(s) left",
+                self.left()
+            )));
+        }
+        let bytes = self.take(self.left())?;
+        Ok(Codes { width, bytes })
+    }
+
     fn done(&self) -> Result<(), StoreError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -296,6 +365,67 @@ impl<'a> Cursor<'a> {
                 "{} trailing byte(s) after payload",
                 self.buf.len() - self.pos
             )))
+        }
+    }
+}
+
+/// A checked code stream: `width` is 1, 2 or 4, and `bytes` holds whole
+/// codes.
+struct Codes<'a> {
+    width: usize,
+    bytes: &'a [u8],
+}
+
+/// Each `W`-byte little-endian code of `bytes`, widened to `u32`.
+fn widened<const W: usize>(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.as_chunks::<W>().0.iter().map(|code| {
+        let mut word = [0; 4];
+        word[..W].copy_from_slice(code);
+        u32::from_le_bytes(word)
+    })
+}
+
+impl Codes<'_> {
+    /// Refuses the stream if any code is `len` or more — the one check a
+    /// gather from a `len`-entry dictionary needs.
+    fn below(self, len: usize) -> Result<Self, StoreError> {
+        let largest = match self.width {
+            1 => widened::<1>(self.bytes).max(),
+            2 => widened::<2>(self.bytes).max(),
+            _ => widened::<4>(self.bytes).max(),
+        };
+        match largest {
+            Some(code) if code as usize >= len => Err(StoreError::Corrupt(format!(
+                "code {code} out of range {len}"
+            ))),
+            _ => Ok(self),
+        }
+    }
+
+    /// `dict[code]` for every code, each already checked [`Codes::below`]
+    /// `dict.len()`. One-byte codes index a full table of 256, which needs
+    /// no bounds check.
+    fn gather<T: Copy + Default>(&self, dict: &[T]) -> Vec<T> {
+        if self.width == 1 {
+            let mut table = [T::default(); 256];
+            let known = dict.len().min(256);
+            table[..known].copy_from_slice(&dict[..known]);
+            return self
+                .bytes
+                .iter()
+                .map(|&code| table[usize::from(code)])
+                .collect();
+        }
+        self.map(|code| dict[code as usize])
+    }
+
+    /// Every code through `f`, in one loop per width, into a vector of
+    /// exactly the stream's length.
+    fn map<T>(&self, f: impl Fn(u32) -> T) -> Vec<T> {
+        match self.width {
+            1 => widened::<1>(self.bytes).map(f).collect(),
+            2 => widened::<2>(self.bytes).map(f).collect(),
+            _ => widened::<4>(self.bytes).map(f).collect(),
         }
     }
 }
@@ -366,130 +496,160 @@ pub fn segment_checksum(header: &[u8; CHECKED_HEADER_LEN], payload: &[u8]) -> u6
 // encoding
 // ---------------------------------------------------------------------
 
-/// `(value, run_length)` runs of an equality-comparable stream.
-fn runs_of<T: PartialEq + Copy>(vals: &[T]) -> Vec<(T, u64)> {
-    let mut runs: Vec<(T, u64)> = Vec::new();
-    for &v in vals {
-        match runs.last_mut() {
-            Some((last, n)) if *last == v => *n += 1,
-            _ => runs.push((v, 1)),
-        }
+/// Runs in a stream: one more than the places two neighbours differ.
+fn run_count<T: PartialEq>(vals: &[T]) -> usize {
+    if vals.is_empty() {
+        0
+    } else {
+        1 + vals.windows(2).filter(|w| w[0] != w[1]).count()
     }
-    runs
 }
 
-/// Distinct values in first-occurrence order plus per-row codes, or
-/// `None` once the dictionary would stop paying for itself (> u32 codes
-/// worth of distincts is impossible here, but we also bail past 2^16
-/// entries: the size comparison would reject it anyway).
-fn dict_of(vals: &[i64]) -> Option<(Vec<i64>, Vec<u32>)> {
-    let mut dict: Vec<i64> = Vec::new();
-    let mut index: std::collections::HashMap<i64, u32> = std::collections::HashMap::new();
+/// An RLE stream of `runs` runs: the run count, then each run's value
+/// through `put` and its `u64` length.
+fn put_runs<T: PartialEq + Copy>(
+    out: &mut Vec<u8>,
+    vals: &[T],
+    runs: usize,
+    put: impl Fn(&mut Vec<u8>, T),
+) {
+    put_u64(out, runs as u64);
+    for run in vals.chunk_by(|a, b| a == b) {
+        put(out, run[0]);
+        put_u64(out, run.len() as u64);
+    }
+}
+
+/// The dictionary builder's hash of a `u64` key: one 64 × 64 → 128-bit
+/// multiply of the key and a seed, folded — several times cheaper than
+/// std's SipHash. The seed is drawn per dictionary from std's
+/// [`RandomState`], so keys cannot be chosen to collide; the codes, given
+/// in first-occurrence order, do not depend on it.
+struct FoldHasher(u64);
+
+/// Builds [`FoldHasher`]s that start from one random seed.
+#[derive(Clone)]
+struct FoldState(u64);
+
+impl FoldState {
+    fn new() -> Self {
+        FoldState(RandomState::new().hash_one(CHECKSUM_MUL))
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher(self.0)
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let wide = u128::from(self.0 ^ v) * u128::from(CHECKSUM_MUL);
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+}
+
+/// Bytes of a Dict payload of `entries` 8-byte entries and `rows` codes.
+fn dict_bytes(entries: usize, rows: usize) -> usize {
+    4 + 8 * entries + 1 + code_width(entries) * rows
+}
+
+/// Distinct words in first-occurrence order plus per-row codes, or `None`
+/// as soon as the dictionary could no longer come in under `beat` bytes —
+/// at once when even a one-entry dictionary cannot (FOR at width 1, say).
+fn dict_of(vals: &[u64], beat: usize) -> Option<(Vec<u64>, Vec<u32>)> {
+    if dict_bytes(1, vals.len()) >= beat {
+        return None;
+    }
+    let mut dict: Vec<u64> = Vec::new();
+    let mut index: HashMap<u64, u32, FoldState> = HashMap::with_hasher(FoldState::new());
     let mut codes = Vec::with_capacity(vals.len());
     for &v in vals {
-        let code = *index.entry(v).or_insert_with(|| {
-            dict.push(v);
-            (dict.len() - 1) as u32
-        });
+        let code = match index.entry(v) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                if dict_bytes(dict.len() + 1, vals.len()) >= beat {
+                    return None;
+                }
+                dict.push(v);
+                *e.insert((dict.len() - 1) as u32)
+            }
+        };
         codes.push(code);
-        if dict.len() > (1 << 16) {
-            return None;
-        }
     }
     Some((dict, codes))
 }
 
-fn encode_u64s(vals: &[u64]) -> (Encoding, Vec<u8>) {
-    let runs = runs_of(vals);
-    let plain_bytes = 8 * vals.len();
-    let rle_bytes = 8 + 16 * runs.len();
-    if rle_bytes < plain_bytes {
-        let mut out = Vec::with_capacity(rle_bytes);
-        put_u64(&mut out, runs.len() as u64);
-        for (v, n) in runs {
-            put_u64(&mut out, v);
-            put_u64(&mut out, n);
-        }
-        (Encoding::Rle, out)
-    } else {
-        let mut out = Vec::with_capacity(plain_bytes);
-        for &v in vals {
-            put_u64(&mut out, v);
-        }
-        (Encoding::Plain, out)
-    }
+/// FOR's frame of an integer chunk: its minimum and the offset width its
+/// range needs, if any does.
+fn frame_of(vals: &[u64]) -> Option<(i64, usize)> {
+    let lo = vals.iter().map(|&v| v as i64).min()?;
+    let hi = vals.iter().map(|&v| v as i64).max()?;
+    Some((lo, width_of(hi.wrapping_sub(lo) as u64)?))
 }
 
-fn encode_i64s(vals: &[i64]) -> (Encoding, Vec<u8>) {
-    let runs = runs_of(vals);
-    let plain_bytes = 8 * vals.len();
-    let rle_bytes = 8 + 16 * runs.len();
-    let dict = dict_of(vals);
-    let dict_bytes = dict
+/// An integer or float chunk as words (a float by its bits) in whichever of
+/// Plain, RLE, Dict and — `integers` only — FOR is smallest.
+fn encode_words(vals: &[u64], integers: bool) -> (Encoding, Vec<u8>) {
+    let rows = vals.len();
+    let runs = run_count(vals);
+    let frame = if integers { frame_of(vals) } else { None };
+    let for_bytes = frame.map_or(usize::MAX, |(_, width)| 8 + 1 + width * rows);
+    let rle_bytes = 8 + 16 * runs;
+    let plain_bytes = 8 * rows;
+    let dict = dict_of(vals, plain_bytes.min(rle_bytes).min(for_bytes));
+    let dict_size = dict
         .as_ref()
-        .map(|(d, c)| 4 + 8 * d.len() + 4 * c.len())
-        .unwrap_or(usize::MAX);
-    let best = plain_bytes.min(rle_bytes).min(dict_bytes);
-    if best == rle_bytes && rle_bytes < plain_bytes {
-        let mut out = Vec::with_capacity(rle_bytes);
-        put_u64(&mut out, runs.len() as u64);
-        for (v, n) in runs {
-            out.extend_from_slice(&v.to_le_bytes());
-            put_u64(&mut out, n);
+        .map_or(usize::MAX, |(d, _)| dict_bytes(d.len(), rows));
+    let sizes = [
+        (Encoding::Plain, plain_bytes),
+        (Encoding::For, for_bytes),
+        (Encoding::Dict, dict_size),
+        (Encoding::Rle, rle_bytes),
+    ];
+    let (encoding, size) = sizes
+        .into_iter()
+        .min_by_key(|&(_, size)| size)
+        .expect("four candidates");
+    let mut out = Vec::with_capacity(size);
+    match encoding {
+        Encoding::Plain => vals.iter().for_each(|&v| put_u64(&mut out, v)),
+        Encoding::Rle => put_runs(&mut out, vals, runs, put_u64),
+        Encoding::For => {
+            let (lo, width) = frame.expect("FOR was sized");
+            put_u64(&mut out, lo as u64);
+            let offsets = vals.iter().map(|&v| (v as i64).wrapping_sub(lo) as u32);
+            put_codes(&mut out, width, offsets);
         }
-        (Encoding::Rle, out)
-    } else if best == dict_bytes && dict_bytes < plain_bytes {
-        let (d, c) = dict.expect("dict_bytes finite implies Some");
-        let mut out = Vec::with_capacity(dict_bytes);
-        put_u32(&mut out, d.len() as u32);
-        for v in d {
-            out.extend_from_slice(&v.to_le_bytes());
+        Encoding::Dict => {
+            let (d, codes) = dict.expect("Dict was sized");
+            put_u32(&mut out, d.len() as u32);
+            d.iter().for_each(|&v| put_u64(&mut out, v));
+            let width = code_width(d.len());
+            put_codes(&mut out, width, codes.into_iter());
         }
-        for code in c {
-            put_u32(&mut out, code);
-        }
-        (Encoding::Dict, out)
-    } else {
-        let mut out = Vec::with_capacity(plain_bytes);
-        for &v in vals {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        (Encoding::Plain, out)
     }
-}
-
-fn encode_codes(codes: &[u32]) -> (Encoding, Vec<u8>) {
-    let runs = runs_of(codes);
-    let plain_bytes = 4 * codes.len();
-    let rle_bytes = 8 + 12 * runs.len();
-    if rle_bytes < plain_bytes {
-        let mut out = Vec::with_capacity(rle_bytes);
-        put_u64(&mut out, runs.len() as u64);
-        for (v, n) in runs {
-            put_u32(&mut out, v);
-            put_u64(&mut out, n);
-        }
-        (Encoding::Rle, out)
-    } else {
-        let mut out = Vec::with_capacity(plain_bytes);
-        for &v in codes {
-            put_u32(&mut out, v);
-        }
-        (Encoding::Plain, out)
-    }
+    (encoding, out)
 }
 
 fn encode_bools(vals: &[bool]) -> (Encoding, Vec<u8>) {
-    let runs = runs_of(vals);
-    let plain_bytes = vals.len();
-    let rle_bytes = 8 + 9 * runs.len();
-    if rle_bytes < plain_bytes {
-        let mut out = Vec::with_capacity(rle_bytes);
-        put_u64(&mut out, runs.len() as u64);
-        for (v, n) in runs {
-            out.push(u8::from(v));
-            put_u64(&mut out, n);
-        }
+    let runs = run_count(vals);
+    if 8 + 9 * runs < vals.len() {
+        let mut out = Vec::with_capacity(8 + 9 * runs);
+        put_runs(&mut out, vals, runs, |out, v| out.push(u8::from(v)));
         (Encoding::Rle, out)
     } else {
         (Encoding::Plain, vals.iter().map(|&b| u8::from(b)).collect())
@@ -498,24 +658,34 @@ fn encode_bools(vals: &[bool]) -> (Encoding, Vec<u8>) {
 
 fn encode_payload(data: &ColumnData) -> (Encoding, Vec<u8>) {
     match data {
-        ColumnData::I64(v) => encode_i64s(v),
+        ColumnData::I64(v) => {
+            let words: Vec<u64> = v.iter().map(|&i| i as u64).collect();
+            encode_words(&words, true)
+        }
         ColumnData::F64(v) => {
             let bits: Vec<u64> = v.iter().map(|f| f.to_bits()).collect();
-            encode_u64s(&bits)
+            encode_words(&bits, false)
         }
         ColumnData::Str { dict, codes } => {
             // Dictionary block first (length-prefixed UTF-8), then the
-            // code stream in whichever encoding is smaller; the header's
-            // encoding byte describes the code stream.
+            // code stream at the width the dictionary's size needs, or its
+            // runs if smaller; the header's encoding byte describes the
+            // code stream.
             let mut out = Vec::new();
             put_u32(&mut out, dict.len() as u32);
             for s in dict {
                 put_u32(&mut out, s.len() as u32);
                 out.extend_from_slice(s.as_bytes());
             }
-            let (enc, code_bytes) = encode_codes(codes);
-            out.extend_from_slice(&code_bytes);
-            (enc, out)
+            let width = code_width(dict.len());
+            let runs = run_count(codes);
+            if 8 + 12 * runs < 1 + width * codes.len() {
+                put_runs(&mut out, codes, runs, put_u32);
+                (Encoding::Rle, out)
+            } else {
+                put_codes(&mut out, width, codes.iter().copied());
+                (Encoding::Plain, out)
+            }
         }
         ColumnData::Bool(v) => encode_bools(v),
     }
@@ -552,7 +722,8 @@ fn count(v: u64, what: &str) -> Result<usize, StoreError> {
         .map_err(|_| StoreError::Corrupt(format!("{what} {v} exceeds the address space")))
 }
 
-/// A fixed-width little-endian value of a Plain or RLE stream.
+/// A fixed-width little-endian value of a Plain or RLE stream or a
+/// dictionary.
 trait Word: Copy {
     /// Encoded width in bytes.
     const WIDTH: usize;
@@ -590,8 +761,45 @@ impl Word for bool {
     }
 }
 
-/// The Plain and RLE streams of every type. Either ends its payload; bytes
-/// it leaves over are refused by the caller's `Cursor::done`.
+/// An RLE stream's runs: a `u64` run count, then each run's word and `u64`
+/// length. The runs are under the checksum, `rows` is not: they are handed
+/// out only once they are seen to tile `rows` exactly.
+fn runs<'a, T: Word>(
+    cur: &mut Cursor<'a>,
+    rows: usize,
+) -> Result<impl Iterator<Item = (T, usize)> + Clone + 'a, StoreError> {
+    let nruns = count(cur.u64()?, "run count")?;
+    let runs = cur.items(nruns, T::WIDTH + 8)?.map(|run| {
+        let (word, len) = run.split_at(T::WIDTH);
+        let len = u64::from_le_bytes(len.try_into().expect("a u64 ends a run"));
+        (T::read(word), len)
+    });
+    let mut unfilled = rows as u64;
+    for (_, len) in runs.clone() {
+        unfilled = unfilled
+            .checked_sub(len)
+            .ok_or_else(|| StoreError::Corrupt("RLE runs exceed row count".into()))?;
+    }
+    if unfilled != 0 {
+        return Err(StoreError::Corrupt(
+            "RLE runs fall short of row count".into(),
+        ));
+    }
+    // No run is longer than `rows`, a `usize`.
+    Ok(runs.map(|(word, len)| (word, len as usize)))
+}
+
+/// `rows` values from runs that tile them, each run filled as one slice.
+fn expand<T: Word>(runs: impl Iterator<Item = (T, usize)>, rows: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(rows);
+    for (word, len) in runs {
+        out.resize(out.len() + len, word);
+    }
+    out
+}
+
+/// The Plain and RLE streams of every type but strings. Either ends its
+/// payload; bytes it leaves over are refused by the caller's `Cursor::done`.
 fn decode_words<T: Word>(
     cur: &mut Cursor,
     encoding: Encoding,
@@ -601,56 +809,65 @@ fn decode_words<T: Word>(
         // `rows` words were found, so collecting reserves exactly what the
         // payload backs.
         Encoding::Plain => Ok(cur.items(rows, T::WIDTH)?.map(T::read).collect()),
-        Encoding::Rle => {
-            // Each run is a word and a `u64` length.
-            let nruns = count(cur.u64()?, "run count")?;
-            let runs = cur.items(nruns, T::WIDTH + 8)?.map(|run| {
-                let (word, len) = run.split_at(T::WIDTH);
-                (
-                    word,
-                    u64::from_le_bytes(len.try_into().expect("a u64 ends a run")),
-                )
-            });
-            // The runs are under the checksum, `rows` is not: `rows` is
-            // reserved only once the runs are seen to fill it exactly.
-            let mut unfilled = rows as u64;
-            for (_, len) in runs.clone() {
-                unfilled = unfilled
-                    .checked_sub(len)
-                    .ok_or_else(|| StoreError::Corrupt("RLE runs exceed row count".into()))?;
-            }
-            if unfilled != 0 {
-                return Err(StoreError::Corrupt(
-                    "RLE runs fall short of row count".into(),
-                ));
-            }
-            let mut out = Vec::with_capacity(rows);
-            for (word, len) in runs {
-                // No run is longer than `rows`, a `usize`.
-                out.extend(std::iter::repeat_n(T::read(word), len as usize));
-            }
-            Ok(out)
-        }
-        Encoding::Dict => Err(StoreError::Corrupt("Dict encoding invalid here".into())),
+        Encoding::Rle => Ok(expand(runs::<T>(cur, rows)?, rows)),
+        other => Err(StoreError::Corrupt(format!(
+            "{other:?} encoding invalid here"
+        ))),
     }
 }
 
-/// An integer column's Dict stream: `u32` size, the distinct values, then
-/// one `u32` code per row.
-fn decode_i64_dict(cur: &mut Cursor, rows: usize) -> Result<Vec<i64>, StoreError> {
+/// An integer or float column's Dict stream: `u32` size, the distinct
+/// values, then a code stream, every code checked below the size before
+/// the one gather.
+fn decode_dict<T: Word + Default>(cur: &mut Cursor, rows: usize) -> Result<Vec<T>, StoreError> {
     let dlen = cur.u32()? as usize;
-    let dict: Vec<i64> = cur.items(dlen, 8)?.map(i64::read).collect();
-    let codes = cur.items(rows, 4)?;
-    let mut out = Vec::with_capacity(rows);
-    for code in codes {
-        let code = u32::read(code) as usize;
-        out.push(
-            *dict.get(code).ok_or_else(|| {
-                StoreError::Corrupt(format!("dict code {code} out of range {dlen}"))
-            })?,
+    let dict: Vec<T> = cur.items(dlen, T::WIDTH)?.map(T::read).collect();
+    Ok(cur.codes(rows)?.below(dlen)?.gather(&dict))
+}
+
+/// A string column: its dictionary of length-prefixed UTF-8, then its
+/// codes, as a code stream (Plain) or runs of `u32` codes (RLE), every code
+/// checked below the dictionary's size once.
+fn decode_strs(
+    cur: &mut Cursor,
+    encoding: Encoding,
+    rows: usize,
+) -> Result<ColumnData, StoreError> {
+    let dlen = cur.u32()? as usize;
+    // Four length bytes per entry at the least.
+    if dlen > cur.left() / 4 {
+        return Err(StoreError::Corrupt(format!(
+            "{dlen} dictionary entries claimed, {} byte(s) left",
+            cur.left()
+        )));
+    }
+    let mut dict = Vec::with_capacity(dlen);
+    for _ in 0..dlen {
+        let len = cur.u32()? as usize;
+        let raw = cur.take(len)?;
+        dict.push(
+            String::from_utf8(raw.to_vec())
+                .map_err(|_| StoreError::Corrupt("dictionary entry is not UTF-8".into()))?,
         );
     }
-    Ok(out)
+    let codes = match encoding {
+        Encoding::Plain => cur.codes(rows)?.below(dlen)?.map(|code| code),
+        Encoding::Rle => {
+            let runs = runs::<u32>(cur, rows)?;
+            if let Some((code, _)) = runs.clone().find(|&(code, _)| code as usize >= dlen) {
+                return Err(StoreError::Corrupt(format!(
+                    "code {code} out of range {dlen}"
+                )));
+            }
+            expand(runs, rows)
+        }
+        other => {
+            return Err(StoreError::Corrupt(format!(
+                "{other:?} encoding invalid here"
+            )))
+        }
+    };
+    Ok(ColumnData::Str { dict, codes })
 }
 
 /// Decodes a full in-memory segment (as produced by [`encode_segment`]),
@@ -694,39 +911,18 @@ pub fn decode_segment(bytes: &[u8]) -> Result<ColumnData, StoreError> {
         return Err(StoreError::Corrupt("checksum mismatch".into()));
     }
     let mut cur = Cursor::new(payload);
-    let data = match tag {
-        TypeTag::I64 => ColumnData::I64(match encoding {
-            Encoding::Dict => decode_i64_dict(&mut cur, rows)?,
-            other => decode_words(&mut cur, other, rows)?,
-        }),
-        TypeTag::F64 => ColumnData::F64(decode_words(&mut cur, encoding, rows)?),
-        TypeTag::Str => {
-            let dlen = cur.u32()? as usize;
-            // Four length bytes per entry at the least.
-            if dlen > cur.left() / 4 {
-                return Err(StoreError::Corrupt(format!(
-                    "{dlen} dictionary entries claimed, {} byte(s) left",
-                    cur.left()
-                )));
-            }
-            let mut dict = Vec::with_capacity(dlen);
-            for _ in 0..dlen {
-                let len = cur.u32()? as usize;
-                let raw = cur.take(len)?;
-                dict.push(
-                    String::from_utf8(raw.to_vec())
-                        .map_err(|_| StoreError::Corrupt("dictionary entry is not UTF-8".into()))?,
-                );
-            }
-            let codes: Vec<u32> = decode_words(&mut cur, encoding, rows)?;
-            if let Some(&bad) = codes.iter().find(|&&c| c as usize >= dlen) {
-                return Err(StoreError::Corrupt(format!(
-                    "string code {bad} out of range {dlen}"
-                )));
-            }
-            ColumnData::Str { dict, codes }
+    let data = match (tag, encoding) {
+        (TypeTag::I64, Encoding::For) => {
+            let lo = i64::read(cur.take(8)?);
+            let offsets = cur.codes(rows)?;
+            ColumnData::I64(offsets.map(|offset| lo.wrapping_add(i64::from(offset))))
         }
-        TypeTag::Bool => ColumnData::Bool(decode_words(&mut cur, encoding, rows)?),
+        (TypeTag::I64, Encoding::Dict) => ColumnData::I64(decode_dict(&mut cur, rows)?),
+        (TypeTag::I64, _) => ColumnData::I64(decode_words(&mut cur, encoding, rows)?),
+        (TypeTag::F64, Encoding::Dict) => ColumnData::F64(decode_dict(&mut cur, rows)?),
+        (TypeTag::F64, _) => ColumnData::F64(decode_words(&mut cur, encoding, rows)?),
+        (TypeTag::Str, _) => decode_strs(&mut cur, encoding, rows)?,
+        (TypeTag::Bool, _) => ColumnData::Bool(decode_words(&mut cur, encoding, rows)?),
     };
     cur.done()?;
     Ok(data)
@@ -822,6 +1018,14 @@ mod tests {
             (0..1000).map(|i| i64::from(i % 3 == 0)).collect(),
         )); // dict/RLE contest
         roundtrip(ColumnData::I64(vec![i64::MIN, i64::MAX, -1, 0, 1]));
+        // FOR at each width, from the ends of the range.
+        roundtrip(ColumnData::I64(
+            (0..1000).map(|i| i64::MIN + i % 200).collect(),
+        ));
+        roundtrip(ColumnData::I64(
+            (0..1000).map(|i| i64::MAX - i * 60).collect(),
+        ));
+        roundtrip(ColumnData::I64((0..1000).map(|i| -i * 4_000_000).collect()));
     }
 
     #[test]
@@ -832,8 +1036,55 @@ mod tests {
             (0..4096).map(|i| i64::from(i % 7) * 1000).collect(),
         ));
         assert_eq!(lowcard[7], 2, "low-cardinality column should pick Dict");
-        let unique = encode_segment(&ColumnData::I64((0..4096).map(|i| i * 17).collect()));
+        // A span of 64 bits: no FOR width holds it, no dictionary pays.
+        let unique = encode_segment(&ColumnData::I64(
+            (0..4096_i64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15_u64 as i64))
+                .collect(),
+        ));
         assert_eq!(unique[7], 0, "high-entropy column should stay Plain");
+
+        // Width bytes sit after FOR's 8-byte minimum, after a dictionary.
+        let range = encode_segment(&ColumnData::I64(
+            (0..4096).map(|i| 10_000 + (i * 7919) % 2500).collect(),
+        ));
+        assert_eq!(range[7], 3, "a 2 500-wide range should pick FOR");
+        assert_eq!(range[HEADER_LEN + 8], 2, "at width 2");
+        let floats = encode_segment(&ColumnData::F64(
+            (0..4096).map(|i| f64::from(i * 7 % 11) / 100.0).collect(),
+        ));
+        assert_eq!(floats[7], 2, "11 distinct floats should pick Dict");
+        assert_eq!(floats[HEADER_LEN + 4 + 8 * 11], 1, "at width 1");
+        let flags = encode_segment(&ColumnData::Str {
+            dict: vec!["A".into(), "N".into(), "R".into()],
+            codes: (0..4096).map(|i| i * 7 % 3).collect(),
+        });
+        let dict_block = 4 + 3 * (4 + 1);
+        assert_eq!(
+            flags[7], 0,
+            "unsorted string codes should stay a code stream"
+        );
+        assert_eq!(flags[HEADER_LEN + dict_block], 1, "of 1-byte codes");
+        assert_eq!(flags.len(), HEADER_LEN + dict_block + 1 + 4096);
+
+        // A chunk of `l_shipdate`: an order date in 0..2406 plus 1..=121 days.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % below
+        };
+        let rows = 65_536;
+        let dates: Vec<i64> = (0..rows)
+            .map(|_| (next(2406) + 1 + next(121)) as i64)
+            .collect();
+        let seg = encode_segment(&ColumnData::I64(dates));
+        assert!(
+            seg.len() <= HEADER_LEN + 9 + 2 * rows,
+            "{} bytes for {rows} dates",
+            seg.len()
+        );
     }
 
     #[test]

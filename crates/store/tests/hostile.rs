@@ -1,7 +1,7 @@
-//! Hostile bytes at the segment reader. Format version 2 puts the header
-//! under the checksum, so a flipped bit anywhere in a segment and a file of
-//! any other length are `StoreError::Corrupt`, strictly. What a bit flip
-//! cannot produce a writer can — a *forged* segment whose checksum is
+//! Hostile bytes at the segment reader. The header is under the checksum
+//! (since format version 2), so a flipped bit anywhere in a segment and a
+//! file of any other length are `StoreError::Corrupt`, strictly. What a bit
+//! flip cannot produce a writer can — a *forged* segment whose checksum is
 //! consistent with its lies: that one is `Corrupt` too, or (a type tag over
 //! a layout two types share) decodes to a column of *another* type, which
 //! minidb refuses against its manifest (`minidb/tests/persist.rs`). Never a
@@ -73,8 +73,10 @@ fn watched<T>(read: impl FnOnce() -> T) -> (T, usize) {
 /// its header says: six times the larger of the file and what it honestly
 /// decodes to, plus an error message. Six is the decoder's worst ratio of
 /// memory to the bytes that back it — a string dictionary's 24-byte `String`
-/// against the four length bytes an entry takes at the least; words, runs
-/// and codes are checked one for one.
+/// against the four length bytes an entry takes at the least; words and runs
+/// are checked one for one, and a code stream, whose 1-byte code may widen
+/// to an 8-byte value, must end its payload exactly, so it is widened only
+/// into a decode that succeeds.
 fn bound(seg: &[u8], honest: &ColumnData) -> usize {
     6 * seg.len().max(honest.heap_bytes() as usize) + 512
 }
@@ -160,6 +162,7 @@ const ENCODING_AT: usize = 7;
 const PLAIN: u8 = 0;
 const RLE: u8 = 1;
 const DICT: u8 = 2;
+const FOR: u8 = 3;
 
 fn strs(codes: Vec<u32>) -> ColumnData {
     ColumnData::Str {
@@ -168,51 +171,148 @@ fn strs(codes: Vec<u32>) -> ColumnData {
     }
 }
 
-/// One valid segment of every type × encoding the writer can choose.
-fn every_layout() -> Vec<(&'static str, ColumnData, u8)> {
+/// A string dictionary of `entries` distinct values and codes cycling it.
+fn many_strs(entries: u32, rows: u32) -> ColumnData {
+    ColumnData::Str {
+        dict: (0..entries).map(|i| format!("{i:x}")).collect(),
+        codes: (0..rows).map(|i| i % entries).collect(),
+    }
+}
+
+/// A layout under test: its name, its values, the encoding the writer
+/// picks and, for a code stream, the width of its codes.
+type Case = (&'static str, ColumnData, u8, Option<u8>);
+
+/// One valid segment of every type × encoding × code width the writer can
+/// choose, each a few hundred rows, so every bit of each can be flipped —
+/// all but width-4 string codes, [`wide_str_codes`].
+fn every_layout() -> Vec<Case> {
+    // 400 rows of 257 values too far apart for FOR: a dictionary pays only
+    // at width 2.
+    let far = |i: i64| (i % 257) << 36;
     vec![
         (
             "i64 plain",
-            ColumnData::I64((0..200).map(|i| i * 17 - 5).collect()),
+            ColumnData::I64(
+                (0..200_i64)
+                    .map(|i| i.wrapping_mul(0x5851_f42d_4c95_7f2d))
+                    .collect(),
+            ),
             PLAIN,
+            None,
         ),
-        ("i64 rle", ColumnData::I64(vec![7; 1000]), RLE),
+        ("i64 rle", ColumnData::I64(vec![7; 1000]), RLE, None),
         (
-            "i64 dict",
+            "i64 dict, 1-byte codes",
             ColumnData::I64((0..400).map(|i| (i % 7) * 1000).collect()),
             DICT,
+            Some(1),
+        ),
+        (
+            "i64 dict, 2-byte codes",
+            ColumnData::I64((0..400).map(far).collect()),
+            DICT,
+            Some(2),
+        ),
+        (
+            "i64 for, 1-byte offsets",
+            ColumnData::I64((0..300).map(|i| 5_000 - i % 200).collect()),
+            FOR,
+            Some(1),
+        ),
+        (
+            "i64 for, 2-byte offsets",
+            ColumnData::I64((0..300).map(|i| -40_000 + i * 200).collect()),
+            FOR,
+            Some(2),
+        ),
+        (
+            "i64 for, 4-byte offsets",
+            ColumnData::I64((0..300).map(|i| i * 10_000_000).collect()),
+            FOR,
+            Some(4),
         ),
         (
             "f64 plain",
             ColumnData::F64((0..200).map(|i| f64::from(i) * 0.37).collect()),
             PLAIN,
+            None,
         ),
-        ("f64 rle", ColumnData::F64(vec![1.5; 600]), RLE),
+        ("f64 rle", ColumnData::F64(vec![1.5; 600]), RLE, None),
         (
-            "str plain codes",
+            "f64 dict, 1-byte codes",
+            ColumnData::F64((0..300).map(|i| f64::from(i % 11) / 100.0).collect()),
+            DICT,
+            Some(1),
+        ),
+        (
+            "f64 dict, 2-byte codes",
+            ColumnData::F64((0..400).map(|i| far(i) as f64 + 0.5).collect()),
+            DICT,
+            Some(2),
+        ),
+        (
+            "str plain codes, 1 byte",
             strs((0..200).map(|i| i % 3).collect()),
             PLAIN,
+            Some(1),
+        ),
+        (
+            "str plain codes, 2 bytes",
+            many_strs(257, 300),
+            PLAIN,
+            Some(2),
         ),
         (
             "str rle codes",
             strs((0..600).map(|i| i / 300).collect()),
             RLE,
+            None,
         ),
         (
             "bool plain",
             ColumnData::Bool((0..300).map(|i| i % 2 == 0).collect()),
             PLAIN,
+            None,
         ),
-        ("bool rle", ColumnData::Bool(vec![true; 500]), RLE),
+        ("bool rle", ColumnData::Bool(vec![true; 500]), RLE, None),
     ]
+}
+
+/// String codes at width 4: more than 65 536 entries, so too many bytes to
+/// flip each of — a round trip and the forged headers only.
+fn wide_str_codes() -> Case {
+    (
+        "str plain codes, 4 bytes",
+        many_strs(65_537, 70_000),
+        PLAIN,
+        Some(4),
+    )
+}
+
+/// Where the width byte of `seg`'s code stream sits, if it has one.
+fn width_at(seg: &[u8], data: &ColumnData) -> Option<usize> {
+    let payload = &seg[HEADER_LEN..];
+    match (seg[ENCODING_AT], data) {
+        (FOR, _) => Some(HEADER_LEN + 8),
+        (DICT, _) => {
+            let entries = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+            Some(HEADER_LEN + 4 + 8 * entries)
+        }
+        (PLAIN, ColumnData::Str { dict, .. }) => {
+            Some(HEADER_LEN + 4 + dict.iter().map(|s| 4 + s.len()).sum::<usize>())
+        }
+        _ => None,
+    }
 }
 
 #[test]
 fn the_layouts_under_test_are_the_ones_the_writer_chooses() {
-    for (name, data, encoding) in every_layout() {
+    for (name, data, encoding, width) in every_layout().into_iter().chain([wide_str_codes()]) {
         let seg = encode_segment(&data);
         assert_eq!(seg[TAG_AT], data.type_tag().as_u8(), "{name}");
         assert_eq!(seg[ENCODING_AT], encoding, "{name}");
+        assert_eq!(width_at(&seg, &data).map(|at| seg[at]), width, "{name}");
         let (back, largest) = watched(|| decode_segment(&seg));
         assert!(back.expect("the honest segment").bit_eq(&data), "{name}");
         assert!(largest <= bound(&seg, &data), "{name}: {largest}");
@@ -222,7 +322,7 @@ fn the_layouts_under_test_are_the_ones_the_writer_chooses() {
 /// Every bit of the header, or of the payload, of every layout flipped, one
 /// at a time and nothing resealed.
 fn flip_each_bit(of_header: bool, scratch: &Scratch) {
-    for (name, data, _) in every_layout() {
+    for (name, data, ..) in every_layout() {
         let seg = encode_segment(&data);
         let bytes = if of_header {
             0..HEADER_LEN
@@ -253,7 +353,7 @@ fn no_flipped_payload_bit_is_believed() {
 #[test]
 fn a_segment_cut_short_anywhere_is_corrupt() {
     let scratch = Scratch::new("cut");
-    for (name, data, _) in every_layout() {
+    for (name, data, ..) in every_layout() {
         let seg = encode_segment(&data);
         for len in 0..seg.len() {
             let what = format!("{name} cut to {len} of {} bytes", seg.len());
@@ -297,7 +397,7 @@ fn forged(tag: TypeTag, encoding: u8, rows: u64, payload: &[u8]) -> Vec<u8> {
 #[test]
 fn no_forged_header_bit_is_believed() {
     let scratch = Scratch::new("forged-flip");
-    for (name, data, _) in every_layout() {
+    for (name, data, ..) in every_layout().into_iter().chain([wide_str_codes()]) {
         let seg = encode_segment(&data);
         assert_eq!(
             resealed(seg.clone()),
@@ -313,23 +413,47 @@ fn no_forged_header_bit_is_believed() {
     }
 }
 
+/// Plain words of a span no FOR width holds: a payload versions 1, 2 and 3
+/// lay out alike.
+const OLD_WORDS: [u64; 4] = [2, 1 << 63, 9, u64::MAX >> 1];
+
+/// This format's segment of [`OLD_WORDS`], as the writer makes it.
+fn plain_now() -> Vec<u8> {
+    let now = forged(TypeTag::I64, PLAIN, 4, &words(&OLD_WORDS));
+    let values = OLD_WORDS.iter().map(|&w| w as i64).collect();
+    assert_eq!(now, encode_segment(&ColumnData::I64(values)));
+    now
+}
+
+/// `seg` is refused by both entry points, naming its format version.
+fn assert_version_refused(seg: &[u8], version: u16, scratch: &Scratch) {
+    let named = format!("unsupported format version {version}");
+    for (entry, got, _) in read_both(seg, scratch) {
+        assert!(
+            matches!(&got, Err(StoreError::Corrupt(m)) if m.contains(&named)),
+            "{entry}: {got:?}"
+        );
+    }
+}
+
 /// A version-1 segment — the same 32-byte header, FNV-1a-64 of the payload
 /// alone at bytes 24..32 — is refused by name; nothing reads it.
 #[test]
 fn a_version_1_segment_is_corrupt() {
-    let scratch = Scratch::new("v1");
-    let payload = words(&[2, 5, 1, 9]);
-    let now = forged(TypeTag::I64, PLAIN, 4, &payload);
-    assert_eq!(now, encode_segment(&ColumnData::I64(vec![2, 5, 1, 9])));
-    let mut seg = now;
+    let mut seg = plain_now();
     seg[4..6].copy_from_slice(&1u16.to_le_bytes());
-    seg[CHECKED_HEADER_LEN..HEADER_LEN].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-    for (entry, got, _) in read_both(&seg, &scratch) {
-        assert!(
-            matches!(&got, Err(StoreError::Corrupt(m)) if m.contains("unsupported format version 1")),
-            "{entry}: {got:?}"
-        );
-    }
+    let sum = fnv1a64(&seg[HEADER_LEN..]);
+    seg[CHECKED_HEADER_LEN..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    assert_version_refused(&seg, 1, &Scratch::new("v1"));
+}
+
+/// A version-2 segment — the same header and checksum, 4-byte codes and no
+/// FOR — is refused by name too; nothing reads it.
+#[test]
+fn a_version_2_segment_is_corrupt() {
+    let mut seg = plain_now();
+    seg[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert_version_refused(&resealed(seg), 2, &Scratch::new("v2"));
 }
 
 fn words(words: &[u64]) -> Vec<u8> {
@@ -354,10 +478,12 @@ fn the_reproductions_of_the_issue_are_corrupt_not_deaths() {
     }
 
     // Plain words 2, 5, 1, 9, -1 read as RLE: two runs, the second of
-    // 2^64 - 1 rows; `out.len() + n` wrapped and the extend overflowed.
+    // 2^64 - 1 rows; `out.len() + n` wrapped and the extend overflowed. (The
+    // writer now stores these five as FOR; the Plain segment is sealed by
+    // hand.)
     let honest = ColumnData::I64(vec![2, 5, 1, 9, -1]);
-    let seg = encode_segment(&honest);
-    assert_eq!(seg[ENCODING_AT], PLAIN);
+    let seg = forged(TypeTag::I64, PLAIN, 5, &words(&[2, 5, 1, 9, u64::MAX]));
+    assert!(decode_segment(&seg).unwrap().bit_eq(&honest));
     let mut bad = seg.clone();
     bad[ENCODING_AT] = RLE;
     assert_contained(&resealed(bad), &seg, &honest, &scratch, "plain read as rle");
@@ -383,17 +509,24 @@ fn forged_counts_are_checked_against_the_bytes_left() {
     let check = |what: &str, bad: Vec<u8>| assert_corrupt(&bad, &scratch, what);
     for tag in [TypeTag::I64, TypeTag::F64, TypeTag::Str, TypeTag::Bool] {
         let what = |case: &str| format!("{}: {case}", tag.as_str());
-        // A string payload opens with its (here empty) dictionary.
+        // A string payload opens with its (here empty) dictionary, and its
+        // Plain code stream with a width byte.
         let open: &[u8] = if tag == TypeTag::Str { &[0; 4] } else { &[] };
         let with = |rest: Vec<u8>| [open, &rest[..]].concat();
+        let plain: &[u8] = if tag == TypeTag::Str {
+            &[0, 0, 0, 0, 1]
+        } else {
+            &[]
+        };
+        let with_plain = |rest: Vec<u8>| [plain, &rest[..]].concat();
 
         check(
             &what("rows nothing backs"),
-            forged(tag, PLAIN, 1 << 40, &with(vec![0; 16])),
+            forged(tag, PLAIN, 1 << 40, &with_plain(vec![0; 16])),
         );
         check(
             &what("u64::MAX rows"),
-            forged(tag, PLAIN, u64::MAX, &with(vec![0; 16])),
+            forged(tag, PLAIN, u64::MAX, &with_plain(vec![0; 16])),
         );
         check(
             &what("u64::MAX runs"),
@@ -424,7 +557,7 @@ fn forged_counts_are_checked_against_the_bytes_left() {
         check(what, forged(TypeTag::I64, RLE, rows, &words(&runs)));
         check(what, forged(TypeTag::F64, RLE, rows, &words(&runs)));
     }
-    // A string entry longer than the payload, and a code past the dictionary.
+    // A string entry longer than the payload.
     let mut entry = 1u32.to_le_bytes().to_vec();
     entry.extend_from_slice(&u32::MAX.to_le_bytes());
     entry.extend_from_slice(b"abcd");
@@ -432,13 +565,43 @@ fn forged_counts_are_checked_against_the_bytes_left() {
         "a dictionary entry of u32::MAX bytes",
         forged(TypeTag::Str, PLAIN, 1, &entry),
     );
-    let mut code = 1u32.to_le_bytes().to_vec();
-    code.extend_from_slice(&1u32.to_le_bytes());
-    code.extend_from_slice(b"a");
-    code.extend_from_slice(&1u32.to_le_bytes());
-    check("string code 1 of 1", forged(TypeTag::Str, PLAIN, 1, &code));
-    let mut dict = 1u32.to_le_bytes().to_vec();
-    dict.extend_from_slice(&words(&[42]));
-    dict.extend_from_slice(&1u32.to_le_bytes());
-    check("integer code 1 of 1", forged(TypeTag::I64, DICT, 1, &dict));
+
+    // Every code stream — integer and float dictionaries, FOR offsets,
+    // string codes — behind one dictionary entry or a minimum of 42.
+    let one_entry = [&1u32.to_le_bytes()[..], &words(&[42])].concat();
+    let one_string = [&1u32.to_le_bytes()[..], &1u32.to_le_bytes(), b"a"].concat();
+    for (name, tag, encoding, open) in [
+        ("i64 dict", TypeTag::I64, DICT, one_entry.clone()),
+        ("f64 dict", TypeTag::F64, DICT, one_entry),
+        ("i64 for", TypeTag::I64, FOR, words(&[42])),
+        ("str plain", TypeTag::Str, PLAIN, one_string),
+    ] {
+        let stream = |width: u8, rows: u64, codes: &[u8]| {
+            forged(tag, encoding, rows, &[&open[..], &[width], codes].concat())
+        };
+        // Each backed by exactly rows × width bytes.
+        for width in [0, 3, 5, 8, 255] {
+            let what = format!("{name}: width byte {width}");
+            check(&what, stream(width, 2, &vec![0; 2 * usize::from(width)]));
+        }
+        // 2^63 rows at two or four bytes a code overflow a `usize`.
+        for width in [2, 4] {
+            let seg = stream(width, 1 << 63, &[0; 8]);
+            let what = format!("{name}: 2^63 rows of {width}-byte codes");
+            assert!(
+                matches!(decode_segment(&seg), Err(StoreError::Corrupt(m)) if m.contains("codes claimed")),
+                "{what}"
+            );
+            check(&what, seg);
+        }
+        // Code 1 of a one-entry dictionary, after a good code 0.
+        if encoding != FOR {
+            for width in [1, 2, 4] {
+                let mut codes = vec![0; 2 * usize::from(width)];
+                codes[usize::from(width)] = 1;
+                let what = format!("{name}: code 1 of 1 at width {width}");
+                check(&what, stream(width, 2, &codes));
+            }
+        }
+    }
 }
