@@ -125,16 +125,10 @@ pub fn run(ctx: &Ctx) {
             // Telemetry the sharded core exposes that thread-per-conn cannot.
             if matches!(mode, ServerMode::Sharded { .. }) {
                 println!(
-                    "  {:<22}        steal borrows {}, write-queue peak {}, compat conns {}",
+                    "  {:<22}        steal borrows {}, write-queue peak {}",
                     "",
                     server.steal_borrows(),
-                    server.write_queue_peak(),
-                    server.compat_conns()
-                );
-                assert_eq!(
-                    server.compat_conns(),
-                    0,
-                    "loopback supports readiness; nothing should fall back"
+                    server.write_queue_peak()
                 );
                 assert!(
                     server.write_queue_peak() <= (DEFAULT_QUEUE_DEPTH + 2) as u64,

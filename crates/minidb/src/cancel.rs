@@ -51,16 +51,10 @@ impl CancelToken {
     /// A token that auto-cancels `ms` milliseconds from now (and can
     /// still be cancelled explicitly before that).
     pub fn with_deadline_ms(ms: f64) -> Self {
-        CancelToken::new().deadline_in_ms(ms)
-    }
-
-    /// Returns this token with a deadline `ms` milliseconds from now,
-    /// sharing the explicit-cancel flag with the original — the shape a
-    /// server uses to combine an external cancel handle with a
-    /// per-query deadline.
-    pub fn deadline_in_ms(mut self, ms: f64) -> Self {
-        self.deadline = Some(Instant::now() + Duration::from_secs_f64((ms / 1e3).max(0.0)));
-        self
+        CancelToken {
+            deadline: Some(Instant::now() + Duration::from_secs_f64((ms / 1e3).max(0.0))),
+            ..CancelToken::new()
+        }
     }
 
     /// Raises the cancel flag. Idempotent; visible to every clone.
@@ -71,14 +65,6 @@ impl CancelToken {
     /// True once the flag is raised or the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Milliseconds until the deadline (`None` if no deadline is set;
-    /// clamped at zero once it has passed). Servers use this to size
-    /// the execution budget after queue wait.
-    pub fn remaining_ms(&self) -> Option<f64> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()).as_secs_f64() * 1e3)
     }
 
     /// The poll the executor calls at operator and morsel boundaries:
@@ -104,7 +90,6 @@ mod tests {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
         assert!(t.check().is_ok());
-        assert_eq!(t.remaining_ms(), None);
     }
 
     #[test]
@@ -127,21 +112,11 @@ mod tests {
             Err(DbError::Cancelled(m)) => assert!(m.contains("deadline"), "{m}"),
             other => panic!("expected deadline cancellation, got {other:?}"),
         }
-        assert_eq!(t.remaining_ms(), Some(0.0));
     }
 
     #[test]
     fn future_deadline_does_not_cancel_yet() {
         let t = CancelToken::with_deadline_ms(60_000.0);
         assert!(!t.is_cancelled());
-        assert!(t.remaining_ms().unwrap() > 59_000.0);
-    }
-
-    #[test]
-    fn deadline_in_ms_shares_the_flag() {
-        let t = CancelToken::new();
-        let with_deadline = t.clone().deadline_in_ms(60_000.0);
-        t.cancel();
-        assert!(with_deadline.is_cancelled(), "flag is shared, not copied");
     }
 }

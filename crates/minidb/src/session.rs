@@ -266,16 +266,13 @@ impl Session {
     /// [`Query::traced`], then call [`Query::run`].
     pub fn query<'s, 'q>(&'s mut self, sql: &'q str) -> Query<'s, 'q> {
         let parallelism = self.parallelism;
-        let morsel_rows = self.morsel_rows;
         Query {
             session: self,
             sql,
             sink: None,
             tracer: None,
             parallelism,
-            morsel_rows,
             cancel: None,
-            deadline_ms: None,
         }
     }
 }
@@ -292,9 +289,7 @@ pub struct Query<'s, 'q> {
     sink: Option<&'q mut dyn ResultSink>,
     tracer: Option<&'q Tracer>,
     parallelism: usize,
-    morsel_rows: usize,
     cancel: Option<crate::cancel::CancelToken>,
-    deadline_ms: Option<f64>,
 }
 
 impl<'s, 'q> Query<'s, 'q> {
@@ -319,31 +314,12 @@ impl<'s, 'q> Query<'s, 'q> {
         self
     }
 
-    /// Overrides the rows-per-morsel granularity for this query.
-    ///
-    /// # Panics
-    /// Panics if `rows == 0`.
-    pub fn morsel_rows(mut self, rows: usize) -> Self {
-        assert!(rows > 0, "morsel size must be at least one row");
-        self.morsel_rows = rows;
-        self
-    }
-
     /// Attaches a cancellation handle: the executor polls it at operator
     /// and morsel boundaries and unwinds with [`DbError::Cancelled`],
     /// discarding partial work. The session itself is untouched — the
     /// next query on it runs normally.
     pub fn cancel(mut self, token: crate::cancel::CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Gives this query a deadline, milliseconds from the moment
-    /// [`run`](Self::run) starts (covering parse, optimize, and
-    /// execute). Combines with [`cancel`](Self::cancel): whichever
-    /// trigger fires first wins.
-    pub fn deadline_ms(mut self, ms: f64) -> Self {
-        self.deadline_ms = Some(ms);
         self
     }
 
@@ -428,21 +404,11 @@ impl<'s, 'q> Query<'s, 'q> {
             sink: _,
             tracer,
             parallelism,
-            morsel_rows,
             cancel,
-            deadline_ms,
         } = self;
-        // The effective token: the caller's handle (if any), tightened by
-        // the deadline (if any). The `minidb.cancel` failpoint (keyed by
-        // statement ordinal, FailIo arms) force-cancels it up front — the
-        // deterministic way chaos tests and E25 inject cancellations.
-        let cancel = match (cancel, deadline_ms) {
-            (None, None) => None,
-            (Some(t), None) => Some(t),
-            (None, Some(ms)) => Some(crate::cancel::CancelToken::with_deadline_ms(ms)),
-            (Some(t), Some(ms)) => Some(t.deadline_in_ms(ms)),
-        };
-
+        // The `minidb.cancel` failpoint (keyed by statement ordinal, FailIo
+        // arms) force-cancels the caller's token (or a fresh one) up front —
+        // the deterministic way chaos tests and E25 inject cancellations.
         let statement = session.statements;
         session.statements += 1;
         let cancel = match &session.faults {
@@ -523,7 +489,7 @@ impl<'s, 'q> Query<'s, 'q> {
         let (result, profile) = {
             let mut executor = Executor::new(&session.catalog, session.mode)
                 .with_parallelism(parallelism)
-                .with_morsel_rows(morsel_rows);
+                .with_morsel_rows(session.morsel_rows);
             if let Some(token) = cancel.clone() {
                 executor = executor.with_cancel(token);
             }

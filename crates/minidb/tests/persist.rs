@@ -641,7 +641,7 @@ fn cancellation_stops_a_chunked_sweep_between_units() {
         let before = store.counters();
         let err = session
             .query("SELECT SUM(x) FROM fact WHERE id >= 0")
-            .deadline_ms(0.0)
+            .cancel(minidb::CancelToken::with_deadline_ms(0.0))
             .run()
             .unwrap_err();
         assert!(matches!(err, DbError::Cancelled(_)), "{err}");

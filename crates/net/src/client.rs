@@ -206,7 +206,7 @@ pub type Connector = Box<dyn Connect>;
 pub struct Client {
     io: FramedIo,
     tracer: Option<Tracer>,
-    now_ns: Box<dyn Fn() -> u64 + Send>,
+    clock: WallClock,
     said_bye: bool,
     alive: bool,
     connector: Option<Connector>,
@@ -235,11 +235,10 @@ impl Client {
         conn_key: u64,
     ) -> Result<Client, NetError> {
         let io = Client::handshake(transport, &faults, conn_key)?;
-        let clock = WallClock::new();
         Ok(Client {
             io,
             tracer: None,
-            now_ns: Box::new(move || clock.now_ns()),
+            clock: WallClock::new(),
             said_bye: false,
             alive: true,
             connector: None,
@@ -325,14 +324,6 @@ impl Client {
         Ok(())
     }
 
-    /// Uses `clock` for all client-side timing (wire residual, print,
-    /// total). Deterministic tests hand in an
-    /// [`perfeval_measure::AtomicClock`].
-    pub fn with_clock(mut self, clock: impl Clock + Send + 'static) -> Self {
-        self.now_ns = Box::new(move || clock.now_ns());
-        self
-    }
-
     /// Records a `net.query` span per query into `tracer`, and sends its
     /// span id in the frame header so the server parents its spans under
     /// it.
@@ -397,7 +388,7 @@ impl Client {
         sql: &str,
         sink: &mut dyn ResultSink,
     ) -> Result<NetQueryResult, NetError> {
-        let t0 = (self.now_ns)();
+        let t0 = self.clock.now_ns();
         let mut span = self.tracer.as_ref().map(|t| t.span("net.query"));
         if let Some(g) = span.as_mut() {
             g.attr("sql", sql_preview(sql));
@@ -459,7 +450,7 @@ impl Client {
                 }
             }
         };
-        let received_ns = (self.now_ns)().saturating_sub(t0);
+        let received_ns = self.clock.now_ns().saturating_sub(t0);
         if footer.rows != rows.len() as u64 {
             return Err(NetError::Protocol(format!(
                 "row count mismatch: footer says {}, received {}",
@@ -469,13 +460,13 @@ impl Client {
         }
 
         // Print through the sink, on the client's clock.
-        let tp = (self.now_ns)();
+        let tp = self.clock.now_ns();
         let result = ResultSet {
             column_names: columns,
             rows,
         };
         let report = sink.consume(&result).map_err(NetError::Db)?;
-        let done_ns = (self.now_ns)();
+        let done_ns = self.clock.now_ns();
 
         let recv_ms = received_ns as f64 / 1e6;
         let print_ms = done_ns.saturating_sub(tp) as f64 / 1e6;

@@ -47,9 +47,11 @@
 //! * **Sharded** (default) — event-driven and shared-nothing: a readiness
 //!   loop ([`poll`]) multiplexes connections onto N core-pinned shards with
 //!   bounded per-connection write queues; idle shards lend their cores to a
-//!   busy shard's query as extra morsel parallelism.
+//!   busy shard's query as extra morsel parallelism. It serves what it can
+//!   poll and refuses any other connection.
 //! * **ThreadPerConn** — the blocking thread-per-connection loop, kept as
-//!   an explicit experiment arm (`perfeval-exp e23`).
+//!   an explicit experiment arm (`perfeval-exp e23`); it serves any
+//!   `Read + Write` transport.
 //!
 //! Guarantees the tests pin down:
 //!
@@ -313,8 +315,8 @@ mod tests {
 
         let ep = LoopbackEndpoint::new();
         let dial = ep.connector();
-        // KillSwitch has no readiness support, so the sharded core must fall
-        // back to a compat thread per connection — exercised here.
+        // KillSwitch wraps the client's end; the server's end is a plain
+        // loopback pipe, served by the default sharded core.
         let server = Server::builder()
             .transport(ep)
             .serve(|| Session::new(catalog()));

@@ -444,8 +444,8 @@ impl Epoll {
     fn new() -> io::Result<Epoll> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "fd readiness requires epoll (Linux); sharded TCP falls back to \
-             per-connection threads on this platform",
+            "fd readiness requires epoll (Linux); the sharded server refuses \
+             fd connections on this platform",
         ))
     }
     fn ctl(&self, _op: i32, _fd: RawFd, _token: usize, _interest: Interest) -> io::Result<()> {

@@ -67,7 +67,9 @@ pub enum ServerMode {
     },
     /// The event-driven shared-nothing core: `shards` pinned workers
     /// multiplexing all connections, each connection's outbound frames
-    /// bounded by `queue_depth`.
+    /// bounded by `queue_depth`. It serves what it can poll (TCP, loopback);
+    /// a connection whose transport has no readiness source is refused
+    /// before its `Hello` and counted as a disconnect.
     Sharded {
         /// Number of shard workers (core-pinned when permitted).
         shards: usize,
@@ -494,14 +496,6 @@ impl ServerHandle {
             .map_or(0, |t| t.steal_borrows.load(Ordering::Relaxed))
     }
 
-    /// Connections served on the blocking fallback path because their
-    /// transport has no readiness support (sharded mode; 0 otherwise).
-    pub fn compat_conns(&self) -> u64 {
-        self.telemetry
-            .as_ref()
-            .map_or(0, |t| t.compat_conns.load(Ordering::Relaxed))
-    }
-
     /// High-water mark of any connection's write queue, in frames (sharded
     /// mode; 0 otherwise). Bounded by the configured `queue_depth` plus the
     /// header/footer frames — the backpressure invariant tests assert.
@@ -583,10 +577,8 @@ impl Shared {
     }
 
     /// Serves one accepted connection to its end on the calling thread with
-    /// blocking I/O and full containment — the thread-per-conn data path,
-    /// also used by the sharded engine's fallback for readiness-incapable
-    /// transports.
-    pub(crate) fn serve_blocking(&self, transport: Box<dyn Transport>, conn_id: u64) {
+    /// blocking I/O and full containment — the thread-per-conn data path.
+    fn serve_blocking(&self, transport: Box<dyn Transport>, conn_id: u64) {
         let mut io = FramedIo::new(transport, Arc::clone(&self.faults), conn_id);
         // A panic while serving (injected wire or admission fault, server
         // bug outside the conversation's own guard) must not take the

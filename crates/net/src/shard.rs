@@ -48,10 +48,10 @@
 //! the sweeping operator's `units_by_worker` span attribute says what the
 //! helper ran.
 //!
-//! Transports that cannot signal readiness ([`EventSource::Blocking`])
-//! fall back to a dedicated thread running the blocking scheduler of
-//! thread-per-conn mode — containment and counters included — so exotic
-//! test transports keep working.
+//! The core serves what it can poll: a connection whose transport offers
+//! no readiness source (its [`Transport::event_setup`] fails, or epoll
+//! refuses its fd — always so off Linux) is refused before its `Hello`,
+//! counted as a disconnect. Thread-per-conn serves any `Read + Write`.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -81,8 +81,6 @@ pub(crate) struct ShardTelemetry {
     pub per_shard_conns: Vec<AtomicU64>,
     /// Queries that ran with parallelism borrowed from idle shards.
     pub steal_borrows: AtomicU64,
-    /// Connections served on the blocking fallback path.
-    pub compat_conns: AtomicU64,
     /// High-water mark of any connection's write queue, in frames.
     pub write_queue_peak: AtomicU64,
     /// Shards currently parked in their readiness wait.
@@ -96,7 +94,6 @@ impl ShardTelemetry {
         ShardTelemetry {
             per_shard_conns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             steal_borrows: AtomicU64::new(0),
-            compat_conns: AtomicU64::new(0),
             write_queue_peak: AtomicU64::new(0),
             idle_shards: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -112,8 +109,7 @@ struct ShardQueue {
 
 /// Runs the sharded engine to completion on the calling (supervisor)
 /// thread: spawns the shard workers, runs the acceptor inline, and joins
-/// everything — including blocking-fallback connection threads — before
-/// returning.
+/// them before returning.
 pub(crate) fn run_sharded(
     shared: std::sync::Arc<Shared>,
     cfg: ShardConfig,
@@ -125,8 +121,8 @@ pub(crate) fn run_sharded(
             inject: Mutex::new(Vec::new()),
         })
         .collect();
-    // Plain references with the scope's data lifetime, so shard workers and
-    // compat threads can borrow them.
+    // Plain references with the scope's data lifetime, so shard workers can
+    // borrow them.
     let shared: &Shared = &shared;
     let cfg: &ShardConfig = &cfg;
     let tel: &ShardTelemetry = &tel;
@@ -135,9 +131,7 @@ pub(crate) fn run_sharded(
         for (index, queue) in queues.iter().enumerate() {
             std::thread::Builder::new()
                 .name(format!("shard-{index}"))
-                .spawn_scoped(scope, move || {
-                    shard_main(index, shared, cfg, tel, queue, scope)
-                })
+                .spawn_scoped(scope, move || shard_main(index, shared, cfg, tel, queue))
                 .expect("spawn shard worker");
         }
         // The supervisor thread doubles as the acceptor.
@@ -146,7 +140,7 @@ pub(crate) fn run_sharded(
         for q in queues {
             q.poll.wake();
         }
-        // `scope` joins the shard workers and any compat threads here.
+        // `scope` joins the shard workers here.
     });
 }
 
@@ -168,13 +162,12 @@ fn accept_into_shards(
     }
 }
 
-fn shard_main<'scope, 'env>(
+fn shard_main(
     index: usize,
-    shared: &'env Shared,
-    cfg: &'env ShardConfig,
-    tel: &'env ShardTelemetry,
-    queue: &'env ShardQueue,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
+    shared: &Shared,
+    cfg: &ShardConfig,
+    tel: &ShardTelemetry,
+    queue: &ShardQueue,
 ) {
     if cfg.pin_cores {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -203,7 +196,7 @@ fn shard_main<'scope, 'env>(
         // Adopt connections the acceptor handed over.
         let injected: Vec<_> = std::mem::take(&mut *queue.inject.lock().unwrap());
         for (conn_id, transport) in injected {
-            core.adopt(conn_id, transport, scope);
+            core.adopt(conn_id, transport);
         }
 
         for (token, ready) in events {
@@ -300,32 +293,19 @@ impl<'env> ShardCore<'env> {
         }
     }
 
-    fn adopt<'scope>(
-        &mut self,
-        conn_id: u64,
-        mut transport: Box<dyn Transport>,
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-    ) {
+    /// Registers the connection's readiness source with the shard's poll,
+    /// or refuses the connection: one the poll cannot watch is dropped
+    /// before its `Hello` and counted as a disconnect.
+    fn adopt(&mut self, conn_id: u64, mut transport: Box<dyn Transport>) {
         let token = self.next_token;
         self.next_token += 1;
-        let shim = self.queue.poll.shim(token);
-        let fd = match transport.event_setup(&shim) {
+        let poll = &self.queue.poll;
+        let fd = match transport.event_setup(&poll.shim(token)) {
             Ok(EventSource::Shim) => None,
-            Ok(EventSource::Fd(fd)) => {
-                match self.queue.poll.register_fd(fd, token, Interest::READ) {
-                    Ok(()) => Some(fd),
-                    Err(_) => {
-                        // No epoll on this platform: blocking fallback.
-                        transport.event_teardown();
-                        self.serve_compat(conn_id, transport, scope);
-                        return;
-                    }
-                }
+            Ok(EventSource::Fd(fd)) if poll.register_fd(fd, token, Interest::READ).is_ok() => {
+                Some(fd)
             }
-            Ok(EventSource::Blocking) | Err(_) => {
-                self.serve_compat(conn_id, transport, scope);
-                return;
-            }
+            _ => return self.conn_ended(false),
         };
         self.conns.insert(
             token,
@@ -343,34 +323,24 @@ impl<'env> ShardCore<'env> {
         );
     }
 
-    /// Serves a readiness-incapable transport on a dedicated scoped thread
-    /// — the thread-per-conn loop, with its containment and counters.
-    fn serve_compat<'scope>(
-        &self,
-        conn_id: u64,
-        transport: Box<dyn Transport>,
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-    ) {
-        self.tel.compat_conns.fetch_add(1, Ordering::Relaxed);
-        let shared = self.shared;
-        std::thread::Builder::new()
-            .name(format!("shard-compat-{conn_id}"))
-            .spawn_scoped(scope, move || shared.serve_blocking(transport, conn_id))
-            .expect("spawn compat connection thread");
-    }
-
     fn drop_conn(&mut self, token: usize, clean: bool) {
         if let Some(conn) = self.conns.remove(&token) {
             if let Some(fd) = conn.fd {
                 self.queue.poll.deregister_fd(fd);
             }
-            self.shared.live_conns.fetch_sub(1, Ordering::AcqRel);
-            if !clean {
-                self.shared
-                    .counters
-                    .disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            self.conn_ended(clean);
+        }
+    }
+
+    /// Gives back the live slot the accept took; a dirty end is a
+    /// disconnect.
+    fn conn_ended(&self, clean: bool) {
+        self.shared.live_conns.fetch_sub(1, Ordering::AcqRel);
+        if !clean {
+            self.shared
+                .counters
+                .disconnects
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -31,26 +31,23 @@ pub enum EventSource {
     /// A user-space source: the transport's peer will poke the
     /// [`ShimHandle`] it was given in [`Transport::event_setup`].
     Shim,
-    /// No readiness support — the sharded server falls back to a dedicated
-    /// blocking thread for this connection (the thread-per-conn path).
-    Blocking,
 }
 
 fn nonblocking_unsupported() -> io::Error {
     io::Error::new(
         io::ErrorKind::Unsupported,
-        "transport has no nonblocking mode (EventSource::Blocking)",
+        "transport has no readiness support: thread-per-conn serves it, the sharded server refuses it",
     )
 }
 
 /// A bidirectional byte stream a connection runs over.
 ///
-/// Nothing beyond `Read + Write` is required of the data path — framing,
-/// faults, and accounting live in [`crate::frame::FramedIo`]. Transports
-/// that can signal readiness additionally implement [`Transport::event_setup`]
-/// and the `try_read`/`try_write` nonblocking pair, which lets the sharded
-/// server multiplex them onto one thread; everything else is served on a
-/// dedicated thread via the [`EventSource::Blocking`] default.
+/// Thread-per-conn mode needs nothing beyond `Read + Write` — framing,
+/// faults, and accounting live in [`crate::frame::FramedIo`]. The sharded
+/// server serves only what it can poll: a transport that can signal
+/// readiness implements [`Transport::event_setup`] and the
+/// `try_read`/`try_write` nonblocking pair, and one that keeps the
+/// defaults is refused there before its `Hello`.
 pub trait Transport: Read + Write + Send {
     /// One-line description ("tcp 127.0.0.1:5432", "loopback") for
     /// measurement documentation.
@@ -58,21 +55,17 @@ pub trait Transport: Read + Write + Send {
 
     /// Switches the transport into event-driven mode, wiring its readiness
     /// notifications into `shim` (user-space sources) or returning the fd
-    /// to register with epoll. The default declines: `Blocking`.
+    /// to register with epoll.
     ///
     /// # Errors
-    /// Propagates failures flipping the underlying handle to nonblocking.
+    /// `Unsupported` from the default impl (no readiness source); failures
+    /// flipping the underlying handle to nonblocking.
     fn event_setup(&mut self, _shim: &ShimHandle) -> io::Result<EventSource> {
-        Ok(EventSource::Blocking)
+        Err(nonblocking_unsupported())
     }
 
-    /// Undoes [`Transport::event_setup`] so blocking `Read`/`Write` work
-    /// again (used when fd registration fails and the connection falls back
-    /// to a dedicated thread).
-    fn event_teardown(&mut self) {}
-
     /// Nonblocking read: `Ok(0)` is EOF, `WouldBlock` means no bytes now.
-    /// Only supported after a successful non-`Blocking` `event_setup`.
+    /// Only supported after a successful `event_setup`.
     ///
     /// # Errors
     /// `WouldBlock` when idle; `Unsupported` from the default impl.
@@ -81,7 +74,7 @@ pub trait Transport: Read + Write + Send {
     }
 
     /// Nonblocking write; `WouldBlock` means the peer's buffer is full.
-    /// Only supported after a successful non-`Blocking` `event_setup`.
+    /// Only supported after a successful `event_setup`.
     ///
     /// # Errors
     /// `WouldBlock` when full; `Unsupported` from the default impl.
@@ -161,11 +154,6 @@ impl Transport for TcpTransport {
         use std::os::fd::AsRawFd;
         self.stream.set_nonblocking(true)?;
         Ok(EventSource::Fd(self.stream.as_raw_fd()))
-    }
-
-    #[cfg(unix)]
-    fn event_teardown(&mut self) {
-        let _ = self.stream.set_nonblocking(false);
     }
 
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<usize> {

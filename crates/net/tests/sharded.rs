@@ -1,14 +1,18 @@
 //! Behavioral contracts specific to the sharded server core: bounded write
 //! queues under a slow reader (backpressure that is *charged to serialize*,
-//! never unbounded memory), deterministic connection→shard placement, and
-//! the wire-fault parity with the thread-per-conn core the docs promise.
+//! never unbounded memory), deterministic connection→shard placement, the
+//! wire-fault parity with the thread-per-conn core the docs promise, and
+//! the refusal of a connection the core cannot poll.
 
+use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use minidb::{Catalog, DataType, Session, StoreConfig, TableBuilder, Value};
 use minidb_net::{
-    shard_for, Client, Frame, FramedIo, LoopbackEndpoint, Server, ServerMode, PROTOCOL_VERSION,
+    shard_for, Client, Frame, FramedIo, Listener, LoopbackEndpoint, NetError, Server, ServerMode,
+    Transport, PROTOCOL_VERSION,
 };
 use perfeval_fault::{FaultAction, FaultRegistry, Trigger};
 
@@ -460,5 +464,104 @@ fn sharded_server_reports_db_errors_without_dying() {
     client.close().unwrap();
     let stats = server.wait();
     assert_eq!(stats.queries, 2);
+    assert_eq!(stats.disconnects, 0);
+}
+
+/// A server end that offers `Read + Write + describe` and nothing else: no
+/// readiness source, so the sharded core has nothing to poll.
+struct ReadWriteOnly(Box<dyn Transport>);
+
+impl Read for ReadWriteOnly {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl Write for ReadWriteOnly {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl Transport for ReadWriteOnly {
+    fn describe(&self) -> String {
+        "loopback, read + write only".to_owned()
+    }
+}
+
+/// A loopback listener whose first accepted connection comes out as a
+/// [`ReadWriteOnly`]; every later one is the plain loopback end.
+struct FirstReadWriteOnly {
+    inner: Arc<LoopbackEndpoint>,
+    wrapped: AtomicBool,
+}
+
+impl Listener for FirstReadWriteOnly {
+    fn accept(&self) -> io::Result<Box<dyn Transport>> {
+        let conn = self.inner.accept()?;
+        if self.wrapped.swap(true, Ordering::SeqCst) {
+            Ok(conn)
+        } else {
+            Ok(Box::new(ReadWriteOnly(conn)))
+        }
+    }
+    fn shutdown(&self) {
+        self.inner.shutdown();
+    }
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
+/// One connection rule per core: the sharded core serves what it can poll
+/// and refuses the rest before the `Hello` — the dialer sees a transport
+/// error, the server one disconnect, and the next pollable connection is
+/// served as usual. Thread-per-conn serves any `Read + Write`, so the same
+/// listener's unpollable connection answers there.
+#[test]
+fn a_connection_the_sharded_core_cannot_poll_is_refused_and_thread_per_conn_serves_it() {
+    const ROWS: i64 = 1_000;
+    let start = |mode: ServerMode| {
+        let ep = LoopbackEndpoint::new();
+        let dial = ep.connector();
+        let listener = Arc::new(FirstReadWriteOnly {
+            inner: ep,
+            wrapped: AtomicBool::new(false),
+        });
+        let server = Server::builder()
+            .transport(listener)
+            .mode(mode)
+            .serve(|| Session::new(catalog(ROWS)));
+        (server, dial)
+    };
+
+    let (server, dial) = start(ServerMode::default());
+    let before = server.stats().disconnects;
+    let refused = Client::connect(Box::new(dial.connect().unwrap()));
+    assert!(
+        matches!(refused, Err(NetError::Io(_))),
+        "the unpollable connection is refused: {:?}",
+        refused.err()
+    );
+    assert_eq!(server.stats().disconnects, before + 1, "counted once");
+    let mut client = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
+    let r = client.query("SELECT COUNT(*) FROM nums").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(ROWS)]]);
+    client.close().unwrap();
+    let stats = server.wait();
+    assert_eq!(stats.connections, 2);
+    assert_eq!(stats.disconnects, before + 1, "only the refused connection");
+    assert_eq!(stats.worker_panics, 0);
+
+    let (server, dial) = start(ServerMode::ThreadPerConn { workers: 2 });
+    let mut client = Client::connect(Box::new(dial.connect().unwrap())).unwrap();
+    let r = client.query("SELECT COUNT(*) FROM nums").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(ROWS)]]);
+    client.close().unwrap();
+    let stats = server.wait();
+    assert_eq!(stats.connections, 1);
     assert_eq!(stats.disconnects, 0);
 }
