@@ -29,7 +29,6 @@ use perfeval_core::runner::{two_level_assignments, Assignment, SyncExperiment};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_exec::{RetryPolicy, RunPlan, Scheduler, UnitOutcome};
 use perfeval_fault::{FaultAction, FaultRegistry, TimeoutSignal, Trigger};
-use perfeval_measure::protocol::RunProtocol;
 use perfeval_trace::Tracer;
 use std::sync::Arc;
 
@@ -92,7 +91,7 @@ pub fn run(ctx: &Ctx) {
     let design = TwoLevelDesign::full(&["B", "C", "V"]);
     let plan = RunPlan::expand(
         two_level_assignments(&design),
-        RunProtocol::hot(0, reps),
+        reps,
         ROOT_SEED,
     );
     println!(
@@ -102,11 +101,7 @@ pub fn run(ctx: &Ctx) {
     );
 
     // ---- arm 0: the fault-free baseline --------------------------------
-    let clean = Scheduler::new(threads).execute_contained(
-        &plan,
-        &Synthetic,
-        None,
-    );
+    let clean = Scheduler::new(threads).execute(&plan, &Synthetic, None);
     assert!(clean.is_complete(), "clean sweep completes");
     let clean_table = clean.table.as_ref().expect("clean table assembles");
     let clean_effects =
@@ -130,7 +125,7 @@ pub fn run(ctx: &Ctx) {
     let recovered = Scheduler::new(threads)
         .with_policy(RetryPolicy::retries(2))
         .with_faults(Arc::clone(&transient))
-        .execute_contained(&plan, &Synthetic, None);
+        .execute(&plan, &Synthetic, None);
     assert!(recovered.is_complete(), "retries absorb transient faults");
     let recovered_table = recovered.table.as_ref().expect("recovered table assembles");
     assert_eq!(
@@ -170,7 +165,7 @@ pub fn run(ctx: &Ctx) {
     let partial = Scheduler::new(threads)
         .with_policy(RetryPolicy::retries(1))
         .with_faults(persistent)
-        .execute_contained(&plan, &Synthetic, None);
+        .execute(&plan, &Synthetic, None);
     assert!(
         !partial.is_complete(),
         "persistent faults cannot be retried away"
@@ -199,7 +194,7 @@ pub fn run(ctx: &Ctx) {
     // measure normally. Traced, so the cancellation is visible.
     let hang_plan = RunPlan::expand(
         two_level_assignments(&TwoLevelDesign::full(&["B"])),
-        RunProtocol::hot(0, 1),
+        1,
         ROOT_SEED,
     );
     struct OneFactor;
@@ -218,12 +213,7 @@ pub fn run(ctx: &Ctx) {
     let hung = Scheduler::new(2)
         .with_policy(RetryPolicy::default().with_deadline_ms(50.0))
         .with_faults(hangs)
-        .execute_contained_traced(
-            &hang_plan,
-            &OneFactor,
-            None,
-            Some(&tracer),
-        );
+        .execute(&hang_plan, &OneFactor, Some(&tracer));
     let wall = t0.elapsed();
     assert!(
         wall.as_secs() < 10,

@@ -6,10 +6,10 @@
 
 use crate::Ctx;
 use perfeval_core::effects::estimate_effects;
-use perfeval_core::runner::{Assignment, Runner};
+use perfeval_core::runner::{two_level_assignments, Assignment, Runner};
 use perfeval_core::twolevel::TwoLevelDesign;
 use perfeval_core::variation::allocate_variation;
-use perfeval_exec::ParallelRunner;
+use perfeval_exec::{RunPlan, Scheduler};
 use perfeval_trace::Tracer;
 
 pub fn run(ctx: &Ctx) {
@@ -68,9 +68,12 @@ pub fn run(ctx: &Ctx) {
             + 10.0 * a.num("B").unwrap()
             + 5.0 * a.num("A").unwrap() * a.num("B").unwrap()
     };
-    let runner = Runner::new(1);
-    let parallel = runner.run_two_level_parallel(&design, &workstation, threads);
-    assert_eq!(parallel, runner.run_two_level_sync(&design, &workstation));
+    let scheduler = Scheduler::new(threads);
+    let parallel = scheduler
+        .execute(&RunPlan::expand(two_level_assignments(&design), 1, 0), &workstation, None)
+        .expect_complete()
+        .0;
+    assert_eq!(parallel, Runner::new(1).run_two_level_sync(&design, &workstation));
     assert_eq!(parallel.means(), y.to_vec());
     println!("parallel re-run on {threads} thread(s) is bit-identical to serial.");
 
@@ -89,7 +92,14 @@ pub fn run(ctx: &Ctx) {
         workstation(a)
     };
     let tracer = Tracer::new();
-    let traced = Runner::new(8).run_two_level_parallel_traced(&design, &spinning, threads, &tracer);
+    let traced = scheduler
+        .execute(
+            &RunPlan::expand(two_level_assignments(&design), 8, 0),
+            &spinning,
+            Some(&tracer),
+        )
+        .expect_complete()
+        .0;
     assert_eq!(
         traced.means(),
         y.to_vec(),

@@ -75,13 +75,12 @@ mod tests {
     use super::*;
     use perfeval_core::factor::Level;
     use perfeval_core::runner::Assignment;
-    use perfeval_measure::protocol::RunProtocol;
 
     fn plan(runs: usize, reps: usize) -> RunPlan {
         let assignments = (0..runs)
             .map(|i| Assignment::new(vec![("x".into(), Level::Num(i as f64))]))
             .collect();
-        RunPlan::expand(assignments, RunProtocol::hot(0, reps), 11)
+        RunPlan::expand(assignments, reps, 11)
     }
 
     fn is_permutation(order: &[usize], n: usize) -> bool {

@@ -1,9 +1,13 @@
-//! Run plans: a design × protocol expanded into independent units.
+//! Run plans: a design × replication count expanded into independent units.
 //!
 //! The unit of scheduling is **one measured replicate of one design run**.
 //! That granularity is what makes run-order policies meaningful (Jain's
 //! ch. 16 replication blocks need to interleave *replicates*, not whole
 //! runs) and what lets a worker pool balance load at the finest level.
+//! It is also why a plan carries a replication count and not a
+//! `RunProtocol`: a unit may run shuffled or on another thread, so neither
+//! a warm-up nor "the last of three consecutive runs" would mean what the
+//! protocol says. Protocols run serially through `RunProtocol::execute`.
 //!
 //! Determinism contract: every [`RunUnit`] carries a seed derived as a
 //! *pure function* of the plan's root seed and the unit's `(run, replicate)`
@@ -13,7 +17,6 @@
 //! [`ResponseTable`] — the bit-identity the proptests assert.
 
 use perfeval_core::runner::{Assignment, ResponseTable};
-use perfeval_measure::protocol::{KeepPolicy, RunProtocol};
 use perfeval_stats::rng::SplitMix64;
 
 /// One independently schedulable measurement: a single replicate of a
@@ -36,9 +39,8 @@ pub struct RunUnit {
 pub struct RunPlan {
     /// One assignment per design run, in design order.
     pub assignments: Vec<Assignment>,
-    /// The protocol the plan implements (kept for documentation and for
-    /// the keep policy applied at assembly).
-    pub protocol: RunProtocol,
+    /// Measured replications per run (>= 1).
+    replications: usize,
     /// Root seed all unit seeds derive from.
     pub root_seed: u64,
     /// Every unit, in canonical run-major order
@@ -47,18 +49,17 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
-    /// Expands `assignments × protocol.replications` into units with
-    /// per-unit seeds derived from `root_seed`.
+    /// Expands `assignments × replications` into units with per-unit seeds
+    /// derived from `root_seed`.
     ///
     /// # Panics
-    /// Panics if the protocol has zero replications.
-    pub fn expand(assignments: Vec<Assignment>, protocol: RunProtocol, root_seed: u64) -> Self {
-        assert!(protocol.replications > 0, "protocol needs >= 1 replication");
-        let reps = protocol.replications;
-        let mut units = Vec::with_capacity(assignments.len() * reps);
+    /// Panics if `replications` is zero.
+    pub fn expand(assignments: Vec<Assignment>, replications: usize, root_seed: u64) -> Self {
+        assert!(replications > 0, "a plan needs >= 1 replication");
+        let mut units = Vec::with_capacity(assignments.len() * replications);
         for run in 0..assignments.len() {
-            for replicate in 0..reps {
-                let index = run * reps + replicate;
+            for replicate in 0..replications {
+                let index = run * replications + replicate;
                 units.push(RunUnit {
                     index,
                     run,
@@ -69,7 +70,7 @@ impl RunPlan {
         }
         RunPlan {
             assignments,
-            protocol,
+            replications,
             root_seed,
             units,
         }
@@ -87,11 +88,11 @@ impl RunPlan {
 
     /// Measured replications per run.
     pub fn replications(&self) -> usize {
-        self.protocol.replications
+        self.replications
     }
 
     /// Assembles per-unit responses (indexed by canonical unit index) into
-    /// a [`ResponseTable`], applying the protocol's keep policy per run.
+    /// a [`ResponseTable`], every replicate of every run kept.
     ///
     /// # Panics
     /// Panics if `responses.len() != self.unit_count()`.
@@ -101,34 +102,22 @@ impl RunPlan {
             self.unit_count(),
             "one response per unit required"
         );
-        let reps = self.replications();
-        let replicates = (0..self.run_count())
-            .map(|run| {
-                let all = &responses[run * reps..(run + 1) * reps];
-                match self.protocol.keep {
-                    KeepPolicy::All => all.to_vec(),
-                    KeepPolicy::Last => vec![*all.last().expect("replications >= 1")],
-                    KeepPolicy::LastN(n) => {
-                        let skip = all.len().saturating_sub(n.max(1));
-                        all[skip..].to_vec()
-                    }
-                }
-            })
-            .collect();
         ResponseTable {
             assignments: self.assignments.clone(),
-            replicates,
+            replicates: responses
+                .chunks(self.replications)
+                .map(<[f64]>::to_vec)
+                .collect(),
         }
     }
 
-    /// One-line plan description for reports: protocol, size, root seed.
+    /// One-line plan description for reports: size and root seed.
     pub fn describe(&self) -> String {
         format!(
-            "{} runs x {} replications = {} units ({}), root seed {}",
+            "{} runs x {} replications = {} units, root seed {}",
             self.run_count(),
-            self.replications(),
+            self.replications,
             self.unit_count(),
-            self.protocol.describe(),
             self.root_seed
         )
     }
@@ -147,7 +136,7 @@ mod tests {
 
     #[test]
     fn expand_enumerates_run_major() {
-        let plan = RunPlan::expand(assignments(3), RunProtocol::hot(0, 2), 42);
+        let plan = RunPlan::expand(assignments(3), 2, 42);
         assert_eq!(plan.unit_count(), 6);
         let coords: Vec<(usize, usize)> = plan.units.iter().map(|u| (u.run, u.replicate)).collect();
         assert_eq!(coords, vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]);
@@ -156,8 +145,8 @@ mod tests {
 
     #[test]
     fn unit_seeds_are_distinct_and_stable() {
-        let plan_a = RunPlan::expand(assignments(4), RunProtocol::hot(0, 3), 7);
-        let plan_b = RunPlan::expand(assignments(4), RunProtocol::hot(0, 3), 7);
+        let plan_a = RunPlan::expand(assignments(4), 3, 7);
+        let plan_b = RunPlan::expand(assignments(4), 3, 7);
         assert_eq!(plan_a.units, plan_b.units);
         let mut seeds: Vec<u64> = plan_a.units.iter().map(|u| u.seed).collect();
         seeds.sort_unstable();
@@ -167,14 +156,14 @@ mod tests {
 
     #[test]
     fn different_roots_give_different_seeds() {
-        let a = RunPlan::expand(assignments(2), RunProtocol::hot(0, 2), 1);
-        let b = RunPlan::expand(assignments(2), RunProtocol::hot(0, 2), 2);
+        let a = RunPlan::expand(assignments(2), 2, 1);
+        let b = RunPlan::expand(assignments(2), 2, 2);
         assert_ne!(a.units[0].seed, b.units[0].seed);
     }
 
     #[test]
     fn assemble_keeps_all() {
-        let plan = RunPlan::expand(assignments(2), RunProtocol::hot(0, 3), 0);
+        let plan = RunPlan::expand(assignments(2), 3, 0);
         let table = plan.assemble(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(
             table.replicates,
@@ -183,37 +172,17 @@ mod tests {
     }
 
     #[test]
-    fn assemble_keeps_last_of_three() {
-        let plan = RunPlan::expand(assignments(2), RunProtocol::last_of_three_hot(), 0);
-        let table = plan.assemble(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(table.replicates, vec![vec![3.0], vec![6.0]]);
-    }
-
-    #[test]
-    fn assemble_keeps_last_n() {
-        let protocol = RunProtocol {
-            state: perfeval_measure::protocol::CacheState::Hot,
-            warmup: 0,
-            replications: 4,
-            keep: KeepPolicy::LastN(2),
-        };
-        let plan = RunPlan::expand(assignments(1), protocol, 0);
-        let table = plan.assemble(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(table.replicates, vec![vec![3.0, 4.0]]);
-    }
-
-    #[test]
     #[should_panic(expected = "one response per unit")]
     fn assemble_rejects_wrong_length() {
-        let plan = RunPlan::expand(assignments(2), RunProtocol::hot(0, 2), 0);
+        let plan = RunPlan::expand(assignments(2), 2, 0);
         let _ = plan.assemble(&[1.0]);
     }
 
     #[test]
     fn describe_mentions_size_and_seed() {
-        let plan = RunPlan::expand(assignments(3), RunProtocol::hot(1, 2), 99);
+        let plan = RunPlan::expand(assignments(3), 2, 99);
         let d = plan.describe();
-        assert!(d.contains("3 runs"));
+        assert!(d.contains("3 runs x 2 replications"));
         assert!(d.contains("6 units"));
         assert!(d.contains("99"));
     }

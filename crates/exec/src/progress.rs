@@ -1,74 +1,13 @@
-//! Progress and observability for long sweeps.
+//! The end-of-sweep report.
 //!
-//! A sweep that runs for hours with no output is indistinguishable from a
-//! hung one, and a straggling worker silently stretches wall time. The
-//! scheduler emits [`ProgressSnapshot`]s through a caller-supplied hook and
-//! summarizes the whole execution as an [`ExecReport`] — completed/total,
-//! per-worker throughput, and straggler flags — that `perfeval-harness`
+//! A straggling worker silently stretches wall time, and a failed cell
+//! silently thins a table. The scheduler summarizes the whole execution as
+//! an [`ExecReport`] — completed/total, per-worker throughput, straggler
+//! flags and the per-unit failure taxonomy — that `perfeval-harness`
 //! renders alongside the scientific results.
 
 use crate::outcome::{UnitOutcome, UnitReport};
-use crate::pool::WorkerStats;
-
-/// A point-in-time view of a running sweep, handed to progress hooks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProgressSnapshot {
-    /// Units finished so far (measured or given up on).
-    pub completed: usize,
-    /// Total units in the plan.
-    pub total: usize,
-    /// Wall-clock seconds since the sweep started.
-    pub elapsed_secs: f64,
-}
-
-impl ProgressSnapshot {
-    /// Completed fraction in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.completed as f64 / self.total as f64
-        }
-    }
-
-    /// Units per second so far.
-    pub fn throughput(&self) -> f64 {
-        if self.elapsed_secs > 0.0 {
-            self.completed as f64 / self.elapsed_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Estimated seconds to completion, extrapolating current throughput;
-    /// `None` until at least one unit has finished.
-    pub fn eta_secs(&self) -> Option<f64> {
-        if self.completed == 0 {
-            return None;
-        }
-        let rate = self.throughput();
-        if rate > 0.0 {
-            Some((self.total - self.completed) as f64 / rate)
-        } else {
-            None
-        }
-    }
-
-    /// `"17/64 (26.6%), 3.1 units/s, ETA 15s"` — the progress line.
-    pub fn render(&self) -> String {
-        let eta = match self.eta_secs() {
-            Some(s) => format!("ETA {s:.0}s"),
-            None => "ETA unknown".to_owned(),
-        };
-        format!(
-            "{}/{} ({:.1}%), {:.1} units/s, {eta}",
-            self.completed,
-            self.total,
-            100.0 * self.fraction(),
-            self.throughput()
-        )
-    }
-}
+use perfeval_pool::WorkerStats;
 
 /// Summary of one scheduler execution, for inclusion in reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +33,7 @@ pub struct ExecReport {
     pub workers: Vec<WorkerStats>,
     /// The order policy description (self-documentation).
     pub order: String,
-    /// The plan description (runs × replications, protocol, root seed).
+    /// The plan description (runs × replications, root seed).
     pub plan: String,
 }
 
@@ -219,42 +158,6 @@ impl ExecReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_math() {
-        let s = ProgressSnapshot {
-            completed: 25,
-            total: 100,
-            elapsed_secs: 5.0,
-        };
-        assert_eq!(s.fraction(), 0.25);
-        assert_eq!(s.throughput(), 5.0);
-        assert_eq!(s.eta_secs(), Some(15.0));
-        let line = s.render();
-        assert!(line.contains("25/100"));
-        assert!(line.contains("ETA 15s"));
-    }
-
-    #[test]
-    fn snapshot_before_first_completion() {
-        let s = ProgressSnapshot {
-            completed: 0,
-            total: 10,
-            elapsed_secs: 1.0,
-        };
-        assert_eq!(s.eta_secs(), None);
-        assert!(s.render().contains("ETA unknown"));
-    }
-
-    #[test]
-    fn empty_plan_is_complete() {
-        let s = ProgressSnapshot {
-            completed: 0,
-            total: 0,
-            elapsed_secs: 0.0,
-        };
-        assert_eq!(s.fraction(), 1.0);
-    }
 
     fn report(busy: &[f64]) -> ExecReport {
         ExecReport {

@@ -2,7 +2,8 @@
 //!
 //! Responsibilities, in order: permute the units per the
 //! [`OrderPolicy`], execute them through the worker pool, scatter results
-//! back into canonical slots, and assemble the [`ResponseTable`]. The
+//! back into canonical slots, and assemble the
+//! [`ResponseTable`](perfeval_core::runner::ResponseTable). The
 //! determinism argument lives in the scatter step: position `p` of the
 //! execution order maps to canonical unit `order[p]`, so the assembled
 //! table is invariant under the order policy and thread count.
@@ -20,10 +21,10 @@
 use crate::order::OrderPolicy;
 use crate::outcome::{RetryPolicy, SweepResult, UnitOutcome, UnitReport};
 use crate::plan::{RunPlan, RunUnit};
-use crate::pool::parallel_map_caught;
-use crate::progress::{ExecReport, ProgressSnapshot};
-use perfeval_core::runner::{Assignment, ResponseTable, SyncExperiment};
+use crate::progress::ExecReport;
+use perfeval_core::runner::{Assignment, SyncExperiment};
 use perfeval_fault::{panic_message, set_cancel_token, FaultRegistry, TimeoutSignal};
+use perfeval_pool::parallel_map_caught;
 use perfeval_stats::backoff_ms;
 use perfeval_trace::Tracer;
 use std::collections::HashMap;
@@ -52,9 +53,6 @@ impl<E: SyncExperiment> UnitExperiment for E {
         SyncExperiment::prepare(self, assignment);
     }
 }
-
-/// Progress hook type: called after every completed unit.
-pub type ProgressHook<'a> = &'a (dyn Fn(ProgressSnapshot) + Sync);
 
 /// The watchdog lane's cancel board: canonical unit index → (deadline,
 /// cancel flag). Workers register an entry per attempt; the watchdog trips
@@ -107,76 +105,31 @@ impl Scheduler {
         self
     }
 
-    /// Executes `plan` against `experiment`, reporting progress through
-    /// `progress` (if given).
+    /// Executes `plan` against `experiment` — the one way a plan runs, on
+    /// any thread count.
     ///
-    /// Returns the assembled [`ResponseTable`] — bit-identical regardless
-    /// of `threads` and `order` — plus an [`ExecReport`] describing how
-    /// the execution went.
+    /// Never panics on unit failure: the returned [`SweepResult`] accounts
+    /// for every cell, and its table assembles — bit-identical regardless
+    /// of `threads` and `order` — only when every cell was measured. A
+    /// caller that cannot degrade calls [`SweepResult::expect_complete`].
     ///
-    /// # Panics
-    /// Panics with the missing-cell taxonomy if any unit failed every
-    /// allowed attempt (the historical fail-fast contract). Callers that
-    /// can degrade should use [`Scheduler::execute_contained`].
+    /// With a `tracer`, the sweep records one `sweep` root span on the
+    /// calling thread and, per unit, a `unit <n>` span on whichever worker
+    /// lane ran it. Each unit span starts when its worker became free, so
+    /// it decomposes into a `queue-wait` child (dispatch) and a `run` child
+    /// per measurement attempt. Unit spans carry `queued_ms`, `outcome`,
+    /// and `attempts` attributes. When a deadline is set, a `watchdog` lane
+    /// appears with one `deadline-fired` span per cancelled attempt.
     pub fn execute<E: UnitExperiment + ?Sized>(
         &self,
         plan: &RunPlan,
         experiment: &E,
-        progress: Option<ProgressHook<'_>>,
-    ) -> (ResponseTable, ExecReport) {
-        self.execute_contained_traced(plan, experiment, progress, None)
-            .expect_complete()
-    }
-
-    /// [`Scheduler::execute`] with an optional tracer.
-    ///
-    /// The sweep records one `sweep` root span on the calling thread and,
-    /// per unit, a `unit <n>` span on whichever worker lane ran it. Each
-    /// unit span starts when its worker became free, so it decomposes into
-    /// a `queue-wait` child (dispatch) and a `run` child per measurement
-    /// attempt. Unit spans carry `queued_ms`, `outcome`, and `attempts`
-    /// attributes.
-    ///
-    /// # Panics
-    /// Like [`Scheduler::execute`], panics if any unit was quarantined.
-    pub fn execute_traced<E: UnitExperiment + ?Sized>(
-        &self,
-        plan: &RunPlan,
-        experiment: &E,
-        progress: Option<ProgressHook<'_>>,
-        tracer: Option<&Tracer>,
-    ) -> (ResponseTable, ExecReport) {
-        self.execute_contained_traced(plan, experiment, progress, tracer)
-            .expect_complete()
-    }
-
-    /// Failure-contained execution: never panics on unit failure. Returns
-    /// a [`SweepResult`] whose report accounts for every cell; the table
-    /// assembles only when every cell was measured.
-    pub fn execute_contained<E: UnitExperiment + ?Sized>(
-        &self,
-        plan: &RunPlan,
-        experiment: &E,
-        progress: Option<ProgressHook<'_>>,
-    ) -> SweepResult {
-        self.execute_contained_traced(plan, experiment, progress, None)
-    }
-
-    /// [`Scheduler::execute_contained`] with an optional tracer. When a
-    /// deadline is set, a `watchdog` lane appears in the trace with one
-    /// `deadline-fired` span per cancelled attempt.
-    pub fn execute_contained_traced<E: UnitExperiment + ?Sized>(
-        &self,
-        plan: &RunPlan,
-        experiment: &E,
-        progress: Option<ProgressHook<'_>>,
         tracer: Option<&Tracer>,
     ) -> SweepResult {
         let order = self.order.order(plan);
         let total = order.len();
         let executed = AtomicUsize::new(0);
         let retries = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(0);
         let t0 = Instant::now();
 
         let mut sweep = tracer.map(|t| t.span("sweep"));
@@ -300,14 +253,6 @@ impl Scheduler {
                 }
             }
             drop(unit_span);
-            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(hook) = progress {
-                hook(ProgressSnapshot {
-                    completed: done,
-                    total,
-                    elapsed_secs: t0.elapsed().as_secs_f64(),
-                });
-            }
             (
                 value,
                 UnitReport {
@@ -363,8 +308,8 @@ impl Scheduler {
         drop(sweep);
 
         // Scatter execution-order results back into canonical unit slots.
-        // The pool-level catch is a second belt — `run_unit` contains its
-        // own panics — but a panicking progress hook still lands here.
+        // The pool-level catch is a second belt: `run_unit` contains the
+        // experiment's panics, but not one raised by its own bookkeeping.
         let mut responses: Vec<Option<f64>> = vec![None; plan.unit_count()];
         let mut units: Vec<Option<UnitReport>> = vec![None; plan.unit_count()];
         for (p, slot) in slots.into_iter().enumerate() {
@@ -430,13 +375,12 @@ mod tests {
     use super::*;
     use perfeval_core::factor::Level;
     use perfeval_fault::{FaultAction, Trigger};
-    use perfeval_measure::protocol::RunProtocol;
 
     fn plan(runs: usize, reps: usize, seed: u64) -> RunPlan {
         let assignments = (0..runs)
             .map(|i| Assignment::new(vec![("x".into(), Level::Num(i as f64))]))
             .collect();
-        RunPlan::expand(assignments, RunProtocol::hot(0, reps), seed)
+        RunPlan::expand(assignments, reps, seed)
     }
 
     /// Response depends on assignment and replicate only — the purity the
@@ -455,7 +399,10 @@ mod tests {
     fn identical_across_threads_and_orders() {
         let p = plan(5, 3, 42);
         let exp = experiment();
-        let baseline = Scheduler::new(1).execute(&p, &exp, None).0;
+        let baseline = Scheduler::new(1)
+            .execute(&p, &exp, None)
+            .expect_complete()
+            .0;
         for threads in [2, 4] {
             for order in [
                 OrderPolicy::AsDesigned,
@@ -465,6 +412,7 @@ mod tests {
                 let table = Scheduler::new(threads)
                     .with_order(order)
                     .execute(&p, &exp, None)
+                    .expect_complete()
                     .0;
                 assert_eq!(table, baseline, "threads={threads} order={order:?}");
             }
@@ -472,24 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn progress_hook_fires_once_per_unit() {
-        let p = plan(3, 2, 0);
-        let calls = AtomicUsize::new(0);
-        let hook = |s: ProgressSnapshot| {
-            assert_eq!(s.total, 6);
-            assert!(s.completed >= 1 && s.completed <= 6);
-            calls.fetch_add(1, Ordering::Relaxed);
-        };
-        let exp = experiment();
-        Scheduler::new(2).execute(&p, &exp, Some(&hook));
-        assert_eq!(calls.into_inner(), 6);
-    }
-
-    #[test]
     fn closure_experiments_work_via_blanket_impls() {
         let p = plan(2, 2, 0);
         let exp = |a: &Assignment| a.num("x").unwrap() + 1.0;
-        let (table, _) = Scheduler::new(1).execute(&p, &exp, None);
+        let (table, _) = Scheduler::new(1).execute(&p, &exp, None).expect_complete();
         assert_eq!(table.means(), vec![1.0, 2.0]);
     }
 
@@ -505,9 +439,13 @@ mod tests {
             (acc % 97) as f64
         };
         let tracer = Tracer::new();
-        let untraced = Scheduler::new(2).execute(&p, &exp, None).0;
+        let untraced = Scheduler::new(2)
+            .execute(&p, &exp, None)
+            .expect_complete()
+            .0;
         let traced = Scheduler::new(2)
-            .execute_traced(&p, &exp, None, Some(&tracer))
+            .execute(&p, &exp, Some(&tracer))
+            .expect_complete()
             .0;
         assert_eq!(traced, untraced, "tracing must not perturb results");
 
@@ -556,7 +494,7 @@ mod tests {
         let p = plan(2, 2, 3);
         let exp = experiment();
         let tracer = Tracer::new();
-        Scheduler::new(1).execute_traced(&p, &exp, None, Some(&tracer));
+        Scheduler::new(1).execute(&p, &exp, Some(&tracer));
         let trace = tracer.snapshot();
         assert_eq!(trace.lanes.len(), 1, "serial sweep uses one lane");
         let sweep = trace.find("sweep").next().expect("sweep recorded").clone();
@@ -585,10 +523,14 @@ mod tests {
             }
         }
         let p = plan(2, 1, 5);
-        let serial = Scheduler::new(1).execute(&p, &Seeded, None).0;
+        let serial = Scheduler::new(1)
+            .execute(&p, &Seeded, None)
+            .expect_complete()
+            .0;
         let parallel = Scheduler::new(4)
             .with_order(OrderPolicy::Shuffled(3))
             .execute(&p, &Seeded, None)
+            .expect_complete()
             .0;
         assert_eq!(serial, parallel, "seeds are order-independent");
     }
@@ -611,7 +553,7 @@ mod tests {
         for threads in [1, 4] {
             let sweep = Scheduler::new(threads)
                 .with_faults(persistent_panics())
-                .execute_contained(&p, &exp, None);
+                .execute(&p, &exp, None);
             assert!(!sweep.is_complete());
             assert!(sweep.table.is_none(), "partial sweep never assembles");
             assert_eq!(sweep.report.quarantined, vec![2, 5]);
@@ -633,7 +575,10 @@ mod tests {
     fn transient_faults_recover_via_retries_bit_identically() {
         let p = plan(4, 2, 9);
         let exp = experiment();
-        let clean = Scheduler::new(1).execute(&p, &exp, None).0;
+        let clean = Scheduler::new(1)
+            .execute(&p, &exp, None)
+            .expect_complete()
+            .0;
         // Every unit panics on attempts 1-2, succeeds on attempt 3.
         let faults = || {
             Arc::new(FaultRegistry::new(1).armed_transient(
@@ -647,7 +592,7 @@ mod tests {
             let sweep = Scheduler::new(threads)
                 .with_policy(RetryPolicy::retries(2))
                 .with_faults(faults())
-                .execute_contained(&p, &exp, None);
+                .execute(&p, &exp, None);
             assert!(sweep.is_complete(), "threads={threads}");
             assert_eq!(
                 sweep.table.as_ref().unwrap(),
@@ -675,7 +620,7 @@ mod tests {
         let sweep = Scheduler::new(1)
             .with_policy(RetryPolicy::retries(1))
             .with_faults(faults)
-            .execute_contained(&p, &exp, None);
+            .execute(&p, &exp, None);
         assert_eq!(sweep.report.quarantined, vec![0]);
         let failed = &sweep.report.units[0];
         assert_eq!(failed.attempts, 2, "both attempts consumed");
@@ -698,7 +643,7 @@ mod tests {
         let sweep = Scheduler::new(2)
             .with_policy(RetryPolicy::default().with_deadline_ms(40.0))
             .with_faults(faults)
-            .execute_contained(&p, &exp, None);
+            .execute(&p, &exp, None);
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "watchdog cancelled the hang"
@@ -722,7 +667,7 @@ mod tests {
         let sweep = Scheduler::new(1)
             .with_policy(RetryPolicy::default().with_deadline_ms(30.0))
             .with_faults(faults)
-            .execute_contained_traced(&p, &exp, None, Some(&tracer));
+            .execute(&p, &exp, Some(&tracer));
         assert_eq!(sweep.report.units[0].outcome, UnitOutcome::TimedOut);
         let trace = tracer.snapshot();
         assert!(
@@ -745,12 +690,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "sweep incomplete")]
-    fn legacy_execute_panics_with_taxonomy_on_quarantine() {
+    fn expect_complete_panics_with_taxonomy_on_quarantine() {
         let p = plan(3, 2, 42);
         let exp = experiment();
         let _ = Scheduler::new(1)
             .with_faults(persistent_panics())
-            .execute(&p, &exp, None);
+            .execute(&p, &exp, None)
+            .expect_complete();
     }
 
     #[test]
@@ -774,14 +720,14 @@ mod tests {
         let baseline = Scheduler::new(1)
             .with_policy(RetryPolicy::retries(1))
             .with_faults(faults())
-            .execute_contained(&p, &exp, None);
+            .execute(&p, &exp, None);
         for threads in [2, 4] {
             for order in [OrderPolicy::Shuffled(3), OrderPolicy::Blocked] {
                 let sweep = Scheduler::new(threads)
                     .with_order(order)
                     .with_policy(RetryPolicy::retries(1))
                     .with_faults(faults())
-                    .execute_contained(&p, &exp, None);
+                    .execute(&p, &exp, None);
                 assert_eq!(sweep.report.units, baseline.report.units);
                 assert_eq!(sweep.report.quarantined, baseline.report.quarantined);
                 assert_eq!(sweep.report.retries, baseline.report.retries);

@@ -1,8 +1,9 @@
 //! Terminal line charts, for experiment binaries that reproduce *figures*.
 //!
 //! The tutorial's presentation rules (slides 118–128) apply even to a quick
-//! terminal rendering: the y axis starts at zero unless asked otherwise,
-//! axes carry labels with units, and series are labelled with keywords.
+//! terminal rendering: the y axis starts at zero (or below it, for
+//! negative data), axes carry labels with units, and series are labelled
+//! with keywords.
 //! This is deliberately minimal — the publishable artifact is the generated
 //! gnuplot script; the ASCII chart is the "CSI" view for the terminal.
 
@@ -24,7 +25,6 @@ pub struct AsciiChart {
     series: Vec<AsciiSeries>,
     height: usize,
     width: usize,
-    y_from_zero: bool,
 }
 
 impl AsciiChart {
@@ -37,7 +37,6 @@ impl AsciiChart {
             series: Vec::new(),
             height: 16,
             width: 60,
-            y_from_zero: true,
         }
     }
 
@@ -54,13 +53,6 @@ impl AsciiChart {
     pub fn size(mut self, width: usize, height: usize) -> Self {
         self.width = width.max(10);
         self.height = height.max(4);
-        self
-    }
-
-    /// Lets the y axis start at the data minimum (the documented
-    /// exception, not the default).
-    pub fn y_from_data(mut self) -> Self {
-        self.y_from_zero = false;
         self
     }
 
@@ -83,13 +75,8 @@ impl AsciiChart {
         }
         let x_min = all.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
         let x_max = all.iter().map(|p| p.0).fold(f64::NEG_INFINITY, f64::max);
-        let y_data_min = all.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+        let y_min = all.iter().map(|p| p.1).fold(0.0, f64::min);
         let y_max = all.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
-        let y_min = if self.y_from_zero {
-            0.0f64.min(y_data_min)
-        } else {
-            y_data_min
-        };
         let x_span = (x_max - x_min).max(1e-12);
         let y_span = (y_max - y_min).max(1e-12);
 
@@ -167,12 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn y_axis_starts_at_zero_by_default() {
-        // With y from zero, the bottom axis label is 0.0.
+    fn y_axis_starts_at_zero() {
+        // The bottom axis label is 0.0.
         let text = chart().render();
         assert!(text.contains("       0.0 |"), "{text}");
-        let data_scaled = chart().y_from_data().render();
-        assert!(!data_scaled.contains("       0.0 |"), "{data_scaled}");
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! The allocation bound is measured, not argued: this binary's allocator
 //! records the largest request a thread makes while it is watched.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,54 +20,17 @@ use minidb_net::{
     PROTOCOL_VERSION,
 };
 use perfeval_fault::FaultRegistry;
-
-thread_local! {
-    /// Largest single allocation this thread has asked for since the last
-    /// reset.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Watching;
-
-fn note(size: usize) {
-    // `try_with`: an allocation made while the thread's locals are being
-    // torn down is simply not recorded.
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: every request is passed to `System` unchanged and its answer
-// returned unchanged; the only addition is a thread-local store of the
-// requested size, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Watching {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use proptest::WatchingAlloc;
 
 #[global_allocator]
-static ALLOCATOR: Watching = Watching;
+static ALLOCATOR: WatchingAlloc = WatchingAlloc;
 
 /// Decodes `body`, which must be refused as `InvalidData` without asking the
 /// allocator for more than the frame can back: one in-memory `Value` per
 /// byte at the outside (a NULL is one byte on the wire), plus an error
 /// message.
 fn assert_refused(body: &[u8], what: &str) {
-    LARGEST.with(|largest| largest.set(0));
-    let got = Frame::decode(body);
-    let largest = LARGEST.with(Cell::get);
+    let (got, largest) = WatchingAlloc::largest(|| Frame::decode(body));
     match got {
         Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}"),
         Ok(frame) => panic!("{what}: decoded to {frame:?}"),

@@ -15,10 +15,16 @@
 //! * tuples of strategies
 //! * `prop::collection::vec(element, size)` with `usize`, `Range<usize>`
 //!   or `RangeInclusive<usize>` sizes
+//!
+//! Beside it, [`WatchingAlloc`]: the allocator the hostile-bytes suites
+//! install to measure the largest single allocation a decode makes.
 
 #![warn(missing_docs)]
 
 use perfeval_stats::rng::SplitMix64;
+
+mod alloc;
+pub use alloc::WatchingAlloc;
 
 /// Number of cases each property runs (override with `PROPTEST_CASES`).
 pub fn cases() -> usize {

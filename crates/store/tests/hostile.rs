@@ -12,8 +12,6 @@
 //! The allocation bound is measured, not argued: this binary's allocator
 //! records the largest request a thread makes while it is watched.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
 
 use perfeval_store::segment::{CHECKED_HEADER_LEN, FORMAT_VERSION, HEADER_LEN, MAGIC};
@@ -21,53 +19,10 @@ use perfeval_store::{
     decode_segment, encode_segment, fnv1a64, read_segment, segment_checksum, ColumnData,
     StoreError, TypeTag,
 };
-
-thread_local! {
-    /// Largest single allocation this thread has asked for since the last
-    /// reset.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Watching;
-
-fn note(size: usize) {
-    // `try_with`: an allocation made while the thread's locals are being
-    // torn down is simply not recorded.
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: every request is passed to `System` unchanged and its answer
-// returned unchanged; the only addition is a thread-local store of the
-// requested size, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Watching {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use proptest::WatchingAlloc;
 
 #[global_allocator]
-static ALLOCATOR: Watching = Watching;
-
-/// Runs `read` and returns its answer with the largest single allocation it
-/// made.
-fn watched<T>(read: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|largest| largest.set(0));
-    let got = read();
-    (got, LARGEST.with(Cell::get))
-}
+static ALLOCATOR: WatchingAlloc = WatchingAlloc;
 
 /// The most one read of `seg` may ask the allocator for at once, whatever
 /// its header says: six times the larger of the file and what it honestly
@@ -89,8 +44,8 @@ fn read_both(
     scratch: &Scratch,
 ) -> [(&'static str, Result<ColumnData, StoreError>, usize); 2] {
     std::fs::write(&scratch.0, bytes).expect("write the hostile segment");
-    let (decoded, decode_largest) = watched(|| decode_segment(bytes));
-    let (read, read_largest) = watched(|| read_segment(&scratch.0, None, 0));
+    let (decoded, decode_largest) = WatchingAlloc::largest(|| decode_segment(bytes));
+    let (read, read_largest) = WatchingAlloc::largest(|| read_segment(&scratch.0, None, 0));
     [
         ("decode_segment", decoded, decode_largest),
         ("read_segment", read, read_largest),
@@ -313,7 +268,7 @@ fn the_layouts_under_test_are_the_ones_the_writer_chooses() {
         assert_eq!(seg[TAG_AT], data.type_tag().as_u8(), "{name}");
         assert_eq!(seg[ENCODING_AT], encoding, "{name}");
         assert_eq!(width_at(&seg, &data).map(|at| seg[at]), width, "{name}");
-        let (back, largest) = watched(|| decode_segment(&seg));
+        let (back, largest) = WatchingAlloc::largest(|| decode_segment(&seg));
         assert!(back.expect("the honest segment").bit_eq(&data), "{name}");
         assert!(largest <= bound(&seg, &data), "{name}: {largest}");
     }

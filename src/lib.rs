@@ -69,9 +69,7 @@ pub mod prelude {
     pub use perfeval_core::runner::{run_and_analyze, Assignment, Runner, SyncExperiment};
     pub use perfeval_core::twolevel::TwoLevelDesign;
     pub use perfeval_core::variation::allocate_variation;
-    pub use perfeval_exec::{
-        OrderPolicy, ParallelRunner, RetryPolicy, Scheduler, SweepResult, UnitOutcome,
-    };
+    pub use perfeval_exec::{OrderPolicy, RetryPolicy, Scheduler, SweepResult, UnitOutcome};
     pub use perfeval_fault::{Failpoint, FaultAction, FaultRegistry, Trigger};
     pub use perfeval_harness::{ExperimentSuite, GnuplotScript, Properties};
     pub use perfeval_load::{Arrival, Dialer, LoadReport, LoadRunner, LoadSpec};

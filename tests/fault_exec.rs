@@ -7,7 +7,7 @@
 //! run-order policies. Timeout behavior is asserted separately, without
 //! property machinery, because wall clocks need wide margins.
 
-use perfeval::core::two_level_assignments;
+use perfeval::core::{design_assignments, two_level_assignments};
 use perfeval::exec::RunPlan;
 use perfeval::prelude::*;
 use proptest::prelude::*;
@@ -54,11 +54,7 @@ impl SyncExperiment for Surface {
 
 fn plan_for(seed: u64, reps: usize) -> RunPlan {
     let design = TwoLevelDesign::full(&["A", "B", "C"]);
-    RunPlan::expand(
-        two_level_assignments(&design),
-        RunProtocol::hot(0, reps),
-        seed,
-    )
+    RunPlan::expand(two_level_assignments(&design), reps, seed)
 }
 
 /// Retry policy with zero backoff: the properties run thousands of
@@ -101,7 +97,7 @@ proptest! {
                 .with_order(order)
                 .with_policy(fast_retries(3))
                 .with_faults(faults())
-                .execute_contained(&plan, &Surface, None)
+                .execute(&plan, &Surface, None)
         };
 
         let baseline = sweep(1, OrderPolicy::AsDesigned);
@@ -124,6 +120,7 @@ proptest! {
         // Recovery is a re-measurement, not a different experiment.
         let clean = Scheduler::new(1)
             .execute(&plan, &Surface, None)
+            .expect_complete()
             .0;
         prop_assert_eq!(baseline.table.as_ref().expect("complete"), &clean);
     }
@@ -156,7 +153,7 @@ proptest! {
         let baseline = Scheduler::new(1)
             .with_policy(fast_retries(2))
             .with_faults(faults())
-            .execute_contained(&plan, &Surface, None);
+            .execute(&plan, &Surface, None);
         prop_assert_eq!(&baseline.report.quarantined, &expected);
         prop_assert!(baseline.table.is_none(), "partial sweeps never assemble");
         prop_assert_eq!(baseline.report.units.len(), plan.unit_count());
@@ -165,14 +162,14 @@ proptest! {
             .with_order(OrderPolicy::Shuffled(seed))
             .with_policy(fast_retries(2))
             .with_faults(faults())
-            .execute_contained(&plan, &Surface, None);
+            .execute(&plan, &Surface, None);
         prop_assert_eq!(&parallel.report.units, &baseline.report.units);
         prop_assert_eq!(&parallel.report.quarantined, &baseline.report.quarantined);
         prop_assert_eq!(&parallel.responses, &baseline.responses);
 
         // Every surviving cell measured its fault-free value.
         let clean = Scheduler::new(1)
-            .execute_contained(&plan, &Surface, None);
+            .execute(&plan, &Surface, None);
         for u in 0..plan.unit_count() {
             if expected.contains(&u) {
                 prop_assert!(baseline.responses[u].is_none());
@@ -200,7 +197,7 @@ fn hang_timeouts_are_deterministic_outcomes() {
         let sweep = Scheduler::new(4)
             .with_policy(RetryPolicy::default().with_deadline_ms(25.0))
             .with_faults(faults)
-            .execute_contained(&plan, &Surface, None);
+            .execute(&plan, &Surface, None);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(8),
             "watchdog must cancel 10 s hangs well before they finish"
@@ -216,4 +213,26 @@ fn hang_timeouts_are_deterministic_outcomes() {
     assert_eq!(first.report.units, second.report.units);
     assert_eq!(first.responses, second.responses);
     assert!(first.table.is_none());
+}
+
+/// A panicking *closure* — the experiment itself, not an injected fault —
+/// is contained like any other unit failure: its cells are quarantined,
+/// the healthy ones measured, and the table refuses to assemble.
+#[test]
+fn a_panicking_closure_yields_a_partial_sweep() {
+    let design = Design::full_factorial(vec![Factor::numeric("a", &[1.0, 2.0, 3.0])]);
+    let exp = |a: &Assignment| {
+        let v = a.num("a").unwrap();
+        assert!(v < 3.0, "experiment rejects a=3");
+        v * 10.0
+    };
+    let plan = RunPlan::expand(design_assignments(&design), 2, 0);
+    let sweep = Scheduler::new(4).execute(&plan, &exp, None);
+    assert!(!sweep.is_complete());
+    assert_eq!(sweep.report.quarantined.len(), 2, "both a=3 replicates");
+    assert_eq!(
+        sweep.responses.iter().filter(|r| r.is_some()).count(),
+        4,
+        "healthy cells all measured"
+    );
 }

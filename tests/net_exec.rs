@@ -86,11 +86,7 @@ impl UnitExperiment for WireExperiment {
 }
 
 fn plan() -> RunPlan {
-    RunPlan::expand(
-        two_level_assignments(&TwoLevelDesign::full(&["Q"])),
-        RunProtocol::hot(0, 3),
-        42,
-    )
+    RunPlan::expand(two_level_assignments(&TwoLevelDesign::full(&["Q"])), 3, 42)
 }
 
 fn sweep(
@@ -115,7 +111,7 @@ fn sweep(
             backoff_ms: 0.0,
             deadline_ms: None,
         })
-        .execute_contained(&plan(), &experiment, None);
+        .execute(&plan(), &experiment, None);
 
     // The server must have survived the dropped connection: a fresh
     // client on the same listener still gets real answers.

@@ -1,9 +1,10 @@
 //! Integration tests for the `perfeval-exec` scheduler: the determinism
 //! contract (parallel ≡ serial, bit for bit, whatever the thread count or
-//! run-order policy).
+//! run-order policy). `Runner`'s `run_*_sync` loops are the serial
+//! reference; `Scheduler::execute` is the one parallel path.
 
 use perfeval::core::runner::ResponseTable;
-use perfeval::core::two_level_assignments;
+use perfeval::core::{design_assignments, two_level_assignments};
 use perfeval::exec::RunPlan;
 use perfeval::prelude::*;
 use proptest::prelude::*;
@@ -28,11 +29,44 @@ impl SyncExperiment for PolyExperiment {
     }
 }
 
+/// Runs `assignments × reps` on `threads` workers in design order and
+/// returns the assembled table.
+fn run_parallel(
+    assignments: Vec<Assignment>,
+    reps: usize,
+    experiment: &impl SyncExperiment,
+    threads: usize,
+) -> ResponseTable {
+    Scheduler::new(threads)
+        .execute(&RunPlan::expand(assignments, reps, 0), experiment, None)
+        .expect_complete()
+        .0
+}
+
+/// A multi-level design (three levels by two) matches `run_design_sync`
+/// at one, two and eight threads.
+#[test]
+fn a_multi_level_design_runs_bit_identically_to_serial() {
+    let design = Design::full_factorial(vec![
+        Factor::numeric("a", &[1.0, 2.0, 3.0]),
+        Factor::numeric("b", &[10.0, 20.0]),
+    ]);
+    let exp = |a: &Assignment| a.num("a").unwrap() * a.num("b").unwrap();
+    let serial = Runner::new(4).run_design_sync(&design, &exp);
+    for threads in [1, 2, 8] {
+        assert_eq!(
+            run_parallel(design_assignments(&design), 4, &exp, threads),
+            serial,
+            "threads={threads}"
+        );
+    }
+}
+
 proptest! {
-    /// The tentpole acceptance property: `run_parallel(n)` produces a
-    /// [`ResponseTable`] bit-identical to the serial run for random 2^k
-    /// designs, coefficient surfaces, replication counts, and thread
-    /// counts.
+    /// `Scheduler::execute` on `n` threads produces a [`ResponseTable`]
+    /// bit-identical to the serial run for random 2^k designs, coefficient
+    /// surfaces, replication counts (the replicate-dependent term included),
+    /// and thread counts.
     #[test]
     fn run_parallel_is_bit_identical_to_serial_on_random_two_level_designs(
         k in 2usize..5,
@@ -46,9 +80,8 @@ proptest! {
             coeffs: coeffs[..k].to_vec(),
             names: names.iter().map(|n| (*n).to_string()).collect(),
         };
-        let runner = Runner::new(reps);
-        let serial = runner.run_two_level_sync(&design, &experiment);
-        let parallel = runner.run_two_level_parallel(&design, &experiment, threads);
+        let serial = Runner::new(reps).run_two_level_sync(&design, &experiment);
+        let parallel = run_parallel(two_level_assignments(&design), reps, &experiment, threads);
         prop_assert_eq!(parallel, serial);
     }
 
@@ -66,15 +99,12 @@ proptest! {
             coeffs: vec![3.0, -2.0, 0.5],
             names: vec!["A".into(), "B".into(), "C".into()],
         };
-        let plan = RunPlan::expand(
-            two_level_assignments(&design),
-            RunProtocol::hot(0, reps),
-            seed,
-        );
+        let plan = RunPlan::expand(two_level_assignments(&design), reps, seed);
         let run = |order: OrderPolicy| -> ResponseTable {
             Scheduler::new(threads)
                 .with_order(order)
                 .execute(&plan, &experiment, None)
+                .expect_complete()
                 .0
         };
         let as_designed = run(OrderPolicy::AsDesigned);

@@ -34,16 +34,16 @@ fn traced_query_and_sweep_stitch_into_one_timeline() {
     let plan = {
         use perfeval::core::factor::Level;
         use perfeval::core::runner::Assignment;
-        use perfeval::measure::RunProtocol;
         let assignments = (0..4)
             .map(|i| Assignment::new(vec![("x".into(), Level::Num(i as f64))]))
             .collect();
-        perfeval::exec::RunPlan::expand(assignments, RunProtocol::hot(0, 2), 0)
+        perfeval::exec::RunPlan::expand(assignments, 2, 0)
     };
     let exp = |a: &perfeval::core::runner::Assignment| a.num("x").unwrap();
     Scheduler::new(2)
         .with_order(OrderPolicy::AsDesigned)
-        .execute_traced(&plan, &exp, None, Some(&tracer));
+        .execute(&plan, &exp, Some(&tracer))
+        .expect_complete();
 
     let trace = tracer.snapshot();
     assert!(trace.lanes.len() >= 2, "coordinator + worker lanes");
